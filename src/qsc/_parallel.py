@@ -1,33 +1,9 @@
-"""Deterministic thread-pool map.
+"""Thread count of the package's computations.
 
-Parallelism is an opt-in speedup controlled by the QSC_THREADS environment
-variable (default 1).  Results are always returned in input order, so output
-is byte-identical for any thread count.
+Every computation runs on the calling thread; ``thread_count`` reports that
+to callers that record it, such as the benchmark's machine record.
 """
-
-from __future__ import annotations
-
-import os
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Sequence, TypeVar
-
-T = TypeVar("T")
-R = TypeVar("R")
 
 
 def thread_count() -> int:
-    raw = os.environ.get("QSC_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        return 1
-    return max(1, value)
-
-
-def ordered_map(fn: Callable[[T], R], items: Sequence[T] | Iterable[T]) -> list[R]:
-    items = list(items)
-    workers = min(thread_count(), max(1, len(items)))
-    if workers == 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    return 1

@@ -18,7 +18,7 @@ import importlib.resources
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -108,14 +108,7 @@ def _cell24_pairing_class(v: np.ndarray) -> int:
 
 def _cell600_vertices() -> np.ndarray:
     """The 120 vertices of the 600-cell at circumradius 1 (icosian group)."""
-    vertices = []
-    for axis in range(4):
-        for sign in (1.0, -1.0):
-            v = np.zeros(4)
-            v[axis] = sign
-            vertices.append(v)
-    for signs in itertools.product((0.5, -0.5), repeat=4):
-        vertices.append(np.array(signs))
+    vertices = _binary_tetrahedral_group()   # the 24 vertices of an inscribed 24-cell
     base = np.array([_GOLDEN / 2.0, 0.5, 1.0 / (2.0 * _GOLDEN), 0.0])
     even_perms = [p for p in itertools.permutations(range(4))
                   if _permutation_parity(p) == 0]
@@ -166,6 +159,11 @@ def _hessian_vertices() -> tuple[np.ndarray, np.ndarray]:
 # Builders
 # ---------------------------------------------------------------------------
 
+def _numbered_code(n: int, E: float, groups: list) -> QSCode:
+    """A code whose codeword mu holds the points ``groups[mu]``, labeled str(mu)."""
+    return QSCode(n, E, [Constellation(str(mu), g) for mu, g in enumerate(groups)])
+
+
 def _build_cat(E: float, S: int = 2, K: int = 2) -> QSCode:
     if S < 1 or K < 1:
         raise CatalogError("cat needs S >= 1 and K >= 1")
@@ -175,8 +173,7 @@ def _build_cat(E: float, S: int = 2, K: int = 2) -> QSCode:
     for k in range(total):
         z = alpha * cmath.exp(2j * math.pi * k / total)
         groups[k % K].append(Point([z]))
-    codewords = [Constellation(str(mu), pts) for mu, pts in enumerate(groups)]
-    return QSCode(1, E, codewords)
+    return _numbered_code(1, E, groups)
 
 
 def _build_hypercube(E: float, n: int = 2) -> QSCode:
@@ -193,8 +190,7 @@ def _build_hypercube(E: float, n: int = 2) -> QSCode:
         z = np.array([complex(signs[2 * i], signs[2 * i + 1]) for i in range(n)]) * scale
         parity = sum(1 for s in signs if s < 0) % 2
         groups[parity].append(Point(z))
-    codewords = [Constellation(str(mu), pts) for mu, pts in enumerate(groups)]
-    return QSCode(n, E, codewords)
+    return _numbered_code(n, E, groups)
 
 
 def _build_orthoplex(E: float, n: int = 2) -> QSCode:
@@ -215,8 +211,7 @@ def _build_orthoplex(E: float, n: int = 2) -> QSCode:
             z = np.zeros(n, dtype=np.complex128)
             z[j] = 1j * sign * r
             groups[1].append(Point(z))
-    codewords = [Constellation(str(mu), pts) for mu, pts in enumerate(groups)]
-    return QSCode(n, E, codewords)
+    return _numbered_code(n, E, groups)
 
 
 def _build_cell24(E: float, partition: str = "three") -> QSCode:
@@ -233,9 +228,7 @@ def _build_cell24(E: float, partition: str = "three") -> QSCode:
     else:
         raise CatalogError(
             f"cell24 partition must be 'three', 'two' or 'one', got {partition!r}")
-    codewords = [Constellation(str(mu), [Point(row) for row in g])
-                 for mu, g in enumerate(groups)]
-    return QSCode(2, E, codewords)
+    return _numbered_code(2, E, groups)
 
 
 def _build_cell600(E: float, partition: str = "one") -> QSCode:
@@ -247,9 +240,7 @@ def _build_cell600(E: float, partition: str = "one") -> QSCode:
         groups = _cell600_coset_partition(vertices, z)
     else:
         raise CatalogError(f"cell600 partition must be 'one' or 'five', got {partition!r}")
-    codewords = [Constellation(str(mu), [Point(row) for row in g])
-                 for mu, g in enumerate(groups)]
-    return QSCode(2, E, codewords)
+    return _numbered_code(2, E, groups)
 
 
 def _cell600_coset_partition(vertices: np.ndarray, z: np.ndarray) -> list[np.ndarray]:
@@ -284,8 +275,7 @@ def _build_gamma(E: float, n: int = 2, q: int = 3) -> QSCode:
     for ks in itertools.product(range(q), repeat=n):
         z = np.array([w ** k for k in ks]) * scale
         groups[sum(ks) % q].append(Point(z))
-    codewords = [Constellation(str(mu), pts) for mu, pts in enumerate(groups)]
-    return QSCode(n, E, codewords)
+    return _numbered_code(n, E, groups)
 
 
 def _build_beta(E: float, n: int = 2, q: int = 3) -> QSCode:
@@ -301,8 +291,7 @@ def _build_beta(E: float, n: int = 2, q: int = 3) -> QSCode:
             z = np.zeros(n, dtype=np.complex128)
             z[j] = r * w ** k
             groups[k].append(Point(z))
-    codewords = [Constellation(str(mu), pts) for mu, pts in enumerate(groups)]
-    return QSCode(n, E, codewords)
+    return _numbered_code(n, E, groups)
 
 
 def _build_hessian(E: float) -> QSCode:
@@ -311,9 +300,7 @@ def _build_hessian(E: float) -> QSCode:
     vertices, classes = _hessian_vertices()
     z = vertices * math.sqrt(E / 2.0)
     groups = [z[classes == c] for c in range(3)]
-    codewords = [Constellation(str(mu), [Point(row) for row in g])
-                 for mu, g in enumerate(groups)]
-    return QSCode(3, E, codewords)
+    return _numbered_code(3, E, groups)
 
 
 _BUILDERS: dict[str, Callable[..., QSCode]] = {
@@ -343,21 +330,26 @@ def build(name: str, E: float, **options) -> QSCode:
         raise CatalogError(f"invalid options for {name!r}: {exc}") from exc
 
 
+def _rotations_and_permutations(n: int, angle: float,
+                                perms: Optional[list[tuple[int, ...]]] = None
+                                ) -> list[PassiveUnitary]:
+    """The n single-mode phase rotations by ``angle``, then the mode
+    permutations ``perms`` (row k of each is e_{perm[k]}); adjacent mode swaps
+    when ``perms`` is None."""
+    if perms is None:
+        perms = [tuple(range(j)) + (j + 1, j) + tuple(range(j + 2, n)) for j in range(n - 1)]
+    gens = [PassiveUnitary.phase_rotation([angle if i == j else 0.0 for i in range(n)])
+            for j in range(n)]
+    return gens + [PassiveUnitary(np.eye(n, dtype=np.complex128)[list(p)]) for p in perms]
+
+
 def symmetry_generators(name: str, **options) -> list[PassiveUnitary]:
     """Documented symmetry generators whose closure reproduces the vertex set."""
     if name == "cat":
         S, K = options.get("S", 2), options.get("K", 2)
         return [PassiveUnitary.phase_rotation([2.0 * math.pi / (S * K)])]
     if name in ("hypercube", "orthoplex"):
-        n = options.get("n", 2)
-        gens = [PassiveUnitary.phase_rotation([math.pi / 2.0 if i == j else 0.0
-                                               for i in range(n)])
-                for j in range(n)]
-        for j in range(n - 1):
-            perm = np.eye(n, dtype=np.complex128)
-            perm[[j, j + 1]] = perm[[j + 1, j]]
-            gens.append(PassiveUnitary(perm))
-        return gens
+        return _rotations_and_permutations(options.get("n", 2), math.pi / 2.0)
     if name == "cell24" or name == "cell600":
         if name == "cell24":
             quats = [
@@ -372,23 +364,11 @@ def symmetry_generators(name: str, **options) -> list[PassiveUnitary]:
             ]
         return [_right_multiplication_unitary(q) for q in quats]
     if name in ("gamma", "beta"):
-        n, q = options.get("n", 2), options.get("q", 3)
-        gens = [PassiveUnitary.phase_rotation([2.0 * math.pi / q if i == j else 0.0
-                                               for i in range(n)])
-                for j in range(n)]
-        for j in range(n - 1):
-            perm = np.eye(n, dtype=np.complex128)
-            perm[[j, j + 1]] = perm[[j + 1, j]]
-            gens.append(PassiveUnitary(perm))
-        return gens
+        return _rotations_and_permutations(options.get("n", 2),
+                                           2.0 * math.pi / options.get("q", 3))
     if name == "hessian":
-        gens = [PassiveUnitary.phase_rotation([2.0 * math.pi / 3.0 if i == j else 0.0
-                                               for i in range(3)])
-                for j in range(3)]
-        shift = np.zeros((3, 3), dtype=np.complex128)
-        shift[0, 2] = shift[1, 0] = shift[2, 1] = 1.0
-        gens.append(PassiveUnitary(shift))
-        return gens
+        # the cyclic mode shift (z1, z2, z3) -> (z3, z1, z2)
+        return _rotations_and_permutations(3, 2.0 * math.pi / 3.0, [(2, 0, 1)])
     raise CatalogError(f"no symmetry generators for {name!r}")
 
 
@@ -450,17 +430,7 @@ def list_catalog() -> list[CatalogEntry]:
     entries = []
     for name, params, desc in _DEFAULT_ENTRIES:
         code = build(name, 1.0, **params)
-        entry = CatalogEntry(
-            name=name,
-            modes=code.modes,
-            num_points=sum(len(c) for c in code.codewords),
-            num_codewords=code.K,
-            params=dict(params),
-            description=desc,
-        )
-        props = expected.get(entry.entry_id, {})
-        entry = CatalogEntry(entry.name, entry.modes, entry.num_points,
-                             entry.num_codewords, entry.params, entry.description,
-                             dict(props))
-        entries.append(entry)
+        entry = CatalogEntry(name, code.modes, sum(map(len, code.codewords)), code.K,
+                             dict(params), desc)
+        entries.append(replace(entry, expected_properties=dict(expected.get(entry.entry_id, {}))))
     return entries

@@ -1,9 +1,11 @@
 """Command-line entry point.
 
 Subcommands: catalog, build, design, kl, symmetries, ideal, css, perf, table.
-All subcommands accept --json for machine-readable output; computation
-results go to stdout, progress and errors to stderr.  Exit codes: 0 success,
-1 computation error, 2 usage error.
+All subcommands accept --json for machine-readable output, printed on one
+line (``python -m json.tool`` indents it); computation results go to stdout,
+progress and errors to stderr.  Exit codes: 0 success, 1 computation error,
+2 usage error (an unparsable command line, or an argument value the library
+rejects with ValueError, such as a negative degree).
 """
 
 from __future__ import annotations
@@ -69,7 +71,7 @@ def cmd_catalog(args: argparse.Namespace) -> int:
             "params": e.params, "description": e.description,
             "expected_properties": e.expected_properties,
         } for e in entries]
-        print(json.dumps(doc, indent=2))
+        print(json.dumps(doc))
         return 0
     rows = [[e.entry_id, str(e.modes), str(e.num_points), str(e.num_codewords),
              e.description] for e in entries]
@@ -78,14 +80,8 @@ def cmd_catalog(args: argparse.Namespace) -> int:
 
 
 def _builder_options(args: argparse.Namespace) -> dict:
-    options = {}
-    for key in ("S", "K", "n", "q"):
-        value = getattr(args, key, None)
-        if value is not None:
-            options[key] = value
-    if getattr(args, "partition", None) is not None:
-        options["partition"] = args.partition
-    return options
+    return {key: getattr(args, key) for key in ("S", "K", "n", "q", "partition")
+            if getattr(args, key, None) is not None}
 
 
 def cmd_build(args: argparse.Namespace) -> int:
@@ -111,7 +107,7 @@ def cmd_design(args: argparse.Namespace) -> int:
                                            sorted(report.sphere_residual_per_degree.items())},
             "match_residual_per_degree": {str(d): v for d, v in
                                           sorted(report.match_residual_per_degree.items())},
-        }, indent=2))
+        }))
         return 0
     rows = [[str(d), f"{rs:.3e}", f"{rm:.3e}"] for d, rs, rm in report.rows()]
     print(f"t_sphere = {report.sphere_strength}   t_match = {report.matching_strength}"
@@ -161,7 +157,7 @@ def cmd_kl(args: argparse.Namespace) -> int:
                       "delta": row.delta,
                       "pass": row.delta <= args.tol}
                      for row in report.rows],
-        }, indent=2))
+        }))
         return 0
     print(f"detection degree = {report.detection_degree} at tol {args.tol:g}")
     _print_table(headers, [[c.replace(",", ";") for c in r] for r in rows])
@@ -187,7 +183,7 @@ def cmd_symmetries(args: argparse.Namespace) -> int:
             "phases": list(act.unitary.per_mode_phases or ()),
             "classification": act.classification,
             "codeword_permutation": list(act.codeword_permutation),
-        } for act in actions], indent=2))
+        } for act in actions]))
         return 0
     print(f"{len(actions)} phase-rotation symmetries up to order {args.max_order}")
     _print_table(["phases", "type", "codeword permutation"],
@@ -204,9 +200,9 @@ def cmd_ideal(args: argparse.Namespace) -> int:
             "residual": verify_jump_annihilates(code, g),
             "terms": {" ".join(map(str, d)): [c.real, c.imag]
                       for d, c in sorted(g.terms.items())},
-        } for g in polys], indent=2))
+        } for g in polys]))
         return 0
-    print(f"{len(polys)} vanishing polynomials up to degree {args.max_degree}")
+    print(f"{len(polys)} vanishing-ideal generators up to degree {args.max_degree}")
     rows = [[str(g.degree), f"{verify_jump_annihilates(code, g):.3e}", g.describe()]
             for g in polys]
     _print_table(["degree", "residual", "polynomial"],
@@ -253,7 +249,7 @@ def cmd_perf(args: argparse.Namespace) -> int:
     text = _csv(header, rows)
     if args.json:
         print(json.dumps([{header[0]: float(a), "fidelity": float(b)}
-                          for a, b in rows], indent=2))
+                          for a, b in rows]))
         return 0
     _write_output(text, args.csv)
     return 0
@@ -262,9 +258,9 @@ def cmd_perf(args: argparse.Namespace) -> int:
 def _parse_range(spec: str) -> tuple[float, float, int]:
     parts = spec.split(":")
     if len(parts) == 1:
-        return float(parts[0]), float(parts[0]), 1
-    if len(parts) != 3:
-        raise QscError(f"range must be start:stop:count, got {spec!r}")
+        parts = [parts[0], parts[0], "1"]
+    if len(parts) != 3 or int(parts[2]) < 1:
+        raise ValueError(f"range must be start:stop:count with count >= 1, got {spec!r}")
     return float(parts[0]), float(parts[1]), int(parts[2])
 
 
@@ -287,7 +283,7 @@ def cmd_table(args: argparse.Namespace) -> int:
                      "|".join(map(str, degrees)) if degrees else "-"])
         print(f"table: {entry.entry_id} done", file=sys.stderr)
     if args.json:
-        print(json.dumps([dict(zip(headers, r)) for r in rows], indent=2))
+        print(json.dumps([dict(zip(headers, r)) for r in rows]))
         return 0
     if args.markdown:
         lines = ["| " + " | ".join(headers) + " |",
@@ -410,12 +406,12 @@ def run(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except QscError as exc:
+    except (QscError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2
 
 
 def main() -> None:

@@ -4,10 +4,25 @@ A code is a finite family of disjoint point sets (constellations) living on a
 common sphere in C^n, one constellation per logical codeword.  Everything in
 this module is immutable after construction and safe to share between threads.
 
+Every analysis of a code reads one stacked frame, built lazily and cached on
+the code as read-only arrays:
+
+* ``point_array``: all N points stacked codeword by codeword (N x n);
+* ``codeword_index``: the codeword of each stacked point (length N), with
+  ``codeword_starts`` the first row of each codeword and
+  ``index_in_codeword`` each point's position inside its codeword;
+* ``overlap``: the coherent-state overlaps <z|w> of all point pairs (N x N);
+* ``codeword_norms_sq``: the squared norms of the unnormalized codewords
+  sum_z |z>, each the sum of its diagonal block of ``overlap``.
+
+``Point`` and ``Constellation`` keep their own storage; the points are stacked
+only here (``Constellation.as_array`` and ``QSCode.point_array``).
+
 Geometric validity (common radius, no duplicate points, disjoint
 constellations) is checked by :func:`validate_code`, which reports violations
-as data rather than raising, so that invalid inputs can be inspected.  The
-constructors only enforce structural invariants (shapes, finiteness).
+as data rather than raising, so that invalid inputs can be inspected.  It and
+:func:`min_separation` share one chunked pass over the point-pair distances.
+The constructors only enforce structural invariants (shapes, finiteness).
 """
 
 from __future__ import annotations
@@ -15,13 +30,17 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from functools import cached_property
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 TOL_SPHERE = 1e-9
 TOL_POINT = 1e-9
 TOL_UNITARY = 1e-12
+# Point pairs per block of the chunked distance pass: each of its temporaries
+# stays within 128 kB however many points a code has.
+DISTANCE_BLOCK_PAIRS = 1 << 13
 
 
 class QscError(Exception):
@@ -40,6 +59,15 @@ class CodeFormatError(QscError):
     """A code document failed to parse or violated code invariants on load."""
 
 
+class DegenerateConstellationError(QscError):
+    """The codeword norm collapsed; amplitudes are too small to resolve."""
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
 def _as_complex_vector(amplitudes: Iterable[complex]) -> np.ndarray:
     arr = np.asarray(list(amplitudes) if not isinstance(amplitudes, np.ndarray) else amplitudes,
                      dtype=np.complex128)
@@ -47,9 +75,7 @@ def _as_complex_vector(amplitudes: Iterable[complex]) -> np.ndarray:
         raise ValueError("a point needs at least one mode")
     if not np.all(np.isfinite(arr.view(np.float64))):
         raise ValueError("point amplitudes must be finite")
-    arr = arr.copy()
-    arr.flags.writeable = False
-    return arr
+    return _read_only(arr.copy())
 
 
 @dataclass(frozen=True)
@@ -109,8 +135,12 @@ class Constellation:
         return len(self.points)
 
     def as_array(self) -> np.ndarray:
-        """Stack the points into a (len, n) complex array."""
-        return np.array([p.amplitudes for p in self.points], dtype=np.complex128)
+        """The points stacked into one read-only (len, n) complex array."""
+        return self._array
+
+    @cached_property
+    def _array(self) -> np.ndarray:
+        return _read_only(np.array([p.amplitudes for p in self.points], dtype=np.complex128))
 
 
 @dataclass(frozen=True)
@@ -127,35 +157,79 @@ class QSCode:
             raise ValueError("a code needs at least one codeword constellation")
         if any(c.n != modes for c in cws):
             raise DimensionMismatchError("all constellations must have the declared mode count")
-        if radius_sq < 0:
-            raise ValueError("radius_sq must be nonnegative")
+        radius_sq = float(radius_sq)
+        if not math.isfinite(radius_sq) or radius_sq < 0:
+            raise ValueError("radius_sq must be finite and nonnegative")
         object.__setattr__(self, "modes", int(modes))
-        object.__setattr__(self, "radius_sq", float(radius_sq))
+        object.__setattr__(self, "radius_sq", radius_sq)
         object.__setattr__(self, "codewords", cws)
 
     @property
     def K(self) -> int:
         return len(self.codewords)
 
-    def all_points(self) -> list[tuple[int, int, Point]]:
-        """Flatten to (codeword index, point index, point) triples."""
-        return [(mu, i, p) for mu, c in enumerate(self.codewords) for i, p in enumerate(c.points)]
+    # The frame: cached on first use, read-only, shared by every analysis.
+
+    @cached_property
+    def point_array(self) -> np.ndarray:
+        """All points stacked codeword by codeword, (N, n) complex."""
+        return _read_only(np.concatenate([c.as_array() for c in self.codewords]))
+
+    @cached_property
+    def codeword_starts(self) -> np.ndarray:
+        """Row of ``point_array`` where each codeword's points begin, (K,)."""
+        return _read_only(np.cumsum([0] + [len(c) for c in self.codewords[:-1]]))
+
+    @cached_property
+    def codeword_index(self) -> np.ndarray:
+        """Codeword of each row of ``point_array``, (N,)."""
+        return _read_only(np.repeat(np.arange(self.K), [len(c) for c in self.codewords]))
+
+    @cached_property
+    def index_in_codeword(self) -> np.ndarray:
+        """Position of each row of ``point_array`` within its codeword, (N,)."""
+        index = self.codeword_index
+        return _read_only(np.arange(len(index)) - self.codeword_starts[index])
+
+    @cached_property
+    def overlap(self) -> np.ndarray:
+        """Coherent-state overlaps <z|w> = exp(-|z|^2/2 - |w|^2/2 + conj(z).w)
+        of every pair of points, (N, N)."""
+        Z = self.point_array
+        half = 0.5 * np.sum(np.abs(Z) ** 2, axis=1)
+        return _read_only(np.exp(-half[:, None] - half[None, :] + np.conj(Z) @ Z.T))
+
+    @cached_property
+    def codeword_norms_sq(self) -> np.ndarray:
+        """Squared norm of each unnormalized codeword sum_z |z>, (K,): the sum
+        of its diagonal block of ``overlap``.  Raises on a spurious imaginary
+        part and on a norm too small to resolve."""
+        totals = np.diag(self.codeword_sums(self.overlap))
+        for total, c in zip(totals, self.codewords):
+            scale = len(c) ** 2
+            if abs(total.imag) > 1e-12 * scale:
+                raise QscError(f"codeword norm has a spurious imaginary part {total.imag:.3e}")
+            if total.real <= 1e-12 * scale:
+                raise DegenerateConstellationError(
+                    f"constellation '{c.label}' is numerically degenerate (norm {total.real:.3e})")
+        return _read_only(totals.real.copy())
+
+    def codeword_sums(self, M: np.ndarray) -> np.ndarray:
+        """C M C^T for the K x N codeword-membership matrix C: the sum of each
+        (codeword, codeword) block of an N x N matrix over the stacked points."""
+        starts = self.codeword_starts
+        return np.add.reduceat(np.add.reduceat(M, starts, axis=0), starts, axis=1)
+
+    def _key(self) -> tuple:
+        return (self.modes, self.radius_sq, tuple((c.label, c.points) for c in self.codewords))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QSCode):
             return NotImplemented
-        if self.modes != other.modes or self.radius_sq != other.radius_sq:
-            return False
-        if len(self.codewords) != len(other.codewords):
-            return False
-        for a, b in zip(self.codewords, other.codewords):
-            if a.label != b.label or a.points != b.points:
-                return False
-        return True
+        return self._key() == other._key()
 
     def __hash__(self) -> int:
-        return hash((self.modes, self.radius_sq,
-                     tuple((c.label, c.points) for c in self.codewords)))
+        return hash(self._key())
 
 
 @dataclass(frozen=True)
@@ -178,9 +252,7 @@ class PassiveUnitary:
         dev = np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[0])))
         if dev > tol_unitary:
             raise ValueError(f"matrix is not unitary (deviation {dev:.3e} > {tol_unitary:.1e})")
-        mat = mat.copy()
-        mat.flags.writeable = False
-        object.__setattr__(self, "matrix", mat)
+        object.__setattr__(self, "matrix", _read_only(mat.copy()))
         object.__setattr__(self, "per_mode_phases",
                            None if per_mode_phases is None else tuple(float(t) for t in per_mode_phases))
 
@@ -212,7 +284,7 @@ class PassiveUnitary:
 class Violation:
     """A single failed code invariant, with the offending indices and residual."""
 
-    kind: str  # "sphere" | "duplicate" | "disjoint" | "modes"
+    kind: str  # "sphere" | "duplicate" | "disjoint"
     constellation: str
     point_index: int
     other_constellation: Optional[str]
@@ -226,11 +298,9 @@ class Violation:
         if self.kind == "duplicate":
             return (f"points {self.other_point_index} and {self.point_index} of "
                     f"'{self.constellation}' coincide (distance {self.residual:.3e})")
-        if self.kind == "disjoint":
-            return (f"point {self.point_index} of '{self.constellation}' collides with point "
-                    f"{self.other_point_index} of '{self.other_constellation}' "
-                    f"(distance {self.residual:.3e})")
-        return f"mode mismatch in '{self.constellation}'"
+        return (f"point {self.point_index} of '{self.constellation}' collides with point "
+                f"{self.other_point_index} of '{self.other_constellation}' "
+                f"(distance {self.residual:.3e})")
 
 
 def chordal_distance(p: Point, q: Point) -> float:
@@ -240,6 +310,24 @@ def chordal_distance(p: Point, q: Point) -> float:
     return float(np.linalg.norm(p.amplitudes - q.amplitudes))
 
 
+def distance_blocks(A: np.ndarray, B: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """Distances |a - b| from every row of A to every row of B, in row blocks.
+
+    Yields (first row, block) with block[i, j] = |A[first + i] - B[j]|.  The
+    distances come from the point differences, summed mode by mode, so each
+    temporary holds at most DISTANCE_BLOCK_PAIRS entries and no
+    (rows, len(B), n) tensor is ever formed.
+    """
+    rows = max(1, DISTANCE_BLOCK_PAIRS // max(1, B.shape[0]))
+    for first in range(0, A.shape[0], rows):
+        block = A[first:first + rows]
+        sq = np.zeros((block.shape[0], B.shape[0]))
+        for k in range(A.shape[1]):
+            diff = block[:, k, None] - B[None, :, k]
+            sq += diff.real ** 2 + diff.imag ** 2
+        yield first, np.sqrt(sq)
+
+
 def validate_code(code: QSCode, tol_sphere: float = TOL_SPHERE,
                   tol_point: float = TOL_POINT) -> list[Violation]:
     """Check the code invariants and report each failure.
@@ -247,26 +335,31 @@ def validate_code(code: QSCode, tol_sphere: float = TOL_SPHERE,
     Returns the empty list iff every point sits on the radius-sqrt(E) sphere
     within ``tol_sphere``, no constellation contains duplicate points, and
     distinct constellations share no point (both within ``tol_point``).
+    Violations come codeword by codeword (sphere, then duplicate, by point
+    index), then the disjointness violations in (mu, nu, i, j) order.
     """
-    violations: list[Violation] = []
-    for c in code.codewords:
-        for i, p in enumerate(c.points):
-            res = abs(p.norm_sq - code.radius_sq)
-            if res > tol_sphere:
-                violations.append(Violation("sphere", c.label, i, None, None, res))
-        for i in range(len(c.points)):
-            for j in range(i):
-                d = chordal_distance(c.points[i], c.points[j])
-                if d <= tol_point:
-                    violations.append(Violation("duplicate", c.label, i, None, j, d))
-    for mu in range(code.K):
-        for nu in range(mu + 1, code.K):
-            a, b = code.codewords[mu], code.codewords[nu]
-            for i, p in enumerate(a.points):
-                for j, q in enumerate(b.points):
-                    d = chordal_distance(p, q)
-                    if d <= tol_point:
-                        violations.append(Violation("disjoint", a.label, i, b.label, j, d))
+    Z, index, local = code.point_array, code.codeword_index, code.index_in_codeword
+    labels = [c.label for c in code.codewords]
+    own: list[list[Violation]] = [[] for _ in labels]
+    res = np.abs(np.sum(np.abs(Z) ** 2, axis=1) - code.radius_sq)
+    for g in np.flatnonzero(res > tol_sphere):
+        own[index[g]].append(Violation("sphere", labels[index[g]], int(local[g]),
+                                       None, None, float(res[g])))
+    disjoint = []
+    for first, d in distance_blocks(Z, Z):
+        rows = np.arange(first, first + d.shape[0])[:, None]
+        row_cw, col_cw = index[rows], index[None, :]
+        later_pair = (row_cw < col_cw) | ((row_cw == col_cw) & (rows > np.arange(len(Z))))
+        for g, h in zip(*np.nonzero((d <= tol_point) & later_pair)):
+            mu, nu, dist = index[g + first], index[h], float(d[g, h])
+            i, j = int(local[g + first]), int(local[h])
+            if mu == nu:
+                own[mu].append(Violation("duplicate", labels[mu], i, None, j, dist))
+            else:
+                disjoint.append((int(mu), int(nu), i, j, dist))
+    violations = [v for vs in own for v in vs]
+    violations += [Violation("disjoint", labels[mu], i, labels[nu], j, dist)
+                   for mu, nu, i, j, dist in sorted(disjoint)]
     return violations
 
 
@@ -275,30 +368,23 @@ def min_separation(code: QSCode) -> tuple[float, tuple[int, int, int, int]]:
 
     Returns the distance together with the witness (mu, nu, i, j); ties break
     to the lexicographically smallest witness so the output is deterministic.
+    One pass over the point pairs finds both.
     """
     if code.K < 2:
         raise ValueError("min_separation needs at least two codewords")
-    arrays = [c.as_array() for c in code.codewords]
-    best = math.inf
-    for mu in range(code.K):
-        for nu in range(mu + 1, code.K):
-            diff = arrays[mu][:, None, :] - arrays[nu][None, :, :]
-            d = np.sqrt(np.sum(np.abs(diff) ** 2, axis=2))
-            m = float(d.min())
-            if m < best:
-                best = m
-    witness = None
-    for mu in range(code.K):
-        for nu in range(mu + 1, code.K):
-            if witness is not None:
-                break
-            diff = arrays[mu][:, None, :] - arrays[nu][None, :, :]
-            d = np.sqrt(np.sum(np.abs(diff) ** 2, axis=2))
-            hits = np.argwhere(d == best)
-            if hits.size:
-                i, j = map(int, hits[0])
-                witness = (mu, nu, i, j)
-    assert witness is not None
+    Z, index, local = code.point_array, code.codeword_index, code.index_in_codeword
+    best, witness = math.inf, None
+    for first, d in distance_blocks(Z, Z):
+        rows = np.arange(first, first + d.shape[0])
+        d = np.where(index[rows, None] < index[None, :], d, math.inf)
+        m = float(d.min())
+        if m == math.inf or m > best:
+            continue
+        g, h = np.nonzero(d == m)
+        g = rows[g]
+        w = min(zip(index[g].tolist(), index[h].tolist(), local[g].tolist(), local[h].tolist()))
+        if m < best or w < witness:
+            best, witness = m, w
     return best, witness
 
 
@@ -384,25 +470,18 @@ def code_from_json(text: str, tol_sphere: float = TOL_SPHERE,
     except json.JSONDecodeError as exc:
         raise CodeFormatError(f"parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     try:
-        modes = int(doc["modes"])
-        radius_sq = float(doc["radius_sq"])
         raw_codewords = doc["codewords"]
-    except (KeyError, TypeError) as exc:
+        if not isinstance(raw_codewords, list) or not raw_codewords:
+            raise CodeFormatError("'codewords' must be a nonempty list")
+        code = QSCode(int(doc["modes"]), float(doc["radius_sq"]), [
+            Constellation(entry["label"],
+                          [Point([complex(re, im) for re, im in point])
+                           for point in entry["points"]])
+            for entry in raw_codewords])
+    except KeyError as exc:
         raise CodeFormatError(f"document is missing required field: {exc}") from exc
-    if not isinstance(raw_codewords, list) or not raw_codewords:
-        raise CodeFormatError("'codewords' must be a nonempty list")
-    constellations = []
-    for entry in raw_codewords:
-        try:
-            label = entry["label"]
-            pts = [
-                Point([complex(re, im) for re, im in point])
-                for point in entry["points"]
-            ]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CodeFormatError(f"malformed codeword entry: {exc}") from exc
-        constellations.append(Constellation(label, pts))
-    code = QSCode(modes, radius_sq, constellations)
+    except (TypeError, ValueError, OverflowError, DimensionMismatchError) as exc:
+        raise CodeFormatError(f"malformed code document: {exc}") from exc
     violations = validate_code(code, tol_sphere=tol_sphere, tol_point=tol_point)
     if violations:
         summary = "; ".join(v.describe() for v in violations[:5])

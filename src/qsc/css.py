@@ -75,14 +75,19 @@ def _row_space(rows: Sequence[Sequence[int]], length: int, q: int,
     basis = _rref([list(r) for r in rows], q) if rows else []
     if q ** len(basis) > budget:
         raise BudgetExceededError(f"code with {q}^{len(basis)} words exceeds the budget")
-    words = []
+    return _span(basis, length, q)
+
+
+def _span(basis: list[list[int]], length: int, q: int) -> list[tuple[int, ...]]:
+    """Every Z_q-linear combination of the basis rows, sorted."""
+    words = set()
     for coeffs in itertools.product(range(q), repeat=len(basis)):
         w = [0] * length
         for c, row in zip(coeffs, basis):
             if c:
                 w = [(a + c * b) % q for a, b in zip(w, row)]
-        words.append(tuple(w))
-    return sorted(set(words))
+        words.add(tuple(w))
+    return sorted(words)
 
 
 def _null_space(rows: Sequence[Sequence[int]], length: int, q: int,
@@ -102,14 +107,7 @@ def _null_space(rows: Sequence[Sequence[int]], length: int, q: int,
         for row, pc in zip(basis, pivots):
             vec[pc] = (-row[fc]) % q
         kernel_basis.append(vec)
-    words = []
-    for coeffs in itertools.product(range(q), repeat=len(kernel_basis)):
-        w = [0] * length
-        for c, vec in zip(coeffs, kernel_basis):
-            if c:
-                w = [(a + c * b) % q for a, b in zip(w, vec)]
-        words.append(tuple(w))
-    return sorted(set(words))
+    return _span(kernel_basis, length, q)
 
 
 @dataclass(frozen=True)

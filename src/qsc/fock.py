@@ -160,12 +160,11 @@ def _orthonormal_codewords(code: QSCode, cfg: FockConfig) -> np.ndarray:
     return inv_sqrt.T @ psis
 
 
-def _transpose_recovery_fidelity(ortho: np.ndarray,
-                                 corrupted: np.ndarray) -> float:
+def _transpose_recovery_fidelity(corrupted: np.ndarray) -> float:
     """Entanglement fidelity of channel + transpose-channel recovery.
 
-    ``ortho`` holds the K orthonormal codewords; ``corrupted[j, mu]`` holds
-    E_j |codeword_mu>.  Everything reduces to the Gram matrix of the
+    ``corrupted[j, mu]`` holds E_j |codeword_mu> for the K orthonormal
+    codewords.  Everything reduces to the Gram matrix of the
     corrupted vectors: with H the (pseudo) square root of that Gram,
     F = (1/K^2) sum_{j,k} | sum_mu H[(j,mu),(k,mu)] |^2.
     """
@@ -212,7 +211,6 @@ def _loss_kraus_per_mode(gamma: float, cutoff: int) -> list[np.ndarray]:
 
 
 def _completeness_deviation(per_mode_devs: list[np.ndarray]) -> float:
-    full = np.zeros(1)
     acc = np.ones(1)
     for dev in per_mode_devs:
         acc = np.outer(acc, 1.0 + dev).ravel()
@@ -251,7 +249,7 @@ def loss_channel_fidelity(code: QSCode, gamma: float, cfg: FockConfig) -> float:
         raise KrausCompletenessError(
             f"Kraus completeness deviates by {deviation:.3e}; increase the cutoff")
     corrupted = _corrupted_vectors(ortho, per_mode, cfg)
-    return _transpose_recovery_fidelity(ortho, corrupted)
+    return _transpose_recovery_fidelity(corrupted)
 
 
 def _dephasing_phases(sigma: float, nodes: int) -> list[tuple[float, float]]:
@@ -274,19 +272,15 @@ def _dephasing_fidelity_at(code_ortho: np.ndarray, sigma: float, nodes: int,
     kept_mass = 0.0
     vectors = np.zeros((len(combos), K, cfg.dim), dtype=np.complex128)
     for ci, combo in enumerate(combos):
-        weight = 1.0
-        phase_factors = []
-        for axis, li in enumerate(combo):
-            theta, wt = per_mode[axis][li]
-            weight *= wt
-            phase_factors.append(np.exp(1j * theta * m))
+        weight = _combo_weight(per_mode, combo)
+        phase_factors = [np.exp(1j * per_mode[axis][li][0] * m) for axis, li in enumerate(combo)]
         kept_mass += weight
         phases = reduce(np.kron, phase_factors)
         vectors[ci] = math.sqrt(weight) * code_ortho * phases[None, :]
     if abs(kept_mass - 1.0) > COMPLETENESS_TOL:
         raise KrausCompletenessError(
             f"dephasing quadrature mass {kept_mass} is not close enough to 1")
-    return _transpose_recovery_fidelity(code_ortho, vectors)
+    return _transpose_recovery_fidelity(vectors)
 
 
 def _combo_weight(per_mode: list[list[tuple[float, float]]],

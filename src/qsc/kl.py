@@ -8,29 +8,37 @@ states is available in closed form,
     <z| (a^dag)^r a^s |w> = conj(z)^r w^s <z|w>,
 
 so every K x K error matrix is computed exactly, with no Fock cutoff.
+
+All errors of a code share its cached frame (see :mod:`qsc.constellation`):
+the stacked points Z, the codeword membership C (K x N, one row of ones per
+codeword), the overlap matrix O = <z|w> and the codeword norms n_mu.  The
+matrix of one error is then the single product
+
+    (C . conj(Z)^r) O (C . Z^s)^T / sqrt(n_mu n_nu),
+
+where Z^s is the column of monomial values prod_i z_i^{s_i} at the points;
+it is evaluated as block sums of the N x N matrix conj(Z^r) O Z^s.  Norms,
+with their imaginary-part and degeneracy checks, are computed once per code.
+
 A code detects E when the matrix is proportional to the identity; the report
 records the deviation from that for every error up to a degree bound.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from dataclasses import dataclass, field
+from typing import Optional, Sequence
 
 import numpy as np
 
-from ._parallel import ordered_map
 from .constellation import Constellation, DimensionMismatchError, QSCode, QscError
+# re-exported: kl_matrix raises it through QSCode.codeword_norms_sq
+from .constellation import DegenerateConstellationError  # noqa: F401
 from .moments import BudgetExceededError, count_multi_indices, multi_indices
 
 MAX_RADIUS_SQ = 600.0
 MAX_STIRLING = 20
 ERROR_BUDGET = 100_000
-
-
-class DegenerateConstellationError(QscError):
-    """The codeword norm collapsed; amplitudes are too small to resolve."""
 
 
 @dataclass(frozen=True)
@@ -81,23 +89,9 @@ def coherent_overlap(z, w) -> complex:
                           + np.vdot(za, wa)))
 
 
-def _overlap_matrix(Z: np.ndarray, W: np.ndarray) -> np.ndarray:
-    nz = np.sum(np.abs(Z) ** 2, axis=1)
-    nw = np.sum(np.abs(W) ** 2, axis=1)
-    return np.exp(-0.5 * nz[:, None] - 0.5 * nw[None, :] + np.conj(Z) @ W.T)
-
-
 def codeword_norm_sq(c: Constellation) -> float:
     """Squared norm of the unnormalized superposition sum_z |z>."""
-    Z = c.as_array()
-    total = complex(_overlap_matrix(Z, Z).sum())
-    scale = len(c) ** 2
-    if abs(total.imag) > 1e-12 * scale:
-        raise QscError(f"codeword norm has a spurious imaginary part {total.imag:.3e}")
-    if total.real <= 1e-12 * scale:
-        raise DegenerateConstellationError(
-            f"constellation '{c.label}' is numerically degenerate (norm {total.real:.3e})")
-    return float(total.real)
+    return float(QSCode(c.n, 0.0, [c]).codeword_norms_sq[0])
 
 
 def _monomial_factors(Z: np.ndarray, powers: Sequence[int]) -> np.ndarray:
@@ -108,29 +102,19 @@ def _monomial_factors(Z: np.ndarray, powers: Sequence[int]) -> np.ndarray:
     return vals
 
 
-def _check_radius(code: QSCode) -> None:
-    if code.radius_sq > MAX_RADIUS_SQ:
-        raise QscError(
-            f"radius_sq={code.radius_sq} exceeds the supported maximum {MAX_RADIUS_SQ}; "
-            "coherent overlaps would underflow")
-
-
 def kl_matrix(code: QSCode, e: MonomialError) -> np.ndarray:
     """K x K matrix of <c_mu| E |c_nu> over unit-normalized codewords."""
     if e.n != code.modes:
         raise DimensionMismatchError(f"error has n={e.n}, code has n={code.modes}")
-    _check_radius(code)
-    arrays = [c.as_array() for c in code.codewords]
-    norms = [codeword_norm_sq(c) for c in code.codewords]
-    K = code.K
-    out = np.zeros((K, K), dtype=np.complex128)
-    for mu in range(K):
-        u = np.conj(_monomial_factors(arrays[mu], e.r))
-        for nu in range(K):
-            v = _monomial_factors(arrays[nu], e.s)
-            O = _overlap_matrix(arrays[mu], arrays[nu])
-            out[mu, nu] = (u @ O @ v) / math.sqrt(norms[mu] * norms[nu])
-    return out
+    if code.radius_sq > MAX_RADIUS_SQ:
+        raise QscError(
+            f"radius_sq={code.radius_sq} exceeds the supported maximum {MAX_RADIUS_SQ}; "
+            "coherent overlaps would underflow")
+    Z = code.point_array
+    weighted = code.overlap * np.conj(_monomial_factors(Z, e.r))[:, None]
+    weighted *= _monomial_factors(Z, e.s)[None, :]
+    norms = code.codeword_norms_sq
+    return code.codeword_sums(weighted) / np.sqrt(np.outer(norms, norms))
 
 
 def stirling2(k: int) -> list[int]:
@@ -161,7 +145,11 @@ def dephasing_kl_matrix(code: QSCode, mode: int, k: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DetectionRow:
-    """One error's KL matrix summarized: scale lambda and deviation delta."""
+    """One error's KL matrix summarized: scale lambda and deviation delta.
+
+    The K x K matrix itself is recomputed from the code's cached frame on
+    access, so a report holds no matrices however many errors it covers.
+    """
 
     kind: str                       # "monomial" or "dephasing"
     error: Optional[MonomialError]  # for monomial rows
@@ -170,7 +158,13 @@ class DetectionRow:
     degree: int
     lam: complex
     delta: float
-    matrix: np.ndarray
+    code: QSCode = field(repr=False, compare=False)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        if self.kind == "monomial":
+            return kl_matrix(self.code, self.error)
+        return dephasing_kl_matrix(self.code, self.mode, self.power)
 
     def label(self) -> str:
         if self.kind == "monomial":
@@ -185,9 +179,6 @@ class DetectionReport:
     detection_degree: int
     max_degree: int
     tol: float
-
-    def monomial_rows(self) -> list[DetectionRow]:
-        return [r for r in self.rows if r.kind == "monomial"]
 
 
 def _summarize(matrix: np.ndarray) -> tuple[complex, float]:
@@ -209,6 +200,8 @@ def detection_report(code: QSCode, max_degree: int, tol: float,
     """
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
+    if include_dephasing_to > MAX_STIRLING:
+        raise ValueError(f"dephasing expansion supports powers 0..{MAX_STIRLING}")
     n = code.modes
     n_errors = count_multi_indices(2 * n, max_degree)
     if n_errors > budget:
@@ -217,35 +210,17 @@ def detection_report(code: QSCode, max_degree: int, tol: float,
     errors = [MonomialError(combined[:n], combined[n:])
               for combined in multi_indices(2 * n, max_degree)]
 
-    def monomial_row(e: MonomialError) -> DetectionRow:
+    rows = []
+    for e in errors:
         m = kl_matrix(code, e)
-        lam, delta = _summarize(m)
-        return DetectionRow("monomial", e, None, None, e.degree, lam, delta, m)
+        rows.append(DetectionRow("monomial", e, None, None, e.degree, *_summarize(m), code))
+    for i in range(n):
+        for k in range(1, include_dephasing_to + 1):
+            m = dephasing_kl_matrix(code, i, k)
+            rows.append(DetectionRow("dephasing", None, i, k, 2 * k, *_summarize(m), code))
 
-    rows = list(ordered_map(monomial_row, errors))
-
-    dephasing_jobs = [(i, k) for i in range(n)
-                      for k in range(1, include_dephasing_to + 1)]
-
-    def dephasing_row(job: tuple[int, int]) -> DetectionRow:
-        i, k = job
-        m = dephasing_kl_matrix(code, i, k)
-        lam, delta = _summarize(m)
-        return DetectionRow("dephasing", None, i, k, 2 * k, lam, delta, m)
-
-    rows.extend(ordered_map(dephasing_row, dephasing_jobs))
-
-    worst_by_degree: dict[int, float] = {}
-    for row in rows:
-        if row.kind != "monomial":
-            continue
-        d = row.error.degree
-        worst_by_degree[d] = max(worst_by_degree.get(d, 0.0), row.delta)
     degree = -1
-    for d in range(max_degree + 1):
-        if worst_by_degree.get(d, 0.0) <= tol:
-            degree = d
-        else:
-            break
-
+    while degree < max_degree and all(row.delta <= tol for row in rows[:len(errors)]
+                                      if row.degree == degree + 1):
+        degree += 1
     return DetectionReport(tuple(rows), degree, max_degree, tol)

@@ -172,37 +172,27 @@ def design_strength(code: QSCode, t_max: int, tol: float = DESIGN_TOL,
         raise BudgetExceededError(
             f"moment enumeration needs {n_indices} indices, budget is {budget}")
 
-    # Per-constellation power tables: pows[mu][k] has shape (points, n).
-    normalized = []
-    for c in code.codewords:
-        z = c.as_array()
-        normalized.append(z / np.linalg.norm(z, axis=1, keepdims=True))
-    pow_tables = []
-    conj_tables = []
-    for z in normalized:
-        table = np.ones((t_max + 1,) + z.shape, dtype=np.complex128)
-        for k in range(1, t_max + 1):
-            table[k] = table[k - 1] * z
-        pow_tables.append(table)
-        conj_tables.append(np.conj(table))
+    # Power tables of the unit-normalized stacked points: table[k] = z^k, (N, n).
+    z = code.point_array / np.linalg.norm(code.point_array, axis=1, keepdims=True)
+    pow_table = np.ones((t_max + 1,) + z.shape, dtype=np.complex128)
+    for k in range(1, t_max + 1):
+        pow_table[k] = pow_table[k - 1] * z
+    conj_table = np.conj(pow_table)
+    sizes = np.array([len(c) for c in code.codewords])
 
     sphere_res = {d: 0.0 for d in range(t_max + 1)}
     match_res = {d: 0.0 for d in range(t_max + 1)}
     for idx in moment_indices(n, t_max):
-        values = []
-        for mu in range(code.K):
-            vals = np.ones(normalized[mu].shape[0], dtype=np.complex128)
-            for i in range(n):
-                if idx.p[i]:
-                    vals = vals * pow_tables[mu][idx.p[i], :, i]
-                if idx.q[i]:
-                    vals = vals * conj_tables[mu][idx.q[i], :, i]
-            values.append(complex(vals.mean()))
-        avg = sphere_average(idx, n)
+        vals = np.ones(z.shape[0], dtype=np.complex128)
+        for i in range(n):
+            if idx.p[i]:
+                vals = vals * pow_table[idx.p[i], :, i]
+            if idx.q[i]:
+                vals = vals * conj_table[idx.q[i], :, i]
+        values = np.add.reduceat(vals, code.codeword_starts) / sizes
         d = idx.degree
-        sphere_res[d] = max(sphere_res[d], max(abs(v - avg) for v in values))
-        spread = max((abs(a - b) for a in values for b in values), default=0.0)
-        match_res[d] = max(match_res[d], spread)
+        sphere_res[d] = max(sphere_res[d], float(np.max(np.abs(values - sphere_average(idx, n)))))
+        match_res[d] = max(match_res[d], float(np.max(np.abs(values[:, None] - values[None, :]))))
 
     def largest_passing(res: dict[int, float]) -> int:
         t = -1

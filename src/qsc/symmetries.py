@@ -10,7 +10,8 @@ The vanishing ideal holds the polynomials g with g(z) = 0 at every
 constellation point.  Since g(a_1,...,a_n)|z> = g(z)|z>, each such g yields a
 jump operator that annihilates the whole codespace: the codespace is a dark
 space of the corresponding dissipator, which is the algebraic content of
-passive stabilization.
+passive stabilization.  The ideal is reported by its generators, found
+degree by degree, so their degrees are the minimal jump-operator degrees.
 """
 
 from __future__ import annotations
@@ -23,13 +24,12 @@ from typing import Optional
 
 import numpy as np
 
-from ._parallel import ordered_map
 from .constellation import (
     DimensionMismatchError,
     PassiveUnitary,
-    Point,
     QSCode,
     TOL_POINT,
+    distance_blocks,
 )
 from .moments import BudgetExceededError, count_multi_indices, multi_indices
 
@@ -58,35 +58,26 @@ def classify_symmetry(code: QSCode, u: PassiveUnitary,
     """Match every image Uz back to the point set and read off the action."""
     if u.n != code.modes:
         raise DimensionMismatchError(f"unitary has n={u.n}, code has n={code.modes}")
-    index: list[tuple[int, int]] = []
-    rows = []
-    for mu, c in enumerate(code.codewords):
-        for i, p in enumerate(c.points):
-            index.append((mu, i))
-            rows.append(p.amplitudes)
-    points = np.array(rows)
+    points, index = code.point_array, code.codeword_index
     images = points @ u.matrix.T
-
-    permutation: dict[tuple[int, int], tuple[int, int]] = {}
-    hit = [False] * len(index)
-    for src, img in enumerate(images):
-        dist = np.linalg.norm(points - img[None, :], axis=1)
-        tgt = int(np.argmin(dist))
-        if dist[tgt] > tol or hit[tgt]:
+    target = np.empty(len(points), dtype=np.intp)
+    for first, d in distance_blocks(images, points):
+        nearest = np.argmin(d, axis=1)
+        if np.any(d[np.arange(len(d)), nearest] > tol):
             return SymmetryAction(u, None, None, NOT_A_SYMMETRY)
-        hit[tgt] = True
-        permutation[index[src]] = index[tgt]
-
-    pi: list[int] = []
-    for mu in range(code.K):
-        targets = {permutation[(mu, i)][0] for i in range(len(code.codewords[mu]))}
-        if len(targets) != 1:
-            return SymmetryAction(u, None, None, NOT_A_SYMMETRY)
-        pi.append(targets.pop())
-    if sorted(pi) != list(range(code.K)):
+        target[first:first + len(d)] = nearest
+    if len(np.unique(target)) != len(target):
         return SymmetryAction(u, None, None, NOT_A_SYMMETRY)
-    kind = Z_TYPE if pi == list(range(code.K)) else X_TYPE
-    return SymmetryAction(u, permutation, tuple(pi), kind)
+
+    # each codeword must land inside one codeword, and no two in the same one
+    pi = index[target[code.codeword_starts]]
+    if np.any(index[target] != pi[index]) or len(np.unique(pi)) != code.K:
+        return SymmetryAction(u, None, None, NOT_A_SYMMETRY)
+    local = code.index_in_codeword
+    pairs = zip(index.tolist(), local.tolist(), index[target].tolist(), local[target].tolist())
+    permutation = {(mu, i): (nu, j) for mu, i, nu, j in pairs}
+    kind = Z_TYPE if np.array_equal(pi, np.arange(code.K)) else X_TYPE
+    return SymmetryAction(u, permutation, tuple(pi.tolist()), kind)
 
 
 def enumerate_phase_symmetries(code: QSCode, max_order: int,
@@ -166,12 +157,18 @@ class VanishingPolynomial:
 
 def vanishing_ideal(code: QSCode, max_degree: int, tol_ideal: float = TOL_IDEAL,
                     budget: int = 100_000) -> list[VanishingPolynomial]:
-    """Numerical null space of the monomial evaluation matrix.
+    """Generators of the vanishing ideal up to ``max_degree``, degree by degree.
 
-    One row per constellation point, one column per monomial z^d with
-    0 <= |d| <= max_degree (the constant column makes affine relations such
-    as z^4 - alpha^4 visible).  Columns are scaled by their largest magnitude
-    so the cutoff tol_ideal * sigma_max is robust to the sphere radius.
+    V has one row per constellation point and one column per monomial z^d
+    with 0 <= |d| <= max_degree in graded order (the constant column makes
+    affine relations such as z^4 - alpha^4 visible).  Columns are scaled by
+    their largest magnitude so the cutoff tol_ideal * sigma_max is robust to
+    the sphere radius.  At each degree D the null space of the columns of
+    degree <= D holds every vanishing polynomial of degree <= D; the
+    directions spanned by the multiples z^m g of lower-degree generators g
+    are dropped, and an orthonormal basis of the rest gives the new
+    generators.  So the generator degrees are the minimal jump-operator
+    degrees, and the multiples of the generators span the whole null space.
     """
     if max_degree < 1:
         raise ValueError("max_degree must be at least 1")
@@ -181,7 +178,8 @@ def vanishing_ideal(code: QSCode, max_degree: int, tol_ideal: float = TOL_IDEAL,
         raise BudgetExceededError(
             f"monomial enumeration needs {n_cols} columns, budget is {budget}")
     monomials = list(multi_indices(n, max_degree))
-    points = np.array([p.amplitudes for c in code.codewords for p in c.points])
+    position = {d: j for j, d in enumerate(monomials)}
+    points = code.point_array
     V = np.ones((points.shape[0], len(monomials)), dtype=np.complex128)
     for j, d in enumerate(monomials):
         for i, e in enumerate(d):
@@ -189,21 +187,32 @@ def vanishing_ideal(code: QSCode, max_degree: int, tol_ideal: float = TOL_IDEAL,
                 V[:, j] = V[:, j] * points[:, i] ** e
     scales = np.max(np.abs(V), axis=0)
     scales[scales == 0.0] = 1.0
-    _, sigma, Vh = np.linalg.svd(V / scales[None, :], full_matrices=True)
-    sigma_max = sigma[0] if sigma.size else 0.0
-    polys: list[VanishingPolynomial] = []
-    for row in range(len(monomials) - 1, -1, -1):
-        s = sigma[row] if row < sigma.size else 0.0
-        if s > tol_ideal * sigma_max:
-            break
-        coeffs = np.conj(Vh[row]) / scales
-        coeffs = coeffs / np.linalg.norm(coeffs)
-        peak = np.max(np.abs(coeffs))
-        terms = {d: complex(coeffs[j]) for j, d in enumerate(monomials)
-                 if abs(coeffs[j]) > 1e-14 * peak}
-        polys.append(VanishingPolynomial(terms, max_degree))
-    polys.reverse()
-    return polys
+    V /= scales[None, :]
+    generators: list[tuple[int, np.ndarray]] = []   # (degree, coefficients)
+    for degree in range(1, max_degree + 1):
+        cols = count_multi_indices(n, degree)
+        _, sigma, Vh = np.linalg.svd(V[:, :cols], full_matrices=True)
+        null = np.conj(Vh[int(np.sum(sigma > tol_ideal * sigma[0])):])  # V y = 0
+        multiples = []
+        for g_degree, coeffs in generators:
+            for m in multi_indices(n, degree - g_degree):
+                y = np.zeros(cols, dtype=np.complex128)
+                for j in np.flatnonzero(coeffs):
+                    k = position[tuple(a + b for a, b in zip(monomials[j], m))]
+                    y[k] = coeffs[j] * scales[k]
+                multiples.append(y / np.linalg.norm(y))
+        if multiples and len(null):
+            # keep the null directions orthogonal to every multiple
+            _, s, Wh = np.linalg.svd(np.array(multiples) @ null.conj().T)
+            null = Wh[int(np.sum(s > tol_ideal * s[0])):] @ null
+        for y in null:
+            coeffs = np.zeros(len(monomials), dtype=np.complex128)
+            coeffs[:cols] = y / scales[:cols]
+            coeffs /= np.linalg.norm(coeffs)
+            coeffs[np.abs(coeffs) <= 1e-14 * np.max(np.abs(coeffs))] = 0.0
+            generators.append((degree, coeffs))
+    return [VanishingPolynomial({monomials[j]: complex(c[j]) for j in np.flatnonzero(c)},
+                                max_degree) for _, c in generators]
 
 
 def verify_jump_annihilates(code: QSCode, g: VanishingPolynomial) -> float:
@@ -215,5 +224,4 @@ def verify_jump_annihilates(code: QSCode, g: VanishingPolynomial) -> float:
     """
     if g.n != code.modes:
         raise DimensionMismatchError(f"polynomial has n={g.n}, code has n={code.modes}")
-    points = np.array([p.amplitudes for c in code.codewords for p in c.points])
-    return float(np.max(np.abs(g.evaluate(points))))
+    return float(np.max(np.abs(g.evaluate(code.point_array))))

@@ -127,3 +127,36 @@ def brute_kl_matrix(constellations: list[list[list[complex]]],
                     total += term
             out[mu][nu] = total / math.sqrt(norms[mu] * norms[nu])
     return out
+
+
+def brute_violations(radius_sq: float, labels: list[str],
+                     constellations: list[list[list[complex]]],
+                     tol_sphere: float = 1e-9, tol_point: float = 1e-9) -> list[tuple]:
+    """The code invariant checks as pair loops, one point pair at a time.
+
+    Returns (kind, label, i, other_label, j, residual) tuples in the order
+    codeword by codeword (sphere, then duplicate), then disjointness by
+    (mu, nu, i, j).
+    """
+    def distance(z, w):
+        return math.sqrt(sum(abs(zi - wi) ** 2 for zi, wi in zip(z, w)))
+
+    out = []
+    for label, points in zip(labels, constellations):
+        for i, z in enumerate(points):
+            res = abs(sum(abs(zi) ** 2 for zi in z) - radius_sq)
+            if res > tol_sphere:
+                out.append(("sphere", label, i, None, None, res))
+        for i in range(len(points)):
+            for j in range(i):
+                d = distance(points[i], points[j])
+                if d <= tol_point:
+                    out.append(("duplicate", label, i, None, j, d))
+    for mu in range(len(constellations)):
+        for nu in range(mu + 1, len(constellations)):
+            for i, z in enumerate(constellations[mu]):
+                for j, w in enumerate(constellations[nu]):
+                    d = distance(z, w)
+                    if d <= tol_point:
+                        out.append(("disjoint", labels[mu], i, labels[nu], j, d))
+    return out

@@ -1,0 +1,96 @@
+from __future__ import annotations
+
+import json
+
+import pytest
+
+import qsc
+from qsc.cli import run
+
+
+@pytest.fixture
+def code_file(tmp_path):
+    path = tmp_path / "cat.json"
+    path.write_text(qsc.code_to_json(qsc.build("cat", 4.0, S=2, K=2)))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    ["kl", "--max-degree", "-1"],
+    ["kl", "--dephasing", "25"],
+    ["perf", "--gammas", "0:0.1:-1"],
+    ["perf", "--gammas", "abc"],
+    ["perf", "--cutoff", "1"],
+    ["symmetries", "--max-order", "0"],
+    ["ideal", "--max-degree", "0"],
+    ["design", "--tmax", "-1"],
+], ids=" ".join)
+def test_invalid_argument_values_are_usage_errors(argv, code_file, capsys):
+    assert run(argv + ["--in", code_file]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_unreadable_code_file_is_a_computation_error(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"modes": 1, "radius_sq": NaN, "codewords": []}')
+    assert run(["kl", "--in", str(bad)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def _json_out(argv, capsys):
+    assert run(argv) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def test_catalog(capsys):
+    assert len(_json_out(["catalog", "--json"], capsys)) == len(qsc.list_catalog())
+
+
+def test_build(capsys):
+    code = qsc.code_from_json(json.dumps(_json_out(["build", "--name", "cat", "--S", "1"], capsys)))
+    assert code == qsc.build("cat", 4.0, S=1, K=2)
+
+
+def test_design(code_file, capsys):
+    doc = _json_out(["design", "--in", code_file, "--tmax", "4", "--json"], capsys)
+    expected = next(e.expected_properties for e in qsc.list_catalog()
+                    if e.entry_id == "cat(K=2,S=2)")
+    assert (doc["t_sphere"], doc["t_match"]) == (expected["t_sphere"], expected["t_match"])
+
+
+def test_kl(code_file, capsys):
+    doc = _json_out(["kl", "--in", code_file, "--max-degree", "1", "--tol", "0.05",
+                     "--dephasing", "1", "--json"], capsys)
+    assert doc["detection_degree"] == 1
+    assert [row["label"] for row in doc["rows"]] == ["I", "a1", "ad1", "n1"]
+
+
+def test_symmetries(code_file, capsys):
+    doc = _json_out(["symmetries", "--in", code_file, "--max-order", "4", "--json"], capsys)
+    assert {act["classification"] for act in doc} == {"Z-type", "X-type"}
+
+
+def test_ideal(code_file, capsys):
+    doc = _json_out(["ideal", "--in", code_file, "--max-degree", "4", "--json"], capsys)
+    assert doc and all(g["residual"] < 1e-9 for g in doc)
+
+
+def test_css(tmp_path, capsys):
+    gx = tmp_path / "gx.txt"
+    gx.write_text("1 1\n")
+    code = qsc.code_from_json(json.dumps(_json_out(["css", "--q", "2", "--gx", str(gx)], capsys)))
+    assert (code.modes, code.K) == (2, 2)
+
+
+def test_perf(code_file, capsys):
+    doc = _json_out(["perf", "--in", code_file, "--gammas", "0:0.01:2", "--cutoff", "40",
+                     "--json"], capsys)
+    assert doc[0]["fidelity"] == pytest.approx(1.0, abs=1e-9)
+    assert 0.0 < doc[1]["fidelity"] < 1.0
+
+
+def test_table(capsys):
+    doc = _json_out(["table", "--tmax", "2", "--max-degree", "1", "--ideal-degree", "2",
+                     "--json"], capsys)
+    assert [row["code"] for row in doc] == [e.entry_id for e in qsc.list_catalog()]

@@ -25,7 +25,8 @@ from qsc.constellation import (
     validate_code,
 )
 
-from brute_force import brute_min_separation
+import qsc.constellation as constellation_mod
+from brute_force import brute_min_separation, brute_violations
 from conftest import constellations_as_lists, random_unitary
 
 
@@ -65,6 +66,36 @@ def test_code_rejects_mode_mismatch():
         QSCode(2, 1.0, [Constellation("0", [Point([1.0])])])
 
 
+@pytest.mark.parametrize("radius_sq", [float("nan"), float("inf"), -1.0])
+def test_code_rejects_bad_radius(radius_sq):
+    with pytest.raises(ValueError):
+        QSCode(1, radius_sq, [Constellation("0", [Point([1.0])])])
+
+
+# ---------------------------------------------------------------------------
+# the stacked frame
+# ---------------------------------------------------------------------------
+
+def test_frame_is_stacked_by_codeword_cached_and_read_only(cat33):
+    Z = cat33.point_array
+    assert Z is cat33.point_array
+    assert cat33.codewords[0].as_array() is cat33.codewords[0].as_array()
+    assert np.array_equal(Z, np.concatenate([[p.amplitudes for p in c.points]
+                                             for c in cat33.codewords]))
+    assert cat33.codeword_index.tolist() == [0, 0, 0, 1, 1, 1, 2, 2, 2]
+    assert cat33.codeword_starts.tolist() == [0, 3, 6]
+    for arr in (Z, cat33.codeword_index, cat33.overlap, cat33.codeword_norms_sq):
+        assert not arr.flags.writeable
+
+
+def test_frame_overlap_matches_pairwise_overlaps(repetition_css):
+    points = [p for c in repetition_css.codewords for p in c.points]
+    expected = np.array([[qsc.coherent_overlap(p, q) for q in points] for p in points])
+    assert np.max(np.abs(repetition_css.overlap - expected)) < 1e-14
+    norms = [qsc.codeword_norm_sq(c) for c in repetition_css.codewords]
+    assert np.allclose(repetition_css.codeword_norms_sq, norms, rtol=1e-14, atol=0.0)
+
+
 # ---------------------------------------------------------------------------
 # validate_code: violations are data
 # ---------------------------------------------------------------------------
@@ -96,6 +127,40 @@ def test_validate_reports_shared_point():
     ])
     kinds = {v.kind for v in validate_code(code)}
     assert kinds == {"disjoint"}
+
+
+def _planted_code() -> QSCode:
+    """Every kind of violation, interleaved across codewords: duplicates,
+    off-sphere points, points shared between codewords and a near-duplicate
+    (distance 1e-12) shared three ways."""
+    return QSCode(2, 4.0, [
+        Constellation("a", [[2.0, 0.0], [0.0, 2j], [2.0, 0.0], [2.5, 0.0]]),
+        Constellation("b", [[-2.0, 0.0], [0.0, 2j], [0.0, 2j + 1e-12], [0.0, 3.0]]),
+        Constellation("c", [[0.0, -2.0], [2.0, 0.0], [-2.0, 0.0], [0.0, 2.0]]),
+    ])
+
+
+def _as_tuples(violations):
+    return [(v.kind, v.constellation, v.point_index, v.other_constellation,
+             v.other_point_index, v.residual) for v in violations]
+
+
+# Blocks of 5 point pairs split the 12 x 12 pass into many row blocks.
+@pytest.mark.parametrize("block_pairs", [constellation_mod.DISTANCE_BLOCK_PAIRS, 5])
+@pytest.mark.parametrize("build", [_planted_code, lambda: qsc.build("cell24", 4.0),
+                                   lambda: qsc.build("cell600", 1.0, partition="five")],
+                         ids=["planted", "cell24", "cell600-five"])
+def test_validate_matches_brute_force(build, block_pairs, monkeypatch):
+    monkeypatch.setattr(constellation_mod, "DISTANCE_BLOCK_PAIRS", block_pairs)
+    code = build()
+    mine = _as_tuples(validate_code(code))
+    labels = [c.label for c in code.codewords]
+    brute = brute_violations(code.radius_sq, labels, constellations_as_lists(code))
+    assert [v[:5] for v in mine] == [v[:5] for v in brute]
+    for a, b in zip(mine, brute):
+        assert abs(a[5] - b[5]) <= 1e-12
+    if build is _planted_code:
+        assert {v[0] for v in mine} == {"sphere", "duplicate", "disjoint"}
 
 
 def test_validate_reports_duplicate_point():
@@ -176,6 +241,17 @@ def test_min_separation_cell24_matches_brute_force():
     mu, nu, i, j = witness
     d = chordal_distance(code.codewords[mu].points[i], code.codewords[nu].points[j])
     assert d == dist
+
+
+@pytest.mark.parametrize("block_pairs", [constellation_mod.DISTANCE_BLOCK_PAIRS, 1])
+def test_min_separation_tie_breaks_by_codeword_pair_first(block_pairs, monkeypatch):
+    # d(a1, b0) = d(a0, c0) = 1: the witness orders (mu, nu) before (i, j),
+    # so the pair in codewords (0, 1) wins even though a0 comes before a1
+    monkeypatch.setattr(constellation_mod, "DISTANCE_BLOCK_PAIRS", block_pairs)
+    code = QSCode(1, 0.0, [Constellation("a", [[0.0], [10.0]]),
+                           Constellation("b", [[11.0]]),
+                           Constellation("c", [[1.0]])])
+    assert min_separation(code) == (1.0, (0, 1, 1, 0))
 
 
 def test_min_separation_requires_two_codewords():
@@ -276,6 +352,22 @@ def test_json_missing_codewords():
 def test_json_parse_error_reports_position():
     with pytest.raises(CodeFormatError, match="line"):
         code_from_json('{"modes": 1,,}')
+
+
+_GOOD_CODEWORDS = [{"label": "0", "points": [[[2.0, 0.0]]]}]
+
+
+@pytest.mark.parametrize("doc", [
+    {"modes": 1, "radius_sq": 4.0, "codewords": [{"label": "0", "points": []}]},
+    {"modes": "abc", "radius_sq": 4.0, "codewords": _GOOD_CODEWORDS},
+    {"modes": 1, "radius_sq": -4.0, "codewords": _GOOD_CODEWORDS},
+    {"modes": 1, "radius_sq": 4.0,
+     "codewords": [{"label": "0", "points": [[[2.0, 0.0]], [[2.0, 0.0], [0.0, 0.0]]]}]},
+    {"modes": 1, "radius_sq": float("nan"), "codewords": _GOOD_CODEWORDS},
+], ids=["empty-points", "modes-not-integer", "negative-radius", "ragged-points", "nan-radius"])
+def test_json_malformed_documents_raise_code_format_error(doc):
+    with pytest.raises(CodeFormatError):
+        code_from_json(json.dumps(doc))
 
 
 def test_json_rejects_invalid_code_on_load():

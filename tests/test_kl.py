@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qsc
 from qsc.constellation import Constellation, Point, QSCode
@@ -19,7 +21,7 @@ from qsc.kl import (
 )
 from qsc.moments import BudgetExceededError, multi_indices
 
-from brute_force import brute_kl_matrix
+from brute_force import brute_kl_matrix, brute_overlap
 from conftest import constellations_as_lists, random_three_point_code
 
 
@@ -230,3 +232,29 @@ def test_detection_rows_conjugate_pairs(four_legged):
     by_error = {row.error: row.matrix for row in report.rows if row.kind == "monomial"}
     for e, m in by_error.items():
         assert np.max(np.abs(by_error[e.dagger()] - m.conj().T)) < 1e-12
+
+
+amplitude = st.builds(complex, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
+
+
+@st.composite
+def small_codes(draw):
+    """Random 1- and 2-mode codes: 1-3 codewords of 1-3 arbitrary points."""
+    n = draw(st.sampled_from([1, 2]))
+    point = st.lists(amplitude, min_size=n, max_size=n)
+    return [draw(st.lists(point, min_size=1, max_size=3)) for _ in range(draw(st.integers(1, 3)))]
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_codes())
+def test_detection_rows_match_brute_force(cws):
+    code = QSCode(len(cws[0][0]), 0.0, [Constellation(str(mu), pts) for mu, pts in enumerate(cws)])
+    report = detection_report(code, 2, tol=1e-6)
+    for row in report.rows:
+        brute = np.array(brute_kl_matrix(cws, row.error.r, row.error.s))
+        assert np.max(np.abs(row.matrix - brute)) <= 1e-12 * max(1.0, np.max(np.abs(brute)))
+    # the identity row is the Gram matrix of the normalized codewords
+    sums = np.array([[sum(brute_overlap(z, w) for z in a for w in b) for b in cws] for a in cws])
+    gram = sums / np.sqrt(np.outer(np.diag(sums).real, np.diag(sums).real))
+    assert report.rows[0].error == MonomialError.identity(code.modes)
+    assert np.max(np.abs(report.rows[0].matrix - gram)) <= 1e-12

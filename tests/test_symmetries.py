@@ -218,6 +218,45 @@ def test_ideal_invariant_under_relabeling():
     assert np.max(np.abs(projector(a) - projector(b))) < 1e-9
 
 
+def test_ideal_generators_have_minimal_degree():
+    # a^2 - alpha^2 is the only generator; its multiples fill degrees 3..6
+    polys = vanishing_ideal(qsc.build("cat", 4.0, S=1, K=2), 6)
+    assert [g.degree for g in polys] == [2]
+    assert set(polys[0].terms) == {(0,), (2,)}
+
+
+@pytest.mark.parametrize("name, params, degree", [
+    ("hessian", {}, 6),
+    ("cell24", {"partition": "three"}, 5),
+    ("orthoplex", {"n": 2}, 4),
+    ("beta", {"n": 2, "q": 3}, 4),
+])
+def test_ideal_generator_multiples_span_every_vanishing_polynomial(name, params, degree):
+    from qsc.moments import multi_indices
+    code = qsc.build(name, 4.0, **params)
+    polys = vanishing_ideal(code, degree)
+    monomials = list(multi_indices(code.modes, degree))
+    lookup = {d: j for j, d in enumerate(monomials)}
+    multiples = []
+    for g in polys:
+        for m in multi_indices(code.modes, degree - g.degree):
+            row = np.zeros(len(monomials), dtype=complex)
+            for d, c in g.terms.items():
+                row[lookup[tuple(a + b for a, b in zip(d, m))]] = c
+            multiples.append(row / np.linalg.norm(row))
+    # evaluation matrix with unit-scaled columns: its null space is the
+    # space of vanishing polynomials of degree <= `degree`
+    V = np.array([[np.prod(p ** np.array(d)) for d in monomials]
+                  for c in code.codewords for p in (q.amplitudes for q in c.points)])
+    scales = np.max(np.abs(V), axis=0)
+    scales[scales == 0.0] = 1.0   # a monomial that vanishes at every point
+    sigma = np.linalg.svd(V / scales, compute_uv=False)
+    nullity = len(monomials) - int(np.sum(sigma > 1e-8 * sigma[0]))
+    s = np.linalg.svd(np.array(multiples) * scales, compute_uv=False)
+    assert int(np.sum(s > 1e-8 * s[0])) == nullity
+    assert np.max(np.abs(V @ np.array(multiples).T)) < 1e-9
+
+
 def test_ideal_budget():
     code = qsc.build("cell24", 1.0, partition="three")
     with pytest.raises(BudgetExceededError):
