@@ -1,5 +1,7 @@
 """Quantum spherical codes: constellations of coherent states on a sphere,
-their design and error-detection analysis, and an independent Fock oracle."""
+their design and error-detection analysis, and their channel fidelities with
+transpose recovery: loss exactly in the coherent frame for any number of
+modes, dephasing with exact Kraus operators on a truncated Fock space."""
 
 from .constellation import (
     Constellation,
@@ -52,7 +54,6 @@ from .css import ClassicalCodeSpec, CssError, CssProperties, compile_css, css_pr
 from .fock import (
     FockConfig,
     KrausCompletenessError,
-    QuadratureConvergenceError,
     TruncationError,
     dephasing_channel_fidelity,
     embed_codewords,

@@ -222,9 +222,8 @@ def cmd_css(args: argparse.Namespace) -> int:
         else:
             raise QscError("--length is required when both generator files are empty")
     spec = css_mod.ClassicalCodeSpec(args.q, length, gen_x, gen_z)
-    code = css_mod.compile_css(spec, complex(args.alpha))
-    _write_output(code_to_json(code), args.out)
     props = css_mod.css_properties(spec, alpha=complex(args.alpha))
+    _write_output(code_to_json(props.code), args.out)
     msg = (f"K={props.K}, {props.points_per_codeword} points per codeword, "
            f"d_x={props.d_x}, d_z={props.d_z}, separation={props.min_separation:.6g}")
     print(msg, file=sys.stderr)
@@ -232,17 +231,19 @@ def cmd_css(args: argparse.Namespace) -> int:
 
 
 def cmd_perf(args: argparse.Namespace) -> int:
+    if args.cutoff < 2:
+        raise ValueError("cutoff must be at least 2")
     code = _load_code(args.infile)
-    cfg = fock_mod.FockConfig(cutoff=args.cutoff, modes=code.modes)
     start, stop, count = _parse_range(args.gammas if args.channel == "loss" else args.sigmas)
     levels = np.linspace(start, stop, count)
+    if args.channel == "dephasing":
+        cfg = fock_mod.FockConfig(cutoff=args.cutoff, modes=code.modes)
     rows = []
     for level in levels:
         if args.channel == "loss":
-            f = fock_mod.loss_channel_fidelity(code, float(level), cfg)
+            f = fock_mod.loss_channel_fidelity(code, float(level))
         else:
-            f = fock_mod.dephasing_channel_fidelity(code, float(level), cfg,
-                                                    nodes=args.nodes)
+            f = fock_mod.dephasing_channel_fidelity(code, float(level), cfg)
         rows.append([_fmt(level), _fmt(f)])
         print(f"{args.channel} {level:g}: F = {f:.12g}", file=sys.stderr)
     header = ["gamma" if args.channel == "loss" else "sigma", "fidelity"]
@@ -371,13 +372,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_css)
 
-    p = sub.add_parser("perf", help="channel fidelity with transpose recovery")
+    p = sub.add_parser(
+        "perf", help="channel fidelity with transpose recovery",
+        description="Entanglement fidelity of a channel followed by transpose-channel "
+                    "recovery.  Loss is exact in the code's coherent frame, for any "
+                    "number of modes; dephasing uses the exact Kraus operators of the "
+                    "Gaussian phase multiplier on a Fock space truncated at --cutoff "
+                    "(1 or 2 modes).")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--channel", choices=["loss", "dephasing"], default="loss")
-    p.add_argument("--gammas", default="0.001:0.05:10")
-    p.add_argument("--sigmas", default="0.01:0.2:10")
-    p.add_argument("--cutoff", type=int, default=60)
-    p.add_argument("--nodes", type=int, default=32)
+    p.add_argument("--gammas", default="0.001:0.05:10",
+                   help="loss levels start:stop:count")
+    p.add_argument("--sigmas", default="0.01:0.2:10",
+                   help="dephasing levels start:stop:count")
+    p.add_argument("--cutoff", type=int, default=60,
+                   help="Fock cutoff per mode; applies to dephasing only")
     p.add_argument("--csv", default="-")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_perf)

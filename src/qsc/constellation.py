@@ -11,7 +11,8 @@ the code as read-only arrays:
 * ``codeword_index``: the codeword of each stacked point (length N), with
   ``codeword_starts`` the first row of each codeword and
   ``index_in_codeword`` each point's position inside its codeword;
-* ``overlap``: the coherent-state overlaps <z|w> of all point pairs (N x N);
+* ``overlap``: the coherent-state overlaps <z|w> of all point pairs (N x N),
+  and ``scaled_overlap(t)`` those of the points scaled by sqrt(t);
 * ``codeword_norms_sq``: the squared norms of the unnormalized codewords
   sum_z |z>, each the sum of its diagonal block of ``overlap``.
 
@@ -195,9 +196,14 @@ class QSCode:
     def overlap(self) -> np.ndarray:
         """Coherent-state overlaps <z|w> = exp(-|z|^2/2 - |w|^2/2 + conj(z).w)
         of every pair of points, (N, N)."""
+        return _read_only(self.scaled_overlap(1.0))
+
+    def scaled_overlap(self, t: float) -> np.ndarray:
+        """Overlaps <sqrt(t) z|sqrt(t) w> of the points scaled by sqrt(t): the
+        exponent of ``overlap`` times t, (N, N).  Not cached."""
         Z = self.point_array
         half = 0.5 * np.sum(np.abs(Z) ** 2, axis=1)
-        return _read_only(np.exp(-half[:, None] - half[None, :] + np.conj(Z) @ Z.T))
+        return np.exp(t * (-half[:, None] - half[None, :] + np.conj(Z) @ Z.T))
 
     @cached_property
     def codeword_norms_sq(self) -> np.ndarray:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -199,13 +199,14 @@ class CssProperties:
     d_z: Optional[int]   # min weight of C_X^perp \ C_Z
     min_separation: float
     detection_degree: int
+    code: QSCode = field(repr=False)   # the compiled code the properties were measured on
 
 
 def css_properties(spec: ClassicalCodeSpec, alpha: complex = 2.0,
                    max_degree: int = 1, tol: float = 1e-6) -> CssProperties:
     """Brute-force classical distances plus measured properties of the
     compiled constellation, so the classical-to-quantum dictionary can be
-    checked empirically."""
+    checked empirically.  The compiled code is returned with them."""
     if spec.length > 20:
         raise BudgetExceededError("weight enumeration is limited to length <= 20")
     from .constellation import min_separation as _min_sep
@@ -231,6 +232,7 @@ def css_properties(spec: ClassicalCodeSpec, alpha: complex = 2.0,
         d_z=d_z,
         min_separation=sep,
         detection_degree=report.detection_degree,
+        code=code,
     )
 
 

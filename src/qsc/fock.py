@@ -1,18 +1,29 @@
-"""Independent truncated-Fock-space oracle.
+"""Channel fidelities with transpose-channel recovery, and a truncated-Fock
+embedding of codes.
 
-Everything here is brute force on purpose: codewords are embedded as explicit
-number-basis vectors, error matrices are recomputed by sandwiching truncated
-ladder operators, and channel performance is measured by building the Kraus
-operators and applying transpose-channel recovery.  Agreement with the exact
-coherent-frame results is what certifies both implementations.
+Both channels are evaluated on the maximally mixed code state followed by the
+transpose-channel recovery (Barnum-Knill, quant-ph/0004088; Ng-Mandayam,
+arXiv:0909.0931).  Each reduces to the Gram matrix of the corrupted
+orthonormal codewords E_j |e_mu>, which one function turns into the fidelity.
 
-The oracle is capped at two modes; larger codes are served by the exact
-coherent-frame path, which needs no cutoff.
+* Loss is exact, in the coherent frame of the code, for any number of modes
+  and with no cutoff.  Pure loss maps |z> to |sqrt(eta) z> (x) |sqrt(gamma) z>
+  (eta = 1 - gamma, the second factor in the environment), so the eigenpairs
+  of the N x N environment overlap matrix give an orthonormal Kraus basis, and
+  the Gram matrix needs only the overlaps of the damped points.
+* Dephasing is the Schur multiplier rho_mn -> exp(-sigma^2 (m-n)^2/2) rho_mn
+  on a Fock space truncated at a cutoff per mode.  The eigenpairs of that
+  multiplier give its exact Kraus operators, diagonal in the number basis
+  (Kronecker products across modes); no quadrature is involved.
+
+The embedding itself (``embed_codewords``, ``kl_matrix_fock``) is brute force
+on purpose: codewords as explicit number-basis vectors, error matrices by
+sandwiching truncated ladder operators.  Agreement with the exact
+coherent-frame KL matrices is what certifies both.  It is capped at two modes.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import reduce
@@ -20,13 +31,21 @@ from functools import reduce
 import numpy as np
 
 from .constellation import Constellation, QSCode, QscError
-from .kl import MonomialError
+from .kl import MonomialError, _check_radius
 
 DIM_BUDGET = 4096
 TAIL_TOL = 1e-12
 COMPLETENESS_TOL = 1e-8
-KRAUS_NORM_FLOOR = 1e-12
-WEIGHT_FLOOR = 1e-16
+# Eigenvalues below this share of the largest are dropped.  The matrices
+# decomposed (environment overlaps of loss, the dephasing multiplier, Kraus
+# weights and the corrupted-codeword Gram matrix) are positive semidefinite,
+# and below it an eigenvalue is within rounding of the largest.
+EIGEN_FLOOR = 1e-14
+# Largest corrupted-codeword Gram dimension J*K (J Kraus operators, K
+# codewords).  The dephasing Gram matrix is held twice while it is built,
+# 2 x 16 x 3000^2 bytes = 288 MB at the budget; two modes at cutoff 60 come
+# near it at sigma = 0.2 with K = 2 (36 Kraus operators per mode, 2,592).
+GRAM_DIM_BUDGET = 3000
 
 
 class TruncationError(QscError):
@@ -35,10 +54,6 @@ class TruncationError(QscError):
 
 class KrausCompletenessError(QscError):
     """The truncated Kraus set is not close enough to trace preserving."""
-
-
-class QuadratureConvergenceError(QscError):
-    """Doubling the quadrature nodes changed the answer too much."""
 
 
 @dataclass(frozen=True)
@@ -146,168 +161,120 @@ def kl_matrix_fock(code: QSCode, e: MonomialError, cfg: FockConfig) -> np.ndarra
 # Channel fidelity with transpose-channel recovery
 # ---------------------------------------------------------------------------
 
-def _orthonormal_codewords(code: QSCode, cfg: FockConfig) -> np.ndarray:
-    """Codeword basis, symmetrically orthogonalized when overlaps are visible."""
-    psis = np.array(embed_codewords(code, cfg))
-    gram = psis.conj() @ psis.T
-    K = gram.shape[0]
-    if np.max(np.abs(gram - np.eye(K))) <= 1e-12:
-        return psis
+def _require_two_codewords(code: QSCode) -> None:
+    if code.K < 2:
+        raise ValueError("channel fidelity needs at least two codewords")
+
+
+def _check_gram_dim(J: int, K: int) -> None:
+    if J * K > GRAM_DIM_BUDGET:
+        raise QscError(
+            f"the corrupted-codeword Gram matrix would have dimension {J * K} "
+            f"({J} Kraus operators x {K} codewords), above the budget {GRAM_DIM_BUDGET}")
+
+
+def _kept_eigenpairs(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of a Hermitian positive semidefinite matrix above the floor."""
+    vals, vecs = np.linalg.eigh(M)
+    keep = vals > max(float(vals.max()), 0.0) * EIGEN_FLOOR
+    return vals[keep], vecs[:, keep]
+
+
+def _inverse_sqrt(gram: np.ndarray) -> np.ndarray:
+    """G^(-1/2) of a codeword Gram matrix: the coefficients of the Loewdin
+    (symmetric) orthogonalisation, e_mu = sum_nu G^(-1/2)[nu, mu] c_nu."""
     vals, vecs = np.linalg.eigh(gram)
     if np.min(vals) <= 1e-12:
         raise QscError("codewords are numerically linearly dependent")
-    inv_sqrt = (vecs / np.sqrt(vals)) @ vecs.conj().T
-    return inv_sqrt.T @ psis
+    return (vecs / np.sqrt(vals)) @ vecs.conj().T
 
 
-def _transpose_recovery_fidelity(corrupted: np.ndarray) -> float:
+def _transpose_recovery_fidelity(gram: np.ndarray, J: int, K: int) -> float:
     """Entanglement fidelity of channel + transpose-channel recovery.
 
-    ``corrupted[j, mu]`` holds E_j |codeword_mu> for the K orthonormal
-    codewords.  Everything reduces to the Gram matrix of the
-    corrupted vectors: with H the (pseudo) square root of that Gram,
-    F = (1/K^2) sum_{j,k} | sum_mu H[(j,mu),(k,mu)] |^2.
+    ``gram[(j, mu), (k, nu)]`` = <E_j e_mu|E_k e_nu> for J Kraus operators and
+    K orthonormal codewords, j major.  With H the (pseudo) square root of the
+    Gram matrix, F = (1/K^2) sum_{j,k} |sum_mu H[(j,mu),(k,mu)]|^2; the sums
+    over mu are taken from the eigenvectors, without forming H.
+
+    F does not depend on the Kraus representation, so the Kraus operators are
+    first rotated to the eigenvectors of their weights on the code,
+    Q[j, k] = sum_mu gram[(j, mu), (k, mu)], and those of weight below the
+    floor (operators that vanish on the code) are dropped: the Gram matrix
+    that is decomposed shrinks from J*K to (rank Q)*K, 968 to 84 for the
+    2-mode repetition cat code at sigma = 0.1.
     """
-    J, K, _ = corrupted.shape
-    V = corrupted.reshape(J * K, -1)
-    G = V.conj() @ V.T
-    vals, vecs = np.linalg.eigh(G)
-    floor = max(float(vals.max()), 0.0) * 1e-14
-    keep = vals > floor
-    H = (vecs[:, keep] * np.sqrt(vals[keep])) @ vecs[:, keep].conj().T
-    T = np.einsum("jaka->jk", H.reshape(J, K, J, K))
+    G = gram.reshape(J, K, J, K)
+    weights, U = _kept_eigenpairs(np.einsum("jmkm->jk", G))
+    G = np.tensordot(np.tensordot(U.conj(), G, axes=([0], [0])), U, axes=([2], [0]))
+    J = len(weights)
+    vals, vecs = _kept_eigenpairs(G.transpose(0, 1, 3, 2).reshape(J * K, J * K))
+    Y = vecs.reshape(J, K, -1)
+    T = np.tensordot(Y * np.sqrt(vals), Y.conj(), axes=([1, 2], [1, 2]))
     return float(np.sum(np.abs(T) ** 2)) / K ** 2
 
 
-def _loss_kraus_per_mode(gamma: float, cutoff: int) -> list[np.ndarray]:
-    """Pure-loss Kraus operators E_k = sqrt(gamma^k/k!) eta^{n/2} a^k,
-    eta = 1 - gamma, truncated once the operator norm falls below 1e-12."""
-    eta = 1.0 - gamma
-    m = np.arange(cutoff)
-    ops = []
-    norms = []
-    a = annihilation(cutoff)
-    a_pow = np.eye(cutoff)
-    for k in range(cutoff):
-        if k > 0:
-            a_pow = a_pow @ a
-        log_coeff = k * math.log(gamma) - math.lgamma(k + 1) if gamma > 0 else (-math.inf if k else 0.0)
-        # E_k^dag E_k is diagonal: gamma^k/k! * eta^(m-k) * m!/(m-k)! at m >= k
-        diag = np.zeros(cutoff)
-        for mm in range(k, cutoff):
-            log_term = log_coeff + (mm - k) * math.log(eta) if eta > 0 else (log_coeff if mm == k else -math.inf)
-            log_term += math.lgamma(mm + 1) - math.lgamma(mm - k + 1)
-            diag[mm] = math.exp(log_term) if log_term > -700 else 0.0
-        norm = math.sqrt(diag.max()) if diag.size else 0.0
-        norms.append(norm)
-        coeff = math.exp(0.5 * log_coeff) if log_coeff > -700 else 0.0
-        damp = np.power(eta, m / 2.0) if eta > 0 else (m == 0).astype(float)
-        ops.append(coeff * (damp[:, None] * a_pow))
-    k_max = 0
-    for k, norm in enumerate(norms):
-        if norm >= KRAUS_NORM_FLOOR:
-            k_max = k
-    return ops[:k_max + 1]
-
-
-def _completeness_deviation(per_mode_devs: list[np.ndarray]) -> float:
-    acc = np.ones(1)
-    for dev in per_mode_devs:
-        acc = np.outer(acc, 1.0 + dev).ravel()
-    return float(np.max(np.abs(acc - 1.0)))
-
-
-def _corrupted_vectors(ortho: np.ndarray, kraus_per_mode: list[list[np.ndarray]],
-                       cfg: FockConfig) -> np.ndarray:
-    """Apply every Kraus combination (lexicographic order) to every codeword."""
-    K = ortho.shape[0]
-    combos = list(itertools.product(*[range(len(k)) for k in kraus_per_mode]))
-    out = np.zeros((len(combos), K, cfg.dim), dtype=np.complex128)
-    for mu in range(K):
-        tensor = ortho[mu].reshape((cfg.cutoff,) * cfg.modes)
-        for ci, combo in enumerate(combos):
-            t = tensor
-            for axis, k in enumerate(combo):
-                t = _apply_mode_operator(t, kraus_per_mode[axis][k], axis)
-            out[ci, mu] = t.reshape(cfg.dim)
-    return out
-
-
-def loss_channel_fidelity(code: QSCode, gamma: float, cfg: FockConfig) -> float:
+def loss_channel_fidelity(code: QSCode, gamma: float) -> float:
     """Entanglement fidelity of pure loss followed by transpose recovery,
-    evaluated on the maximally mixed code state."""
+    evaluated on the maximally mixed code state; exact, for any mode count.
+
+    With A the K x N Loewdin coefficients of the codewords on the points
+    (e_mu = sum_i A[mu, i] |z_i>), (lambda_a, V[:, a]) the kept eigenpairs of
+    S = <sqrt(gamma) z|sqrt(gamma) w> and P = <sqrt(eta) z|sqrt(eta) w>, the
+    Kraus operator of environment state a sends e_mu to sum_i X[(a, mu), i]
+    |sqrt(eta) z_i> with X[(a, mu), i] = sqrt(lambda_a) conj(V[i, a]) A[mu, i],
+    so the Gram matrix is conj(X) P X^T.
+    """
     if not 0.0 <= gamma < 1.0:
         raise ValueError("gamma must lie in [0, 1)")
-    if code.K < 2:
-        raise ValueError("channel fidelity needs at least two codewords")
-    ortho = _orthonormal_codewords(code, cfg)
-    per_mode = [_loss_kraus_per_mode(gamma, cfg.cutoff) for _ in range(cfg.modes)]
-    devs = [np.sum([np.diag(op.conj().T @ op).real for op in ops], axis=0) - 1.0
-            for ops in per_mode]
-    deviation = _completeness_deviation(devs)
-    if deviation > COMPLETENESS_TOL:
-        raise KrausCompletenessError(
-            f"Kraus completeness deviates by {deviation:.3e}; increase the cutoff")
-    corrupted = _corrupted_vectors(ortho, per_mode, cfg)
-    return _transpose_recovery_fidelity(corrupted)
+    _require_two_codewords(code)
+    _check_radius(code)
+    norms = code.codeword_norms_sq
+    index = code.codeword_index
+    inv_sqrt = _inverse_sqrt(code.codeword_sums(code.overlap) / np.sqrt(np.outer(norms, norms)))
+    A = inv_sqrt.T[:, index] / np.sqrt(norms[index])
+    lam, V = _kept_eigenpairs(code.scaled_overlap(gamma))
+    J, K = len(lam), code.K
+    _check_gram_dim(J, K)
+    X = (np.sqrt(lam)[:, None, None] * V.T.conj()[:, None, :] * A[None, :, :]).reshape(J * K, -1)
+    gram = X.conj() @ code.scaled_overlap(1.0 - gamma) @ X.T
+    return _transpose_recovery_fidelity(gram, J, K)
 
 
-def _dephasing_phases(sigma: float, nodes: int) -> list[tuple[float, float]]:
-    """Gauss-Hermite discretization of Gaussian phase noise: (theta, weight)."""
-    x, w = np.polynomial.hermite.hermgauss(nodes)
-    thetas = math.sqrt(2.0) * sigma * x
-    weights = w / math.sqrt(math.pi)
-    return [(float(t), float(wt)) for t, wt in zip(thetas, weights)]
+def _dephasing_kraus(sigma: float, cutoff: int) -> np.ndarray:
+    """Diagonals of the Kraus operators of Gaussian dephasing on one mode,
+    one per row: sqrt(d_a) U[:, a] for the kept eigenpairs of the multiplier
+    exp(-sigma^2 (m-n)^2/2), so that sum_a D_a rho D_a^dag is the multiplier
+    applied to rho."""
+    m = np.arange(cutoff)
+    d, U = _kept_eigenpairs(np.exp(-0.5 * sigma ** 2 * (m[:, None] - m[None, :]) ** 2))
+    return (U * np.sqrt(d)).T
 
 
-def _dephasing_fidelity_at(code_ortho: np.ndarray, sigma: float, nodes: int,
-                           cfg: FockConfig) -> float:
-    per_mode = [_dephasing_phases(sigma, nodes) for _ in range(cfg.modes)]
-    m = np.arange(cfg.cutoff)
-    K = code_ortho.shape[0]
-    # drop negligible-probability phase combinations; the discarded mass is
-    # bounded by nodes^modes * WEIGHT_FLOOR, far below the quadrature check
-    combos = [combo for combo in itertools.product(*[range(len(p)) for p in per_mode])
-              if _combo_weight(per_mode, combo) > WEIGHT_FLOOR]
-    kept_mass = 0.0
-    vectors = np.zeros((len(combos), K, cfg.dim), dtype=np.complex128)
-    for ci, combo in enumerate(combos):
-        weight = _combo_weight(per_mode, combo)
-        phase_factors = [np.exp(1j * per_mode[axis][li][0] * m) for axis, li in enumerate(combo)]
-        kept_mass += weight
-        phases = reduce(np.kron, phase_factors)
-        vectors[ci] = math.sqrt(weight) * code_ortho * phases[None, :]
-    if abs(kept_mass - 1.0) > COMPLETENESS_TOL:
-        raise KrausCompletenessError(
-            f"dephasing quadrature mass {kept_mass} is not close enough to 1")
-    return _transpose_recovery_fidelity(vectors)
-
-
-def _combo_weight(per_mode: list[list[tuple[float, float]]],
-                  combo: tuple[int, ...]) -> float:
-    weight = 1.0
-    for axis, li in enumerate(combo):
-        weight *= per_mode[axis][li][1]
-    return weight
-
-
-def dephasing_channel_fidelity(code: QSCode, sigma: float, cfg: FockConfig,
-                               nodes: int = 32,
-                               check_convergence: bool = True) -> float:
-    """Entanglement fidelity of Gaussian dephasing + transpose recovery.
-
-    The Gaussian phase average is discretized by Gauss-Hermite quadrature;
-    with ``check_convergence`` the node count is doubled and the two answers
-    must agree to 1e-9.
-    """
+def dephasing_channel_fidelity(code: QSCode, sigma: float, cfg: FockConfig) -> float:
+    """Entanglement fidelity of Gaussian dephasing + transpose recovery on the
+    truncated Fock space of ``cfg``, with the exact Kraus operators of the
+    dephasing multiplier at that cutoff."""
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
-    ortho = _orthonormal_codewords(code, cfg)
-    value = _dephasing_fidelity_at(ortho, sigma, nodes, cfg)
-    if check_convergence:
-        refined = _dephasing_fidelity_at(ortho, sigma, 2 * nodes, cfg)
-        if abs(refined - value) > 1e-9:
-            raise QuadratureConvergenceError(
-                f"{nodes} vs {2 * nodes} nodes differ by {abs(refined - value):.3e}")
-        return refined
-    return value
+    _require_two_codewords(code)
+    kraus = _dephasing_kraus(sigma, cfg.cutoff)
+    completeness = reduce(np.kron, [np.sum(kraus ** 2, axis=0)] * cfg.modes)
+    deviation = float(np.max(np.abs(completeness - 1.0)))
+    if deviation > COMPLETENESS_TOL:
+        raise KrausCompletenessError(
+            f"dephasing Kraus completeness deviates by {deviation:.3e}")
+    J, K = len(kraus) ** cfg.modes, code.K
+    _check_gram_dim(J, K)
+    psis = np.array(embed_codewords(code, cfg))
+    ortho = _inverse_sqrt(psis.conj() @ psis.T).T @ psis
+    # gram[(a, mu), (b, nu)] = sum_x D_a(x) D_b(x) conj(e_mu(x)) e_nu(x), with
+    # D_a the Kronecker product of per-mode diagonals: contract one mode at a
+    # time, each step turning the leading number axis x_m into (a_m, b_m).
+    pairs = kraus[:, None, :] * kraus[None, :, :]
+    T = (ortho.conj()[:, None, :] * ortho[None, :, :]).reshape((K, K) + (cfg.cutoff,) * cfg.modes)
+    for _ in range(cfg.modes):
+        T = np.tensordot(T, pairs, axes=([2], [2]))
+    order = ([2 + 2 * m for m in range(cfg.modes)] + [0]
+             + [3 + 2 * m for m in range(cfg.modes)] + [1])
+    return _transpose_recovery_fidelity(T.transpose(order).reshape(J * K, J * K), J, K)

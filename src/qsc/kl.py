@@ -102,14 +102,18 @@ def _monomial_factors(Z: np.ndarray, powers: Sequence[int]) -> np.ndarray:
     return vals
 
 
-def kl_matrix(code: QSCode, e: MonomialError) -> np.ndarray:
-    """K x K matrix of <c_mu| E |c_nu> over unit-normalized codewords."""
-    if e.n != code.modes:
-        raise DimensionMismatchError(f"error has n={e.n}, code has n={code.modes}")
+def _check_radius(code: QSCode) -> None:
     if code.radius_sq > MAX_RADIUS_SQ:
         raise QscError(
             f"radius_sq={code.radius_sq} exceeds the supported maximum {MAX_RADIUS_SQ}; "
             "coherent overlaps would underflow")
+
+
+def kl_matrix(code: QSCode, e: MonomialError) -> np.ndarray:
+    """K x K matrix of <c_mu| E |c_nu> over unit-normalized codewords."""
+    if e.n != code.modes:
+        raise DimensionMismatchError(f"error has n={e.n}, code has n={code.modes}")
+    _check_radius(code)
     Z = code.point_array
     weighted = code.overlap * np.conj(_monomial_factors(Z, e.r))[:, None]
     weighted *= _monomial_factors(Z, e.s)[None, :]

@@ -1,9 +1,12 @@
 """Independent brute-force oracles used to freeze expected test values.
 
-Everything here is written from first principles with plain Python loops and
-cmath, on purpose: no power tables, no vectorization, no reuse of the
-package's enumeration helpers.  Results from these functions are the source
-of the expected values asserted in the test suite.
+The moment, overlap, KL and geometry oracles are written from first
+principles with plain Python loops and cmath, on purpose: no power tables, no
+vectorization, no reuse of the package's enumeration helpers.  The channel
+oracles at the end work in a truncated Fock space with numpy, on the
+package's codeword embedding, and take different routes to the fidelities
+than the package does.  Results from these functions are the source of the
+expected values asserted in the test suite.
 """
 
 from __future__ import annotations
@@ -11,6 +14,10 @@ from __future__ import annotations
 import cmath
 import math
 from itertools import product
+
+import numpy as np
+
+from qsc.fock import _apply_mode_operator, annihilation, embed_codewords
 
 
 def normalize(point: list[complex]) -> list[complex]:
@@ -160,3 +167,161 @@ def brute_violations(radius_sq: float, labels: list[str],
                     if d <= tol_point:
                         out.append(("disjoint", labels[mu], i, labels[nu], j, d))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Channel-fidelity oracles: truncated Fock space, numpy
+# ---------------------------------------------------------------------------
+#
+# The package computes loss exactly in the coherent frame and dephasing with
+# the exact Kraus operators of its multiplier.  These oracles take the other
+# routes: loss by the truncated Kraus operators sqrt(gamma^k/k!) eta^(n/2) a^k
+# on embedded codewords, dephasing by Gauss-Hermite quadrature of the random
+# phase, each followed by the transpose-channel recovery formula applied to
+# the corrupted vectors themselves.
+
+KRAUS_NORM_FLOOR = 1e-12
+WEIGHT_FLOOR = 1e-16
+COMPLETENESS_TOL = 1e-8
+
+
+def fock_orthonormal_codewords(code, cfg):
+    """Embedded codewords, symmetrically orthogonalized when overlaps are visible."""
+    psis = np.array(embed_codewords(code, cfg))
+    gram = psis.conj() @ psis.T
+    K = gram.shape[0]
+    if np.max(np.abs(gram - np.eye(K))) <= 1e-12:
+        return psis
+    vals, vecs = np.linalg.eigh(gram)
+    assert np.min(vals) > 1e-12, "codewords are numerically linearly dependent"
+    inv_sqrt = (vecs / np.sqrt(vals)) @ vecs.conj().T
+    return inv_sqrt.T @ psis
+
+
+def recovery_fidelity_from_vectors(corrupted):
+    """Transpose-recovery entanglement fidelity from ``corrupted[j, mu]`` =
+    E_j |codeword_mu>: with H the (pseudo) square root of the Gram matrix of
+    the corrupted vectors, F = (1/K^2) sum_{j,k} |sum_mu H[(j,mu),(k,mu)]|^2."""
+    J, K, _ = corrupted.shape
+    V = corrupted.reshape(J * K, -1)
+    G = V.conj() @ V.T
+    vals, vecs = np.linalg.eigh(G)
+    floor = max(float(vals.max()), 0.0) * 1e-14
+    keep = vals > floor
+    H = (vecs[:, keep] * np.sqrt(vals[keep])) @ vecs[:, keep].conj().T
+    T = np.einsum("jaka->jk", H.reshape(J, K, J, K))
+    return float(np.sum(np.abs(T) ** 2)) / K ** 2
+
+
+def loss_kraus_per_mode(gamma, cutoff):
+    """Pure-loss Kraus operators E_k = sqrt(gamma^k/k!) eta^{n/2} a^k,
+    eta = 1 - gamma, truncated once the operator norm falls below 1e-12."""
+    eta = 1.0 - gamma
+    m = np.arange(cutoff)
+    ops = []
+    norms = []
+    a = annihilation(cutoff)
+    a_pow = np.eye(cutoff)
+    for k in range(cutoff):
+        if k > 0:
+            a_pow = a_pow @ a
+        log_coeff = k * math.log(gamma) - math.lgamma(k + 1) if gamma > 0 else (-math.inf if k else 0.0)
+        # E_k^dag E_k is diagonal: gamma^k/k! * eta^(m-k) * m!/(m-k)! at m >= k
+        diag = np.zeros(cutoff)
+        for mm in range(k, cutoff):
+            log_term = log_coeff + (mm - k) * math.log(eta) if eta > 0 else (log_coeff if mm == k else -math.inf)
+            log_term += math.lgamma(mm + 1) - math.lgamma(mm - k + 1)
+            diag[mm] = math.exp(log_term) if log_term > -700 else 0.0
+        norms.append(math.sqrt(diag.max()) if diag.size else 0.0)
+        coeff = math.exp(0.5 * log_coeff) if log_coeff > -700 else 0.0
+        damp = np.power(eta, m / 2.0) if eta > 0 else (m == 0).astype(float)
+        ops.append(coeff * (damp[:, None] * a_pow))
+    k_max = 0
+    for k, norm in enumerate(norms):
+        if norm >= KRAUS_NORM_FLOOR:
+            k_max = k
+    return ops[:k_max + 1]
+
+
+def completeness_deviation(per_mode_devs):
+    acc = np.ones(1)
+    for dev in per_mode_devs:
+        acc = np.outer(acc, 1.0 + dev).ravel()
+    return float(np.max(np.abs(acc - 1.0)))
+
+
+def corrupted_vectors(ortho, kraus_per_mode, cfg):
+    """Apply every Kraus combination (lexicographic order) to every codeword."""
+    K = ortho.shape[0]
+    combos = list(product(*[range(len(k)) for k in kraus_per_mode]))
+    out = np.zeros((len(combos), K, cfg.dim), dtype=np.complex128)
+    for mu in range(K):
+        tensor = ortho[mu].reshape((cfg.cutoff,) * cfg.modes)
+        for ci, combo in enumerate(combos):
+            t = tensor
+            for axis, k in enumerate(combo):
+                t = _apply_mode_operator(t, kraus_per_mode[axis][k], axis)
+            out[ci, mu] = t.reshape(cfg.dim)
+    return out
+
+
+def fock_loss_fidelity(code, gamma, cfg):
+    """Loss fidelity from the truncated Fock Kraus operators (1 or 2 modes)."""
+    ortho = fock_orthonormal_codewords(code, cfg)
+    per_mode = [loss_kraus_per_mode(gamma, cfg.cutoff) for _ in range(cfg.modes)]
+    devs = [np.sum([np.diag(op.conj().T @ op).real for op in ops], axis=0) - 1.0
+            for ops in per_mode]
+    deviation = completeness_deviation(devs)
+    assert deviation <= COMPLETENESS_TOL, f"Kraus completeness deviates by {deviation:.3e}"
+    return recovery_fidelity_from_vectors(corrupted_vectors(ortho, per_mode, cfg))
+
+
+def _dephasing_phases(sigma, nodes):
+    """Gauss-Hermite discretization of Gaussian phase noise: (theta, weight)."""
+    x, w = np.polynomial.hermite.hermgauss(nodes)
+    thetas = math.sqrt(2.0) * sigma * x
+    weights = w / math.sqrt(math.pi)
+    return [(float(t), float(wt)) for t, wt in zip(thetas, weights)]
+
+
+def _combo_weight(per_mode, combo):
+    weight = 1.0
+    for axis, li in enumerate(combo):
+        weight *= per_mode[axis][li][1]
+    return weight
+
+
+def _dephasing_fidelity_at(code_ortho, sigma, nodes, cfg):
+    per_mode = [_dephasing_phases(sigma, nodes) for _ in range(cfg.modes)]
+    m = np.arange(cfg.cutoff)
+    K = code_ortho.shape[0]
+    # drop negligible-probability phase combinations; the discarded mass is
+    # bounded by nodes^modes * WEIGHT_FLOOR, far below the quadrature check
+    combos = [combo for combo in product(*[range(len(p)) for p in per_mode])
+              if _combo_weight(per_mode, combo) > WEIGHT_FLOOR]
+    kept_mass = 0.0
+    vectors = np.zeros((len(combos), K, cfg.dim), dtype=np.complex128)
+    for ci, combo in enumerate(combos):
+        weight = _combo_weight(per_mode, combo)
+        phase_factors = [np.exp(1j * per_mode[axis][li][0] * m) for axis, li in enumerate(combo)]
+        kept_mass += weight
+        phases = phase_factors[0]
+        for factor in phase_factors[1:]:
+            phases = np.kron(phases, factor)
+        vectors[ci] = math.sqrt(weight) * code_ortho * phases[None, :]
+    assert abs(kept_mass - 1.0) <= COMPLETENESS_TOL, f"quadrature mass {kept_mass}"
+    return recovery_fidelity_from_vectors(vectors)
+
+
+def quadrature_dephasing_fidelity(code, sigma, cfg, nodes=32, check_convergence=True):
+    """Dephasing fidelity with the Gaussian phase average discretized by
+    Gauss-Hermite quadrature; with ``check_convergence`` the node count is
+    doubled, the two answers must agree to 1e-9 and the refined one is returned."""
+    ortho = fock_orthonormal_codewords(code, cfg)
+    value = _dephasing_fidelity_at(ortho, sigma, nodes, cfg)
+    if check_convergence:
+        refined = _dephasing_fidelity_at(ortho, sigma, 2 * nodes, cfg)
+        assert abs(refined - value) <= 1e-9, \
+            f"{nodes} vs {2 * nodes} nodes differ by {abs(refined - value):.3e}"
+        return refined
+    return value

@@ -94,3 +94,24 @@ def test_table(capsys):
     doc = _json_out(["table", "--tmax", "2", "--max-degree", "1", "--ideal-degree", "2",
                      "--json"], capsys)
     assert [row["code"] for row in doc] == [e.entry_id for e in qsc.list_catalog()]
+
+
+def test_css_compiles_once(tmp_path, monkeypatch, capsys):
+    calls = []
+    compile_css = qsc.css.compile_css
+    monkeypatch.setattr(qsc.css, "compile_css",
+                        lambda *a, **kw: calls.append(a) or compile_css(*a, **kw))
+    gx = tmp_path / "gx.txt"
+    gx.write_text("1 1 0\n0 1 1\n")
+    assert run(["css", "--q", "2", "--gx", str(gx)]) == 0
+    assert qsc.code_from_json(capsys.readouterr().out).K == 2
+    assert len(calls) == 1
+
+
+def test_perf_loss_on_three_modes(tmp_path, capsys):
+    path = tmp_path / "hessian.json"
+    path.write_text(qsc.code_to_json(qsc.build("hessian", 4.0)))
+    doc = _json_out(["perf", "--in", str(path), "--gammas", "0.001:0.05:4", "--json"], capsys)
+    fids = [row["fidelity"] for row in doc]
+    assert len(fids) == 4 and all(0.0 < f < 1.0 for f in fids)
+    assert fids == sorted(fids, reverse=True) and len(set(fids)) == 4

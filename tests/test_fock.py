@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import qsc
 from qsc.constellation import Constellation, Point, QSCode
@@ -21,6 +23,7 @@ from qsc.fock import (
 )
 from qsc.moments import multi_indices
 
+from brute_force import fock_loss_fidelity, quadrature_dephasing_fidelity
 from conftest import random_three_point_code
 
 
@@ -118,20 +121,20 @@ def test_annihilation_matrix():
 # ---------------------------------------------------------------------------
 
 def test_loss_gamma_zero_is_identity(two_legged):
-    assert loss_channel_fidelity(two_legged, 0.0, CFG1) == pytest.approx(1.0, abs=1e-10)
+    assert loss_channel_fidelity(two_legged, 0.0) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_loss_parameter_validation(two_legged):
     with pytest.raises(ValueError):
-        loss_channel_fidelity(two_legged, 1.0, CFG1)
+        loss_channel_fidelity(two_legged, 1.0)
     single = qsc.build("cell24", 1.0, partition="one")
     with pytest.raises(ValueError):
-        loss_channel_fidelity(single, 0.01, FockConfig(cutoff=20, modes=2))
+        loss_channel_fidelity(single, 0.01)
 
 
 def test_two_legged_infidelity_grows_linearly(two_legged):
-    f1 = loss_channel_fidelity(two_legged, 1e-3, CFG1)
-    f2 = loss_channel_fidelity(two_legged, 2e-3, CFG1)
+    f1 = loss_channel_fidelity(two_legged, 1e-3)
+    f2 = loss_channel_fidelity(two_legged, 2e-3)
     assert 0.0 < 1.0 - f1 < 1.0 - f2
     slope1 = (1.0 - f1) / 1e-3
     slope2 = (1.0 - f2) / 2e-3
@@ -141,8 +144,8 @@ def test_two_legged_infidelity_grows_linearly(two_legged):
 
 def test_four_legged_suppresses_loss(two_legged, four_legged):
     gamma = 1e-3
-    r2 = (1.0 - loss_channel_fidelity(two_legged, gamma, CFG1)) / gamma
-    r4 = (1.0 - loss_channel_fidelity(four_legged, gamma, CFG1)) / gamma
+    r2 = (1.0 - loss_channel_fidelity(two_legged, gamma)) / gamma
+    r4 = (1.0 - loss_channel_fidelity(four_legged, gamma)) / gamma
     assert r4 * 10.0 < r2
 
 
@@ -151,8 +154,8 @@ def test_loss_fidelity_monotone_for_catalog_one_mode():
         if entry.modes != 1 or entry.num_codewords < 2:
             continue
         code = entry.build(4.0)
-        f_small = loss_channel_fidelity(code, 0.01, CFG1)
-        f_large = loss_channel_fidelity(code, 0.05, CFG1)
+        f_small = loss_channel_fidelity(code, 0.01)
+        f_large = loss_channel_fidelity(code, 0.05)
         assert -1e-9 <= f_large <= f_small <= 1.0 + 1e-9, entry.entry_id
 
 
@@ -163,7 +166,7 @@ def test_perf_regression_fixtures(two_legged, four_legged):
     locked = json.load(open(path))
     for name, code in (("two_legged_E4", two_legged), ("four_legged_E4", four_legged)):
         for gamma_text, value in locked["loss"][name].items():
-            fresh = loss_channel_fidelity(code, float(gamma_text), CFG1)
+            fresh = loss_channel_fidelity(code, float(gamma_text))
             assert fresh == pytest.approx(value, abs=1e-9), (name, gamma_text)
     assert dephasing_channel_fidelity(two_legged, 0.1, CFG1) == pytest.approx(
         locked["dephasing"]["two_legged_E4_sigma0.1"], abs=1e-9)
@@ -189,18 +192,18 @@ def test_dephasing_sigma_zero(two_legged):
 
 
 def test_dephasing_quadrature_convergence(two_legged):
-    f32 = dephasing_channel_fidelity(two_legged, 0.1, CFG1, nodes=32,
-                                     check_convergence=False)
-    f64 = dephasing_channel_fidelity(two_legged, 0.1, CFG1, nodes=64,
-                                     check_convergence=False)
+    f32 = quadrature_dephasing_fidelity(two_legged, 0.1, CFG1, nodes=32,
+                                        check_convergence=False)
+    f64 = quadrature_dephasing_fidelity(two_legged, 0.1, CFG1, nodes=64,
+                                        check_convergence=False)
     assert abs(f64 - f32) < 1e-9
     # the checked variant runs both and returns the refined value
-    assert dephasing_channel_fidelity(two_legged, 0.1, CFG1, nodes=32) == f64
+    assert quadrature_dephasing_fidelity(two_legged, 0.1, CFG1, nodes=32) == f64
 
 
 def test_fidelities_within_unit_interval(four_legged):
     for gamma in (0.0, 0.01, 0.2):
-        f = loss_channel_fidelity(four_legged, gamma, CFG1)
+        f = loss_channel_fidelity(four_legged, gamma)
         assert -1e-9 <= f <= 1.0 + 1e-9
     for sigma in (0.05, 0.3):
         f = dephasing_channel_fidelity(four_legged, sigma, CFG1)
@@ -220,3 +223,84 @@ def test_jump_operator_annihilates_embedded_codeword():
         op += coeff * np.linalg.matrix_power(a, d[0])
     for psi in embed_codewords(code, CFG1):
         assert np.linalg.norm(op @ psi) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# exact channels against the Fock oracles in tests/brute_force.py
+# ---------------------------------------------------------------------------
+
+# 30 photons per mode hold every amplitude with |z|^2 <= 4 to a tail mass far
+# below TAIL_TOL (embedding raises TruncationError otherwise)
+ORACLE_CUTOFF = 30
+LOSS_LEVELS = (0.005, 0.01, 0.02)
+
+
+@st.composite
+def loss_codes(draw):
+    """Random 1- and 2-mode codes on the sphere |z|^2 = E <= 4: 2-3 codewords
+    of 1-3 points each, any two points at distance >= 1 so that the codeword
+    Gram matrix stays well conditioned."""
+    n = draw(st.sampled_from([1, 2]))
+    E = draw(st.floats(1.0, 4.0))
+    sizes = draw(st.lists(st.integers(1, 3), min_size=2, max_size=3))
+    coords = st.floats(-1.0, 1.0)
+    raw = draw(st.lists(st.lists(coords, min_size=2 * n, max_size=2 * n),
+                        min_size=sum(sizes), max_size=sum(sizes)))
+    vecs = np.array([[complex(v[2 * i], v[2 * i + 1]) for i in range(n)] for v in raw])
+    norms = np.linalg.norm(vecs, axis=1)
+    assume(np.min(norms) > 0.1)
+    pts = vecs * (math.sqrt(E) / norms)[:, None]
+    dists = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
+    assume(np.min(dists + 10.0 * np.eye(len(pts))) >= 1.0)
+    starts = np.cumsum([0] + sizes)
+    return QSCode(n, E, [Constellation(str(mu), [Point(p) for p in pts[a:b]])
+                         for mu, (a, b) in enumerate(zip(starts, starts[1:]))])
+
+
+@settings(max_examples=20, deadline=None)
+@given(loss_codes())
+def test_exact_loss_matches_fock_oracle(code):
+    assert loss_channel_fidelity(code, 0.0) == pytest.approx(1.0, abs=1e-12)
+    fids = [loss_channel_fidelity(code, g) for g in LOSS_LEVELS]
+    assert fids[0] > fids[1] > fids[2]
+    cfg = FockConfig(cutoff=ORACLE_CUTOFF, modes=code.modes)
+    assert abs(fids[1] - fock_loss_fidelity(code, LOSS_LEVELS[1], cfg)) <= 1e-10
+
+
+def test_loss_on_three_modes_matches_one_mode(two_legged):
+    # the points (z, 0, 0): the two idle modes stay in vacuum under loss
+    padded = QSCode(3, two_legged.radius_sq, [
+        Constellation(c.label, [Point([p.amplitudes[0], 0.0, 0.0]) for p in c.points])
+        for c in two_legged.codewords])
+    one_mode = loss_channel_fidelity(two_legged, 0.01)
+    assert abs(loss_channel_fidelity(padded, 0.01) - one_mode) <= 1e-12
+    assert abs(one_mode - fock_loss_fidelity(two_legged, 0.01, CFG1)) <= 1e-10
+
+
+@pytest.mark.parametrize("S,K", [(1, 2), (2, 2), (3, 3)])
+@pytest.mark.parametrize("sigma", [0.05, 0.1, 0.2])
+def test_exact_dephasing_matches_quadrature_oracle(S, K, sigma):
+    code = qsc.build("cat", 4.0, S=S, K=K)
+    oracle = quadrature_dephasing_fidelity(code, sigma, CFG1, nodes=64, check_convergence=False)
+    assert abs(dephasing_channel_fidelity(code, sigma, CFG1) - oracle) <= 1e-10
+
+
+def test_channels_reject_a_single_codeword():
+    single = qsc.build("cell24", 1.0, partition="one")
+    with pytest.raises(ValueError, match="at least two codewords"):
+        loss_channel_fidelity(single, 0.01)
+    with pytest.raises(ValueError, match="at least two codewords"):
+        dephasing_channel_fidelity(single, 0.1, FockConfig(cutoff=20, modes=2))
+
+
+def test_dephasing_gram_budget(repetition_css):
+    # sigma = 0.5 keeps all 60 eigenvalues of each mode's multiplier: the Gram
+    # matrix would be 7,200 square (830 MB)
+    with pytest.raises(qsc.QscError, match="budget"):
+        dephasing_channel_fidelity(repetition_css, 0.5, FockConfig(cutoff=60, modes=2))
+
+
+def test_loss_energy_limit_rejected():
+    code = qsc.build("cat", 700.0, S=1, K=2)
+    with pytest.raises(qsc.QscError, match="underflow"):
+        loss_channel_fidelity(code, 0.01)
