@@ -115,3 +115,22 @@ def test_perf_loss_on_three_modes(tmp_path, capsys):
     fids = [row["fidelity"] for row in doc]
     assert len(fids) == 4 and all(0.0 < f < 1.0 for f in fids)
     assert fids == sorted(fids, reverse=True) and len(set(fids)) == 4
+
+
+def test_perf_dephasing_on_three_modes_is_a_computation_error(tmp_path, capsys):
+    path = tmp_path / "hessian.json"
+    path.write_text(qsc.code_to_json(qsc.build("hessian", 4.0)))
+    assert run(["perf", "--in", str(path), "--channel", "dephasing", "--sigmas", "0.1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "3" in err and "Traceback" not in err
+
+
+def test_run_dispatches_through_module_at_call_time(monkeypatch, capsys):
+    listing = _json_out(["catalog", "--json"], capsys)
+    assert run(["kl", "--max-degree"]) == 2
+    assert "usage" in capsys.readouterr().err
+    assert _json_out(["catalog", "--json"], capsys) == listing
+    calls = []
+    monkeypatch.setattr(qsc.cli, "cmd_catalog", lambda args: calls.append(args.json) or 0)
+    assert run(["catalog", "--json"]) == 0
+    assert calls == [True] and capsys.readouterr().out == ""

@@ -293,11 +293,29 @@ def test_channels_reject_a_single_codeword():
         dephasing_channel_fidelity(single, 0.1, FockConfig(cutoff=20, modes=2))
 
 
-def test_dephasing_gram_budget(repetition_css):
-    # sigma = 0.5 keeps all 60 eigenvalues of each mode's multiplier: the Gram
-    # matrix would be 7,200 square (830 MB)
+def test_dephasing_gram_budget():
+    # q = 3, length 2, no generators: nine single-point codewords at alpha = 2.
+    # At sigma = 0.5 each mode keeps 26 Kraus operators after compression, so
+    # the Gram matrix would be 676 x 9 = 6,084 square (590 MB)
+    code = qsc.compile_css(qsc.ClassicalCodeSpec(3, 2, gen_x=[], gen_z=[]), 2.0)
+    assert code.K == 9
     with pytest.raises(qsc.QscError, match="budget"):
-        dephasing_channel_fidelity(repetition_css, 0.5, FockConfig(cutoff=60, modes=2))
+        dephasing_channel_fidelity(code, 0.5, FockConfig(cutoff=60, modes=2))
+
+
+def test_dephasing_beyond_old_budget(repetition_css):
+    # without compression sigma = 0.5 keeps all 60 Kraus operators per mode
+    # (Gram dimension 7,200); compressed, 26 per mode act on the code
+    cfg = FockConfig(cutoff=60, modes=2)
+    f3, f5 = (dephasing_channel_fidelity(repetition_css, s, cfg) for s in (0.3, 0.5))
+    assert 0.0 < f5 < f3 < 1.0
+
+
+def test_two_mode_dephasing_matches_quadrature_oracle(repetition_css):
+    cfg = FockConfig(cutoff=ORACLE_CUTOFF, modes=2)
+    oracle = quadrature_dephasing_fidelity(repetition_css, 0.2, cfg, nodes=16,
+                                           check_convergence=False)
+    assert abs(dephasing_channel_fidelity(repetition_css, 0.2, cfg) - oracle) <= 1e-10
 
 
 def test_loss_energy_limit_rejected():
