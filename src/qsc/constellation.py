@@ -399,7 +399,8 @@ def orbit(seed: Point, generators: Sequence[PassiveUnitary], max_size: int,
           tol_sphere: float = TOL_SPHERE) -> Constellation:
     """Close a seed point under a set of passive unitaries.
 
-    Breadth-first closure with tolerance-based deduplication.  Raises
+    Breadth-first closure with tolerance-based deduplication: each image is
+    compared with the stacked points found so far in one step.  Raises
     :class:`OrbitOverflowError` as soon as the orbit grows past ``max_size``.
     """
     if max_size < 1:
@@ -407,23 +408,23 @@ def orbit(seed: Point, generators: Sequence[PassiveUnitary], max_size: int,
     for g in generators:
         if g.n != seed.n:
             raise DimensionMismatchError("generator dimension does not match the seed")
-    points: list[Point] = [seed]
-    frontier = [seed]
+    stacked = seed.amplitudes[None, :]
+    frontier = [seed.amplitudes]
     while frontier:
-        new_frontier: list[Point] = []
+        new_frontier: list[np.ndarray] = []
         for p in frontier:
             for g in generators:
-                q = g.apply(p)
-                if abs(q.norm_sq - seed.norm_sq) > tol_sphere:
+                q = g.matrix @ p
+                if abs(np.sum(np.abs(q) ** 2) - seed.norm_sq) > tol_sphere:
                     raise QscError("generator failed to preserve the sphere radius")
-                if all(chordal_distance(q, r) > tol_point for r in points):
-                    if len(points) + 1 > max_size:
+                if np.all(np.linalg.norm(stacked - q, axis=1) > tol_point):
+                    if len(stacked) + 1 > max_size:
                         raise OrbitOverflowError(
                             f"orbit closure exceeded max_size={max_size}")
-                    points.append(q)
+                    stacked = np.vstack([stacked, q])
                     new_frontier.append(q)
         frontier = new_frontier
-    return Constellation(label, points)
+    return Constellation(label, stacked)
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +480,11 @@ def code_from_json(text: str, tol_sphere: float = TOL_SPHERE,
         raw_codewords = doc["codewords"]
         if not isinstance(raw_codewords, list) or not raw_codewords:
             raise CodeFormatError("'codewords' must be a nonempty list")
-        code = QSCode(int(doc["modes"]), float(doc["radius_sq"]), [
+        modes, radius_sq = doc["modes"], doc["radius_sq"]
+        # type(), not isinstance: a JSON true is a bool, which subclasses int
+        if type(modes) is not int or type(radius_sq) not in (int, float):
+            raise CodeFormatError("'modes' must be an integer and 'radius_sq' a number")
+        code = QSCode(modes, radius_sq, [
             Constellation(entry["label"],
                           [Point([complex(re, im) for re, im in point])
                            for point in entry["points"]])

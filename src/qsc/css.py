@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .constellation import Constellation, Point, QSCode, QscError
+from .constellation import Constellation, Point, QSCode, QscError, min_separation
 from .kl import detection_report
 from .moments import BudgetExceededError
 
@@ -209,8 +209,6 @@ def css_properties(spec: ClassicalCodeSpec, alpha: complex = 2.0,
     checked empirically.  The compiled code is returned with them."""
     if spec.length > 20:
         raise BudgetExceededError("weight enumeration is limited to length <= 20")
-    from .constellation import min_separation as _min_sep
-
     c_x = set(spec.c_x())
     c_z = set(spec.c_z())
     dual_z = spec.c_z_dual()
@@ -220,7 +218,7 @@ def css_properties(spec: ClassicalCodeSpec, alpha: complex = 2.0,
     d_x = min((_weight(word) for word in logical_x), default=None)
     d_z = min((_weight(word) for word in logical_z), default=None)
     code = compile_css(spec, alpha)
-    sep = _min_sep(code)[0] if code.K >= 2 else 0.0
+    sep = min_separation(code)[0] if code.K >= 2 else 0.0
     report = detection_report(code, max_degree, tol)
     return CssProperties(
         q=spec.q,

@@ -16,8 +16,9 @@ matrix of one error is then the single product
 
     (C . conj(Z)^r) O (C . Z^s)^T / sqrt(n_mu n_nu),
 
-where Z^s is the column of monomial values prod_i z_i^{s_i} at the points;
-it is evaluated as block sums of the N x N matrix conj(Z^r) O Z^s.  Norms,
+where Z^r and Z^s are the columns of monomial values at the points, both from
+:func:`qsc.moments.monomial_values`; it is evaluated as block sums of the
+N x N matrix conj(Z^r) O Z^s.  Norms,
 with their imaginary-part and degeneracy checks, are computed once per code.
 
 A code detects E when the matrix is proportional to the identity; the report
@@ -27,14 +28,14 @@ records the deviation from that for every error up to a degree bound.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .constellation import Constellation, DimensionMismatchError, QSCode, QscError
 # re-exported: kl_matrix raises it through QSCode.codeword_norms_sq
 from .constellation import DegenerateConstellationError  # noqa: F401
-from .moments import BudgetExceededError, count_multi_indices, multi_indices
+from .moments import BudgetExceededError, count_multi_indices, monomial_values, multi_indices
 
 MAX_RADIUS_SQ = 600.0
 MAX_STIRLING = 20
@@ -94,14 +95,6 @@ def codeword_norm_sq(c: Constellation) -> float:
     return float(QSCode(c.n, 0.0, [c]).codeword_norms_sq[0])
 
 
-def _monomial_factors(Z: np.ndarray, powers: Sequence[int]) -> np.ndarray:
-    vals = np.ones(Z.shape[0], dtype=np.complex128)
-    for i, e in enumerate(powers):
-        if e:
-            vals = vals * Z[:, i] ** e
-    return vals
-
-
 def _check_radius(code: QSCode) -> None:
     if code.radius_sq > MAX_RADIUS_SQ:
         raise QscError(
@@ -114,9 +107,9 @@ def kl_matrix(code: QSCode, e: MonomialError) -> np.ndarray:
     if e.n != code.modes:
         raise DimensionMismatchError(f"error has n={e.n}, code has n={code.modes}")
     _check_radius(code)
-    Z = code.point_array
-    weighted = code.overlap * np.conj(_monomial_factors(Z, e.r))[:, None]
-    weighted *= _monomial_factors(Z, e.s)[None, :]
+    z_r, z_s = monomial_values(code.point_array, [e.r, e.s]).T
+    weighted = code.overlap * np.conj(z_r)[:, None]
+    weighted *= z_s[None, :]
     norms = code.codeword_norms_sq
     return code.codeword_sums(weighted) / np.sqrt(np.outer(norms, norms))
 

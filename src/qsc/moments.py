@@ -1,17 +1,20 @@
-"""Constellation moments and design-strength analysis.
+"""Constellation moments, design-strength analysis and monomial evaluation.
 
 A constellation behaves like a strength-t averaging set when its monomial
 moments up to degree t match the uniform-sphere averages; a code additionally
 wants those moments to agree across its logical constellations.  Both checks
 run over all monomials z^p conj(z)^q of total degree |p|+|q| <= t on
 unit-normalized points, so the outcome is independent of the sphere radius.
+Every monomial is evaluated by :func:`monomial_values`, here, in :mod:`qsc.kl`
+and in :mod:`qsc.symmetries`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from itertools import islice
+from typing import Iterator
 
 import numpy as np
 
@@ -19,6 +22,9 @@ from .constellation import Constellation, DimensionMismatchError, QSCode, QscErr
 
 DESIGN_TOL = 1e-9
 INDEX_BUDGET = 10_000_000
+# Entries of design_strength's largest temporary per block of moment indices
+# (N points or K codewords times the block's columns): 1 MB of complex.
+MOMENT_BLOCK_ENTRIES = 1 << 16
 
 
 class BudgetExceededError(QscError):
@@ -71,18 +77,39 @@ def count_multi_indices(dim: int, max_degree: int) -> int:
     return math.comb(max_degree + dim, dim)
 
 
+def monomial_values(Z: np.ndarray, exponents) -> np.ndarray:
+    """Values prod_i Z[k, i]^e[j, i] of the monomials e = exponents at the
+    points Z, (N, M) for (N, n) points and (M, n) exponent rows.  Powers come
+    from a table built by repeated multiplication and multiply in mode by mode.
+    """
+    e = np.asarray(exponents, dtype=np.intp)
+    if e.ndim != 2 or e.shape[1] != Z.shape[1]:
+        raise DimensionMismatchError(f"exponent rows {e.shape} do not fit {Z.shape[1]} modes")
+    if np.any(e < 0):
+        raise ValueError("exponents must be nonnegative")
+    table = np.ones((Z.shape[1], int(e.max(initial=0)) + 1, Z.shape[0]), dtype=np.complex128)
+    for k in range(1, table.shape[1]):
+        table[:, k] = table[:, k - 1] * Z.T
+    out = np.ones((e.shape[0], Z.shape[0]), dtype=np.complex128)
+    for i in range(Z.shape[1]):
+        out *= table[i, e[:, i]]
+    return out.T
+
+
+def _moment_values(z: np.ndarray, p, q) -> np.ndarray:
+    """Values of z^p conj(z)^q at the rows of z, (N, M) for (M, n) rows p and q:
+    one monomial in the interleaved columns (z_1, conj z_1, z_2, ...)."""
+    columns = np.stack([z, np.conj(z)], axis=-1).reshape(len(z), -1)
+    return monomial_values(columns, np.stack([p, q], axis=-1).reshape(len(p), -1))
+
+
 def moment(c: Constellation, idx: MomentIndex) -> complex:
     """Average of z^p conj(z)^q over the unit-normalized constellation points."""
     if idx.n != c.n:
         raise DimensionMismatchError(f"index has n={idx.n}, constellation has n={c.n}")
     z = c.as_array()
     z = z / np.linalg.norm(z, axis=1, keepdims=True)
-    vals = np.ones(len(c), dtype=np.complex128)
-    for i in range(c.n):
-        if idx.p[i]:
-            vals *= z[:, i] ** idx.p[i]
-        if idx.q[i]:
-            vals *= np.conj(z[:, i]) ** idx.q[i]
+    vals = _moment_values(z, [idx.p], [idx.q])
     return complex(np.mean(vals))
 
 
@@ -122,12 +149,7 @@ def monte_carlo_sphere_average(idx: MomentIndex, n: int, samples: int = 1_000_00
         m = min(batch, samples - done)
         g = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
         z = g / np.linalg.norm(g, axis=1, keepdims=True)
-        vals = np.ones(m, dtype=np.complex128)
-        for i in range(n):
-            if idx.p[i]:
-                vals *= z[:, i] ** idx.p[i]
-            if idx.q[i]:
-                vals *= np.conj(z[:, i]) ** idx.q[i]
+        vals = _moment_values(z, [idx.p], [idx.q])[:, 0]
         total += vals.sum()
         total_re2 += np.sum(vals.real ** 2)
         total_im2 += np.sum(vals.imag ** 2)
@@ -172,42 +194,34 @@ def design_strength(code: QSCode, t_max: int, tol: float = DESIGN_TOL,
         raise BudgetExceededError(
             f"moment enumeration needs {n_indices} indices, budget is {budget}")
 
-    # Power tables of the unit-normalized stacked points: table[k] = z^k, (N, n).
     z = code.point_array / np.linalg.norm(code.point_array, axis=1, keepdims=True)
-    pow_table = np.ones((t_max + 1,) + z.shape, dtype=np.complex128)
-    for k in range(1, t_max + 1):
-        pow_table[k] = pow_table[k - 1] * z
-    conj_table = np.conj(pow_table)
     sizes = np.array([len(c) for c in code.codewords])
+    block = max(1, MOMENT_BLOCK_ENTRIES // max(len(z), code.K))
+    sphere_res, match_res = np.zeros((2, t_max + 1))
+    indices = multi_indices(2 * n, t_max)
+    # values[mu, j]: the average of block column j over codeword mu's points
+    while chunk := list(islice(indices, block)):
+        combined = np.array(chunk, dtype=np.intp)
+        p, q = combined[:, :n], combined[:, n:]
+        vals = _moment_values(z, p, q)
+        values = np.add.reduceat(vals, code.codeword_starts, axis=0) / sizes[:, None]
+        target = np.zeros(len(combined), dtype=np.complex128)
+        for j in np.flatnonzero(np.all(p == q, axis=1)):
+            target[j] = sphere_average(MomentIndex(tuple(p[j]), tuple(q[j])), n)
+        degree = combined.sum(axis=1)
+        np.maximum.at(sphere_res, degree, np.max(np.abs(values - target), axis=0))
+        np.maximum.at(match_res, degree,
+                      np.max([np.max(np.abs(values - v), axis=0) for v in values], axis=0))
 
-    sphere_res = {d: 0.0 for d in range(t_max + 1)}
-    match_res = {d: 0.0 for d in range(t_max + 1)}
-    for idx in moment_indices(n, t_max):
-        vals = np.ones(z.shape[0], dtype=np.complex128)
-        for i in range(n):
-            if idx.p[i]:
-                vals = vals * pow_table[idx.p[i], :, i]
-            if idx.q[i]:
-                vals = vals * conj_table[idx.q[i], :, i]
-        values = np.add.reduceat(vals, code.codeword_starts) / sizes
-        d = idx.degree
-        sphere_res[d] = max(sphere_res[d], float(np.max(np.abs(values - sphere_average(idx, n)))))
-        match_res[d] = max(match_res[d], float(np.max(np.abs(values[:, None] - values[None, :]))))
-
-    def largest_passing(res: dict[int, float]) -> int:
-        t = -1
-        for d in range(t_max + 1):
-            if res[d] <= tol:
-                t = d
-            else:
-                break
-        return t
+    def largest_passing(res: np.ndarray) -> int:
+        failing = np.flatnonzero(~(res <= tol))
+        return int(failing[0]) - 1 if len(failing) else t_max
 
     return DesignReport(
         sphere_strength=largest_passing(sphere_res),
         matching_strength=largest_passing(match_res),
-        sphere_residual_per_degree=sphere_res,
-        match_residual_per_degree=match_res,
+        sphere_residual_per_degree=dict(enumerate(sphere_res.tolist())),
+        match_residual_per_degree=dict(enumerate(match_res.tolist())),
         t_max=t_max,
         tol=tol,
     )

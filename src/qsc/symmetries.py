@@ -12,6 +12,8 @@ jump operator that annihilates the whole codespace: the codespace is a dark
 space of the corresponding dissipator, which is the algebraic content of
 passive stabilization.  The ideal is reported by its generators, found
 degree by degree, so their degrees are the minimal jump-operator degrees.
+Monomials are evaluated at the points by :func:`qsc.moments.monomial_values`,
+the evaluator the moments and KL matrices share.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -31,7 +32,7 @@ from .constellation import (
     TOL_POINT,
     distance_blocks,
 )
-from .moments import BudgetExceededError, count_multi_indices, multi_indices
+from .moments import BudgetExceededError, count_multi_indices, monomial_values, multi_indices
 
 TOL_IDEAL = 1e-8
 Z_TYPE = "Z-type"
@@ -84,7 +85,8 @@ def enumerate_phase_symmetries(code: QSCode, max_order: int,
                                budget: int = 1_000_000) -> list[SymmetryAction]:
     """Test all per-mode rotations diag(exp(2pi i k/m)) with m <= max_order.
 
-    Candidates are deduplicated by their reduced phase fractions, and the
+    A candidate is tested only at the order m equal to the least common
+    denominator of its phases k/m (gcd(m, k_1, ..., k_n) == 1), and the
     surviving symmetries by their induced point permutation, keeping the
     lowest-order representative of each action.
     """
@@ -95,15 +97,12 @@ def enumerate_phase_symmetries(code: QSCode, max_order: int,
     if total > budget:
         raise BudgetExceededError(
             f"{total} phase candidates exceed the budget {budget}")
-    seen_phases: set[tuple[Fraction, ...]] = set()
     seen_actions: set[tuple[tuple[tuple[int, int], tuple[int, int]], ...]] = set()
     found: list[SymmetryAction] = []
     for m in range(1, max_order + 1):
         for ks in itertools.product(range(m), repeat=n):
-            key = tuple(Fraction(k, m) for k in ks)
-            if key in seen_phases:
+            if math.gcd(m, *ks) != 1:
                 continue
-            seen_phases.add(key)
             u = PassiveUnitary.phase_rotation([2.0 * math.pi * k / m for k in ks])
             action = classify_symmetry(code, u)
             if not action.is_symmetry:
@@ -135,13 +134,7 @@ class VanishingPolynomial:
         z = np.asarray(z, dtype=np.complex128)
         single = z.ndim == 1
         pts = z[None, :] if single else z
-        out = np.zeros(pts.shape[0], dtype=np.complex128)
-        for d, coeff in self.terms.items():
-            vals = np.full(pts.shape[0], coeff, dtype=np.complex128)
-            for i, e in enumerate(d):
-                if e:
-                    vals = vals * pts[:, i] ** e
-            out += vals
+        out = monomial_values(pts, list(self.terms)) @ np.array(list(self.terms.values()))
         return complex(out[0]) if single else out
 
     def describe(self) -> str:
@@ -179,12 +172,7 @@ def vanishing_ideal(code: QSCode, max_degree: int, tol_ideal: float = TOL_IDEAL,
             f"monomial enumeration needs {n_cols} columns, budget is {budget}")
     monomials = list(multi_indices(n, max_degree))
     position = {d: j for j, d in enumerate(monomials)}
-    points = code.point_array
-    V = np.ones((points.shape[0], len(monomials)), dtype=np.complex128)
-    for j, d in enumerate(monomials):
-        for i, e in enumerate(d):
-            if e:
-                V[:, j] = V[:, j] * points[:, i] ** e
+    V = monomial_values(code.point_array, monomials)
     scales = np.max(np.abs(V), axis=0)
     scales[scales == 0.0] = 1.0
     V /= scales[None, :]

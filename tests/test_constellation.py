@@ -364,7 +364,12 @@ _GOOD_CODEWORDS = [{"label": "0", "points": [[[2.0, 0.0]]]}]
     {"modes": 1, "radius_sq": 4.0,
      "codewords": [{"label": "0", "points": [[[2.0, 0.0]], [[2.0, 0.0], [0.0, 0.0]]]}]},
     {"modes": 1, "radius_sq": float("nan"), "codewords": _GOOD_CODEWORDS},
-], ids=["empty-points", "modes-not-integer", "negative-radius", "ragged-points", "nan-radius"])
+    {"modes": 1.9, "radius_sq": 4.0, "codewords": _GOOD_CODEWORDS},
+    {"modes": "1", "radius_sq": 4.0, "codewords": _GOOD_CODEWORDS},
+    {"modes": True, "radius_sq": 4.0, "codewords": _GOOD_CODEWORDS},
+    {"modes": 1, "radius_sq": "4", "codewords": _GOOD_CODEWORDS},
+], ids=["empty-points", "modes-not-integer", "negative-radius", "ragged-points", "nan-radius",
+        "modes-float", "modes-string", "modes-bool", "radius-string"])
 def test_json_malformed_documents_raise_code_format_error(doc):
     with pytest.raises(CodeFormatError):
         code_from_json(json.dumps(doc))

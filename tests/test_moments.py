@@ -8,20 +8,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qsc
-from qsc.constellation import Constellation, PassiveUnitary, Point, QSCode
+from qsc.constellation import Constellation, DimensionMismatchError, PassiveUnitary, Point, QSCode
 from qsc.moments import (
     BudgetExceededError,
     MomentIndex,
     design_strength,
     moment,
     moment_indices,
+    monomial_values,
     monte_carlo_sphere_average,
     sphere_average,
 )
 
 from brute_force import (
+    all_indices,
     brute_match_strength,
     brute_moment,
+    brute_sphere_average,
     brute_sphere_strength,
 )
 from conftest import constellations_as_lists, random_unitary
@@ -29,6 +32,29 @@ from conftest import constellations_as_lists, random_unitary
 
 def fourth_roots() -> Constellation:
     return Constellation("c", [Point([1.0]), Point([1j]), Point([-1.0]), Point([-1j])])
+
+
+# ---------------------------------------------------------------------------
+# monomial evaluation
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=40)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 6), st.integers(1, 3), st.integers(1, 5))
+def test_monomial_values_match_plain_powers(seed, n_points, n, n_monomials):
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((n_points, n)) + 1j * rng.standard_normal((n_points, n))
+    exps = rng.integers(0, 7, size=(n_monomials, n))
+    expected = np.array([[math.prod(complex(z[k, i]) ** int(e[i]) for i in range(n))
+                          for e in exps] for k in range(n_points)])
+    np.testing.assert_allclose(monomial_values(z, exps), expected, rtol=1e-12, atol=0)
+
+
+def test_monomial_values_rejects_bad_exponents():
+    z = np.ones((3, 2), dtype=np.complex128)
+    with pytest.raises(ValueError):
+        monomial_values(z, [[1, -1]])
+    with pytest.raises(DimensionMismatchError):
+        monomial_values(z, [[1, 2, 3]])
 
 
 # ---------------------------------------------------------------------------
@@ -175,6 +201,40 @@ def test_sphere_strength_invariant_under_random_unitary():
             for c in code.codewords
         ])
         assert design_strength(rotated, 6).sphere_strength == base.sphere_strength
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 2), st.integers(1, 3), st.integers(0, 4))
+def test_design_residuals_match_brute_force(seed, n, K, t_max):
+    rng = np.random.default_rng(seed)
+    code = QSCode(n, 1.0, [
+        Constellation(str(mu), [Point(row) for row in
+                                rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))])
+        for mu, m in enumerate(rng.integers(1, 5, size=K))
+    ])
+    lists = constellations_as_lists(code)
+    report = design_strength(code, t_max)
+    for degree in range(t_max + 1):
+        sphere, match = 0.0, 0.0
+        for p, q in all_indices(n, degree):
+            vals = [brute_moment(points, p, q) for points in lists]
+            target = brute_sphere_average(p, q, n)
+            sphere = max(sphere, max(abs(v - target) for v in vals))
+            match = max(match, max(abs(a - b) for a in vals for b in vals))
+        assert report.sphere_residual_per_degree[degree] == pytest.approx(sphere, abs=1e-12)
+        assert report.match_residual_per_degree[degree] == pytest.approx(match, abs=1e-12)
+
+
+@pytest.mark.parametrize("name,params", [
+    ("cell600", {"partition": "five"}),
+    ("cat", {"S": 3, "K": 3}),
+])
+def test_design_report_independent_of_block_size(monkeypatch, name, params):
+    code = qsc.build(name, 4.0, **params)
+    default = design_strength(code, 6)
+    n_points = sum(len(c) for c in code.codewords)
+    monkeypatch.setattr("qsc.moments.MOMENT_BLOCK_ENTRIES", 3 * max(n_points, code.K))
+    assert design_strength(code, 6) == default
 
 
 def test_design_budget_guard():
