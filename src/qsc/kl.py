@@ -12,14 +12,20 @@ so every K x K error matrix is computed exactly, with no Fock cutoff.
 All errors of a code share its cached frame (see :mod:`qsc.constellation`):
 the stacked points Z, the codeword membership C (K x N, one row of ones per
 codeword), the overlap matrix O = <z|w> and the codeword norms n_mu.  The
-matrix of one error is then the single product
+matrix of one error is
 
     (C . conj(Z)^r) O (C . Z^s)^T / sqrt(n_mu n_nu),
 
-where Z^r and Z^s are the columns of monomial values at the points, both from
-:func:`qsc.moments.monomial_values`; it is evaluated as block sums of the
-N x N matrix conj(Z^r) O Z^s.  Norms,
-with their imaginary-part and degeneracy checks, are computed once per code.
+where Z^r and Z^s are the columns of monomial values at the points, from
+:func:`qsc.moments.monomial_values`.  :func:`kl_matrix` is the single-error
+path: it evaluates this product as block sums of the N x N matrix
+conj(Z^r) O Z^s.  :func:`detection_report` covers every error of a report in
+one contraction: one ``monomial_values`` call gives every Z^s, the codeword
+block sums Y = O (C . Z^s)^T are formed once per block of s columns, and each
+r then needs one block sum of conj(Z^r) Y over the codewords, which gives the
+matrices of every s that r pairs with.  A report keeps only each matrix's
+summary.  Norms, with their imaginary-part and degeneracy checks, are computed
+once per code.
 
 A code detects E when the matrix is proportional to the identity; the report
 records the deviation from that for every error up to a degree bound.
@@ -35,11 +41,21 @@ import numpy as np
 from .constellation import Constellation, DimensionMismatchError, QSCode, QscError
 # re-exported: kl_matrix raises it through QSCode.codeword_norms_sq
 from .constellation import DegenerateConstellationError  # noqa: F401
-from .moments import BudgetExceededError, count_multi_indices, monomial_values, multi_indices
+from .moments import (
+    BudgetExceededError,
+    _check_tolerance,
+    count_multi_indices,
+    monomial_values,
+    multi_indices,
+)
 
 MAX_RADIUS_SQ = 600.0
 MAX_STIRLING = 20
 ERROR_BUDGET = 100_000
+# Entries of detection_report's largest temporary per block of error columns
+# s (N points times K codewords, or a block of rows times N points, times the
+# block's columns): 256 kB of complex.
+KL_BLOCK_ENTRIES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -185,6 +201,47 @@ def _summarize(matrix: np.ndarray) -> tuple[complex, float]:
     return lam, delta
 
 
+def _monomial_summaries(code: QSCode, monomials: list[tuple[int, ...]],
+                        max_degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """lambda and delta of every error (a^dag)^r a^s with |r| + |s| <= max_degree,
+    as (M, M) arrays indexed by the positions of r and s in ``monomials``, the
+    M monomials of degree <= max_degree in graded order.
+
+    Y[i, nu, s] = sum_{j in nu} O[i, j] Z^s[j] is formed once per block of s
+    columns; then one block sum of conj(Z^r) Y over the codewords gives the
+    K x K matrices of r with every s of the block.  The s that pair with r,
+    |s| <= max_degree - |r|, are a prefix of the graded order.
+    """
+    Z = monomial_values(code.point_array, monomials)
+    O, starts = code.overlap, code.codeword_starts
+    N, K, M = len(Z), code.K, len(monomials)
+    norms = np.sqrt(np.outer(code.codeword_norms_sq, code.codeword_norms_sq))[:, :, None]
+    degrees = np.sum(monomials, axis=1)
+    prefix = np.searchsorted(degrees, max_degree - degrees, side="right")
+    width = max(1, KL_BLOCK_ENTRIES // (N * K))
+    rows = max(1, KL_BLOCK_ENTRIES // (N * width))
+    diag = np.arange(K)
+    lam = np.zeros((M, M), dtype=np.complex128)
+    delta = np.zeros((M, M))
+    for first in range(0, M, width):
+        cols = slice(first, min(first + width, M))
+        Y = np.empty((N, K, cols.stop - first), dtype=np.complex128)
+        for i in range(0, N, rows):
+            Y[i:i + rows] = np.add.reduceat(O[i:i + rows, :, None] * Z[None, :, cols],
+                                            starts, axis=1)
+        for r in range(M):
+            stop = min(cols.stop, prefix[r])
+            if stop <= first:
+                break   # prefixes shrink as |r| grows
+            X = np.add.reduceat(np.conj(Z[:, r, None, None]) * Y[:, :, :stop - first],
+                                starts, axis=0)
+            X /= norms
+            lam[r, first:stop] = np.trace(X) / K
+            X[diag, diag] -= lam[r, first:stop]
+            delta[r, first:stop] = np.max(np.abs(X), axis=(0, 1))
+    return lam, delta
+
+
 def detection_report(code: QSCode, max_degree: int, tol: float,
                      include_dephasing_to: int = 0,
                      budget: int = ERROR_BUDGET) -> DetectionReport:
@@ -197,27 +254,32 @@ def detection_report(code: QSCode, max_degree: int, tol: float,
     """
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
-    if include_dephasing_to > MAX_STIRLING:
+    if not 0 <= include_dephasing_to <= MAX_STIRLING:
         raise ValueError(f"dephasing expansion supports powers 0..{MAX_STIRLING}")
+    _check_tolerance(tol)
     n = code.modes
     n_errors = count_multi_indices(2 * n, max_degree)
     if n_errors > budget:
         raise BudgetExceededError(
             f"error enumeration needs {n_errors} monomials, budget is {budget}")
-    errors = [MonomialError(combined[:n], combined[n:])
-              for combined in multi_indices(2 * n, max_degree)]
+    _check_radius(code)
+    monomials = list(multi_indices(n, max_degree))
+    position = {d: j for j, d in enumerate(monomials)}
+    lam, delta = _monomial_summaries(code, monomials, max_degree)
 
     rows = []
-    for e in errors:
-        m = kl_matrix(code, e)
-        rows.append(DetectionRow("monomial", e, None, None, e.degree, *_summarize(m), code))
+    for combined in multi_indices(2 * n, max_degree):
+        e = MonomialError(combined[:n], combined[n:])
+        r, s = position[e.r], position[e.s]
+        rows.append(DetectionRow("monomial", e, None, None, e.degree,
+                                 complex(lam[r, s]), float(delta[r, s]), code))
     for i in range(n):
         for k in range(1, include_dephasing_to + 1):
             m = dephasing_kl_matrix(code, i, k)
             rows.append(DetectionRow("dephasing", None, i, k, 2 * k, *_summarize(m), code))
 
     degree = -1
-    while degree < max_degree and all(row.delta <= tol for row in rows[:len(errors)]
+    while degree < max_degree and all(row.delta <= tol for row in rows[:n_errors]
                                       if row.degree == degree + 1):
         degree += 1
     return DetectionReport(tuple(rows), degree, max_degree, tol)

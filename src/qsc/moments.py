@@ -53,6 +53,13 @@ class MomentIndex:
         return sum(self.p) + sum(self.q)
 
 
+def _check_tolerance(tol: float) -> None:
+    """Tolerances must be finite and nonnegative: every comparison with NaN
+    or a negative tolerance fails, and every one with infinity passes."""
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tolerance must be finite and nonnegative, got {tol}")
+
+
 def multi_indices(dim: int, max_degree: int) -> Iterator[tuple[int, ...]]:
     """All nonnegative integer tuples with sum <= max_degree, graded lex order."""
     def compositions(total: int, slots: int) -> Iterator[tuple[int, ...]]:
@@ -188,6 +195,7 @@ def design_strength(code: QSCode, t_max: int, tol: float = DESIGN_TOL,
     """
     if t_max < 0:
         raise ValueError("t_max must be nonnegative")
+    _check_tolerance(tol)
     n = code.modes
     n_indices = count_multi_indices(2 * n, t_max)
     if n_indices > budget:

@@ -18,7 +18,6 @@ the evaluator the moments and KL matrices share.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -32,9 +31,19 @@ from .constellation import (
     TOL_POINT,
     distance_blocks,
 )
-from .moments import BudgetExceededError, count_multi_indices, monomial_values, multi_indices
+from .moments import (
+    BudgetExceededError,
+    _check_tolerance,
+    count_multi_indices,
+    monomial_values,
+    multi_indices,
+)
 
 TOL_IDEAL = 1e-8
+# Entries of the pivot images (candidates x pivots x modes) per block of
+# phase candidates: 256 kB of complex, so the candidate count never sizes
+# a temporary.
+PHASE_BLOCK_ENTRIES = 1 << 14
 Z_TYPE = "Z-type"
 X_TYPE = "X-type"
 NOT_A_SYMMETRY = "not-a-symmetry"
@@ -89,6 +98,13 @@ def enumerate_phase_symmetries(code: QSCode, max_order: int,
     denominator of its phases k/m (gcd(m, k_1, ..., k_n) == 1), and the
     surviving symmetries by their induced point permutation, keeping the
     lowest-order representative of each action.
+
+    The candidates are screened in blocks on a few pivot points (for each
+    mode, the first point of largest |z_k|): one distance pass rotates every
+    pivot by every candidate of the block, and only candidates that send each
+    pivot onto some point go on to :func:`classify_symmetry`.  The pivot test
+    is a necessary condition, since a symmetry maps every point to a point,
+    so the result is the same as classifying every candidate.
     """
     if max_order < 1:
         raise ValueError("max_order must be at least 1")
@@ -97,13 +113,21 @@ def enumerate_phase_symmetries(code: QSCode, max_order: int,
     if total > budget:
         raise BudgetExceededError(
             f"{total} phase candidates exceed the budget {budget}")
+    points = code.point_array
+    pivots = points[np.unique(np.argmax(np.abs(points), axis=0))]
+    block = max(1, PHASE_BLOCK_ENTRIES // (len(pivots) * n))
     seen_actions: set[tuple[tuple[tuple[int, int], tuple[int, int]], ...]] = set()
     found: list[SymmetryAction] = []
-    for m in range(1, max_order + 1):
-        for ks in itertools.product(range(m), repeat=n):
-            if math.gcd(m, *ks) != 1:
-                continue
-            u = PassiveUnitary.phase_rotation([2.0 * math.pi * k / m for k in ks])
+    for ks, ms in _phase_candidates(n, max_order, block):
+        images = np.exp(1j * (2.0 * np.pi * ks / ms[:, None]))[:, None, :] * pivots
+        nearest = np.empty(len(ks) * len(pivots))
+        for first, d in distance_blocks(images.reshape(-1, n), points):
+            nearest[first:first + len(d)] = np.min(d, axis=1)
+        # twice the point tolerance: rounding in the two ways of forming an
+        # image can never make this test reject a symmetry
+        maps = np.all((nearest <= 2.0 * TOL_POINT).reshape(len(ks), len(pivots)), axis=1)
+        for k, m in zip(ks[maps].tolist(), ms[maps].tolist()):
+            u = PassiveUnitary.phase_rotation([2.0 * math.pi * kk / m for kk in k])
             action = classify_symmetry(code, u)
             if not action.is_symmetry:
                 continue
@@ -113,6 +137,20 @@ def enumerate_phase_symmetries(code: QSCode, max_order: int,
             seen_actions.add(perm_key)
             found.append(action)
     return found
+
+
+def _phase_candidates(n: int, max_order: int, block: int):
+    """Numerators k (rows) and orders m of the candidates diag(exp(2pi i k/m)),
+    m = 1..max_order and k over range(m)^n in itertools.product order, with
+    gcd(m, k_1, ..., k_n) == 1; in blocks of at most ``block`` candidates."""
+    offsets = np.cumsum([0] + [m ** n for m in range(1, max_order + 1)])
+    for first in range(0, int(offsets[-1]), block):
+        flat = np.arange(first, min(first + block, int(offsets[-1])))
+        m = np.searchsorted(offsets, flat, side="right")
+        digits = m[:, None] ** np.arange(n - 1, -1, -1)
+        ks = (flat - offsets[m - 1])[:, None] // digits % m[:, None]
+        keep = np.gcd.reduce(np.column_stack([m, ks]), axis=1) == 1
+        yield ks[keep], m[keep]
 
 
 @dataclass(frozen=True)
@@ -165,6 +203,7 @@ def vanishing_ideal(code: QSCode, max_degree: int, tol_ideal: float = TOL_IDEAL,
     """
     if max_degree < 1:
         raise ValueError("max_degree must be at least 1")
+    _check_tolerance(tol_ideal)
     n = code.modes
     n_cols = count_multi_indices(n, max_degree)
     if n_cols > budget:

@@ -2,7 +2,10 @@
 
 The moment, overlap, KL and geometry oracles are written from first
 principles with plain Python loops and cmath, on purpose: no power tables, no
-vectorization, no reuse of the package's enumeration helpers.  The channel
+vectorization, no reuse of the package's enumeration helpers.  The phase
+symmetry oracle is the exception: it runs the package's own
+``classify_symmetry`` on every candidate, with no prefilter, so it checks the
+candidate enumeration and not the classification.  The channel
 oracles at the end work in a truncated Fock space with numpy, on the
 package's codeword embedding, and take different routes to the fidelities
 than the package does.  Results from these functions are the source of the
@@ -17,7 +20,9 @@ from itertools import product
 
 import numpy as np
 
+from qsc.constellation import PassiveUnitary
 from qsc.fock import _apply_mode_operator, annihilation, embed_codewords
+from qsc.symmetries import classify_symmetry
 
 
 def normalize(point: list[complex]) -> list[complex]:
@@ -134,6 +139,26 @@ def brute_kl_matrix(constellations: list[list[list[complex]]],
                     total += term
             out[mu][nu] = total / math.sqrt(norms[mu] * norms[nu])
     return out
+
+
+def brute_phase_symmetries(code, max_order: int) -> list:
+    """Every phase candidate diag(exp(2 pi i k/m)) at its lowest order
+    m <= max_order, each classified by ``classify_symmetry`` with no
+    prefilter; the first candidate of each point permutation is kept."""
+    found, seen = [], set()
+    for m in range(1, max_order + 1):
+        for ks in product(range(m), repeat=code.modes):
+            if math.gcd(m, *ks) != 1:
+                continue
+            u = PassiveUnitary.phase_rotation([2.0 * math.pi * k / m for k in ks])
+            action = classify_symmetry(code, u)
+            if not action.is_symmetry:
+                continue
+            key = tuple(sorted(action.point_permutation.items()))
+            if key not in seen:
+                seen.add(key)
+                found.append(action)
+    return found
 
 
 def brute_violations(radius_sq: float, labels: list[str],

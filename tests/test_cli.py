@@ -18,6 +18,15 @@ def code_file(tmp_path):
 @pytest.mark.parametrize("argv", [
     ["kl", "--max-degree", "-1"],
     ["kl", "--dephasing", "25"],
+    ["kl", "--dephasing", "-3"],
+    ["kl", "--tol", "nan", "--json"],
+    ["kl", "--tol", "-1"],
+    ["kl", "--tol", "inf"],
+    ["ideal", "--tol", "nan"],
+    ["ideal", "--tol", "-0.5"],
+    ["ideal", "--tol", "inf"],
+    ["design", "--tol", "inf"],
+    ["design", "--tol", "nan"],
     ["perf", "--gammas", "0:0.1:-1"],
     ["perf", "--gammas", "abc"],
     ["perf", "--cutoff", "1"],

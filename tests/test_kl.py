@@ -252,9 +252,38 @@ def test_detection_rows_match_brute_force(cws):
     report = detection_report(code, 2, tol=1e-6)
     for row in report.rows:
         brute = np.array(brute_kl_matrix(cws, row.error.r, row.error.s))
-        assert np.max(np.abs(row.matrix - brute)) <= 1e-12 * max(1.0, np.max(np.abs(brute)))
+        scale = 1e-12 * max(1.0, np.max(np.abs(brute)))
+        assert np.max(np.abs(row.matrix - brute)) <= scale
+        # the report's own summary, not only the recomputed matrix
+        lam = np.trace(brute) / len(cws)
+        assert abs(row.lam - lam) <= scale
+        assert abs(row.delta - np.max(np.abs(brute - lam * np.eye(len(cws))))) <= scale
     # the identity row is the Gram matrix of the normalized codewords
     sums = np.array([[sum(brute_overlap(z, w) for z in a for w in b) for b in cws] for a in cws])
     gram = sums / np.sqrt(np.outer(np.diag(sums).real, np.diag(sums).real))
     assert report.rows[0].error == MonomialError.identity(code.modes)
     assert np.max(np.abs(report.rows[0].matrix - gram)) <= 1e-12
+
+
+def _assert_same_report(a, b):
+    # the block width changes only the order of some sums, hence the last bit
+    assert a.detection_degree == b.detection_degree
+    assert [(r.label(), r.degree) for r in a.rows] == [(r.label(), r.degree) for r in b.rows]
+    for x, y in zip(a.rows, b.rows):
+        assert abs(x.lam - y.lam) <= 1e-14 * max(1.0, abs(x.lam))
+        assert abs(x.delta - y.delta) <= 1e-14 * max(1.0, x.delta)
+
+
+@pytest.mark.parametrize("code", [
+    qsc.build("cat", 4.0, S=3, K=3),
+    qsc.build("cell600", 4.0, partition="five"),
+    qsc.build("hessian", 4.0),
+    qsc.compile_css(qsc.ClassicalCodeSpec(2, 4, gen_x=[[1, 1, 1, 1]], gen_z=[]), 2.0),
+    # singleton codewords: K = N = 128, so no block sum is shared
+    qsc.compile_css(qsc.ClassicalCodeSpec(2, 7, gen_x=[], gen_z=[]), 2.0),
+], ids=["cat33", "cell600-five", "hessian", "css-L4", "css-singletons"])
+def test_detection_report_independent_of_block_size(code, monkeypatch):
+    degree = 2 if code.modes <= 3 else 1
+    default = detection_report(code, degree, tol=1e-6)
+    monkeypatch.setattr(qsc.kl, "KL_BLOCK_ENTRIES", 1)
+    _assert_same_report(detection_report(code, degree, tol=1e-6), default)

@@ -18,6 +18,8 @@ from qsc.symmetries import (
     verify_jump_annihilates,
 )
 
+from brute_force import brute_phase_symmetries
+
 
 def phase(theta: float) -> PassiveUnitary:
     return PassiveUnitary.phase_rotation([theta])
@@ -261,3 +263,59 @@ def test_ideal_budget():
     code = qsc.build("cell24", 1.0, partition="three")
     with pytest.raises(BudgetExceededError):
         vanishing_ideal(code, 30, budget=10)
+
+
+# ---------------------------------------------------------------------------
+# pivot prefilter against the unfiltered enumeration
+# ---------------------------------------------------------------------------
+
+def _actions(actions):
+    return [(a.unitary.per_mode_phases, a.classification, a.codeword_permutation,
+             a.point_permutation) for a in actions]
+
+
+@pytest.mark.parametrize("energy", [1.0, 4.0, 16.0])
+def test_prefilter_matches_unfiltered_enumeration(energy):
+    for entry in qsc.list_catalog():
+        code = entry.build(energy)
+        assert _actions(enumerate_phase_symmetries(code, 8)) == \
+            _actions(brute_phase_symmetries(code, 8)), entry.entry_id
+
+
+def test_prefilter_survivor_rejected_by_full_classification(monkeypatch):
+    # the pivot is the first point, 2: the rotations by pi and pi/2 map it
+    # onto a point, but send 2i and -2 to -2i, which is not a point
+    code = QSCode(1, 4.0, [Constellation("0", [Point([2.0]), Point([-2.0])]),
+                           Constellation("1", [Point([2j])])])
+    calls = []
+    classify = qsc.symmetries.classify_symmetry
+    monkeypatch.setattr(qsc.symmetries, "classify_symmetry",
+                        lambda c, u: calls.append(classify(c, u)) or calls[-1])
+    actions = enumerate_phase_symmetries(code, 8)
+    assert _actions(actions) == _actions(brute_phase_symmetries(code, 8))
+    assert [a.unitary.per_mode_phases for a in actions] == [(0.0,)]
+    rejected = [a.unitary.per_mode_phases for a in calls if not a.is_symmetry]
+    assert rejected == [(math.pi,), (math.pi / 2,)]
+    assert len(calls) < 22   # every other candidate of order <= 8 is screened out
+
+
+@pytest.mark.parametrize("name, params, max_order", [
+    ("cat", {"S": 2, "K": 2}, 8),
+    ("gamma", {"n": 2, "q": 3}, 8),
+    ("cell600", {"partition": "five"}, 6),
+    ("hessian", {}, 6),
+])
+def test_phase_symmetries_independent_of_block_size(name, params, max_order, monkeypatch):
+    code = qsc.build(name, 4.0, **params)
+    default = _actions(enumerate_phase_symmetries(code, max_order))
+    monkeypatch.setattr(qsc.symmetries, "PHASE_BLOCK_ENTRIES", 1)
+    assert _actions(enumerate_phase_symmetries(code, max_order)) == default
+
+
+def test_phase_symmetries_of_singleton_codewords_independent_of_block_size(monkeypatch):
+    code = qsc.compile_css(qsc.ClassicalCodeSpec(2, 7, gen_x=[], gen_z=[]), 2.0)
+    assert (code.K, len(code.point_array)) == (128, 128)
+    default = _actions(enumerate_phase_symmetries(code, 2))
+    assert default == _actions(brute_phase_symmetries(code, 2))
+    monkeypatch.setattr(qsc.symmetries, "PHASE_BLOCK_ENTRIES", 1)
+    assert _actions(enumerate_phase_symmetries(code, 2)) == default
