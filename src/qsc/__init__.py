@@ -57,7 +57,6 @@ from .fock import (
     TruncationError,
     dephasing_channel_fidelity,
     embed_codewords,
-    kl_matrix_fock,
     loss_channel_fidelity,
 )
 

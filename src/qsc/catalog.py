@@ -26,7 +26,6 @@ import numpy as np
 from .constellation import (
     Constellation,
     PassiveUnitary,
-    Point,
     QSCode,
     QscError,
 )
@@ -160,8 +159,10 @@ def _hessian_vertices() -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 def _numbered_code(n: int, E: float, groups: list) -> QSCode:
-    """A code whose codeword mu holds the points ``groups[mu]``, labeled str(mu)."""
-    return QSCode(n, E, [Constellation(str(mu), g) for mu, g in enumerate(groups)])
+    """A code whose codeword mu, labeled str(mu), holds the rows ``groups[mu]``."""
+    return QSCode(n, E, [
+        Constellation(str(mu), np.array(g, dtype=np.complex128).reshape(len(g), n))
+        for mu, g in enumerate(groups)])
 
 
 def _build_cat(E: float, S: int = 2, K: int = 2) -> QSCode:
@@ -169,10 +170,9 @@ def _build_cat(E: float, S: int = 2, K: int = 2) -> QSCode:
         raise CatalogError("cat needs S >= 1 and K >= 1")
     alpha = math.sqrt(E)
     total = S * K
-    groups: list[list[Point]] = [[] for _ in range(K)]
+    groups: list[list[complex]] = [[] for _ in range(K)]
     for k in range(total):
-        z = alpha * cmath.exp(2j * math.pi * k / total)
-        groups[k % K].append(Point([z]))
+        groups[k % K].append(alpha * cmath.exp(2j * math.pi * k / total))
     return _numbered_code(1, E, groups)
 
 
@@ -185,11 +185,11 @@ def _build_hypercube(E: float, n: int = 2) -> QSCode:
     if n < 1:
         raise CatalogError("hypercube needs n >= 1")
     scale = math.sqrt(E / (2.0 * n))
-    groups: list[list[Point]] = [[], []]
+    groups: list[list[np.ndarray]] = [[], []]
     for signs in itertools.product((1.0, -1.0), repeat=2 * n):
         z = np.array([complex(signs[2 * i], signs[2 * i + 1]) for i in range(n)]) * scale
         parity = sum(1 for s in signs if s < 0) % 2
-        groups[parity].append(Point(z))
+        groups[parity].append(z)
     return _numbered_code(n, E, groups)
 
 
@@ -202,15 +202,15 @@ def _build_orthoplex(E: float, n: int = 2) -> QSCode:
     if n < 1:
         raise CatalogError("orthoplex needs n >= 1")
     r = math.sqrt(E)
-    groups: list[list[Point]] = [[], []]
+    groups: list[list[np.ndarray]] = [[], []]
     for j in range(n):
         for sign in (1.0, -1.0):
             z = np.zeros(n, dtype=np.complex128)
             z[j] = sign * r
-            groups[0].append(Point(z))
+            groups[0].append(z)
             z = np.zeros(n, dtype=np.complex128)
             z[j] = 1j * sign * r
-            groups[1].append(Point(z))
+            groups[1].append(z)
     return _numbered_code(n, E, groups)
 
 
@@ -271,10 +271,9 @@ def _build_gamma(E: float, n: int = 2, q: int = 3) -> QSCode:
         raise CatalogError("gamma needs n >= 1 and q >= 2")
     w = cmath.exp(2j * math.pi / q)
     scale = math.sqrt(E / n)
-    groups: list[list[Point]] = [[] for _ in range(q)]
+    groups: list[list[np.ndarray]] = [[] for _ in range(q)]
     for ks in itertools.product(range(q), repeat=n):
-        z = np.array([w ** k for k in ks]) * scale
-        groups[sum(ks) % q].append(Point(z))
+        groups[sum(ks) % q].append(np.array([w ** k for k in ks]) * scale)
     return _numbered_code(n, E, groups)
 
 
@@ -285,12 +284,12 @@ def _build_beta(E: float, n: int = 2, q: int = 3) -> QSCode:
         raise CatalogError("beta needs n >= 1 and q >= 2")
     w = cmath.exp(2j * math.pi / q)
     r = math.sqrt(E)
-    groups: list[list[Point]] = [[] for _ in range(q)]
+    groups: list[list[np.ndarray]] = [[] for _ in range(q)]
     for k in range(q):
         for j in range(n):
             z = np.zeros(n, dtype=np.complex128)
             z[j] = r * w ** k
-            groups[k].append(Point(z))
+            groups[k].append(z)
     return _numbered_code(n, E, groups)
 
 

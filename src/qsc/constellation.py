@@ -16,8 +16,9 @@ the code as read-only arrays:
 * ``codeword_norms_sq``: the squared norms of the unnormalized codewords
   sum_z |z>, each the sum of its diagonal block of ``overlap``.
 
-``Point`` and ``Constellation`` keep their own storage; the points are stacked
-only here (``Constellation.as_array`` and ``QSCode.point_array``).
+A ``Constellation`` stores its points as one read-only (m, n) array, which
+``point_array`` concatenates; ``Point`` is the value type of one point, made
+per row on request (``Constellation.points``), never the storage.
 
 Geometric validity (common radius, no duplicate points, disjoint
 constellations) is checked by :func:`validate_code`, which reports violations
@@ -69,14 +70,16 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _as_complex_vector(amplitudes: Iterable[complex]) -> np.ndarray:
-    arr = np.asarray(list(amplitudes) if not isinstance(amplitudes, np.ndarray) else amplitudes,
-                     dtype=np.complex128)
-    if arr.ndim != 1 or arr.size < 1:
-        raise ValueError("a point needs at least one mode")
+def _as_points(values, ndim: int) -> np.ndarray:
+    """A fresh read-only complex copy of one point (ndim 1) or of an (m, n)
+    stack of points (ndim 2): no empty axis, finite entries."""
+    arr = np.array(values if isinstance(values, np.ndarray) else list(values),
+                   dtype=np.complex128)
+    if arr.ndim != ndim or 0 in arr.shape:
+        raise ValueError("a point needs at least one mode, a constellation at least one point")
     if not np.all(np.isfinite(arr.view(np.float64))):
         raise ValueError("point amplitudes must be finite")
-    return _read_only(arr.copy())
+    return _read_only(arr)
 
 
 @dataclass(frozen=True)
@@ -86,7 +89,7 @@ class Point:
     amplitudes: np.ndarray
 
     def __init__(self, amplitudes: Iterable[complex]):
-        object.__setattr__(self, "amplitudes", _as_complex_vector(amplitudes))
+        object.__setattr__(self, "amplitudes", _as_points(amplitudes, 1))
 
     @property
     def n(self) -> int:
@@ -99,49 +102,63 @@ class Point:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Point):
             return NotImplemented
-        return self.amplitudes.shape == other.amplitudes.shape and bool(
-            np.array_equal(self.amplitudes, other.amplitudes)
-        )
+        return bool(np.array_equal(self.amplitudes, other.amplitudes))
 
     def __hash__(self) -> int:
-        return hash(self.amplitudes.tobytes())
+        return hash(_canonical_bytes(self.amplitudes))
 
     def __repr__(self) -> str:
         entries = ", ".join(f"{z.real:+.6g}{z.imag:+.6g}j" for z in self.amplitudes)
         return f"Point([{entries}])"
 
 
-@dataclass(frozen=True)
+def _canonical_bytes(arr: np.ndarray) -> bytes:
+    # Adding 0.0 turns -0.0 into 0.0, so arrays that compare equal (finite
+    # entries, 0.0 == -0.0) hash equal.
+    return (arr + 0.0).tobytes()
+
+
+@dataclass(frozen=True, eq=False)
 class Constellation:
-    """A labeled, nonempty point multiset assigned to one logical codeword."""
+    """A labeled, nonempty point multiset assigned to one logical codeword,
+    given as ``Point``s, amplitude rows or an (m, n) array and stored as one
+    read-only (m, n) complex array (``as_array``)."""
 
     label: str
-    points: tuple[Point, ...]
+    _array: np.ndarray
 
-    def __init__(self, label: str, points: Sequence[Point | Iterable[complex]]):
-        pts = tuple(p if isinstance(p, Point) else Point(p) for p in points)
-        if not pts:
-            raise ValueError("a constellation needs at least one point")
-        n = pts[0].n
-        if any(p.n != n for p in pts):
-            raise DimensionMismatchError("all points in a constellation must share n")
+    def __init__(self, label: str,
+                 points: np.ndarray | Sequence[Point | Iterable[complex]]):
         object.__setattr__(self, "label", str(label))
-        object.__setattr__(self, "points", pts)
+        if not isinstance(points, np.ndarray):
+            points = [_as_points(getattr(p, "amplitudes", p), 1) for p in points]
+            if len({p.size for p in points}) > 1:
+                raise DimensionMismatchError("all points in a constellation must share n")
+        object.__setattr__(self, "_array", _as_points(points, 2))
 
     @property
     def n(self) -> int:
-        return self.points[0].n
+        return self._array.shape[1]
 
     def __len__(self) -> int:
-        return len(self.points)
+        return self._array.shape[0]
+
+    @property
+    def points(self) -> tuple[Point, ...]:
+        """The points as ``Point`` values, one per row of ``as_array()``."""
+        return tuple(Point(row) for row in self._array)
 
     def as_array(self) -> np.ndarray:
         """The points stacked into one read-only (len, n) complex array."""
         return self._array
 
-    @cached_property
-    def _array(self) -> np.ndarray:
-        return _read_only(np.array([p.amplitudes for p in self.points], dtype=np.complex128))
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Constellation):
+            return NotImplemented
+        return self.label == other.label and bool(np.array_equal(self._array, other._array))
+
+    def __hash__(self) -> int:
+        return hash((self.label, _canonical_bytes(self._array)))
 
 
 @dataclass(frozen=True)
@@ -227,7 +244,8 @@ class QSCode:
         return np.add.reduceat(np.add.reduceat(M, starts, axis=0), starts, axis=1)
 
     def _key(self) -> tuple:
-        return (self.modes, self.radius_sq, tuple((c.label, c.points) for c in self.codewords))
+        return (self.modes, self.radius_sq, tuple((c.label, len(c)) for c in self.codewords),
+                _canonical_bytes(self.point_array))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QSCode):
@@ -446,23 +464,42 @@ def _fmt(x: float) -> str:
 
 def code_to_json(code: QSCode) -> str:
     """Serialize to the interchange document (decimal, exact round-trip)."""
-    lines = ["{"]
-    lines.append(f'  "modes": {code.modes},')
-    lines.append(f'  "radius_sq": {_fmt(code.radius_sq)},')
-    lines.append('  "codewords": [')
+    flat = code.point_array.view(np.float64).ravel()   # re, im of every amplitude
+    # Each distinct value is formatted once.  Values are told apart by their
+    # bits, so that -0.0 keeps its sign; the integral ones go through _fmt.
+    bits, where = np.unique(flat.view(np.int64), return_inverse=True)
+    values = bits.view(np.float64)
+    text = ("%.17g\n" * values.size % tuple(values.tolist())).split("\n")
+    for i in np.flatnonzero(values == np.trunc(values)).tolist():
+        text[i] = _fmt(values[i])
+    words = np.array(text, dtype=object)[where].tolist()
+    row = "        [" + ", ".join(["[%s, %s]"] * code.modes) + "]"
+    lines = ["{", f'  "modes": {code.modes},', f'  "radius_sq": {_fmt(code.radius_sq)},',
+             '  "codewords": [']
+    start = 0
     for ci, c in enumerate(code.codewords):
-        lines.append("    {")
-        lines.append(f'      "label": {json.dumps(c.label)},')
-        lines.append('      "points": [')
-        for pi, p in enumerate(c.points):
-            entries = ", ".join(f"[{_fmt(z.real)}, {_fmt(z.imag)}]" for z in p.amplitudes)
-            comma = "," if pi < len(c.points) - 1 else ""
-            lines.append(f"        [{entries}]{comma}")
-        lines.append("      ]")
-        lines.append("    }" + ("," if ci < len(code.codewords) - 1 else ""))
-    lines.append("  ]")
-    lines.append("}")
+        stop = start + 2 * code.modes * len(c)
+        lines += ["    {", f'      "label": {json.dumps(c.label)},', '      "points": [',
+                  ",\n".join([row] * len(c)) % tuple(words[start:stop]),
+                  "      ]", "    }" + ("," if ci < code.K - 1 else "")]
+        start = stop
+    lines += ["  ]", "}"]
     return "\n".join(lines) + "\n"
+
+
+def _parse_points(raw: object, bools: bool) -> np.ndarray:
+    """One codeword's ``points`` value, a list of [re, im] pairs per point, as
+    an (m, n) complex array.  Coordinates must be JSON numbers; ``bools`` says
+    whether the document may hold a boolean, which is then looked for."""
+    if not isinstance(raw, list) or not raw:
+        raise ValueError("a constellation needs at least one point")
+    pairs = np.array(raw)   # raises ValueError on ragged lists
+    if pairs.ndim != 3 or pairs.shape[2] != 2:
+        raise TypeError("each point must be a nonempty list of [re, im] pairs")
+    if pairs.dtype.kind not in "iuf" or (
+            bools and any(type(x) is bool for point in raw for pair in point for x in pair)):
+        raise TypeError("point coordinates must be JSON numbers")
+    return pairs.astype(np.float64, copy=False).view(np.complex128)[:, :, 0]
 
 
 def code_from_json(text: str, tol_sphere: float = TOL_SPHERE,
@@ -484,10 +521,11 @@ def code_from_json(text: str, tol_sphere: float = TOL_SPHERE,
         # type(), not isinstance: a JSON true is a bool, which subclasses int
         if type(modes) is not int or type(radius_sq) not in (int, float):
             raise CodeFormatError("'modes' must be an integer and 'radius_sq' a number")
+        # numpy reads a JSON boolean among numbers as a number; only a text
+        # that holds one of these two tokens can contain a boolean
+        bools = "true" in text or "false" in text
         code = QSCode(modes, radius_sq, [
-            Constellation(entry["label"],
-                          [Point([complex(re, im) for re, im in point])
-                           for point in entry["points"]])
+            Constellation(entry["label"], _parse_points(entry["points"], bools))
             for entry in raw_codewords])
     except KeyError as exc:
         raise CodeFormatError(f"document is missing required field: {exc}") from exc

@@ -11,15 +11,13 @@ row spaces, duals and cosets are plain linear algebra over a field.
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .constellation import Constellation, Point, QSCode, QscError, min_separation
-from .kl import detection_report
+from .constellation import Constellation, QSCode, QscError, min_separation
 from .moments import BudgetExceededError
 
 CODE_SIZE_BUDGET = 1_000_000
@@ -79,15 +77,13 @@ def _row_space(rows: Sequence[Sequence[int]], length: int, q: int,
 
 
 def _span(basis: list[list[int]], length: int, q: int) -> list[tuple[int, ...]]:
-    """Every Z_q-linear combination of the basis rows, sorted."""
-    words = set()
-    for coeffs in itertools.product(range(q), repeat=len(basis)):
-        w = [0] * length
-        for c, row in zip(coeffs, basis):
-            if c:
-                w = [(a + c * b) % q for a, b in zip(w, row)]
-        words.add(tuple(w))
-    return sorted(words)
+    """Every Z_q-linear combination of the basis rows, sorted.  The rows are
+    linearly independent, so the q^len(basis) combinations are distinct."""
+    k = len(basis)
+    if not k:
+        return [(0,) * length]
+    words = np.indices((q,) * k).reshape(k, -1).T @ np.array(basis) % q
+    return list(map(tuple, words[np.lexsort(words.T[::-1])].tolist()))
 
 
 def _null_space(rows: Sequence[Sequence[int]], length: int, q: int,
@@ -151,8 +147,10 @@ class ClassicalCodeSpec:
         return _null_space(self.gen_x, self.length, self.q)
 
 
-def _weight(word: tuple[int, ...]) -> int:
-    return sum(1 for x in word if x)
+def _min_weight_outside(words: list[tuple], subspace: list[tuple]) -> Optional[int]:
+    """Smallest Hamming weight of a word of ``words`` outside ``subspace``."""
+    inside = set(subspace)
+    return min((sum(map(bool, w)) for w in words if w not in inside), default=None)
 
 
 def compile_css(spec: ClassicalCodeSpec, alpha: complex) -> QSCode:
@@ -166,23 +164,27 @@ def compile_css(spec: ClassicalCodeSpec, alpha: complex) -> QSCode:
         raise CssError("alpha must be nonzero")
     q, n = spec.q, spec.length
     w = cmath.exp(2j * math.pi / q)
-    c_x = spec.c_x()
-    dual = spec.c_z_dual()
-    dual_set = set(dual)
-    ordered = sorted(dual, key=lambda word: (_weight(word), word))
-    remaining = set(dual)
-    constellations = []
-    for leader in ordered:
-        if leader not in remaining:
-            continue
-        coset = sorted((tuple((l + x) % q for l, x in zip(leader, word)))
-                       for word in c_x)
-        for word in coset:
-            if word not in dual_set:
-                raise CssError("internal: coset escaped the dual code")
-            remaining.discard(word)
-        pts = [Point([alpha * w ** b for b in word]) for word in coset]
-        constellations.append(Constellation("".join(map(str, leader)), pts))
+    # alpha w^b for every residue b, by Python's complex power: numpy's
+    # differs from it in the last bits for some q and alpha
+    phases = np.array([alpha * w ** b for b in range(q)])
+    dual = np.array(spec.c_z_dual())   # lexicographic order
+    # Two dual words lie in one coset of C_X iff they agree once each is
+    # reduced by the reduced basis of C_X (its pivot columns zeroed).
+    basis = np.array(_rref([list(r) for r in spec.gen_x], q), dtype=np.int64).reshape(-1, n)
+    reduced = (dual - dual[:, np.argmax(basis != 0, axis=1)] @ basis) % q
+    coset = np.unique(reduced, axis=0, return_inverse=True)[1].ravel()
+    if np.any(np.bincount(coset) != q ** len(basis)):
+        raise CssError("internal: cosets of C_X do not tile the dual code")
+    # Each coset's leader is its first word in (weight, lexicographic) order,
+    # and the cosets are taken in the order of their leaders.
+    by_weight = np.argsort(np.count_nonzero(dual, axis=1), kind="stable")
+    first = np.unique(coset[by_weight], return_index=True)[1]
+    rank = np.empty_like(first)
+    rank[np.argsort(first)] = np.arange(len(first))
+    words = dual[np.argsort(rank[coset], kind="stable")].reshape(len(first), -1, n)
+    leaders = dual[by_weight[np.sort(first)]].tolist()
+    constellations = [Constellation("".join(map(str, leader)), phases[coset_words])
+                      for leader, coset_words in zip(leaders, words)]
     return QSCode(n, n * abs(alpha) ** 2, constellations)
 
 
@@ -198,38 +200,28 @@ class CssProperties:
     d_x: Optional[int]   # min weight of C_Z^perp \ C_X
     d_z: Optional[int]   # min weight of C_X^perp \ C_Z
     min_separation: float
-    detection_degree: int
     code: QSCode = field(repr=False)   # the compiled code the properties were measured on
 
 
-def css_properties(spec: ClassicalCodeSpec, alpha: complex = 2.0,
-                   max_degree: int = 1, tol: float = 1e-6) -> CssProperties:
-    """Brute-force classical distances plus measured properties of the
-    compiled constellation, so the classical-to-quantum dictionary can be
-    checked empirically.  The compiled code is returned with them."""
+def css_properties(spec: ClassicalCodeSpec, alpha: complex = 2.0) -> CssProperties:
+    """Brute-force classical distances plus the separation of the compiled
+    constellation, so the classical-to-quantum dictionary can be checked
+    empirically.  The compiled code is returned with them; its KL error
+    detection is ``kl.detection_report``'s to measure."""
     if spec.length > 20:
         raise BudgetExceededError("weight enumeration is limited to length <= 20")
-    c_x = set(spec.c_x())
-    c_z = set(spec.c_z())
-    dual_z = spec.c_z_dual()
-    dual_x = spec.c_x_dual()
-    logical_x = [word for word in dual_z if word not in c_x]
-    logical_z = [word for word in dual_x if word not in c_z]
-    d_x = min((_weight(word) for word in logical_x), default=None)
-    d_z = min((_weight(word) for word in logical_z), default=None)
+    c_x, dual_z = spec.c_x(), spec.c_z_dual()
     code = compile_css(spec, alpha)
     sep = min_separation(code)[0] if code.K >= 2 else 0.0
-    report = detection_report(code, max_degree, tol)
     return CssProperties(
         q=spec.q,
         length=spec.length,
         K=code.K,
         points_per_codeword=len(c_x),
         dual_z_size=len(dual_z),
-        d_x=d_x,
-        d_z=d_z,
+        d_x=_min_weight_outside(dual_z, c_x),
+        d_z=_min_weight_outside(spec.c_x_dual(), spec.c_z()),
         min_separation=sep,
-        detection_degree=report.detection_degree,
         code=code,
     )
 

@@ -18,10 +18,10 @@ orthonormal codewords E_j |e_mu>, which one function turns into the fidelity.
   marginal number distribution before the Kronecker products across modes
   are formed.  No quadrature is involved.
 
-The embedding itself (``embed_codewords``, ``kl_matrix_fock``) is brute force
-on purpose: codewords as explicit number-basis vectors, error matrices by
-sandwiching truncated ladder operators.  Agreement with the exact
-coherent-frame KL matrices is what certifies both.  It is capped at two modes.
+The embedding (``embed_codewords``) writes each codeword as an explicit
+number-basis vector, the sum of its points' coherent states, and is capped at
+two modes.  The test suite's Fock oracles, KL matrices by sandwiching
+truncated ladder operators among them, start from it.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from functools import reduce
 import numpy as np
 
 from .constellation import Constellation, QSCode, QscError
-from .kl import MonomialError, _check_radius
+from .kl import _check_radius
 
 DIM_BUDGET = 4096
 TAIL_TOL = 1e-12
@@ -107,8 +107,8 @@ def _point_vector(amplitudes: np.ndarray, cfg: FockConfig) -> np.ndarray:
 def codeword_vector(c: Constellation, cfg: FockConfig, normalized: bool = True) -> np.ndarray:
     """Embed sum_z |z> for one constellation; optionally unit-normalize."""
     vec = np.zeros(cfg.dim, dtype=np.complex128)
-    for p in c.points:
-        vec += _point_vector(p.amplitudes, cfg)
+    for amplitudes in c.as_array():
+        vec += _point_vector(amplitudes, cfg)
     if normalized:
         vec = vec / np.linalg.norm(vec)
     return vec
@@ -119,45 +119,6 @@ def embed_codewords(code: QSCode, cfg: FockConfig) -> list[np.ndarray]:
     if code.modes != cfg.modes:
         raise QscError(f"code has {code.modes} modes, config expects {cfg.modes}")
     return [codeword_vector(c, cfg) for c in code.codewords]
-
-
-def annihilation(cutoff: int) -> np.ndarray:
-    a = np.zeros((cutoff, cutoff))
-    for k in range(1, cutoff):
-        a[k - 1, k] = math.sqrt(k)
-    return a
-
-
-def _apply_mode_operator(tensor: np.ndarray, op: np.ndarray, axis: int) -> np.ndarray:
-    moved = np.tensordot(op, tensor, axes=([1], [axis]))
-    return np.moveaxis(moved, 0, axis)
-
-
-def apply_monomial(vec: np.ndarray, e: MonomialError, cfg: FockConfig) -> np.ndarray:
-    """Apply prod_i (a_i^dag)^{r_i} a_i^{s_i} to a state vector."""
-    a = annihilation(cfg.cutoff)
-    ad = a.T.copy()
-    tensor = vec.reshape((cfg.cutoff,) * cfg.modes)
-    for axis in range(cfg.modes):
-        if e.s[axis]:
-            tensor = _apply_mode_operator(tensor, np.linalg.matrix_power(a, e.s[axis]), axis)
-        if e.r[axis]:
-            tensor = _apply_mode_operator(tensor, np.linalg.matrix_power(ad, e.r[axis]), axis)
-    return tensor.reshape(cfg.dim)
-
-
-def kl_matrix_fock(code: QSCode, e: MonomialError, cfg: FockConfig) -> np.ndarray:
-    """Recompute the KL matrix by direct truncated matrix algebra."""
-    if e.degree > 6:
-        raise QscError("the Fock oracle is rated for monomials of degree <= 6")
-    psis = embed_codewords(code, cfg)
-    K = len(psis)
-    out = np.zeros((K, K), dtype=np.complex128)
-    applied = [apply_monomial(p, e, cfg) for p in psis]
-    for mu in range(K):
-        for nu in range(K):
-            out[mu, nu] = np.vdot(psis[mu], applied[nu])
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,10 @@ principles with plain Python loops and cmath, on purpose: no power tables, no
 vectorization, no reuse of the package's enumeration helpers.  The phase
 symmetry oracle is the exception: it runs the package's own
 ``classify_symmetry`` on every candidate, with no prefilter, so it checks the
-candidate enumeration and not the classification.  The channel
+candidate enumeration and not the classification.  The JSON writer oracle
+formats every coordinate on its own, point by point.  The KL and channel
 oracles at the end work in a truncated Fock space with numpy, on the
-package's codeword embedding, and take different routes to the fidelities
+package's codeword embedding, and take different routes to their results
 than the package does.  Results from these functions are the source of the
 expected values asserted in the test suite.
 """
@@ -15,13 +16,14 @@ expected values asserted in the test suite.
 from __future__ import annotations
 
 import cmath
+import json
 import math
 from itertools import product
 
 import numpy as np
 
-from qsc.constellation import PassiveUnitary
-from qsc.fock import _apply_mode_operator, annihilation, embed_codewords
+from qsc.constellation import PassiveUnitary, QscError
+from qsc.fock import embed_codewords
 from qsc.symmetries import classify_symmetry
 
 
@@ -191,6 +193,81 @@ def brute_violations(radius_sq: float, labels: list[str],
                     d = distance(z, w)
                     if d <= tol_point:
                         out.append(("disjoint", labels[mu], i, labels[nu], j, d))
+    return out
+
+
+def _json_number(x: float) -> str:
+    out = format(float(x), ".17g")
+    if not any(ch in out for ch in ".eE") and out.lstrip("-").isdigit():
+        out += ".0"
+    return out
+
+
+def brute_code_to_json(code) -> str:
+    """The interchange document, formatted coordinate by coordinate from
+    each ``Point`` of each constellation."""
+    lines = ["{"]
+    lines.append(f'  "modes": {code.modes},')
+    lines.append(f'  "radius_sq": {_json_number(code.radius_sq)},')
+    lines.append('  "codewords": [')
+    for ci, c in enumerate(code.codewords):
+        lines.append("    {")
+        lines.append(f'      "label": {json.dumps(c.label)},')
+        lines.append('      "points": [')
+        points = c.points
+        for pi, p in enumerate(points):
+            entries = ", ".join(f"[{_json_number(z.real)}, {_json_number(z.imag)}]"
+                                for z in p.amplitudes)
+            comma = "," if pi < len(points) - 1 else ""
+            lines.append(f"        [{entries}]{comma}")
+        lines.append("      ]")
+        lines.append("    }" + ("," if ci < len(code.codewords) - 1 else ""))
+    lines.append("  ]")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# KL oracle: truncated Fock space, numpy
+# ---------------------------------------------------------------------------
+
+def annihilation(cutoff: int) -> np.ndarray:
+    a = np.zeros((cutoff, cutoff))
+    for k in range(1, cutoff):
+        a[k - 1, k] = math.sqrt(k)
+    return a
+
+
+def _apply_mode_operator(tensor: np.ndarray, op: np.ndarray, axis: int) -> np.ndarray:
+    moved = np.tensordot(op, tensor, axes=([1], [axis]))
+    return np.moveaxis(moved, 0, axis)
+
+
+def apply_monomial(vec: np.ndarray, e, cfg) -> np.ndarray:
+    """Apply prod_i (a_i^dag)^{r_i} a_i^{s_i} to a state vector."""
+    a = annihilation(cfg.cutoff)
+    ad = a.T.copy()
+    tensor = vec.reshape((cfg.cutoff,) * cfg.modes)
+    for axis in range(cfg.modes):
+        if e.s[axis]:
+            tensor = _apply_mode_operator(tensor, np.linalg.matrix_power(a, e.s[axis]), axis)
+        if e.r[axis]:
+            tensor = _apply_mode_operator(tensor, np.linalg.matrix_power(ad, e.r[axis]), axis)
+    return tensor.reshape(cfg.dim)
+
+
+def kl_matrix_fock(code, e, cfg) -> np.ndarray:
+    """The KL matrix of monomial error ``e`` by direct truncated matrix algebra
+    on the embedded codewords."""
+    if e.degree > 6:
+        raise QscError("the Fock oracle is rated for monomials of degree <= 6")
+    psis = embed_codewords(code, cfg)
+    K = len(psis)
+    out = np.zeros((K, K), dtype=np.complex128)
+    applied = [apply_monomial(p, e, cfg) for p in psis]
+    for mu in range(K):
+        for nu in range(K):
+            out[mu, nu] = np.vdot(psis[mu], applied[nu])
     return out
 
 

@@ -26,7 +26,7 @@ from qsc.constellation import (
 )
 
 import qsc.constellation as constellation_mod
-from brute_force import brute_min_separation, brute_violations
+from brute_force import brute_code_to_json, brute_min_separation, brute_violations
 from conftest import constellations_as_lists, random_unitary
 
 
@@ -59,6 +59,35 @@ def test_constellation_rejects_empty_and_mixed_modes():
         Constellation("c", [])
     with pytest.raises(DimensionMismatchError):
         Constellation("c", [Point([1.0]), Point([1.0, 0.0])])
+    for bad in (np.zeros((0, 2)), np.zeros((2, 0)), np.ones(3), np.array([[1.0, np.inf]])):
+        with pytest.raises(ValueError):
+            Constellation("c", bad)
+
+
+def test_constellation_stores_one_read_only_copy():
+    rows = np.array([[1.0, 0.0], [0.0, 1j]])
+    c = Constellation("c", rows)
+    rows[0, 0] = 5.0
+    assert c.as_array()[0, 0] == 1.0
+    assert not c.as_array().flags.writeable
+    assert c.points == (Point([1.0, 0.0]), Point([0.0, 1j]))
+    assert c == Constellation("c", [Point([1.0, 0.0]), [0.0, 1j]])
+    assert c != Constellation("d", rows[1:])
+
+
+def test_signed_zeros_compare_and_hash_equal():
+    plus, minus = Point([0j, 1.0]), Point([complex(-0.0, -0.0), 1.0])
+    assert plus == minus and hash(plus) == hash(minus)
+    assert len({plus, minus}) == 1 and minus in {plus}
+
+    def code(zero):
+        return QSCode(2, 4.0, [Constellation("0", [[2.0, zero]]),
+                               Constellation("1", [[zero, 2.0]])])
+
+    a, b = code(0j), code(complex(-0.0, -0.0))
+    assert a.codewords[0] == b.codewords[0] and hash(a.codewords[0]) == hash(b.codewords[0])
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1 and b in {a}
 
 
 def test_code_rejects_mode_mismatch():
@@ -373,6 +402,113 @@ _GOOD_CODEWORDS = [{"label": "0", "points": [[[2.0, 0.0]]]}]
 def test_json_malformed_documents_raise_code_format_error(doc):
     with pytest.raises(CodeFormatError):
         code_from_json(json.dumps(doc))
+
+
+def _one_codeword_document(points: str, modes: int = 1, label: str = "0") -> str:
+    """A document on the unit sphere whose only codeword has the given
+    ``points`` text."""
+    return ('{"modes": %d, "radius_sq": 1.0, "codewords": [{"label": %s, "points": %s}]}'
+            % (modes, json.dumps(label), points))
+
+
+def test_json_reads_the_one_codeword_document():
+    code = code_from_json(_one_codeword_document("[[[1.0, 0.0]], [[0, 1]]]"))
+    assert code.point_array.tolist() == [[1.0 + 0j], [1j]]
+
+
+@pytest.mark.parametrize("points", ['[[["1", 0.0]]]', '[[["1", "0"]]]', '[[[1.0, "0"]]]'])
+def test_json_rejects_string_coordinates(points):
+    with pytest.raises(CodeFormatError, match="JSON numbers"):
+        code_from_json(_one_codeword_document(points))
+
+
+@pytest.mark.parametrize("points", ['[[[true, 0.0]]]', '[[[1, false]]]', '[[[true, false]]]',
+                                    '[[[0.0, 1.0]], [[true, 0.0]]]'])
+def test_json_rejects_boolean_coordinates(points):
+    with pytest.raises(CodeFormatError, match="JSON numbers"):
+        code_from_json(_one_codeword_document(points))
+    # a label that spells a boolean is still a label
+    code = code_from_json(_one_codeword_document("[[[1.0, 0.0]]]", label="true or false"))
+    assert code.codewords[0].label == "true or false"
+
+
+@pytest.mark.parametrize("points,modes", [
+    ("[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 1.0]]]", 2),
+    ("[[[1.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]]]", 1),
+    ("[[[1.0, 0.0], [0.0]]]", 2),
+])
+def test_json_rejects_ragged_points(points, modes):
+    with pytest.raises(CodeFormatError):
+        code_from_json(_one_codeword_document(points, modes))
+
+
+@pytest.mark.parametrize("points", ["[[[1.0, 0.0, 0.0]]]", "[[[1.0]]]", "[[1.0, 0.0]]",
+                                    "[[[[1.0, 0.0]]]]", "[[]]", "[[[]]]", "[1.0]", '"1"'])
+def test_json_rejects_points_that_are_not_pairs(points):
+    with pytest.raises(CodeFormatError):
+        code_from_json(_one_codeword_document(points))
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_json_rejects_non_finite_tokens(token):
+    for points in (f"[[[{token}, 0.0]]]", f"[[[1.0, {token}]]]"):
+        with pytest.raises(CodeFormatError, match="finite"):
+            code_from_json(_one_codeword_document(points))
+
+
+# ---------------------------------------------------------------------------
+# the JSON writer against the per-coordinate oracle
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("energy", [1.0, 4.0, 16.0])
+def test_json_writer_matches_oracle_on_catalog(energy):
+    for entry in qsc.list_catalog():
+        code = entry.build(energy)
+        assert code_to_json(code) == brute_code_to_json(code), entry.entry_id
+
+
+@pytest.mark.parametrize("alpha", [1.7, 1.3 + 0.4j])
+@pytest.mark.parametrize("spec", [
+    qsc.ClassicalCodeSpec(2, 4, gen_x=[[1, 1, 1, 1]], gen_z=[[1, 1, 0, 0]]),
+    qsc.ClassicalCodeSpec(3, 4, gen_x=[[1, 2, 0, 1]], gen_z=[[2, 0, 0, 1]]),
+], ids=["q2", "q3"])
+def test_json_writer_matches_oracle_on_css(spec, alpha):
+    code = qsc.compile_css(spec, alpha)
+    assert code_to_json(code) == brute_code_to_json(code)
+
+
+# integral values below and at the 17-digit switch to exponent notation,
+# subnormal and extreme magnitudes, both zeros
+_EDGE_COORDINATES = [0.0, -0.0, 1.0, -2.0, 3.0, 1e16, -1e17, 2.0 ** 60, 1e-300, -1e-300,
+                     1e300, -1e300, 5e-324]
+
+
+@st.composite
+def raw_codes(draw):
+    """Codes with arbitrary finite coordinates, off any sphere."""
+    n = draw(st.integers(1, 3))
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    count = 2 * n * sum(sizes)
+    coordinate = st.one_of(st.sampled_from(_EDGE_COORDINATES),
+                           st.floats(allow_nan=False, allow_infinity=False))
+    Z = np.array(draw(st.lists(coordinate, min_size=count, max_size=count)))
+    Z = Z.view(np.complex128).reshape(-1, n)
+    starts = np.cumsum([0] + sizes)
+    return QSCode(n, draw(st.sampled_from([0.0, 1.0, 2.5, 1e-300, 1e300])),
+                  [Constellation(str(mu), Z[a:b]) for mu, (a, b) in
+                   enumerate(zip(starts[:-1], starts[1:]))])
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw_codes())
+def test_json_writer_round_trip_keeps_every_bit(code):
+    text = code_to_json(code)
+    assert text == brute_code_to_json(code)
+    # no tolerance admits an off-sphere point; squaring 1e300 overflows there
+    with np.errstate(over="ignore"):
+        loaded = code_from_json(text, tol_sphere=math.inf, tol_point=-1.0)
+    assert loaded == code
+    assert loaded.point_array.tobytes() == code.point_array.tobytes()
 
 
 def test_json_rejects_invalid_code_on_load():

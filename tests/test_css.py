@@ -131,6 +131,10 @@ def test_coset_leaders_are_weight_then_lex_ordered():
     code = compile_css(spec, 1.0)
     labels = [c.label for c in code.codewords]
     assert labels == ["0000", "0011", "0101", "0110"]
+    # the coset {011, 100} is led by its weight-1 word, not by the
+    # lexicographically first word 011
+    code = compile_css(ClassicalCodeSpec(2, 3, gen_x=[(1, 1, 1)]), 1.0)
+    assert [c.label for c in code.codewords] == ["000", "001", "010", "100"]
 
 
 def test_gen_z_row_rotation_is_z_type_when_contained_in_cx():
@@ -152,7 +156,7 @@ def test_gen_z_row_rotation_is_z_type_when_contained_in_cx():
 
 def test_css_properties_repetition():
     spec = ClassicalCodeSpec(2, 2, gen_x=[(1, 1)], gen_z=[])
-    props = css_properties(spec, alpha=2.0, max_degree=1, tol=0.05)
+    props = css_properties(spec, alpha=2.0)
     assert props.K == 2
     assert props.points_per_codeword == 2
     assert props.dual_z_size == 4

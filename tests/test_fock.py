@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import qsc
@@ -13,17 +13,20 @@ from qsc.kl import MonomialError, codeword_norm_sq, kl_matrix
 from qsc.fock import (
     FockConfig,
     TruncationError,
-    annihilation,
     codeword_vector,
     coherent_amplitudes,
     dephasing_channel_fidelity,
     embed_codewords,
-    kl_matrix_fock,
     loss_channel_fidelity,
 )
 from qsc.moments import multi_indices
 
-from brute_force import fock_loss_fidelity, quadrature_dephasing_fidelity
+from brute_force import (
+    annihilation,
+    fock_loss_fidelity,
+    kl_matrix_fock,
+    quadrature_dephasing_fidelity,
+)
 from conftest import random_three_point_code
 
 
@@ -257,7 +260,11 @@ def loss_codes(draw):
                          for mu, (a, b) in enumerate(zip(starts, starts[1:]))])
 
 
-@settings(max_examples=20, deadline=None)
+# loss_codes rejects short points and close pairs by design; Hypothesis also
+# feeds it the float literals of the scanned source files (tiny ones among
+# them), so for some seeds 50 draws fail before 10 pass
+@settings(max_examples=20, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
 @given(loss_codes())
 def test_exact_loss_matches_fock_oracle(code):
     assert loss_channel_fidelity(code, 0.0) == pytest.approx(1.0, abs=1e-12)
