@@ -42,14 +42,15 @@ class CatalogError(QscError):
 # ---------------------------------------------------------------------------
 
 def _quat_mul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    a1, b1, c1, d1 = p
-    a2, b2, c2, d2 = q
-    return np.array([
+    """Quaternion products p*q over the last axis, broadcast over the rest."""
+    a1, b1, c1, d1 = np.moveaxis(p, -1, 0)
+    a2, b2, c2, d2 = np.moveaxis(q, -1, 0)
+    return np.stack([
         a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
         a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
         a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
         a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
-    ])
+    ], axis=-1)
 
 
 def _right_multiplication_unitary(q: np.ndarray) -> PassiveUnitary:
@@ -63,17 +64,16 @@ def _right_multiplication_unitary(q: np.ndarray) -> PassiveUnitary:
     return PassiveUnitary(np.array([[w, -np.conj(v)], [v, np.conj(w)]]))
 
 
-def _binary_tetrahedral_group() -> list[np.ndarray]:
-    """The 24 unit quaternions {+-1,+-i,+-j,+-k, (+-1+-i+-j+-k)/2}."""
-    elements = []
-    for axis in range(4):
-        for sign in (1.0, -1.0):
-            v = np.zeros(4)
-            v[axis] = sign
-            elements.append(v)
-    for signs in itertools.product((0.5, -0.5), repeat=4):
-        elements.append(np.array(signs))
-    return elements
+# The 16 sign vectors of itertools.product((1.0, -1.0), repeat=4), as rows.
+_SIGNS4 = np.array(list(itertools.product((1.0, -1.0), repeat=4)))
+
+
+def _binary_tetrahedral_group() -> np.ndarray:
+    """The 24 unit quaternions {+-1,+-i,+-j,+-k, (+-1+-i+-j+-k)/2}, as rows:
+    +1 then -1 on each axis in turn, then the halves in sign-product order."""
+    units = np.zeros((8, 4))
+    units[np.arange(8), np.arange(8) // 2] = np.tile([1.0, -1.0], 4)
+    return np.vstack([units, _SIGNS4 / 2.0])
 
 
 # ---------------------------------------------------------------------------
@@ -106,21 +106,18 @@ def _cell24_pairing_class(v: np.ndarray) -> int:
 
 
 def _cell600_vertices() -> np.ndarray:
-    """The 120 vertices of the 600-cell at circumradius 1 (icosian group)."""
-    vertices = _binary_tetrahedral_group()   # the 24 vertices of an inscribed 24-cell
+    """The 120 vertices of the 600-cell at circumradius 1 (icosian group).
+
+    The 24 vertices of an inscribed 24-cell, then the 96 even permutations of
+    (+-phi, +-1, +-1/phi, 0)/2: permutation by permutation (in
+    itertools.permutations order), signs in product order.  The zero keeps
+    the sign +, since a - on it only repeats a vertex."""
     base = np.array([_GOLDEN / 2.0, 0.5, 1.0 / (2.0 * _GOLDEN), 0.0])
-    even_perms = [p for p in itertools.permutations(range(4))
-                  if _permutation_parity(p) == 0]
-    seen = set()
-    for perm in even_perms:
-        for signs in itertools.product((1.0, -1.0), repeat=4):
-            v = np.array([signs[k] * base[k] for k in range(4)])[list(perm)]
-            key = tuple(np.round(v, 12))
-            if key not in seen:
-                seen.add(key)
-                vertices.append(v)
-    assert len(vertices) == 120
-    return np.array(vertices)
+    perms = np.array([p for p in itertools.permutations(range(4))
+                      if _permutation_parity(p) == 0])
+    signed = _SIGNS4[::2] * base                    # (8, 4): sign of the zero is +
+    even = signed[:, perms].transpose(1, 0, 2).reshape(-1, 4)
+    return np.vstack([_binary_tetrahedral_group(), even])
 
 
 def _permutation_parity(perm: tuple[int, ...]) -> int:
@@ -245,22 +242,20 @@ def _build_cell600(E: float, partition: str = "one") -> QSCode:
 
 def _cell600_coset_partition(vertices: np.ndarray, z: np.ndarray) -> list[np.ndarray]:
     """Split the 120 icosians into five left cosets of the 24-element
-    binary tetrahedral subgroup; each coset is an inscribed 24-cell."""
+    binary tetrahedral subgroup; each coset is an inscribed 24-cell.  Each
+    coset is the first unassigned vertex times all 24 subgroup elements."""
     group = _binary_tetrahedral_group()
     assigned = np.full(len(vertices), -1)
     coset = 0
-    for start in range(len(vertices)):
-        if assigned[start] >= 0:
-            continue
-        for t in group:
-            img = _quat_mul(vertices[start], t)
-            dist = np.linalg.norm(vertices - img, axis=1)
-            hit = int(np.argmin(dist))
-            if dist[hit] > 1e-9:
-                raise CatalogError("coset element is not a 600-cell vertex")
-            assigned[hit] = coset
+    while np.any(assigned < 0):
+        images = _quat_mul(vertices[np.argmax(assigned < 0)], group)
+        dist = np.linalg.norm(vertices[None, :, :] - images[:, None, :], axis=2)
+        hit = np.argmin(dist, axis=1)
+        if np.any(dist[np.arange(len(group)), hit] > 1e-9):
+            raise CatalogError("coset element is not a 600-cell vertex")
+        assigned[hit] = coset
         coset += 1
-    assert coset == 5 and np.all(assigned >= 0)
+    assert coset == 5
     return [z[assigned == c] for c in range(5)]
 
 
@@ -396,22 +391,24 @@ class CatalogEntry:
         return build(self.name, E, **self.params)
 
 
-_DEFAULT_ENTRIES: list[tuple[str, dict, str]] = [
-    ("cat", {"S": 1, "K": 2}, "two-legged cat: antipodal pair on a circle"),
-    ("cat", {"S": 2, "K": 2}, "four-legged cat: 4th roots of unity, split by parity"),
-    ("cat", {"S": 3, "K": 2}, "six-legged cat: 6th roots of unity, split by parity"),
-    ("cat", {"S": 3, "K": 3}, "nine-point cat qutrit: 9th roots split mod 3"),
-    ("hypercube", {"n": 1}, "square (pi/4-rotated 4th roots), parity partition"),
-    ("hypercube", {"n": 2}, "16 vertices of the 4-cube in C^2, parity partition"),
-    ("orthoplex", {"n": 2}, "8 cross-polytope vertices in C^2, axis partition"),
-    ("cell24", {"partition": "one"}, "24-cell vertex set (single constellation)"),
-    ("cell24", {"partition": "three"}, "24-cell as three inscribed 16-cells"),
-    ("cell24", {"partition": "two"}, "24-cell as a 16-cell plus a tesseract"),
-    ("cell600", {"partition": "one"}, "600-cell vertex set (single constellation)"),
-    ("cell600", {"partition": "five"}, "600-cell as five inscribed 24-cells"),
-    ("gamma", {"n": 2, "q": 3}, "generalized hypercube over C^2, cubed roots"),
-    ("beta", {"n": 2, "q": 3}, "generalized orthoplex over C^2, cubed roots"),
-    ("hessian", {}, "27-vertex exceptional complex polytope in C^3"),
+# (name, params, (modes, points, codewords) of the built code, description);
+# Tier-1 checks every shape against a real build.
+_DEFAULT_ENTRIES: list[tuple[str, dict, tuple[int, int, int], str]] = [
+    ("cat", {"S": 1, "K": 2}, (1, 2, 2), "two-legged cat: antipodal pair on a circle"),
+    ("cat", {"S": 2, "K": 2}, (1, 4, 2), "four-legged cat: 4th roots of unity, split by parity"),
+    ("cat", {"S": 3, "K": 2}, (1, 6, 2), "six-legged cat: 6th roots of unity, split by parity"),
+    ("cat", {"S": 3, "K": 3}, (1, 9, 3), "nine-point cat qutrit: 9th roots split mod 3"),
+    ("hypercube", {"n": 1}, (1, 4, 2), "square (pi/4-rotated 4th roots), parity partition"),
+    ("hypercube", {"n": 2}, (2, 16, 2), "16 vertices of the 4-cube in C^2, parity partition"),
+    ("orthoplex", {"n": 2}, (2, 8, 2), "8 cross-polytope vertices in C^2, axis partition"),
+    ("cell24", {"partition": "one"}, (2, 24, 1), "24-cell vertex set (single constellation)"),
+    ("cell24", {"partition": "three"}, (2, 24, 3), "24-cell as three inscribed 16-cells"),
+    ("cell24", {"partition": "two"}, (2, 24, 2), "24-cell as a 16-cell plus a tesseract"),
+    ("cell600", {"partition": "one"}, (2, 120, 1), "600-cell vertex set (single constellation)"),
+    ("cell600", {"partition": "five"}, (2, 120, 5), "600-cell as five inscribed 24-cells"),
+    ("gamma", {"n": 2, "q": 3}, (2, 9, 3), "generalized hypercube over C^2, cubed roots"),
+    ("beta", {"n": 2, "q": 3}, (2, 6, 3), "generalized orthoplex over C^2, cubed roots"),
+    ("hessian", {}, (3, 27, 3), "27-vertex exceptional complex polytope in C^3"),
 ]
 
 
@@ -424,12 +421,11 @@ def _load_expected_properties() -> dict:
 
 
 def list_catalog() -> list[CatalogEntry]:
-    """All enabled catalog entries, with oracle-generated expected properties."""
+    """All enabled catalog entries, with oracle-generated expected properties.
+    Builds no code: each entry's shape comes from the table above."""
     expected = _load_expected_properties()
     entries = []
-    for name, params, desc in _DEFAULT_ENTRIES:
-        code = build(name, 1.0, **params)
-        entry = CatalogEntry(name, code.modes, sum(map(len, code.codewords)), code.K,
-                             dict(params), desc)
+    for name, params, (modes, points, K), desc in _DEFAULT_ENTRIES:
+        entry = CatalogEntry(name, modes, points, K, dict(params), desc)
         entries.append(replace(entry, expected_properties=dict(expected.get(entry.entry_id, {}))))
     return entries

@@ -23,7 +23,9 @@ per row on request (``Constellation.points``), never the storage.
 Geometric validity (common radius, no duplicate points, disjoint
 constellations) is checked by :func:`validate_code`, which reports violations
 as data rather than raising, so that invalid inputs can be inspected.  It and
-:func:`min_separation` share one chunked pass over the point-pair distances.
+:func:`min_separation` measure the point-pair distances in row blocks
+(:func:`distance_blocks`), each block from the first column it needs: the later
+points for the one, the points of later codewords for the other.
 The constructors only enforce structural invariants (shapes, finiteness).
 """
 
@@ -334,22 +336,31 @@ def chordal_distance(p: Point, q: Point) -> float:
     return float(np.linalg.norm(p.amplitudes - q.amplitudes))
 
 
-def distance_blocks(A: np.ndarray, B: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
-    """Distances |a - b| from every row of A to every row of B, in row blocks.
+def distance_blocks(A: np.ndarray, B: np.ndarray,
+                    first_columns: Optional[np.ndarray] = None
+                    ) -> Iterator[tuple[int, int, np.ndarray]]:
+    """Distances |a - b| from the rows of A to the rows of B, in row blocks.
 
-    Yields (first row, block) with block[i, j] = |A[first + i] - B[j]|.  The
-    distances come from the point differences, summed mode by mode, so each
-    temporary holds at most DISTANCE_BLOCK_PAIRS entries and no
-    (rows, len(B), n) tensor is ever formed.
+    Yields (first row, first column, block) with
+    block[i, j] = |A[first row + i] - B[first column + j]|.  A block starts at
+    the column ``first_columns`` gives its first row (nondecreasing, so that
+    a pass over the pairs j > i reads no earlier column), at 0 when it is
+    None; a block with no column left is skipped.  The distances come from
+    the point differences, summed mode by mode, so each temporary holds at
+    most DISTANCE_BLOCK_PAIRS entries and no (rows, len(B), n) tensor is
+    ever formed.
     """
     rows = max(1, DISTANCE_BLOCK_PAIRS // max(1, B.shape[0]))
     for first in range(0, A.shape[0], rows):
-        block = A[first:first + rows]
-        sq = np.zeros((block.shape[0], B.shape[0]))
+        col = 0 if first_columns is None else int(first_columns[first])
+        if col >= B.shape[0]:
+            continue
+        block, cols = A[first:first + rows], B[col:]
+        sq = np.zeros((block.shape[0], cols.shape[0]))
         for k in range(A.shape[1]):
-            diff = block[:, k, None] - B[None, :, k]
+            diff = block[:, k, None] - cols[None, :, k]
             sq += diff.real ** 2 + diff.imag ** 2
-        yield first, np.sqrt(sq)
+        yield first, col, np.sqrt(sq)
 
 
 def validate_code(code: QSCode, tol_sphere: float = TOL_SPHERE,
@@ -360,7 +371,8 @@ def validate_code(code: QSCode, tol_sphere: float = TOL_SPHERE,
     within ``tol_sphere``, no constellation contains duplicate points, and
     distinct constellations share no point (both within ``tol_point``).
     Violations come codeword by codeword (sphere, then duplicate, by point
-    index), then the disjointness violations in (mu, nu, i, j) order.
+    index), then the disjointness violations in (mu, nu, i, j) order.  Only
+    the point pairs g < h of the stacked frame are measured.
     """
     Z, index, local = code.point_array, code.codeword_index, code.index_in_codeword
     labels = [c.label for c in code.codewords]
@@ -369,18 +381,19 @@ def validate_code(code: QSCode, tol_sphere: float = TOL_SPHERE,
     for g in np.flatnonzero(res > tol_sphere):
         own[index[g]].append(Violation("sphere", labels[index[g]], int(local[g]),
                                        None, None, float(res[g])))
-    disjoint = []
-    for first, d in distance_blocks(Z, Z):
+    duplicates, disjoint = [], []
+    for first, col, d in distance_blocks(Z, Z, np.arange(1, len(Z) + 1)):
         rows = np.arange(first, first + d.shape[0])[:, None]
-        row_cw, col_cw = index[rows], index[None, :]
-        later_pair = (row_cw < col_cw) | ((row_cw == col_cw) & (rows > np.arange(len(Z))))
-        for g, h in zip(*np.nonzero((d <= tol_point) & later_pair)):
-            mu, nu, dist = index[g + first], index[h], float(d[g, h])
-            i, j = int(local[g + first]), int(local[h])
-            if mu == nu:
-                own[mu].append(Violation("duplicate", labels[mu], i, None, j, dist))
+        for g, h in zip(*np.nonzero((d <= tol_point) & (rows < np.arange(col, len(Z))))):
+            dist = float(d[g, h])
+            g, h = g + first, h + col
+            mu, nu = int(index[g]), int(index[h])
+            if mu == nu:   # reported from the later point, as (i, j) with i > j
+                duplicates.append((mu, int(local[h]), int(local[g]), dist))
             else:
-                disjoint.append((int(mu), int(nu), i, j, dist))
+                disjoint.append((mu, nu, int(local[g]), int(local[h]), dist))
+    for mu, i, j, dist in sorted(duplicates):
+        own[mu].append(Violation("duplicate", labels[mu], i, None, j, dist))
     violations = [v for vs in own for v in vs]
     violations += [Violation("disjoint", labels[mu], i, labels[nu], j, dist)
                    for mu, nu, i, j, dist in sorted(disjoint)]
@@ -392,20 +405,22 @@ def min_separation(code: QSCode) -> tuple[float, tuple[int, int, int, int]]:
 
     Returns the distance together with the witness (mu, nu, i, j); ties break
     to the lexicographically smallest witness so the output is deterministic.
-    One pass over the point pairs finds both.
+    One pass over the point pairs of distinct codewords mu < nu finds both:
+    each row block starts at the first point of the codeword after its own.
     """
     if code.K < 2:
         raise ValueError("min_separation needs at least two codewords")
     Z, index, local = code.point_array, code.codeword_index, code.index_in_codeword
+    next_start = np.append(code.codeword_starts[1:], len(Z))[index]
     best, witness = math.inf, None
-    for first, d in distance_blocks(Z, Z):
+    for first, col, d in distance_blocks(Z, Z, next_start):
         rows = np.arange(first, first + d.shape[0])
-        d = np.where(index[rows, None] < index[None, :], d, math.inf)
+        d = np.where(index[rows, None] < index[None, col:], d, math.inf)
         m = float(d.min())
         if m == math.inf or m > best:
             continue
         g, h = np.nonzero(d == m)
-        g = rows[g]
+        g, h = rows[g], h + col
         w = min(zip(index[g].tolist(), index[h].tolist(), local[g].tolist(), local[h].tolist()))
         if m < best or w < witness:
             best, witness = m, w

@@ -153,11 +153,13 @@ def _min_weight_outside(words: list[tuple], subspace: list[tuple]) -> Optional[i
     return min((sum(map(bool, w)) for w in words if w not in inside), default=None)
 
 
-def compile_css(spec: ClassicalCodeSpec, alpha: complex) -> QSCode:
+def compile_css(spec: ClassicalCodeSpec, alpha: complex,
+                dual_z: Optional[Sequence[tuple[int, ...]]] = None) -> QSCode:
     """Concatenate the CSS pair with the q-component cat constellations.
 
     Codewords are the cosets of C_X inside the dual of C_Z, labeled by coset
     leaders in (weight, lexicographic) order; K = |C_Z^perp| / |C_X|.
+    ``dual_z`` is ``spec.c_z_dual()`` when the caller has already enumerated it.
     """
     alpha = complex(alpha)
     if alpha == 0:
@@ -167,7 +169,7 @@ def compile_css(spec: ClassicalCodeSpec, alpha: complex) -> QSCode:
     # alpha w^b for every residue b, by Python's complex power: numpy's
     # differs from it in the last bits for some q and alpha
     phases = np.array([alpha * w ** b for b in range(q)])
-    dual = np.array(spec.c_z_dual())   # lexicographic order
+    dual = np.array(spec.c_z_dual() if dual_z is None else dual_z)   # lexicographic order
     # Two dual words lie in one coset of C_X iff they agree once each is
     # reduced by the reduced basis of C_X (its pivot columns zeroed).
     basis = np.array(_rref([list(r) for r in spec.gen_x], q), dtype=np.int64).reshape(-1, n)
@@ -211,7 +213,7 @@ def css_properties(spec: ClassicalCodeSpec, alpha: complex = 2.0) -> CssProperti
     if spec.length > 20:
         raise BudgetExceededError("weight enumeration is limited to length <= 20")
     c_x, dual_z = spec.c_x(), spec.c_z_dual()
-    code = compile_css(spec, alpha)
+    code = compile_css(spec, alpha, dual_z)
     sep = min_separation(code)[0] if code.K >= 2 else 0.0
     return CssProperties(
         q=spec.q,

@@ -11,9 +11,9 @@ and in :mod:`qsc.symmetries`.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from itertools import islice
 from typing import Iterator
 
 import numpy as np
@@ -61,17 +61,64 @@ def _check_tolerance(tol: float) -> None:
 
 
 def multi_indices(dim: int, max_degree: int) -> Iterator[tuple[int, ...]]:
-    """All nonnegative integer tuples with sum <= max_degree, graded lex order."""
-    def compositions(total: int, slots: int) -> Iterator[tuple[int, ...]]:
-        if slots == 1:
-            yield (total,)
-            return
-        for head in range(total + 1):
-            for rest in compositions(total - head, slots - 1):
-                yield (head,) + rest
+    """All nonnegative integer tuples with sum <= max_degree, graded lex order:
+    the rows of :func:`_index_table`."""
+    yield from map(tuple, _index_table(dim, max_degree).tolist())
 
+
+def _degree_table(dim: int, degree: int) -> np.ndarray:
+    """The tuples of ``dim`` entries summing to ``degree``, as the rows of an
+    integer array in lexicographic order.
+
+    By stars and bars, each tuple is a choice of dim - 1 bar positions among
+    degree + dim - 1 slots, its entries the gaps between the bars; the
+    choices come in lexicographic order, and so do the tuples.
+    """
+    slots = degree + dim - 1
+    choices = itertools.combinations(range(slots), dim - 1)
+    bars = np.fromiter(itertools.chain.from_iterable(choices), dtype=np.intp)
+    bars = bars.reshape(math.comb(slots, dim - 1), dim - 1)
+    return np.diff(bars, axis=1, prepend=-1, append=slots) - 1
+
+
+def _index_table(dim: int, max_degree: int) -> np.ndarray:
+    """The tuples of :func:`multi_indices` as the rows of one integer array,
+    degree by degree."""
+    return np.vstack([_degree_table(dim, d) for d in range(max_degree + 1)])
+
+
+def _index_blocks(dim: int, max_degree: int, rows: int) -> Iterator[np.ndarray]:
+    """The rows of :func:`_index_table` in consecutive blocks of ``rows`` rows
+    (the last may be shorter), built one degree at a time: the whole table
+    is never held."""
+    pending = np.empty((0, dim), dtype=np.intp)
     for degree in range(max_degree + 1):
-        yield from sorted(compositions(degree, dim))
+        pending = np.vstack([pending, _degree_table(dim, degree)])
+        while len(pending) >= rows:
+            yield pending[:rows]
+            pending = pending[rows:]
+    if len(pending):
+        yield pending
+
+
+def _index_position(rows: np.ndarray) -> np.ndarray:
+    """Position of each exponent row (last axis) in :func:`_index_table`,
+    whose order is graded, so the position does not depend on its max_degree.
+
+    A row e of degree d follows the comb(d - 1 + n, n) rows of lower degree
+    and, among those of degree d, the tuples that first fall below e at some
+    entry i: comb(r + k, k) - comb(r - e_i + k, k) of them, with r the degree
+    left from entry i on and k = n - 1 - i the entries after it.
+    """
+    n = rows.shape[-1]
+    degree = rows.sum(axis=-1)
+    top = int(degree.max(initial=0))
+    comb = np.array([[math.comb(r + k, k) for k in range(n + 1)] for r in range(top + 1)],
+                    dtype=np.intp)   # comb[r, k] = C(r + k, k) <= C(top + n, n)
+    left = degree[..., None] - np.cumsum(rows, axis=-1) + rows
+    after = np.arange(n - 1, -1, -1)
+    below = np.where(degree > 0, comb[degree - 1, n], 0)
+    return below + np.sum(comb[left, after] - comb[left - rows, after], axis=-1)
 
 
 def moment_indices(n: int, max_degree: int) -> Iterator[MomentIndex]:
@@ -206,10 +253,8 @@ def design_strength(code: QSCode, t_max: int, tol: float = DESIGN_TOL,
     sizes = np.array([len(c) for c in code.codewords])
     block = max(1, MOMENT_BLOCK_ENTRIES // max(len(z), code.K))
     sphere_res, match_res = np.zeros((2, t_max + 1))
-    indices = multi_indices(2 * n, t_max)
     # values[mu, j]: the average of block column j over codeword mu's points
-    while chunk := list(islice(indices, block)):
-        combined = np.array(chunk, dtype=np.intp)
+    for combined in _index_blocks(2 * n, t_max, block):
         p, q = combined[:, :n], combined[:, n:]
         vals = _moment_values(z, p, q)
         values = np.add.reduceat(vals, code.codeword_starts, axis=0) / sizes[:, None]

@@ -4,21 +4,25 @@ A passive unitary U sends coherent states to coherent states, |z> -> |Uz>, so
 a U that permutes the constellation points acts exactly on the uniform
 superposition codewords: it is a logical gate.  If it fixes every
 constellation setwise it is Z-type (a stabilizer of the logical identity);
-if it permutes the constellations it is X-type.
+if it permutes the constellations it is X-type.  One private function
+classifies a stack of unitaries at once, with one distance pass over all
+their images: :func:`classify_symmetry` is its one-unitary call, and
+:func:`enumerate_phase_symmetries` hands it the phase rotations of each block
+that pass a screen on a few pivot points.
 
 The vanishing ideal holds the polynomials g with g(z) = 0 at every
 constellation point.  Since g(a_1,...,a_n)|z> = g(z)|z>, each such g yields a
 jump operator that annihilates the whole codespace: the codespace is a dark
 space of the corresponding dissipator, which is the algebraic content of
 passive stabilization.  The ideal is reported by its generators, found
-degree by degree, so their degrees are the minimal jump-operator degrees.
+degree by degree, so their degrees are the minimal jump-operator degrees:
+one QR factorisation of the evaluation matrix serves every degree.
 Monomials are evaluated at the points by :func:`qsc.moments.monomial_values`,
 the evaluator the moments and KL matrices share.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -34,9 +38,10 @@ from .constellation import (
 from .moments import (
     BudgetExceededError,
     _check_tolerance,
+    _index_position,
+    _index_table,
     count_multi_indices,
     monomial_values,
-    multi_indices,
 )
 
 TOL_IDEAL = 1e-8
@@ -68,22 +73,48 @@ def classify_symmetry(code: QSCode, u: PassiveUnitary,
     """Match every image Uz back to the point set and read off the action."""
     if u.n != code.modes:
         raise DimensionMismatchError(f"unitary has n={u.n}, code has n={code.modes}")
-    points, index = code.point_array, code.codeword_index
-    images = points @ u.matrix.T
-    target = np.empty(len(points), dtype=np.intp)
-    for first, d in distance_blocks(images, points):
-        nearest = np.argmin(d, axis=1)
-        if np.any(d[np.arange(len(d)), nearest] > tol):
-            return SymmetryAction(u, None, None, NOT_A_SYMMETRY)
-        target[first:first + len(d)] = nearest
-    if len(np.unique(target)) != len(target):
+    maps, target, pi = _match_images(code, u.matrix[None], tol)
+    if not maps[0]:
         return SymmetryAction(u, None, None, NOT_A_SYMMETRY)
+    return _action(code, u, target[0], pi[0])
 
-    # each codeword must land inside one codeword, and no two in the same one
-    pi = index[target[code.codeword_starts]]
-    if np.any(index[target] != pi[index]) or len(np.unique(pi)) != code.K:
-        return SymmetryAction(u, None, None, NOT_A_SYMMETRY)
-    local = code.index_in_codeword
+
+def _match_images(code: QSCode, unitaries: np.ndarray, tol: float
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Classify the (B, n, n) stack ``unitaries`` on the code at once.
+
+    Returns ``maps`` (B,), whether each U permutes the points and maps each
+    codeword onto one codeword, no two onto the same; ``target`` (B, N), the
+    point nearest to each image Uz; and ``pi`` (B, K), the codeword each
+    codeword's first point lands in.  ``target`` and ``pi`` are meaningful
+    only where ``maps`` holds.
+    """
+    points, index = code.point_array, code.codeword_index
+    images = (points @ unitaries.transpose(0, 2, 1)).reshape(-1, code.modes)
+    target = np.empty(len(images), dtype=np.intp)
+    far = np.empty(len(images), dtype=bool)
+    for first, _, d in distance_blocks(images, points):
+        nearest = np.argmin(d, axis=1)
+        far[first:first + len(d)] = d[np.arange(len(d)), nearest] > tol
+        target[first:first + len(d)] = nearest
+    target = target.reshape(len(unitaries), -1)
+    pi = index[target[:, code.codeword_starts]]
+    maps = (~np.any(far.reshape(target.shape), axis=1) & _all_distinct(target)
+            & np.all(index[target] == pi[:, index], axis=1) & _all_distinct(pi))
+    return maps, target, pi
+
+
+def _all_distinct(rows: np.ndarray) -> np.ndarray:
+    """Whether the entries of each row are pairwise distinct."""
+    ordered = np.sort(rows, axis=1)
+    return np.all(ordered[:, 1:] != ordered[:, :-1], axis=1)
+
+
+def _action(code: QSCode, u: PassiveUnitary, target: np.ndarray,
+            pi: np.ndarray) -> SymmetryAction:
+    """The action of a symmetry u that sends point g to point target[g] and
+    codeword mu into codeword pi[mu]."""
+    index, local = code.codeword_index, code.index_in_codeword
     pairs = zip(index.tolist(), local.tolist(), index[target].tolist(), local[target].tolist())
     permutation = {(mu, i): (nu, j) for mu, i, nu, j in pairs}
     kind = Z_TYPE if np.array_equal(pi, np.arange(code.K)) else X_TYPE
@@ -102,9 +133,12 @@ def enumerate_phase_symmetries(code: QSCode, max_order: int,
     The candidates are screened in blocks on a few pivot points (for each
     mode, the first point of largest |z_k|): one distance pass rotates every
     pivot by every candidate of the block, and only candidates that send each
-    pivot onto some point go on to :func:`classify_symmetry`.  The pivot test
-    is a necessary condition, since a symmetry maps every point to a point,
-    so the result is the same as classifying every candidate.
+    pivot onto some point are classified.  The pivot test is a necessary
+    condition, since a symmetry maps every point to a point, so the result is
+    the same as classifying every candidate.  A block's survivors are
+    classified together by the function behind :func:`classify_symmetry`:
+    one distance pass matches every image of every point, and a
+    ``SymmetryAction`` is built only for a point permutation not seen before.
     """
     if max_order < 1:
         raise ValueError("max_order must be at least 1")
@@ -116,26 +150,32 @@ def enumerate_phase_symmetries(code: QSCode, max_order: int,
     points = code.point_array
     pivots = points[np.unique(np.argmax(np.abs(points), axis=0))]
     block = max(1, PHASE_BLOCK_ENTRIES // (len(pivots) * n))
-    seen_actions: set[tuple[tuple[tuple[int, int], tuple[int, int]], ...]] = set()
+    # survivors are classified in batches whose images (batch x N x n) stay
+    # within as many entries
+    batch = max(1, PHASE_BLOCK_ENTRIES // (len(points) * n))
+    seen: set[bytes] = set()
     found: list[SymmetryAction] = []
     for ks, ms in _phase_candidates(n, max_order, block):
-        images = np.exp(1j * (2.0 * np.pi * ks / ms[:, None]))[:, None, :] * pivots
+        phases = 2.0 * np.pi * ks / ms[:, None]
+        images = np.exp(1j * phases)[:, None, :] * pivots
         nearest = np.empty(len(ks) * len(pivots))
-        for first, d in distance_blocks(images.reshape(-1, n), points):
+        for first, _, d in distance_blocks(images.reshape(-1, n), points):
             nearest[first:first + len(d)] = np.min(d, axis=1)
         # twice the point tolerance: rounding in the two ways of forming an
         # image can never make this test reject a symmetry
         maps = np.all((nearest <= 2.0 * TOL_POINT).reshape(len(ks), len(pivots)), axis=1)
-        for k, m in zip(ks[maps].tolist(), ms[maps].tolist()):
-            u = PassiveUnitary.phase_rotation([2.0 * math.pi * kk / m for kk in k])
-            action = classify_symmetry(code, u)
-            if not action.is_symmetry:
-                continue
-            perm_key = tuple(sorted(action.point_permutation.items()))
-            if perm_key in seen_actions:
-                continue
-            seen_actions.add(perm_key)
-            found.append(action)
+        survivors = phases[maps]
+        for first in range(0, len(survivors), batch):
+            angles = survivors[first:first + batch]
+            unitaries = np.zeros((len(angles), n, n), dtype=np.complex128)
+            unitaries[:, np.arange(n), np.arange(n)] = np.exp(1j * angles)
+            symmetric, target, pi = _match_images(code, unitaries, TOL_POINT)
+            for b in np.flatnonzero(symmetric):
+                key = target[b].tobytes()
+                if key not in seen:
+                    seen.add(key)
+                    u = PassiveUnitary.phase_rotation(angles[b].tolist())
+                    found.append(_action(code, u, target[b], pi[b]))
     return found
 
 
@@ -200,6 +240,14 @@ def vanishing_ideal(code: QSCode, max_degree: int, tol_ideal: float = TOL_IDEAL,
     are dropped, and an orthonormal basis of the rest gives the new
     generators.  So the generator degrees are the minimal jump-operator
     degrees, and the multiples of the generators span the whole null space.
+
+    V is factored once, V = QR with orthonormal Q: the first c columns of V
+    are Q times the first c columns of R, so each degree's singular values
+    and right singular vectors come from the leading min(N, c) x c block of
+    R, and no N x N factor is ever formed.  When a degree's generators are
+    found, their multiples for every later degree are written by one indexed
+    assignment, through the positions of the monomials d + m in the graded
+    order; each later degree reads a slice of them.
     """
     if max_degree < 1:
         raise ValueError("max_degree must be at least 1")
@@ -209,37 +257,51 @@ def vanishing_ideal(code: QSCode, max_degree: int, tol_ideal: float = TOL_IDEAL,
     if n_cols > budget:
         raise BudgetExceededError(
             f"monomial enumeration needs {n_cols} columns, budget is {budget}")
-    monomials = list(multi_indices(n, max_degree))
-    position = {d: j for j, d in enumerate(monomials)}
-    V = monomial_values(code.point_array, monomials)
+    table = _index_table(n, max_degree)
+    ends = np.searchsorted(table.sum(axis=1), np.arange(max_degree + 1), side="right")
+    V = monomial_values(code.point_array, table)
     scales = np.max(np.abs(V), axis=0)
     scales[scales == 0.0] = 1.0
     V /= scales[None, :]
-    generators: list[tuple[int, np.ndarray]] = []   # (degree, coefficients)
+    R = np.linalg.qr(V, mode="r")
+    found: list[np.ndarray] = []   # each degree's generators, as coefficient rows
+    multiples: list[tuple[int, np.ndarray]] = []   # (degree, _multiples of its generators)
     for degree in range(1, max_degree + 1):
-        cols = count_multi_indices(n, degree)
-        _, sigma, Vh = np.linalg.svd(V[:, :cols], full_matrices=True)
+        cols = ends[degree]
+        _, sigma, Vh = np.linalg.svd(R[:min(len(V), cols), :cols])
         null = np.conj(Vh[int(np.sum(sigma > tol_ideal * sigma[0])):])  # V y = 0
-        multiples = []
-        for g_degree, coeffs in generators:
-            for m in multi_indices(n, degree - g_degree):
-                y = np.zeros(cols, dtype=np.complex128)
-                for j in np.flatnonzero(coeffs):
-                    k = position[tuple(a + b for a, b in zip(monomials[j], m))]
-                    y[k] = coeffs[j] * scales[k]
-                multiples.append(y / np.linalg.norm(y))
         if multiples and len(null):
-            # keep the null directions orthogonal to every multiple
-            _, s, Wh = np.linalg.svd(np.array(multiples) @ null.conj().T)
+            # keep the null directions orthogonal to every multiple z^m g
+            A = np.vstack([rows[:, :ends[degree - g_degree], :cols].reshape(-1, cols)
+                           for g_degree, rows in multiples])
+            _, s, Wh = np.linalg.svd(A @ null.conj().T)
             null = Wh[int(np.sum(s > tol_ideal * s[0])):] @ null
-        for y in null:
-            coeffs = np.zeros(len(monomials), dtype=np.complex128)
-            coeffs[:cols] = y / scales[:cols]
-            coeffs /= np.linalg.norm(coeffs)
-            coeffs[np.abs(coeffs) <= 1e-14 * np.max(np.abs(coeffs))] = 0.0
-            generators.append((degree, coeffs))
+        if not len(null):
+            continue
+        coeffs = np.zeros((len(null), len(table)), dtype=np.complex128)
+        coeffs[:, :cols] = null / scales[:cols]
+        coeffs /= np.linalg.norm(coeffs, axis=1, keepdims=True)
+        coeffs[np.abs(coeffs) <= 1e-14 * np.max(np.abs(coeffs), axis=1, keepdims=True)] = 0.0
+        found.append(coeffs)
+        if degree < max_degree:
+            multiples.append((degree, _multiples(coeffs, table, ends[max_degree - degree],
+                                                 cols, scales)))
+    monomials = list(map(tuple, table.tolist()))
     return [VanishingPolynomial({monomials[j]: complex(c[j]) for j in np.flatnonzero(c)},
-                                max_degree) for _, c in generators]
+                                max_degree) for gens in found for c in gens]
+
+
+def _multiples(coeffs: np.ndarray, table: np.ndarray, shifts: int, width: int,
+               scales: np.ndarray) -> np.ndarray:
+    """Unit rows [g, s] = z^m g, with m the exponent row s < ``shifts`` of
+    ``table``, over its scaled columns, for the generators g of one degree:
+    coefficient rows over the columns of ``table``, zero beyond ``width``.
+    Every d + m lies in the table, and one indexed assignment writes them all.
+    """
+    position = _index_position(table[None, :width, :] + table[:shifts, None, :])
+    rows = np.zeros((len(coeffs), shifts, len(table)), dtype=np.complex128)
+    rows[:, np.arange(shifts)[:, None], position] = coeffs[:, None, :width] * scales[position]
+    return rows / np.linalg.norm(rows, axis=2, keepdims=True)
 
 
 def verify_jump_annihilates(code: QSCode, g: VanishingPolynomial) -> float:

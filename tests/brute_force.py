@@ -3,9 +3,11 @@
 The moment, overlap, KL and geometry oracles are written from first
 principles with plain Python loops and cmath, on purpose: no power tables, no
 vectorization, no reuse of the package's enumeration helpers.  The phase
-symmetry oracle is the exception: it runs the package's own
-``classify_symmetry`` on every candidate, with no prefilter, so it checks the
-candidate enumeration and not the classification.  The JSON writer oracle
+symmetry oracle classifies every candidate on its own, with no prefilter,
+through a full distance table per candidate.  The loop versions of the
+package's array kernels live here too: the recursive monomial enumeration,
+the per-degree full-SVD vanishing ideal with term-by-term multiples, and the
+600-cell built vertex by vertex.  The JSON writer oracle
 formats every coordinate on its own, point by point.  The KL and channel
 oracles at the end work in a truncated Fock space with numpy, on the
 package's codeword embedding, and take different routes to their results
@@ -18,13 +20,13 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from itertools import product
+from itertools import permutations, product
 
 import numpy as np
 
 from qsc.constellation import PassiveUnitary, QscError
 from qsc.fock import embed_codewords
-from qsc.symmetries import classify_symmetry
+from qsc.symmetries import X_TYPE, Z_TYPE, SymmetryAction
 
 
 def normalize(point: list[complex]) -> list[complex]:
@@ -145,22 +147,150 @@ def brute_kl_matrix(constellations: list[list[list[complex]]],
 
 def brute_phase_symmetries(code, max_order: int) -> list:
     """Every phase candidate diag(exp(2 pi i k/m)) at its lowest order
-    m <= max_order, each classified by ``classify_symmetry`` with no
-    prefilter; the first candidate of each point permutation is kept."""
+    m <= max_order, classified on its own with no prefilter: every image is
+    matched to its nearest point through a full distance table, and the
+    codeword map is read from sets; the first candidate of each point
+    permutation is kept."""
+    labels = [(mu, i) for mu, c in enumerate(code.codewords) for i in range(len(c))]
+    points = np.vstack([c.as_array() for c in code.codewords])
     found, seen = [], set()
     for m in range(1, max_order + 1):
         for ks in product(range(m), repeat=code.modes):
             if math.gcd(m, *ks) != 1:
                 continue
-            u = PassiveUnitary.phase_rotation([2.0 * math.pi * k / m for k in ks])
-            action = classify_symmetry(code, u)
-            if not action.is_symmetry:
+            phases = [2.0 * math.pi * k / m for k in ks]
+            images = points * np.exp(1j * np.array(phases))
+            dist = np.sqrt(np.sum(np.abs(images[:, None, :] - points[None, :, :]) ** 2, axis=2))
+            nearest = dist.argmin(axis=1).tolist()
+            if dist[np.arange(len(points)), nearest].max() > 1e-9 or \
+                    len(set(nearest)) != len(points):
                 continue
-            key = tuple(sorted(action.point_permutation.items()))
+            perm = {labels[g]: labels[h] for g, h in enumerate(nearest)}
+            lands: dict[int, set] = {}
+            for (mu, _), (nu, _) in perm.items():
+                lands.setdefault(mu, set()).add(nu)
+            if any(len(nus) != 1 for nus in lands.values()):
+                continue
+            pi = tuple(min(lands[mu]) for mu in range(code.K))
+            key = tuple(sorted(perm.items()))
+            if len(set(pi)) != code.K or key in seen:
+                continue
+            seen.add(key)
+            kind = Z_TYPE if pi == tuple(range(code.K)) else X_TYPE
+            found.append(SymmetryAction(PassiveUnitary.phase_rotation(phases), perm, pi, kind))
+    return found
+
+
+def brute_multi_indices(dim: int, max_degree: int):
+    """All nonnegative integer tuples with sum <= max_degree, graded lex
+    order: each degree's compositions built recursively, then sorted."""
+    def compositions(total: int, slots: int):
+        if slots == 1:
+            yield (total,)
+            return
+        for head in range(total + 1):
+            for rest in compositions(total - head, slots - 1):
+                yield (head,) + rest
+
+    for degree in range(max_degree + 1):
+        yield from sorted(compositions(degree, dim))
+
+
+def brute_vanishing_ideal(code, max_degree: int, tol_ideal: float = 1e-8) -> list:
+    """Vanishing-ideal generators as (degree, {exponents: coefficient}), degree
+    by degree: a full SVD of each degree's scaled evaluation columns (plain
+    powers), the multiples z^m g built term by term, and the null directions
+    orthogonal to them kept."""
+    n = code.modes
+    monomials = list(brute_multi_indices(n, max_degree))
+    position = {d: j for j, d in enumerate(monomials)}
+    points = [p for c in code.codewords for p in c.as_array()]
+    V = np.array([[np.prod(z ** np.array(d)) for d in monomials] for z in points])
+    scales = np.max(np.abs(V), axis=0)
+    scales[scales == 0.0] = 1.0
+    V /= scales[None, :]
+    generators = []   # (degree, coefficients)
+    for degree in range(1, max_degree + 1):
+        cols = sum(1 for d in monomials if sum(d) <= degree)
+        _, sigma, Vh = np.linalg.svd(V[:, :cols], full_matrices=True)
+        null = np.conj(Vh[int(np.sum(sigma > tol_ideal * sigma[0])):])
+        multiples = []
+        for g_degree, coeffs in generators:
+            for m in brute_multi_indices(n, degree - g_degree):
+                y = np.zeros(cols, dtype=np.complex128)
+                for j in np.flatnonzero(coeffs):
+                    k = position[tuple(a + b for a, b in zip(monomials[j], m))]
+                    y[k] = coeffs[j] * scales[k]
+                multiples.append(y / np.linalg.norm(y))
+        if multiples and len(null):
+            _, s, Wh = np.linalg.svd(np.array(multiples) @ null.conj().T)
+            null = Wh[int(np.sum(s > tol_ideal * s[0])):] @ null
+        for y in null:
+            coeffs = np.zeros(len(monomials), dtype=np.complex128)
+            coeffs[:cols] = y / scales[:cols]
+            coeffs /= np.linalg.norm(coeffs)
+            coeffs[np.abs(coeffs) <= 1e-14 * np.max(np.abs(coeffs))] = 0.0
+            generators.append((degree, coeffs))
+    return [(degree, {monomials[j]: complex(c[j]) for j in np.flatnonzero(c)})
+            for degree, c in generators]
+
+
+def _quaternion_product(p, q) -> np.ndarray:
+    a1, b1, c1, d1 = p
+    a2, b2, c2, d2 = q
+    return np.array([
+        a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
+        a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+        a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
+        a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
+    ])
+
+
+def brute_binary_tetrahedral_group() -> list[np.ndarray]:
+    """The 24 unit quaternions {+-1,+-i,+-j,+-k, (+-1+-i+-j+-k)/2}, one by one."""
+    elements = []
+    for axis in range(4):
+        for sign in (1.0, -1.0):
+            v = np.zeros(4)
+            v[axis] = sign
+            elements.append(v)
+    for signs in product((0.5, -0.5), repeat=4):
+        elements.append(np.array(signs))
+    return elements
+
+
+def brute_cell600_vertices() -> np.ndarray:
+    """The 120 icosians: the binary tetrahedral group, then every even
+    permutation of every signed (phi, 1, 1/phi, 0)/2, repeats skipped."""
+    golden = (1.0 + math.sqrt(5.0)) / 2.0
+    vertices = brute_binary_tetrahedral_group()
+    base = np.array([golden / 2.0, 0.5, 1.0 / (2.0 * golden), 0.0])
+    even_perms = [p for p in permutations(range(4))
+                  if sum(1 for a in range(4) for b in range(a + 1, 4) if p[a] > p[b]) % 2 == 0]
+    seen = set()
+    for perm in even_perms:
+        for signs in product((1.0, -1.0), repeat=4):
+            v = np.array([signs[k] * base[k] for k in range(4)])[list(perm)]
+            key = tuple(np.round(v, 12))
             if key not in seen:
                 seen.add(key)
-                found.append(action)
-    return found
+                vertices.append(v)
+    return np.array(vertices)
+
+
+def brute_cell600_cosets(vertices: np.ndarray) -> np.ndarray:
+    """The left coset of the binary tetrahedral group holding each vertex,
+    numbered in order of first appearance, found one product at a time."""
+    assigned = np.full(len(vertices), -1)
+    coset = 0
+    for start in range(len(vertices)):
+        if assigned[start] >= 0:
+            continue
+        for t in brute_binary_tetrahedral_group():
+            dist = np.linalg.norm(vertices - _quaternion_product(vertices[start], t), axis=1)
+            assigned[int(np.argmin(dist))] = coset
+        coset += 1
+    return assigned
 
 
 def brute_violations(radius_sq: float, labels: list[str],

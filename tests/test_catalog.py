@@ -11,6 +11,8 @@ from qsc.constellation import chordal_distance, min_separation, orbit, validate_
 from qsc.moments import design_strength
 from qsc.symmetries import X_TYPE, enumerate_phase_symmetries
 
+from brute_force import brute_cell600_cosets, brute_cell600_vertices
+
 ENTRIES = list_catalog()
 
 
@@ -148,3 +150,26 @@ def test_expected_properties_fixture_regression():
             assert sep == pytest.approx(props["min_separation"], rel=1e-12)
         checked += 1
     assert checked == len(ENTRIES)
+
+
+def test_list_catalog_builds_nothing_and_lists_the_built_shapes(monkeypatch):
+    calls = []
+    monkeypatch.setattr(qsc.catalog, "build", lambda *a, **kw: calls.append(a))
+    entries = list_catalog()
+    assert calls == []
+    monkeypatch.undo()
+    for entry in entries:
+        for energy in (1.0, 4.0, 16.0):
+            code = build(entry.name, energy, **entry.params)
+            assert (entry.modes, entry.num_points, entry.num_codewords) == \
+                (code.modes, len(code.point_array), code.K), entry.entry_id
+
+
+def test_cell600_matches_loop_oracle():
+    vertices = qsc.catalog._cell600_vertices()
+    want = brute_cell600_vertices()
+    assert vertices.tobytes() == want.tobytes()   # every bit, signs of zeros included
+    z = qsc.catalog._real_to_complex(vertices)
+    cosets = brute_cell600_cosets(want)
+    groups = qsc.catalog._cell600_coset_partition(vertices, z)
+    assert [g.tobytes() for g in groups] == [z[cosets == c].tobytes() for c in range(5)]

@@ -522,3 +522,19 @@ def test_json_rejects_invalid_code_on_load():
     })
     with pytest.raises(CodeFormatError, match="sphere"):
         code_from_json(text)
+
+
+@pytest.mark.parametrize("block_pairs", [constellation_mod.DISTANCE_BLOCK_PAIRS, 7])
+def test_distance_blocks_start_at_their_first_column(block_pairs, monkeypatch):
+    monkeypatch.setattr(constellation_mod, "DISTANCE_BLOCK_PAIRS", block_pairs)
+    rng = np.random.default_rng(3)
+    A = rng.standard_normal((9, 2)) + 1j * rng.standard_normal((9, 2))
+    full = np.sqrt(np.sum(np.abs(A[:, None, :] - A[None, :, :]) ** 2, axis=2))
+    first_columns = np.array([1, 1, 3, 3, 3, 9, 9, 9, 9])
+    covered = np.zeros((9, 9), dtype=bool)
+    for first, col, d in constellation_mod.distance_blocks(A, A, first_columns):
+        assert col == first_columns[first] < 9
+        assert np.allclose(d, full[first:first + len(d), col:], rtol=1e-15, atol=0)
+        covered[first:first + len(d), col:] = True
+    # every pair a row needs is measured
+    assert all(covered[i, first_columns[i]:].all() for i in range(9))

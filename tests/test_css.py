@@ -205,3 +205,16 @@ def test_css_length_budget():
     object.__setattr__(spec, "length", 25)
     with pytest.raises(BudgetExceededError):
         css_properties(spec)
+
+
+def test_css_properties_enumerates_the_dual_once(monkeypatch):
+    spec = ClassicalCodeSpec(2, 5, gen_x=[(1, 1, 1, 1, 1)], gen_z=[(1, 1, 0, 0, 0)])
+    want = css_properties(spec, 2.0)
+    calls = []
+    dual = ClassicalCodeSpec.c_z_dual
+    monkeypatch.setattr(ClassicalCodeSpec, "c_z_dual",
+                        lambda self: calls.append(self) or dual(self))
+    got = css_properties(spec, 2.0)
+    assert len(calls) == 1
+    assert got == want
+    assert got.code == compile_css(spec, 2.0)

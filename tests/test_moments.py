@@ -12,17 +12,23 @@ from qsc.constellation import Constellation, DimensionMismatchError, PassiveUnit
 from qsc.moments import (
     BudgetExceededError,
     MomentIndex,
+    _index_blocks,
+    _index_position,
+    _index_table,
+    count_multi_indices,
     design_strength,
     moment,
     moment_indices,
     monomial_values,
     monte_carlo_sphere_average,
+    multi_indices,
     sphere_average,
 )
 
 from brute_force import (
     all_indices,
     brute_match_strength,
+    brute_multi_indices,
     brute_moment,
     brute_sphere_average,
     brute_sphere_strength,
@@ -251,3 +257,28 @@ def test_enumeration_is_graded_lexicographic():
         MomentIndex((0,), (2,)), MomentIndex((1,), (1,)), MomentIndex((2,), (0,)),
     ]
     assert seen == expected
+
+
+# Every degree 0-8 on dimensions 1-16, up to 20,000 tuples per dimension:
+# the recursive oracle needs seconds for the largest tables.
+@pytest.mark.parametrize("dim", range(1, 17))
+def test_multi_indices_match_recursive_oracle(dim):
+    top = max(d for d in range(9) if count_multi_indices(dim, d) <= 20_000)
+    oracle = list(brute_multi_indices(dim, top))
+    for degree in range(top + 1):
+        assert list(multi_indices(dim, degree)) == oracle[:count_multi_indices(dim, degree)]
+        table = _index_table(dim, degree)
+        assert table.shape == (count_multi_indices(dim, degree), dim)
+        assert np.array_equal(_index_position(table), np.arange(len(table)))
+    blocks = list(_index_blocks(dim, top, 7))
+    assert all(len(b) == 7 for b in blocks[:-1]) and 0 < len(blocks[-1]) <= 7
+    assert np.array_equal(np.vstack(blocks), _index_table(dim, top))
+
+
+def test_index_position_of_sums():
+    # position(d + m) for every pair in the degree-3 table of 3 modes
+    table = _index_table(3, 3)
+    lookup = {d: j for j, d in enumerate(brute_multi_indices(3, 6))}
+    sums = table[:, None, :] + table[None, :, :]
+    want = [[lookup[tuple(row)] for row in block.tolist()] for block in sums]
+    assert np.array_equal(_index_position(sums), np.array(want))

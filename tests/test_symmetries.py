@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qsc
 from qsc.constellation import Constellation, PassiveUnitary, Point, QSCode
@@ -18,7 +20,7 @@ from qsc.symmetries import (
     verify_jump_annihilates,
 )
 
-from brute_force import brute_phase_symmetries
+from brute_force import brute_phase_symmetries, brute_vanishing_ideal
 
 
 def phase(theta: float) -> PassiveUnitary:
@@ -282,21 +284,51 @@ def test_prefilter_matches_unfiltered_enumeration(energy):
             _actions(brute_phase_symmetries(code, 8)), entry.entry_id
 
 
-def test_prefilter_survivor_rejected_by_full_classification(monkeypatch):
+def test_prefilter_survivor_rejected_by_block_classification(monkeypatch):
     # the pivot is the first point, 2: the rotations by pi and pi/2 map it
     # onto a point, but send 2i and -2 to -2i, which is not a point
     code = QSCode(1, 4.0, [Constellation("0", [Point([2.0]), Point([-2.0])]),
                            Constellation("1", [Point([2j])])])
-    calls = []
-    classify = qsc.symmetries.classify_symmetry
-    monkeypatch.setattr(qsc.symmetries, "classify_symmetry",
-                        lambda c, u: calls.append(classify(c, u)) or calls[-1])
+    classified = []
+    match = qsc.symmetries._match_images
+
+    def recording(c, unitaries, tol):
+        maps, target, pi = match(c, unitaries, tol)
+        angles = np.angle(np.diagonal(unitaries, axis1=1, axis2=2))
+        classified.extend(zip(map(tuple, angles.tolist()), maps.tolist()))
+        return maps, target, pi
+
+    monkeypatch.setattr(qsc.symmetries, "_match_images", recording)
     actions = enumerate_phase_symmetries(code, 8)
     assert _actions(actions) == _actions(brute_phase_symmetries(code, 8))
     assert [a.unitary.per_mode_phases for a in actions] == [(0.0,)]
-    rejected = [a.unitary.per_mode_phases for a in calls if not a.is_symmetry]
-    assert rejected == [(math.pi,), (math.pi / 2,)]
-    assert len(calls) < 22   # every other candidate of order <= 8 is screened out
+    rejected = [angles for angles, maps in classified if not maps]
+    assert rejected == [pytest.approx((math.pi,)), pytest.approx((math.pi / 2,))]
+    assert len(classified) < 22   # every other candidate of order <= 8 is screened out
+
+
+@st.composite
+def phase_pattern_codes(draw):
+    """Codes whose points are alpha (w^b_1, ..., w^b_n), w = exp(2 pi i/q),
+    for distinct random patterns b on 1 or 2 modes, split into codewords."""
+    n = draw(st.integers(1, 2))
+    q = draw(st.integers(2, 6))
+    patterns = draw(st.lists(st.tuples(*[st.integers(0, q - 1)] * n),
+                             min_size=1, max_size=12, unique=True))
+    K = draw(st.integers(1, len(patterns)))
+    alpha = draw(st.sampled_from([0.7, 1.0, 1.5]))
+    groups = [patterns[mu::K] for mu in range(K)]
+    w = np.exp(2j * np.pi / q)
+    return QSCode(n, n * alpha ** 2, [
+        Constellation(str(mu), alpha * w ** np.array(g, dtype=float).reshape(len(g), n))
+        for mu, g in enumerate(groups)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(code=phase_pattern_codes(), max_order=st.integers(1, 8))
+def test_block_classification_matches_brute_force(code, max_order):
+    assert _actions(enumerate_phase_symmetries(code, max_order)) == \
+        _actions(brute_phase_symmetries(code, max_order))
 
 
 @pytest.mark.parametrize("name, params, max_order", [
@@ -319,3 +351,71 @@ def test_phase_symmetries_of_singleton_codewords_independent_of_block_size(monke
     assert default == _actions(brute_phase_symmetries(code, 2))
     monkeypatch.setattr(qsc.symmetries, "PHASE_BLOCK_ENTRIES", 1)
     assert _actions(enumerate_phase_symmetries(code, 2)) == default
+
+
+# ---------------------------------------------------------------------------
+# vanishing ideal against the per-degree full-SVD oracle
+# ---------------------------------------------------------------------------
+
+def _span_projectors(polys: list[dict], monomials: list) -> dict:
+    """Projector onto the span of each degree's generators (as term dicts)."""
+    lookup = {d: j for j, d in enumerate(monomials)}
+    out = {}
+    for degree in sorted({max(map(sum, terms)) for terms in polys}):
+        rows = [terms for terms in polys if max(map(sum, terms)) == degree]
+        basis = np.zeros((len(rows), len(monomials)), dtype=complex)
+        for i, terms in enumerate(rows):
+            for d, c in terms.items():
+                basis[i, lookup[d]] = c
+        q, _ = np.linalg.qr(basis.T)
+        out[degree] = q @ q.conj().T
+    return out
+
+
+def _permuted_within_codewords(code: QSCode, seed: int) -> QSCode:
+    rng = np.random.default_rng(seed)
+    return QSCode(code.modes, code.radius_sq,
+                  [Constellation(c.label, c.as_array()[rng.permutation(len(c))])
+                   for c in code.codewords])
+
+
+@pytest.mark.parametrize("energy", [1.0, 4.0, 16.0])
+def test_vanishing_ideal_matches_full_svd_oracle(energy):
+    from qsc.moments import multi_indices
+    for entry in qsc.list_catalog():
+        code = entry.build(energy)
+        monomials = list(multi_indices(code.modes, 6))
+        want = brute_vanishing_ideal(code, 6)
+        want_spans = _span_projectors([terms for _, terms in want], monomials)
+        for c in (code, _permuted_within_codewords(code, 1)):
+            got = vanishing_ideal(c, 6)
+            assert [g.degree for g in got] == [degree for degree, _ in want], entry.entry_id
+            got_spans = _span_projectors([g.terms for g in got], monomials)
+            assert got_spans.keys() == want_spans.keys()
+            for degree, projector in got_spans.items():
+                assert np.max(np.abs(projector - want_spans[degree])) < 1e-12, \
+                    (entry.entry_id, degree)
+            assert all(verify_jump_annihilates(c, g) < 1e-9 * max(1.0, energy ** 3)
+                       for g in got)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_vanishing_ideal_matches_oracle_on_random_points(seed):
+    # N generic points of C^2 with N = 5, 8 or 9 vanish on generators of two
+    # degrees, so that one degree holds both multiples and new generators
+    rng = np.random.default_rng(seed)
+    N = (5, 8, 9)[seed % 3]
+    g = rng.standard_normal((N, 2)) + 1j * rng.standard_normal((N, 2))
+    energy = float(rng.uniform(1.0, 16.0))
+    z = g / np.linalg.norm(g, axis=1, keepdims=True) * math.sqrt(energy)
+    code = QSCode(2, energy, [Constellation("0", z[:2]), Constellation("1", z[2:])])
+    from qsc.moments import multi_indices
+    monomials = list(multi_indices(2, 5))
+    want = brute_vanishing_ideal(code, 5)
+    got = vanishing_ideal(code, 5)
+    assert [g.degree for g in got] == [degree for degree, _ in want]
+    assert len({degree for degree, _ in want}) == 2
+    got_spans = _span_projectors([g.terms for g in got], monomials)
+    want_spans = _span_projectors([terms for _, terms in want], monomials)
+    for degree, projector in got_spans.items():
+        assert np.max(np.abs(projector - want_spans[degree])) < 1e-10
