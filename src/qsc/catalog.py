@@ -311,8 +311,8 @@ _BUILDERS: dict[str, Callable[..., QSCode]] = {
 
 def build(name: str, E: float, **options) -> QSCode:
     """Build a catalog code scaled to squared radius E."""
-    if E <= 0:
-        raise CatalogError("E must be positive")
+    if not (math.isfinite(E) and E > 0):
+        raise CatalogError("E must be finite and positive")
     try:
         builder = _BUILDERS[name]
     except KeyError:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -136,17 +137,6 @@ def cmd_kl(args: argparse.Namespace) -> int:
     code = _load_code(args.infile)
     report = detection_report(code, args.max_degree, args.tol,
                               include_dephasing_to=args.dephasing)
-    headers = ["error", "r", "s", "lambda", "delta", "pass"]
-    rows = []
-    for row in report.rows:
-        if row.kind == "monomial":
-            r, s = str(list(row.error.r)), str(list(row.error.s))
-        else:
-            r = s = "-"
-        rows.append([row.label(), r, s,
-                     f"{row.lam.real:+.6e}{row.lam.imag:+.6e}j",
-                     f"{row.delta:.6e}",
-                     "pass" if row.delta <= args.tol else "FAIL"])
     if args.json:
         print(json.dumps({
             "detection_degree": report.detection_degree,
@@ -159,6 +149,17 @@ def cmd_kl(args: argparse.Namespace) -> int:
                      for row in report.rows],
         }))
         return 0
+    headers = ["error", "r", "s", "lambda", "delta", "pass"]
+    rows = []
+    for row in report.rows:
+        if row.kind == "monomial":
+            r, s = str(list(row.error.r)), str(list(row.error.s))
+        else:
+            r = s = "-"
+        rows.append([row.label(), r, s,
+                     f"{row.lam.real:+.6e}{row.lam.imag:+.6e}j",
+                     f"{row.delta:.6e}",
+                     "pass" if row.delta <= args.tol else "FAIL"])
     print(f"detection degree = {report.detection_degree} at tol {args.tol:g}")
     _print_table(headers, [[c.replace(",", ";") for c in r] for r in rows])
     if args.csv:
@@ -264,7 +265,10 @@ def _parse_range(spec: str) -> tuple[float, float, int]:
         parts = [parts[0], parts[0], "1"]
     if len(parts) != 3 or int(parts[2]) < 1:
         raise ValueError(f"range must be start:stop:count with count >= 1, got {spec!r}")
-    return float(parts[0]), float(parts[1]), int(parts[2])
+    start, stop = float(parts[0]), float(parts[1])
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ValueError(f"range bounds must be finite, got {spec!r}")
+    return start, stop, int(parts[2])
 
 
 def cmd_table(args: argparse.Namespace) -> int:

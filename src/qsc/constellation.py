@@ -22,10 +22,14 @@ per row on request (``Constellation.points``), never the storage.
 
 Geometric validity (common radius, no duplicate points, disjoint
 constellations) is checked by :func:`validate_code`, which reports violations
-as data rather than raising, so that invalid inputs can be inspected.  It and
-:func:`min_separation` measure the point-pair distances in row blocks
-(:func:`distance_blocks`), each block from the first column it needs: the later
-points for the one, the points of later codewords for the other.
+as data rather than raising, so that invalid inputs can be inspected.  Its
+duplicate and disjointness checks, like the symmetry search of
+:mod:`qsc.symmetries`, only ask which points lie within a tolerance of
+another: one private matcher sorts the points' projections onto a fixed
+direction and measures only the pairs whose projections come that close.
+:func:`min_separation`, a true minimum, measures every pair of points of
+distinct codewords in row blocks (:func:`distance_blocks`), each block from
+the first point of the codeword after its own.
 The constructors only enforce structural invariants (shapes, finiteness).
 """
 
@@ -45,6 +49,10 @@ TOL_UNITARY = 1e-12
 # Point pairs per block of the chunked distance pass: each of its temporaries
 # stays within 128 kB however many points a code has.
 DISTANCE_BLOCK_PAIRS = 1 << 13
+# Point pairs up to which _pairs_within measures every pair, in one block (so
+# at most DISTANCE_BLOCK_PAIRS): below about a thousand pairs, sorting the
+# projections costs more than the distances it saves.
+SMALL_PAIRS = 1 << 9
 
 
 class QscError(Exception):
@@ -348,7 +356,8 @@ def distance_blocks(A: np.ndarray, B: np.ndarray,
     None; a block with no column left is skipped.  The distances come from
     the point differences, summed mode by mode, so each temporary holds at
     most DISTANCE_BLOCK_PAIRS entries and no (rows, len(B), n) tensor is
-    ever formed.
+    ever formed.  :func:`min_separation` reads its pairs this way; the
+    passes that only look for pairs within a tolerance measure fewer.
     """
     rows = max(1, DISTANCE_BLOCK_PAIRS // max(1, B.shape[0]))
     for first in range(0, A.shape[0], rows):
@@ -363,6 +372,77 @@ def distance_blocks(A: np.ndarray, B: np.ndarray,
         yield first, col, np.sqrt(sq)
 
 
+def _pairs_within(A: np.ndarray, B: Optional[np.ndarray], tol: float
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every pair of a row of A and a row of B at distance |a - b| <= tol, as
+    (rows of A, rows of B, distances) in no particular order; with B None,
+    the pairs g < h of rows of A.  A negative or NaN tolerance matches none.
+
+    The rows are projected onto one fixed direction u of their real
+    coordinates (re z_1, im z_1, re z_2, ...), with |u|_1 = 1: then
+    |u.(a - b)| <= |a - b|, and no projection exceeds the largest coordinate.
+    Only the pairs whose projections lie within tol plus a bound on their
+    rounding are measured, found by ``searchsorted`` in the sorted
+    projections of B, with the per-pair arithmetic of
+    :func:`distance_blocks` (so each distance has the same bits) and in
+    blocks of at most DISTANCE_BLOCK_PAIRS pairs.  The weights
+    u_k ~ 1/(k + pi) give distinct points with algebraic coordinates
+    distinct projections (pi is transcendental), so a code's points rarely
+    share one.  Up to SMALL_PAIRS pairs are all measured, unsorted.
+    """
+    same = B is None
+    B = A if same else B
+    if not tol >= 0:
+        blocks = [(np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp))]
+    elif (len(A) * (len(A) - 1) // 2 if same else len(A) * len(B)) <= SMALL_PAIRS:
+        every = (np.arange(len(A))[:, None] < np.arange(len(B)) if same
+                 else np.ones((len(A), len(B)), dtype=bool))
+        blocks = [np.nonzero(every)]
+    else:
+        blocks = _candidate_blocks(A, B, same, tol)
+    found = []
+    for i, j in blocks:
+        sq = np.zeros(len(i))
+        for m in range(A.shape[1]):
+            diff = A[i, m] - B[j, m]
+            sq += diff.real ** 2 + diff.imag ** 2
+        d = np.sqrt(sq)
+        keep = d <= tol
+        found.append((i[keep], j[keep], d[keep]))
+    return found[0] if len(found) == 1 else tuple(np.concatenate(x) for x in zip(*found))
+
+
+def _candidate_blocks(A: np.ndarray, B: np.ndarray, same: bool, tol: float
+                      ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The row pairs (i, j) of A and B whose projections lie within reach of
+    each other, in blocks of at most DISTANCE_BLOCK_PAIRS, at least one (see
+    :func:`_pairs_within`); with ``same``, each unordered pair once, i < j."""
+    u = 1.0 / (np.arange(2 * A.shape[1]) + np.pi)
+    u /= np.sum(u)
+    coords = [np.ascontiguousarray(X).view(np.float64) for X in (A, B)]
+    scale = max(float(np.max(np.abs(X))) for X in coords)
+    # a projection of 2n terms is off by at most about 2n eps times the
+    # largest coordinate, a computed distance by (n + 1) eps of itself, and
+    # the shifted bounds by eps of their size: 16 (n + 2) eps covers them all
+    reach = tol + 16 * (A.shape[1] + 2) * np.finfo(float).eps * (scale + tol)
+    pb = coords[1] @ u
+    order = np.argsort(pb, kind="stable")
+    pb = pb[order]
+    if same:    # the pairs of sorted positions k < l within reach
+        lo = np.arange(1, len(B) + 1)
+        hi = np.searchsorted(pb, pb + reach, side="right")
+    else:
+        pa = coords[0] @ u
+        lo = np.searchsorted(pb, pa - reach, side="left")
+        hi = np.searchsorted(pb, pa + reach, side="right")
+    ends = np.cumsum(hi - lo)   # candidate pairs of rows <= k, flattened
+    for first in range(0, max(1, int(ends[-1])), DISTANCE_BLOCK_PAIRS):
+        flat = np.arange(first, min(first + DISTANCE_BLOCK_PAIRS, int(ends[-1])))
+        k = np.searchsorted(ends, flat, side="right")
+        j = order[hi[k] - ends[k] + flat]
+        yield (np.minimum(order[k], j), np.maximum(order[k], j)) if same else (k, j)
+
+
 def validate_code(code: QSCode, tol_sphere: float = TOL_SPHERE,
                   tol_point: float = TOL_POINT) -> list[Violation]:
     """Check the code invariants and report each failure.
@@ -372,7 +452,9 @@ def validate_code(code: QSCode, tol_sphere: float = TOL_SPHERE,
     distinct constellations share no point (both within ``tol_point``).
     Violations come codeword by codeword (sphere, then duplicate, by point
     index), then the disjointness violations in (mu, nu, i, j) order.  Only
-    the point pairs g < h of the stacked frame are measured.
+    the point pairs g < h of the stacked frame whose projections onto a
+    fixed direction lie within ``tol_point`` are measured (by
+    :func:`_pairs_within`), with the arithmetic of :func:`distance_blocks`.
     """
     Z, index, local = code.point_array, code.codeword_index, code.index_in_codeword
     labels = [c.label for c in code.codewords]
@@ -382,16 +464,12 @@ def validate_code(code: QSCode, tol_sphere: float = TOL_SPHERE,
         own[index[g]].append(Violation("sphere", labels[index[g]], int(local[g]),
                                        None, None, float(res[g])))
     duplicates, disjoint = [], []
-    for first, col, d in distance_blocks(Z, Z, np.arange(1, len(Z) + 1)):
-        rows = np.arange(first, first + d.shape[0])[:, None]
-        for g, h in zip(*np.nonzero((d <= tol_point) & (rows < np.arange(col, len(Z))))):
-            dist = float(d[g, h])
-            g, h = g + first, h + col
-            mu, nu = int(index[g]), int(index[h])
-            if mu == nu:   # reported from the later point, as (i, j) with i > j
-                duplicates.append((mu, int(local[h]), int(local[g]), dist))
-            else:
-                disjoint.append((mu, nu, int(local[g]), int(local[h]), dist))
+    for g, h, dist in zip(*(x.tolist() for x in _pairs_within(Z, None, tol_point))):
+        mu, nu = int(index[g]), int(index[h])
+        if mu == nu:   # reported from the later point, as (i, j) with i > j
+            duplicates.append((mu, int(local[h]), int(local[g]), dist))
+        else:
+            disjoint.append((mu, nu, int(local[g]), int(local[h]), dist))
     for mu, i, j, dist in sorted(duplicates):
         own[mu].append(Violation("duplicate", labels[mu], i, None, j, dist))
     violations = [v for vs in own for v in vs]

@@ -220,8 +220,8 @@ def dephasing_channel_fidelity(code: QSCode, sigma: float, cfg: FockConfig) -> f
     truncated Fock space of ``cfg``, with the exact Kraus operators of the
     dephasing multiplier at that cutoff, compressed mode by mode (22 to 9 per
     mode for the 2-mode repetition cat code at E = 4, sigma = 0.1, cutoff 60)."""
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
+    if not (math.isfinite(sigma) and sigma >= 0):
+        raise ValueError(f"sigma must be finite and nonnegative, got {sigma}")
     _require_two_codewords(code)
     kraus = _dephasing_kraus(sigma, cfg.cutoff)
     completeness = reduce(np.kron, [np.sum(kraus ** 2, axis=0)] * cfg.modes)

@@ -20,12 +20,15 @@ where Z^r and Z^s are the columns of monomial values at the points, from
 :func:`qsc.moments.monomial_values`.  :func:`kl_matrix` is the single-error
 path: it evaluates this product as block sums of the N x N matrix
 conj(Z^r) O Z^s.  :func:`detection_report` covers every error of a report in
-one contraction: one ``monomial_values`` call gives every Z^s, the codeword
-block sums Y = O (C . Z^s)^T are formed once per block of s columns, and each
-r then needs one block sum of conj(Z^r) Y over the codewords, which gives the
-matrices of every s that r pairs with.  A report keeps only each matrix's
-summary.  Norms, with their imaginary-part and degeneracy checks, are computed
-once per code.
+one contraction, row first: one ``monomial_values`` call gives every Z^r and
+Z^s, the codeword block sums A_r = C (conj(Z^r) . O) are formed once per
+creation monomial r, and one block sum of A_r Z^s over the codewords gives
+the matrices of every s that r pairs with.  Only the pairs with s at or after
+r in the graded order are computed, which needs A_r only for 2|r| <= the
+degree bound (one N x N pass, for r = 0, at degree 1); the other half follows
+from the dagger identity <c_mu|E^dag|c_nu> = conj <c_nu|E|c_mu>.  A report
+keeps only each matrix's summary.  Norms, with their imaginary-part and
+degeneracy checks, are computed once per code.
 
 A code detects E when the matrix is proportional to the identity; the report
 records the deviation from that for every error up to a degree bound.
@@ -52,9 +55,10 @@ from .moments import (
 MAX_RADIUS_SQ = 600.0
 MAX_STIRLING = 20
 ERROR_BUDGET = 100_000
-# Entries of detection_report's largest temporary per block of error columns
-# s (N points times K codewords, or a block of rows times N points, times the
-# block's columns): 256 kB of complex.
+# Entries of detection_report's largest temporaries, 256 kB of complex: a
+# tile of conj(Z^r) . O (N points times a block of columns) and a tile of
+# A_r Z^s (K codewords times N points times a block of annihilation columns
+# s), for each creation monomial r of the computed half (s at or after r).
 KL_BLOCK_ENTRIES = 1 << 14
 
 
@@ -207,10 +211,13 @@ def _monomial_summaries(code: QSCode, monomials: list[tuple[int, ...]],
     as (M, M) arrays indexed by the positions of r and s in ``monomials``, the
     M monomials of degree <= max_degree in graded order.
 
-    Y[i, nu, s] = sum_{j in nu} O[i, j] Z^s[j] is formed once per block of s
-    columns; then one block sum of conj(Z^r) Y over the codewords gives the
-    K x K matrices of r with every s of the block.  The s that pair with r,
-    |s| <= max_degree - |r|, are a prefix of the graded order.
+    Row first: A_r[mu, j] = sum_{i in mu} conj(Z^r[i]) O[i, j] is formed once
+    for each creation monomial r that pairs with some s >= r in the graded
+    order (2|r| <= max_degree), and one block sum of A_r Z^s over the
+    codewords gives the K x K matrices of r with a tile of those s.  The s
+    that pair with r, |s| <= max_degree - |r|, are a prefix of the graded
+    order.  Every pair s < r follows from (s, r) through
+    <c_mu|E^dag|c_nu> = conj <c_nu|E|c_mu>: lambda conjugated, the same delta.
     """
     Z = monomial_values(code.point_array, monomials)
     O, starts = code.overlap, code.codeword_starts
@@ -218,28 +225,27 @@ def _monomial_summaries(code: QSCode, monomials: list[tuple[int, ...]],
     norms = np.sqrt(np.outer(code.codeword_norms_sq, code.codeword_norms_sq))[:, :, None]
     degrees = np.sum(monomials, axis=1)
     prefix = np.searchsorted(degrees, max_degree - degrees, side="right")
+    columns = max(1, KL_BLOCK_ENTRIES // N)
     width = max(1, KL_BLOCK_ENTRIES // (N * K))
-    rows = max(1, KL_BLOCK_ENTRIES // (N * width))
     diag = np.arange(K)
     lam = np.zeros((M, M), dtype=np.complex128)
     delta = np.zeros((M, M))
-    for first in range(0, M, width):
-        cols = slice(first, min(first + width, M))
-        Y = np.empty((N, K, cols.stop - first), dtype=np.complex128)
-        for i in range(0, N, rows):
-            Y[i:i + rows] = np.add.reduceat(O[i:i + rows, :, None] * Z[None, :, cols],
-                                            starts, axis=1)
-        for r in range(M):
-            stop = min(cols.stop, prefix[r])
-            if stop <= first:
-                break   # prefixes shrink as |r| grows
-            X = np.add.reduceat(np.conj(Z[:, r, None, None]) * Y[:, :, :stop - first],
-                                starts, axis=0)
+    A = np.empty((K, N), dtype=np.complex128)
+    for r in range(M):
+        if prefix[r] <= r:
+            break   # 2|r| > max_degree from here on
+        weights = np.conj(Z[:, r, None])
+        for j in range(0, N, columns):
+            A[:, j:j + columns] = np.add.reduceat(weights * O[:, j:j + columns], starts, axis=0)
+        for first in range(r, prefix[r], width):
+            stop = min(first + width, prefix[r])
+            X = np.add.reduceat(A[:, :, None] * Z[None, :, first:stop], starts, axis=1)
             X /= norms
             lam[r, first:stop] = np.trace(X) / K
             X[diag, diag] -= lam[r, first:stop]
             delta[r, first:stop] = np.max(np.abs(X), axis=(0, 1))
-    return lam, delta
+    below = np.arange(M)[:, None] > np.arange(M)[None, :]
+    return np.where(below, np.conj(lam.T), lam), np.where(below, delta.T, delta)
 
 
 def detection_report(code: QSCode, max_degree: int, tol: float,

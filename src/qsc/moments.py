@@ -76,9 +76,11 @@ def _degree_table(dim: int, degree: int) -> np.ndarray:
     """
     slots = degree + dim - 1
     choices = itertools.combinations(range(slots), dim - 1)
-    bars = np.fromiter(itertools.chain.from_iterable(choices), dtype=np.intp)
-    bars = bars.reshape(math.comb(slots, dim - 1), dim - 1)
-    return np.diff(bars, axis=1, prepend=-1, append=slots) - 1
+    bars = np.empty((math.comb(slots, dim - 1), dim + 1), dtype=np.intp)
+    bars[:, 0], bars[:, -1] = -1, slots
+    bars[:, 1:-1] = np.fromiter(itertools.chain.from_iterable(choices),
+                                dtype=np.intp).reshape(len(bars), dim - 1)
+    return bars[:, 1:] - bars[:, :-1] - 1
 
 
 def _index_table(dim: int, max_degree: int) -> np.ndarray:

@@ -5,8 +5,10 @@ a U that permutes the constellation points acts exactly on the uniform
 superposition codewords: it is a logical gate.  If it fixes every
 constellation setwise it is Z-type (a stabilizer of the logical identity);
 if it permutes the constellations it is X-type.  One private function
-classifies a stack of unitaries at once, with one distance pass over all
-their images: :func:`classify_symmetry` is its one-unitary call, and
+classifies a stack of unitaries at once, matching all their images to the
+points in one pass that measures only the image-point pairs whose sorted
+projections come within the tolerance (see :mod:`qsc.constellation`):
+:func:`classify_symmetry` is its one-unitary call, and
 :func:`enumerate_phase_symmetries` hands it the phase rotations of each block
 that pass a screen on a few pivot points.
 
@@ -33,7 +35,7 @@ from .constellation import (
     PassiveUnitary,
     QSCode,
     TOL_POINT,
-    distance_blocks,
+    _pairs_within,
 )
 from .moments import (
     BudgetExceededError,
@@ -87,16 +89,23 @@ def _match_images(code: QSCode, unitaries: np.ndarray, tol: float
     codeword onto one codeword, no two onto the same; ``target`` (B, N), the
     point nearest to each image Uz; and ``pi`` (B, K), the codeword each
     codeword's first point lands in.  ``target`` and ``pi`` are meaningful
-    only where ``maps`` holds.
+    only where ``maps`` holds.  One pass matches every image of every point:
+    it measures only the pairs of an image and a point whose projections lie
+    within ``tol``, and each image's target is its nearest point among them.
     """
     points, index = code.point_array, code.codeword_index
     images = (points @ unitaries.transpose(0, 2, 1)).reshape(-1, code.modes)
-    target = np.empty(len(images), dtype=np.intp)
-    far = np.empty(len(images), dtype=bool)
-    for first, _, d in distance_blocks(images, points):
-        nearest = np.argmin(d, axis=1)
-        far[first:first + len(d)] = d[np.arange(len(d)), nearest] > tol
-        target[first:first + len(d)] = nearest
+    g, h, d = _pairs_within(images, points, tol)
+    # each image's nearest point within tol, the first by index on a tie:
+    # the first pair of its image in (image, distance, point) order
+    ranked = np.lexsort((h, d, g))
+    g, h = g[ranked], h[ranked]
+    first = np.ones(len(g), dtype=bool)
+    first[1:] = g[1:] != g[:-1]
+    target = np.zeros(len(images), dtype=np.intp)
+    target[g[first]] = h[first]
+    far = np.ones(len(images), dtype=bool)
+    far[g] = False
     target = target.reshape(len(unitaries), -1)
     pi = index[target[:, code.codeword_starts]]
     maps = (~np.any(far.reshape(target.shape), axis=1) & _all_distinct(target)
@@ -131,14 +140,17 @@ def enumerate_phase_symmetries(code: QSCode, max_order: int,
     lowest-order representative of each action.
 
     The candidates are screened in blocks on a few pivot points (for each
-    mode, the first point of largest |z_k|): one distance pass rotates every
-    pivot by every candidate of the block, and only candidates that send each
-    pivot onto some point are classified.  The pivot test is a necessary
+    mode, the first point of largest |z_k|): every pivot is rotated by every
+    candidate of the block, one matching pass finds which images lie within
+    twice the point tolerance of some point, and only candidates that send
+    each pivot onto a point are classified.  The pivot test is a necessary
     condition, since a symmetry maps every point to a point, so the result is
     the same as classifying every candidate.  A block's survivors are
     classified together by the function behind :func:`classify_symmetry`:
-    one distance pass matches every image of every point, and a
-    ``SymmetryAction`` is built only for a point permutation not seen before.
+    one matching pass pairs every image of every point with the points near
+    it, and a ``SymmetryAction`` is built only for a point permutation not
+    seen before.  Both passes measure only the pairs whose projections onto
+    a fixed direction come within the tolerance.
     """
     if max_order < 1:
         raise ValueError("max_order must be at least 1")
@@ -158,12 +170,11 @@ def enumerate_phase_symmetries(code: QSCode, max_order: int,
     for ks, ms in _phase_candidates(n, max_order, block):
         phases = 2.0 * np.pi * ks / ms[:, None]
         images = np.exp(1j * phases)[:, None, :] * pivots
-        nearest = np.empty(len(ks) * len(pivots))
-        for first, _, d in distance_blocks(images.reshape(-1, n), points):
-            nearest[first:first + len(d)] = np.min(d, axis=1)
         # twice the point tolerance: rounding in the two ways of forming an
         # image can never make this test reject a symmetry
-        maps = np.all((nearest <= 2.0 * TOL_POINT).reshape(len(ks), len(pivots)), axis=1)
+        hit = np.zeros(len(ks) * len(pivots), dtype=bool)
+        hit[_pairs_within(images.reshape(-1, n), points, 2.0 * TOL_POINT)[0]] = True
+        maps = np.all(hit.reshape(len(ks), len(pivots)), axis=1)
         survivors = phases[maps]
         for first in range(0, len(survivors), batch):
             angles = survivors[first:first + batch]

@@ -326,6 +326,29 @@ def brute_violations(radius_sq: float, labels: list[str],
     return out
 
 
+def brute_pairs_within(A, B, tol: float) -> list[tuple[int, int, float]]:
+    """Every pair (i, j) of a row of A and a row of B at distance <= tol, or
+    with B None every pair i < j of rows of A, by a loop over all pairs:
+    sorted (i, j, distance) tuples.  The distance sums the squared real and
+    imaginary parts of the differences mode by mode, in Python floats, the
+    sum the package forms, so that both give the same bits."""
+    rows = [list(map(complex, a)) for a in A]
+    others = rows if B is None else [list(map(complex, b)) for b in B]
+    out = []
+    for i, a in enumerate(rows):
+        for j, b in enumerate(others):
+            if B is None and j <= i:
+                continue
+            sq = 0.0
+            for x, y in zip(a, b):
+                re, im = x.real - y.real, x.imag - y.imag
+                sq += re * re + im * im
+            d = math.sqrt(sq)
+            if d <= tol:
+                out.append((i, j, d))
+    return sorted(out)
+
+
 def _json_number(x: float) -> str:
     out = format(float(x), ".17g")
     if not any(ch in out for ch in ".eE") and out.lstrip("-").isdigit():

@@ -66,6 +66,12 @@ def test_cat_rejects_bad_parameters():
         build("cell24", 4.0, partition="seven")
 
 
+@pytest.mark.parametrize("energy", [math.nan, math.inf, -math.inf, 0.0])
+def test_build_rejects_energy_that_is_not_finite_and_positive(energy):
+    with pytest.raises(CatalogError, match="E must be finite and positive"):
+        build("cat", energy, S=1, K=2)
+
+
 def test_cell24_three_16cells():
     code = build("cell24", 1.0, partition="three")
     assert [len(c) for c in code.codewords] == [8, 8, 8]

@@ -30,6 +30,9 @@ def code_file(tmp_path):
     ["perf", "--gammas", "0:0.1:-1"],
     ["perf", "--gammas", "abc"],
     ["perf", "--cutoff", "1"],
+    ["perf", "--gammas", "nan"],
+    ["perf", "--channel", "dephasing", "--sigmas", "nan"],
+    ["perf", "--channel", "dephasing", "--sigmas", "inf"],
     ["symmetries", "--max-order", "0"],
     ["ideal", "--max-degree", "0"],
     ["design", "--tmax", "-1"],
@@ -38,6 +41,18 @@ def test_invalid_argument_values_are_usage_errors(argv, code_file, capsys):
     assert run(argv + ["--in", code_file]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["build", "--name", "cat", "--energy", "nan"],
+    ["build", "--name", "cat", "--energy", "inf"],
+    ["table", "--energy", "nan"],
+], ids=" ".join)
+def test_energy_that_is_not_finite_is_rejected_before_building(argv, capsys):
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "E must be finite and positive" in captured.err
 
 
 def test_unreadable_code_file_is_a_computation_error(tmp_path, capsys):

@@ -26,7 +26,12 @@ from qsc.constellation import (
 )
 
 import qsc.constellation as constellation_mod
-from brute_force import brute_code_to_json, brute_min_separation, brute_violations
+from brute_force import (
+    brute_code_to_json,
+    brute_min_separation,
+    brute_pairs_within,
+    brute_violations,
+)
 from conftest import constellations_as_lists, random_unitary
 
 
@@ -538,3 +543,128 @@ def test_distance_blocks_start_at_their_first_column(block_pairs, monkeypatch):
         covered[first:first + len(d), col:] = True
     # every pair a row needs is measured
     assert all(covered[i, first_columns[i]:].all() for i in range(9))
+
+
+def _matched(A, B, tol):
+    i, j, d = constellation_mod._pairs_within(A, B, tol)
+    return sorted(zip(i.tolist(), j.tolist(), d.tolist()))
+
+
+def _flat_direction(n: int) -> np.ndarray:
+    """A real direction of C^n (re z_1, im z_1, ...) orthogonal to the
+    matcher's projection direction u_k ~ 1/(k + pi)."""
+    u = 1.0 / (np.arange(2 * n) + np.pi)
+    w = np.zeros(2 * n)
+    w[0], w[1] = u[1], -u[0]
+    return w.view(np.complex128)
+
+
+def _matcher_inputs():
+    rng = np.random.default_rng(9)
+    cases = []
+    # a pair at distance d exactly, matched at d and d + 1 ulp, not at d - 1 ulp
+    a = np.array([[0.3 + 0.1j, -1.2 + 0.4j]])
+    b = a + np.array([[1e-9 + 2e-10j, -3e-10 + 0j]])
+    d = brute_pairs_within(a, b, math.inf)[0][2]
+    for tol in (np.nextafter(d, 0.0), d, np.nextafter(d, math.inf)):
+        cases.append((f"ulp-{tol!r}", np.vstack([a, b]), None, float(tol)))
+        cases.append((f"ulp-ab-{tol!r}", a, b, float(tol)))
+    # no tolerance below zero matches anything, not even a duplicate
+    cases.append(("negative", np.vstack([a, a, b]), None, -1.0))
+    cases.append(("nan", np.vstack([a, a, b]), None, math.nan))
+    # coordinates near 1e300: distinct points overflow to infinity, while
+    # duplicates are matched
+    huge = 1e300 * (rng.uniform(-1.5, 1.5, (40, 2)) + 1j * rng.uniform(-1.5, 1.5, (40, 2)))
+    cases.append(("huge", np.vstack([huge, huge[::3]]), None, 1e-9))
+    cases.append(("huge-ab", huge, huge[::-2], 1.0))
+    # pairs a few ulps apart, where rounding in the projections is as large
+    # as the tolerance: at unit scale and near 1e150 (squares near 1e300
+    # would overflow)
+    for name, points, tol in (("ulps-apart", rng.uniform(-2, 2, (60, 4)), 6e-16),
+                              ("large-ulps-apart", rng.uniform(-2e150, 2e150, (60, 4)), 6e134)):
+        nudged = points.copy()
+        for _ in range(3):
+            pick = rng.random(points.shape) < 0.5
+            nudged[pick] = np.nextafter(nudged[pick], np.where(rng.random(pick.sum()) < 0.5,
+                                                               -np.inf, np.inf))
+        both = np.vstack([points, nudged]).view(np.complex128)
+        cases.append((name, both, None, tol))
+        cases.append((name + "-ab", both[:len(points)], both[len(points):], tol))
+    # pairs just within the tolerance that share a coordinate of 1e7, whose
+    # projections round to multiples of an ulp larger than the tolerance
+    small = rng.uniform(-1, 1, (300, 3))
+    base = np.column_stack([1e7 + 1j * small[:, 0], small[:, 1] + 1j * small[:, 2]])
+    step = rng.standard_normal((300, 3))
+    step *= 0.95e-10 / np.linalg.norm(step, axis=1, keepdims=True)
+    partner = base + np.column_stack([1j * step[:, 0], step[:, 1] + 1j * step[:, 2]])
+    cases.append(("large-offset", np.vstack([base, partner]), None, 1e-10))
+    cases.append(("large-offset-ab", base, partner, 1e-10))
+    # points at the origin with a zero tolerance: every pair, and no margin
+    cases.append(("origin", np.zeros((30, 2), dtype=np.complex128), None, 0.0))
+    # many points sharing one projection, some within the tolerance of another
+    line = (0.5 - 0.25j) + np.outer(np.cumsum(rng.choice([0.5e-9, 2e-9], 700)), _flat_direction(1))
+    cases.append(("one-projection", line, None, 1e-9))
+    cases.append(("one-projection-ab", line[::2], line[1::2], 1e-9))
+    # duplicates across codewords, and pairs of two disjoint point sets
+    code = qsc.build("cell600", 4.0, partition="five")
+    Z = code.point_array
+    cases.append(("shared-points", np.vstack([Z, Z[::7], Z[3::11] + 1e-10]), None, 1e-9))
+    cases.append(("images", Z @ random_unitary(2, rng).T, Z, 1e-9))
+    cases.append(("images-near", np.vstack([Z[::5] * np.exp(0.3j), Z[1::4] + 3e-10]), Z, 1e-9))
+    cases.append(("everything", Z[:50], Z[10:90], math.inf))
+    return cases
+
+
+MATCHER_INPUTS = _matcher_inputs()
+
+
+# Blocks of 7 candidate pairs split each pass into many blocks; SMALL_PAIRS 0
+# sends every input through the sorted projections, 10**9 none.
+@pytest.mark.parametrize("block_pairs", [constellation_mod.DISTANCE_BLOCK_PAIRS, 7])
+@pytest.mark.parametrize("small_pairs", [0, constellation_mod.SMALL_PAIRS, 10 ** 9])
+@pytest.mark.parametrize("name, A, B, tol", MATCHER_INPUTS,
+                         ids=[case[0] for case in MATCHER_INPUTS])
+def test_pairs_within_match_all_pairs_loop(name, A, B, tol, block_pairs, small_pairs,
+                                           monkeypatch):
+    monkeypatch.setattr(constellation_mod, "DISTANCE_BLOCK_PAIRS", block_pairs)
+    monkeypatch.setattr(constellation_mod, "SMALL_PAIRS", small_pairs)
+    with np.errstate(over="ignore"):
+        mine = _matched(A, B, tol)
+    assert mine == brute_pairs_within(A, B, tol)
+
+
+def test_matcher_inputs_are_not_vacuous():
+    found = {name: len(brute_pairs_within(A, B, tol)) for name, A, B, tol in MATCHER_INPUTS}
+    assert [found[name] for name in found if name.startswith("ulp-")] == [0, 0, 1, 1, 1, 1]
+    assert found["negative"] == found["nan"] == 0
+    assert found["huge"] == 14 and found["huge-ab"] == 20
+    for name in ("one-projection", "one-projection-ab", "shared-points", "images-near",
+                 "ulps-apart", "ulps-apart-ab", "large-ulps-apart", "large-ulps-apart-ab"):
+        assert found[name] > 0
+    assert found["everything"] == 50 * 80
+    assert found["large-offset"] == found["large-offset-ab"] == 300
+    assert found["origin"] == 30 * 29 // 2
+
+
+def test_pairs_within_measure_only_candidates(monkeypatch):
+    """On a code whose points lie far apart, the pass measures the few pairs
+    whose projections come within reach, not the N (N - 1) / 2 pairs."""
+    calls, measured = [], []
+    candidate_blocks = constellation_mod._candidate_blocks
+
+    def counting(*args):
+        calls.append(args)
+        for i, j in candidate_blocks(*args):
+            measured.append(len(i))
+            yield i, j
+    monkeypatch.setattr(constellation_mod, "_candidate_blocks", counting)
+    code = qsc.build("cell600", 4.0, partition="five")
+    assert validate_code(code) == []
+    assert len(calls) == 1 and sum(measured) <= len(code.point_array)
+    # no tolerance below zero, or NaN, matches a pair: none is measured
+    for tol in (-1.0, math.nan):
+        assert validate_code(code, tol_point=tol) == []
+    assert len(calls) == 1
+    duplicated = QSCode(2, 4.0, list(code.codewords) + [code.codewords[2]])
+    assert len(validate_code(duplicated)) == 24
+    assert sum(measured) <= 2 * len(duplicated.point_array)

@@ -194,6 +194,12 @@ def test_dephasing_sigma_zero(two_legged):
         1.0, abs=1e-10)
 
 
+@pytest.mark.parametrize("sigma", [-0.1, math.nan, math.inf])
+def test_dephasing_rejects_sigma_that_is_not_finite_and_nonnegative(two_legged, sigma):
+    with pytest.raises(ValueError, match="sigma must be finite and nonnegative"):
+        dephasing_channel_fidelity(two_legged, sigma, CFG1)
+
+
 def test_dephasing_quadrature_convergence(two_legged):
     f32 = quadrature_dephasing_fidelity(two_legged, 0.1, CFG1, nodes=32,
                                         check_convergence=False)

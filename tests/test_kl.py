@@ -12,6 +12,7 @@ from qsc.constellation import Constellation, Point, QSCode
 from qsc.kl import (
     DegenerateConstellationError,
     MonomialError,
+    _summarize,
     codeword_norm_sq,
     coherent_overlap,
     dephasing_kl_matrix,
@@ -287,3 +288,39 @@ def test_detection_report_independent_of_block_size(code, monkeypatch):
     default = detection_report(code, degree, tol=1e-6)
     monkeypatch.setattr(qsc.kl, "KL_BLOCK_ENTRIES", 1)
     _assert_same_report(detection_report(code, degree, tol=1e-6), default)
+
+
+@st.composite
+def unequal_codes(draw):
+    """Random 1- to 3-mode codes of 2 or 3 codewords with distinct sizes 1-4."""
+    n = draw(st.integers(1, 3))
+    sizes = draw(st.lists(st.integers(1, 4), min_size=2, max_size=3, unique=True))
+    point = st.lists(amplitude, min_size=n, max_size=n)
+    cws = [draw(st.lists(point, min_size=m, max_size=m)) for m in sizes]
+    return QSCode(n, 0.0, [Constellation(str(mu), pts) for mu, pts in enumerate(cws)])
+
+
+def _assert_rows_match_kl_matrix(code):
+    report = detection_report(code, 2, tol=1e-6)
+    errors = [row.error for row in report.rows]
+    # the report holds both (r, s) and (s, r): half of them filled by the dagger
+    assert {e.dagger() for e in errors} == set(errors)
+    for row in report.rows:
+        lam, delta = _summarize(kl_matrix(code, row.error))
+        scale = 1e-12 * max(1.0, abs(lam))
+        assert abs(row.lam - lam) <= scale and abs(row.delta - delta) <= scale
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qsc.kl, "KL_BLOCK_ENTRIES", 1)
+        _assert_same_report(detection_report(code, 2, tol=1e-6), report)
+
+
+@settings(max_examples=40, deadline=None)
+@given(unequal_codes())
+def test_detection_rows_of_unequal_codewords_match_kl_matrix(code):
+    _assert_rows_match_kl_matrix(code)
+
+
+def test_detection_rows_of_cell24_two_match_kl_matrix():
+    code = qsc.build("cell24", 4.0, partition="two")
+    assert sorted(len(c) for c in code.codewords) == [8, 16]
+    _assert_rows_match_kl_matrix(code)

@@ -55,6 +55,22 @@ def test_point_permutation_is_bijection(four_legged):
     assert len(values) == sum(len(c) for c in four_legged.codewords)
 
 
+def test_images_match_their_nearest_point():
+    # points 0.5e-9 apart, both within the tolerance of each image: each
+    # image goes to its nearest point, not to the first point in reach
+    code = QSCode(1, 4.0, [Constellation("0", [[2.0], [2.0 + 0.5e-9j]]),
+                           Constellation("1", [[-2.0]])])
+    action = classify_symmetry(code, PassiveUnitary(np.eye(1)))
+    assert action.classification == Z_TYPE
+    assert action.point_permutation == {(0, 0): (0, 0), (0, 1): (0, 1), (1, 0): (1, 0)}
+
+
+def test_an_image_matching_no_point_is_not_a_symmetry():
+    code = QSCode(1, 4.0, [Constellation("0", [[2.0]])])
+    assert classify_symmetry(code, phase(0.3)).classification == NOT_A_SYMMETRY
+    assert classify_symmetry(code, phase(0.0)).classification == Z_TYPE
+
+
 def test_classify_dimension_mismatch(four_legged):
     with pytest.raises(qsc.DimensionMismatchError):
         classify_symmetry(four_legged, PassiveUnitary(np.eye(2)))
