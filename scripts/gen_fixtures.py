@@ -74,7 +74,7 @@ def perf_fixtures() -> dict:
 
     spec = qsc.ClassicalCodeSpec(2, 2, gen_x=[[1, 1]], gen_z=[])
     css_code = qsc.compile_css(spec, complex(2.0 ** 0.5))  # E = 2|alpha|^2 = 4
-    cfg2 = FockConfig(cutoff=60, modes=2, dim_budget=3600)
+    cfg2 = FockConfig(cutoff=60, modes=2)
     dephasing = {
         "two_legged_E4_sigma0.1": dephasing_channel_fidelity(two, 0.1, cfg),
         "four_legged_E4_sigma0.1": dephasing_channel_fidelity(four, 0.1, cfg),

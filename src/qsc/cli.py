@@ -238,8 +238,6 @@ def cmd_perf(args: argparse.Namespace) -> int:
     start, stop, count = _parse_range(args.gammas if args.channel == "loss" else args.sigmas)
     levels = np.linspace(start, stop, count)
     if args.channel == "dephasing":
-        if code.modes > 2:
-            raise QscError(f"dephasing runs on 1 or 2 modes; the code has {code.modes}")
         cfg = fock_mod.FockConfig(cutoff=args.cutoff, modes=code.modes)
     rows = []
     for level in levels:
@@ -377,7 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "recovery.  Loss is exact in the code's coherent frame, for any "
                     "number of modes; dephasing uses the exact Kraus operators of the "
                     "Gaussian phase multiplier on a Fock space truncated at --cutoff "
-                    "(1 or 2 modes).")
+                    "per mode, on any number of modes with cutoff^modes <= "
+                    f"{fock_mod.DIM_BUDGET}.")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--channel", choices=["loss", "dephasing"], default="loss")
     p.add_argument("--gammas", default="0.001:0.05:10",

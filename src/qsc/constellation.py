@@ -278,14 +278,13 @@ class PassiveUnitary:
     per_mode_phases: Optional[tuple[float, ...]] = field(default=None)
 
     def __init__(self, matrix: Iterable[Iterable[complex]],
-                 per_mode_phases: Optional[Sequence[float]] = None,
-                 tol_unitary: float = TOL_UNITARY):
+                 per_mode_phases: Optional[Sequence[float]] = None):
         mat = np.asarray(matrix, dtype=np.complex128)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError("a passive unitary must be a square matrix")
         dev = np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[0])))
-        if dev > tol_unitary:
-            raise ValueError(f"matrix is not unitary (deviation {dev:.3e} > {tol_unitary:.1e})")
+        if dev > TOL_UNITARY:
+            raise ValueError(f"matrix is not unitary (deviation {dev:.3e} > {TOL_UNITARY:.1e})")
         object.__setattr__(self, "matrix", _read_only(mat.copy()))
         object.__setattr__(self, "per_mode_phases",
                            None if per_mode_phases is None else tuple(float(t) for t in per_mode_phases))

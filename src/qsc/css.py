@@ -28,12 +28,7 @@ class CssError(QscError):
 
 
 def _is_prime(q: int) -> bool:
-    if q < 2:
-        return False
-    for d in range(2, int(math.isqrt(q)) + 1):
-        if q % d == 0:
-            return False
-    return True
+    return q >= 2 and all(q % d for d in range(2, math.isqrt(q) + 1))
 
 
 def _as_matrix(rows: Sequence[Sequence[int]], length: int, q: int) -> tuple[tuple[int, ...], ...]:
@@ -68,10 +63,9 @@ def _rref(rows: list[list[int]], q: int) -> list[list[int]]:
     return [row for row in mat[:pivot_row] if any(row)]
 
 
-def _row_space(rows: Sequence[Sequence[int]], length: int, q: int,
-               budget: int = CODE_SIZE_BUDGET) -> list[tuple[int, ...]]:
+def _row_space(rows: Sequence[Sequence[int]], length: int, q: int) -> list[tuple[int, ...]]:
     basis = _rref([list(r) for r in rows], q) if rows else []
-    if q ** len(basis) > budget:
+    if q ** len(basis) > CODE_SIZE_BUDGET:
         raise BudgetExceededError(f"code with {q}^{len(basis)} words exceeds the budget")
     return _span(basis, length, q)
 
@@ -86,15 +80,12 @@ def _span(basis: list[list[int]], length: int, q: int) -> list[tuple[int, ...]]:
     return list(map(tuple, words[np.lexsort(words.T[::-1])].tolist()))
 
 
-def _null_space(rows: Sequence[Sequence[int]], length: int, q: int,
-                budget: int = CODE_SIZE_BUDGET) -> list[tuple[int, ...]]:
+def _null_space(rows: Sequence[Sequence[int]], length: int, q: int) -> list[tuple[int, ...]]:
     """All x in Z_q^length with row . x = 0 mod q for every generator row."""
     basis = _rref([list(r) for r in rows], q) if rows else []
-    pivots = []
-    for row in basis:
-        pivots.append(next(i for i, x in enumerate(row) if x))
+    pivots = [next(i for i, x in enumerate(row) if x) for row in basis]
     free_cols = [i for i in range(length) if i not in pivots]
-    if q ** len(free_cols) > budget:
+    if q ** len(free_cols) > CODE_SIZE_BUDGET:
         raise BudgetExceededError(f"dual code: {q}^{len(free_cols)} words exceed the budget")
     kernel_basis = []
     for fc in free_cols:
@@ -230,11 +221,5 @@ def css_properties(spec: ClassicalCodeSpec, alpha: complex = 2.0) -> CssProperti
 
 def read_generator_file(path: str) -> list[list[int]]:
     """Rows of space-separated residues, one per line; blank lines ignored."""
-    rows = []
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            rows.append([int(tok) for tok in line.split()])
-    return rows
+        return [[int(tok) for tok in line.split()] for line in fh if line.strip()]

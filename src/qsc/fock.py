@@ -19,9 +19,10 @@ orthonormal codewords E_j |e_mu>, which one function turns into the fidelity.
   are formed.  No quadrature is involved.
 
 The embedding (``embed_codewords``) writes each codeword as an explicit
-number-basis vector, the sum of its points' coherent states, and is capped at
-two modes.  The test suite's Fock oracles, KL matrices by sandwiching
-truncated ladder operators among them, start from it.
+number-basis vector, the sum of its points' coherent states, on any number of
+modes whose joint dimension cutoff^modes fits ``DIM_BUDGET``.  The test
+suite's Fock oracles, KL matrices by sandwiching truncated ladder operators
+among them, start from it.
 """
 
 from __future__ import annotations
@@ -33,8 +34,9 @@ from functools import reduce
 import numpy as np
 
 from .constellation import Constellation, QSCode, QscError
-from .kl import _check_radius
 
+# Largest joint Fock dimension cutoff^modes of the truncated simulation, the
+# length of each embedded codeword: cutoff 64 on 2 modes, 16 on 3, 8 on 4.
 DIM_BUDGET = 4096
 TAIL_TOL = 1e-12
 COMPLETENESS_TOL = 1e-8
@@ -65,17 +67,16 @@ class FockConfig:
 
     cutoff: int
     modes: int
-    dim_budget: int = DIM_BUDGET
 
     def __post_init__(self):
         if self.cutoff < 2:
             raise ValueError("cutoff must be at least 2")
-        if self.modes < 1 or self.modes > 2:
-            raise ValueError("the Fock oracle supports 1 or 2 modes")
-        if self.cutoff ** self.modes > self.dim_budget:
+        if self.modes < 1:
+            raise ValueError("modes must be at least 1")
+        if self.cutoff ** self.modes > DIM_BUDGET:
             raise QscError(
-                f"Hilbert dimension {self.cutoff ** self.modes} exceeds the "
-                f"budget {self.dim_budget}")
+                f"Hilbert dimension cutoff^modes = {self.cutoff}^{self.modes} = "
+                f"{self.cutoff ** self.modes} exceeds the budget {DIM_BUDGET}")
 
     @property
     def dim(self) -> int:
@@ -192,7 +193,6 @@ def loss_channel_fidelity(code: QSCode, gamma: float) -> float:
     if not 0.0 <= gamma < 1.0:
         raise ValueError("gamma must lie in [0, 1)")
     _require_two_codewords(code)
-    _check_radius(code)
     norms = code.codeword_norms_sq
     index = code.codeword_index
     inv_sqrt = _inverse_sqrt(code.codeword_sums(code.overlap) / np.sqrt(np.outer(norms, norms)))

@@ -41,7 +41,7 @@ from typing import Optional
 
 import numpy as np
 
-from .constellation import Constellation, DimensionMismatchError, QSCode, QscError
+from .constellation import Constellation, DimensionMismatchError, QSCode
 # re-exported: kl_matrix raises it through QSCode.codeword_norms_sq
 from .constellation import DegenerateConstellationError  # noqa: F401
 from .moments import (
@@ -52,7 +52,6 @@ from .moments import (
     multi_indices,
 )
 
-MAX_RADIUS_SQ = 600.0
 MAX_STIRLING = 20
 ERROR_BUDGET = 100_000
 # Entries of detection_report's largest temporaries, 256 kB of complex: a
@@ -115,18 +114,10 @@ def codeword_norm_sq(c: Constellation) -> float:
     return float(QSCode(c.n, 0.0, [c]).codeword_norms_sq[0])
 
 
-def _check_radius(code: QSCode) -> None:
-    if code.radius_sq > MAX_RADIUS_SQ:
-        raise QscError(
-            f"radius_sq={code.radius_sq} exceeds the supported maximum {MAX_RADIUS_SQ}; "
-            "coherent overlaps would underflow")
-
-
 def kl_matrix(code: QSCode, e: MonomialError) -> np.ndarray:
     """K x K matrix of <c_mu| E |c_nu> over unit-normalized codewords."""
     if e.n != code.modes:
         raise DimensionMismatchError(f"error has n={e.n}, code has n={code.modes}")
-    _check_radius(code)
     z_r, z_s = monomial_values(code.point_array, [e.r, e.s]).T
     weighted = code.overlap * np.conj(z_r)[:, None]
     weighted *= z_s[None, :]
@@ -249,8 +240,7 @@ def _monomial_summaries(code: QSCode, monomials: list[tuple[int, ...]],
 
 
 def detection_report(code: QSCode, max_degree: int, tol: float,
-                     include_dephasing_to: int = 0,
-                     budget: int = ERROR_BUDGET) -> DetectionReport:
+                     include_dephasing_to: int = 0) -> DetectionReport:
     """Evaluate every monomial error of degree <= max_degree (graded lex),
     plus per-mode dephasing powers, and report the detectable degree.
 
@@ -265,10 +255,9 @@ def detection_report(code: QSCode, max_degree: int, tol: float,
     _check_tolerance(tol)
     n = code.modes
     n_errors = count_multi_indices(2 * n, max_degree)
-    if n_errors > budget:
+    if n_errors > ERROR_BUDGET:
         raise BudgetExceededError(
-            f"error enumeration needs {n_errors} monomials, budget is {budget}")
-    _check_radius(code)
+            f"error enumeration needs {n_errors} monomials, budget is {ERROR_BUDGET}")
     monomials = list(multi_indices(n, max_degree))
     position = {d: j for j, d in enumerate(monomials)}
     lam, delta = _monomial_summaries(code, monomials, max_degree)

@@ -25,6 +25,9 @@ INDEX_BUDGET = 10_000_000
 # Entries of design_strength's largest temporary per block of moment indices
 # (N points or K codewords times the block's columns): 1 MB of complex.
 MOMENT_BLOCK_ENTRIES = 1 << 16
+# Samples per batch of monte_carlo_sphere_average: its (batch, n) complex
+# draws take 1.6 MB per mode.
+MC_BATCH = 100_000
 
 
 class BudgetExceededError(QscError):
@@ -159,12 +162,21 @@ def _moment_values(z: np.ndarray, p, q) -> np.ndarray:
     return monomial_values(columns, np.stack([p, q], axis=-1).reshape(len(p), -1))
 
 
+def _unit_points(z: np.ndarray, name) -> np.ndarray:
+    """The rows of z scaled to unit norm; a point at the origin has no
+    direction, so it raises, named by ``name(row)``, rather than give NaN."""
+    norms = np.linalg.norm(z, axis=1, keepdims=True)
+    if not np.all(norms):
+        raise QscError(f"{name(int(np.argmin(norms)))} lies at the origin, where "
+                       "the moments of unit-normalized points are undefined")
+    return z / norms
+
+
 def moment(c: Constellation, idx: MomentIndex) -> complex:
     """Average of z^p conj(z)^q over the unit-normalized constellation points."""
     if idx.n != c.n:
         raise DimensionMismatchError(f"index has n={idx.n}, constellation has n={c.n}")
-    z = c.as_array()
-    z = z / np.linalg.norm(z, axis=1, keepdims=True)
+    z = _unit_points(c.as_array(), lambda g: f"point {g} of constellation '{c.label}'")
     vals = _moment_values(z, [idx.p], [idx.q])
     return complex(np.mean(vals))
 
@@ -190,7 +202,7 @@ def sphere_average(idx: MomentIndex, n: int) -> complex:
 
 
 def monte_carlo_sphere_average(idx: MomentIndex, n: int, samples: int = 1_000_000,
-                               seed: int = 0, batch: int = 100_000) -> tuple[complex, float]:
+                               seed: int = 0) -> tuple[complex, float]:
     """Estimate the uniform-sphere moment by sampling normalized Gaussians.
 
     Returns (estimate, standard error of the estimate); the standard error
@@ -202,7 +214,7 @@ def monte_carlo_sphere_average(idx: MomentIndex, n: int, samples: int = 1_000_00
     total_im2 = 0.0
     done = 0
     while done < samples:
-        m = min(batch, samples - done)
+        m = min(MC_BATCH, samples - done)
         g = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
         z = g / np.linalg.norm(g, axis=1, keepdims=True)
         vals = _moment_values(z, [idx.p], [idx.q])[:, 0]
@@ -233,8 +245,7 @@ class DesignReport:
                 for d in sorted(self.sphere_residual_per_degree)]
 
 
-def design_strength(code: QSCode, t_max: int, tol: float = DESIGN_TOL,
-                    budget: int = INDEX_BUDGET) -> DesignReport:
+def design_strength(code: QSCode, t_max: int, tol: float = DESIGN_TOL) -> DesignReport:
     """Largest strengths t such that all moments of degree <= t pass.
 
     ``sphere_strength``: every constellation matches the uniform-sphere
@@ -247,11 +258,12 @@ def design_strength(code: QSCode, t_max: int, tol: float = DESIGN_TOL,
     _check_tolerance(tol)
     n = code.modes
     n_indices = count_multi_indices(2 * n, t_max)
-    if n_indices > budget:
+    if n_indices > INDEX_BUDGET:
         raise BudgetExceededError(
-            f"moment enumeration needs {n_indices} indices, budget is {budget}")
+            f"moment enumeration needs {n_indices} indices, budget is {INDEX_BUDGET}")
 
-    z = code.point_array / np.linalg.norm(code.point_array, axis=1, keepdims=True)
+    z = _unit_points(code.point_array, lambda g: f"point {code.index_in_codeword[g]} of "
+                     f"codeword '{code.codewords[code.codeword_index[g]].label}'")
     sizes = np.array([len(c) for c in code.codewords])
     block = max(1, MOMENT_BLOCK_ENTRIES // max(len(z), code.K))
     sphere_res, match_res = np.zeros((2, t_max + 1))

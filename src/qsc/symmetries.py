@@ -47,6 +47,12 @@ from .moments import (
 )
 
 TOL_IDEAL = 1e-8
+# Phase candidates (the sum of m^n over the orders m) enumerate_phase_symmetries
+# may screen: it streams them in blocks, so this bounds its time, not memory.
+PHASE_CANDIDATE_BUDGET = 1_000_000
+# Monomial columns of vanishing_ideal's evaluation matrix V, which holds N of
+# them as complex: 1.6 MB per point at the budget.
+IDEAL_COLUMN_BUDGET = 100_000
 # Entries of the pivot images (candidates x pivots x modes) per block of
 # phase candidates: 256 kB of complex, so the candidate count never sizes
 # a temporary.
@@ -130,8 +136,7 @@ def _action(code: QSCode, u: PassiveUnitary, target: np.ndarray,
     return SymmetryAction(u, permutation, tuple(pi.tolist()), kind)
 
 
-def enumerate_phase_symmetries(code: QSCode, max_order: int,
-                               budget: int = 1_000_000) -> list[SymmetryAction]:
+def enumerate_phase_symmetries(code: QSCode, max_order: int) -> list[SymmetryAction]:
     """Test all per-mode rotations diag(exp(2pi i k/m)) with m <= max_order.
 
     A candidate is tested only at the order m equal to the least common
@@ -156,9 +161,9 @@ def enumerate_phase_symmetries(code: QSCode, max_order: int,
         raise ValueError("max_order must be at least 1")
     n = code.modes
     total = sum(m ** n for m in range(1, max_order + 1))
-    if total > budget:
+    if total > PHASE_CANDIDATE_BUDGET:
         raise BudgetExceededError(
-            f"{total} phase candidates exceed the budget {budget}")
+            f"{total} phase candidates exceed the budget {PHASE_CANDIDATE_BUDGET}")
     points = code.point_array
     pivots = points[np.unique(np.argmax(np.abs(points), axis=0))]
     block = max(1, PHASE_BLOCK_ENTRIES // (len(pivots) * n))
@@ -237,8 +242,8 @@ class VanishingPolynomial:
         return " + ".join(parts)
 
 
-def vanishing_ideal(code: QSCode, max_degree: int, tol_ideal: float = TOL_IDEAL,
-                    budget: int = 100_000) -> list[VanishingPolynomial]:
+def vanishing_ideal(code: QSCode, max_degree: int,
+                    tol_ideal: float = TOL_IDEAL) -> list[VanishingPolynomial]:
     """Generators of the vanishing ideal up to ``max_degree``, degree by degree.
 
     V has one row per constellation point and one column per monomial z^d
@@ -265,9 +270,9 @@ def vanishing_ideal(code: QSCode, max_degree: int, tol_ideal: float = TOL_IDEAL,
     _check_tolerance(tol_ideal)
     n = code.modes
     n_cols = count_multi_indices(n, max_degree)
-    if n_cols > budget:
+    if n_cols > IDEAL_COLUMN_BUDGET:
         raise BudgetExceededError(
-            f"monomial enumeration needs {n_cols} columns, budget is {budget}")
+            f"monomial enumeration needs {n_cols} columns, budget is {IDEAL_COLUMN_BUDGET}")
     table = _index_table(n, max_degree)
     ends = np.searchsorted(table.sum(axis=1), np.arange(max_degree + 1), side="right")
     V = monomial_values(code.point_array, table)

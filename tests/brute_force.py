@@ -521,7 +521,7 @@ def corrupted_vectors(ortho, kraus_per_mode, cfg):
 
 
 def fock_loss_fidelity(code, gamma, cfg):
-    """Loss fidelity from the truncated Fock Kraus operators (1 or 2 modes)."""
+    """Loss fidelity from the truncated Fock Kraus operators on the modes of cfg."""
     ortho = fock_orthonormal_codewords(code, cfg)
     per_mode = [loss_kraus_per_mode(gamma, cfg.cutoff) for _ in range(cfg.modes)]
     devs = [np.sum([np.diag(op.conj().T @ op).real for op in ops], axis=0) - 1.0

@@ -149,6 +149,31 @@ def test_perf_dephasing_on_three_modes_is_a_computation_error(tmp_path, capsys):
     assert err.startswith("error: ") and "3" in err and "Traceback" not in err
 
 
+def test_perf_dephasing_on_three_modes_within_the_dimension_budget(tmp_path, capsys):
+    # cutoff 16 on three modes is 16^3 = 4096, the whole budget
+    low, high = tmp_path / "hessian1.json", tmp_path / "hessian4.json"
+    low.write_text(qsc.code_to_json(qsc.build("hessian", 1.0)))
+    high.write_text(qsc.code_to_json(qsc.build("hessian", 4.0)))
+    doc = _json_out(["perf", "--in", str(low), "--channel", "dephasing", "--cutoff", "16",
+                     "--sigmas", "0.1", "--json"], capsys)
+    assert doc[0]["fidelity"] == pytest.approx(0.97861, abs=5e-6)
+    # at E = 4 the amplitudes reach sqrt(2), whose tail beyond 16 photons is too large
+    assert run(["perf", "--in", str(high), "--channel", "dephasing", "--cutoff", "16",
+                "--sigmas", "0.1", "--json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "coherent tail mass" in captured.err
+
+
+def test_design_on_a_point_at_the_origin_is_a_computation_error(tmp_path, capsys):
+    path = tmp_path / "origin.json"
+    path.write_text('{"modes": 1, "radius_sq": 0, '
+                    '"codewords": [{"label": "0", "points": [[[0, 0]]]}]}')
+    assert run(["design", "--in", str(path), "--json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "lies at the origin" in captured.err
+
+
 def test_run_dispatches_through_module_at_call_time(monkeypatch, capsys):
     listing = _json_out(["catalog", "--json"], capsys)
     assert run(["kl", "--max-degree"]) == 2

@@ -37,8 +37,11 @@ def test_config_validation():
     with pytest.raises(ValueError):
         FockConfig(cutoff=1, modes=1)
     with pytest.raises(ValueError):
-        FockConfig(cutoff=10, modes=3)
-    with pytest.raises(qsc.QscError):
+        FockConfig(cutoff=10, modes=0)
+    assert FockConfig(cutoff=16, modes=3).dim == 4096
+    with pytest.raises(qsc.QscError, match=r"cutoff\^modes = 17\^3 = 4913"):
+        FockConfig(cutoff=17, modes=3)
+    with pytest.raises(qsc.QscError, match=r"cutoff\^modes"):
         FockConfig(cutoff=100, modes=2)  # 10000 > 4096
 
 
@@ -184,7 +187,7 @@ def test_css_dephasing_regression_fixture():
     locked = json.load(open(path))
     spec = qsc.ClassicalCodeSpec(2, 2, gen_x=[[1, 1]], gen_z=[])
     code = qsc.compile_css(spec, complex(math.sqrt(2.0)))
-    cfg = FockConfig(cutoff=60, modes=2, dim_budget=3600)
+    cfg = FockConfig(cutoff=60, modes=2)
     f = dephasing_channel_fidelity(code, 0.1, cfg)
     assert f == pytest.approx(locked["dephasing"]["css_rep2_E4_sigma0.1"], abs=1e-9)
 
@@ -331,7 +334,26 @@ def test_two_mode_dephasing_matches_quadrature_oracle(repetition_css):
     assert abs(dephasing_channel_fidelity(repetition_css, 0.2, cfg) - oracle) <= 1e-10
 
 
-def test_loss_energy_limit_rejected():
-    code = qsc.build("cat", 700.0, S=1, K=2)
-    with pytest.raises(qsc.QscError, match="underflow"):
-        loss_channel_fidelity(code, 0.01)
+@pytest.mark.parametrize("energy", [700.0, 1000.0, 5000.0])
+@pytest.mark.parametrize("name, params", [("cat", {"S": 1, "K": 2}),
+                                          ("cell24", {"partition": "three"}),
+                                          ("hypercube", {"n": 2})],
+                         ids=["cat", "cell24", "hypercube"])
+def test_high_energy_loss_limits(name, params, energy):
+    # no loss recovers the code exactly; at gamma = 0.5 the environment
+    # tells every point apart, which dephases the code completely: F = 1/K
+    code = qsc.build(name, energy, **params)
+    assert abs(loss_channel_fidelity(code, 0.0) - 1.0) <= 1e-14
+    assert abs(loss_channel_fidelity(code, 0.5) - 1.0 / code.K) <= 1e-12
+
+
+@pytest.mark.parametrize("sigma", [0.1, 0.3])
+def test_dephasing_on_three_modes_matches_one_mode(sigma):
+    # points (z, 0, 0): the two empty modes hold the vacuum, which
+    # dephasing leaves alone
+    cat = qsc.build("cat", 1.0, S=1, K=2)
+    padded = QSCode(3, cat.radius_sq, [
+        Constellation(c.label, np.pad(c.as_array(), ((0, 0), (0, 2)))) for c in cat.codewords])
+    one = dephasing_channel_fidelity(cat, sigma, FockConfig(cutoff=16, modes=1))
+    three = dephasing_channel_fidelity(padded, sigma, FockConfig(cutoff=16, modes=3))
+    assert abs(three - one) <= 1e-13

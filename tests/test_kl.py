@@ -138,10 +138,24 @@ def test_offdiagonals_shrink_with_radius():
                 prev = off
 
 
-def test_energy_limit_rejected():
-    code = qsc.build("cat", 700.0, S=1, K=2)
-    with pytest.raises(qsc.QscError, match="underflow"):
-        kl_matrix(code, MonomialError.identity(1))
+HIGH_ENERGY_CODES = [("cat", {"S": 1, "K": 2}), ("cell24", {"partition": "three"}),
+                     ("hypercube", {"n": 2})]
+
+
+@pytest.mark.parametrize("energy", [700.0, 1000.0, 5000.0])
+@pytest.mark.parametrize("name, params", HIGH_ENERGY_CODES,
+                         ids=[name for name, _ in HIGH_ENERGY_CODES])
+def test_high_energy_matrices_match_brute_force(name, params, energy):
+    # at high energy the overlaps of distant points, exp(-|z - w|^2 / 2),
+    # underflow to zero, which is also what their exact values round to
+    code = qsc.build(name, energy, **params)
+    cws = [c.as_array().tolist() for c in code.codewords]
+    report = detection_report(code, 2, tol=1e-6)
+    for row in report.rows:
+        brute = np.array(brute_kl_matrix(cws, row.error.r, row.error.s))
+        scale = 1e-15 * energy ** (row.degree / 2)
+        assert np.max(np.abs(row.matrix - brute)) <= scale, row.label()
+        assert abs(row.lam - np.trace(brute) / code.K) <= scale, row.label()
 
 
 def test_dimension_mismatch():
@@ -222,10 +236,16 @@ def test_detection_two_legged_cat(two_legged):
     assert loss_row.delta == pytest.approx(2.0)
 
 
-def test_detection_budget():
+def test_detection_budget(monkeypatch):
     code = qsc.build("cat", 4.0, S=1, K=2)
-    with pytest.raises(BudgetExceededError):
-        detection_report(code, 30, tol=1e-6, budget=10)
+    monkeypatch.setattr(qsc.kl, "ERROR_BUDGET", 10)   # degree 3 on 1 mode: 10 errors
+    detection_report(code, 3, tol=1e-6)
+
+    def no_work(*args):
+        raise AssertionError("monomials evaluated before the budget guard")
+    monkeypatch.setattr(qsc.kl, "monomial_values", no_work)
+    with pytest.raises(BudgetExceededError, match="15 monomials, budget is 10"):
+        detection_report(code, 4, tol=1e-6)
 
 
 def test_detection_rows_conjugate_pairs(four_legged):

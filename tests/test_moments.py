@@ -243,10 +243,25 @@ def test_design_report_independent_of_block_size(monkeypatch, name, params):
     assert design_strength(code, 6) == default
 
 
-def test_design_budget_guard():
+def test_design_budget_guard(monkeypatch):
     code = qsc.build("cat", 1.0, S=1, K=2)
-    with pytest.raises(BudgetExceededError):
-        design_strength(code, 40, budget=100)
+    monkeypatch.setattr(qsc.moments, "INDEX_BUDGET", 100)
+    design_strength(code, 12)   # 91 indices of degree <= 12 on 1 mode
+
+    def no_work(*args):
+        raise AssertionError("moments evaluated before the budget guard")
+    monkeypatch.setattr(qsc.moments, "_moment_values", no_work)
+    with pytest.raises(BudgetExceededError, match="needs 105 indices, budget is 100"):
+        design_strength(code, 13)
+
+
+def test_point_at_the_origin_is_named_not_a_nan():
+    origin = QSCode(1, 0.0, [Constellation("0", [Point([0.0])])])
+    with pytest.raises(qsc.QscError, match="point 0 of codeword '0' lies at the origin"):
+        design_strength(origin, 2)
+    c = Constellation("c", [Point([1.0, 0.0]), Point([0.0, 0.0])])
+    with pytest.raises(qsc.QscError, match="point 1 of constellation 'c' lies at the origin"):
+        moment(c, MomentIndex((0, 0), (0, 0)))
 
 
 def test_enumeration_is_graded_lexicographic():

@@ -149,10 +149,17 @@ def test_z_type_actions_fix_every_codeword():
                 assert action.codeword_permutation == tuple(range(code.K))
 
 
-def test_enumerate_budget():
+def _no_work(*args):
+    raise AssertionError("work done before the budget guard")
+
+
+def test_enumerate_budget(monkeypatch):
     code = qsc.build("gamma", 4.0, n=2, q=3)
-    with pytest.raises(BudgetExceededError):
-        enumerate_phase_symmetries(code, 100, budget=50)
+    monkeypatch.setattr(qsc.symmetries, "PHASE_CANDIDATE_BUDGET", 50)
+    enumerate_phase_symmetries(code, 4)   # 1 + 4 + 9 + 16 = 30 candidates
+    monkeypatch.setattr(qsc.symmetries, "_phase_candidates", _no_work)
+    with pytest.raises(BudgetExceededError, match="55 phase candidates exceed the budget 50"):
+        enumerate_phase_symmetries(code, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -277,10 +284,13 @@ def test_ideal_generator_multiples_span_every_vanishing_polynomial(name, params,
     assert np.max(np.abs(V @ np.array(multiples).T)) < 1e-9
 
 
-def test_ideal_budget():
+def test_ideal_budget(monkeypatch):
     code = qsc.build("cell24", 1.0, partition="three")
-    with pytest.raises(BudgetExceededError):
-        vanishing_ideal(code, 30, budget=10)
+    monkeypatch.setattr(qsc.symmetries, "IDEAL_COLUMN_BUDGET", 10)
+    vanishing_ideal(code, 3)   # 10 monomials of degree <= 3 on 2 modes
+    monkeypatch.setattr(qsc.symmetries, "monomial_values", _no_work)
+    with pytest.raises(BudgetExceededError, match="needs 15 columns, budget is 10"):
+        vanishing_ideal(code, 4)
 
 
 # ---------------------------------------------------------------------------
