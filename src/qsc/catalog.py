@@ -24,7 +24,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from .constellation import (
-    Constellation,
     PassiveUnitary,
     QSCode,
     QscError,
@@ -157,9 +156,10 @@ def _hessian_vertices() -> tuple[np.ndarray, np.ndarray]:
 
 def _numbered_code(n: int, E: float, groups: list) -> QSCode:
     """A code whose codeword mu, labeled str(mu), holds the rows ``groups[mu]``."""
-    return QSCode(n, E, [
-        Constellation(str(mu), np.array(g, dtype=np.complex128).reshape(len(g), n))
-        for mu, g in enumerate(groups)])
+    points = np.concatenate([np.array(g, dtype=np.complex128).reshape(len(g), n)
+                             for g in groups])
+    return QSCode.from_points(n, E, points, [len(g) for g in groups],
+                              [str(mu) for mu in range(len(groups))])
 
 
 def _build_cat(E: float, S: int = 2, K: int = 2) -> QSCode:

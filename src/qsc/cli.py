@@ -90,7 +90,7 @@ def cmd_build(args: argparse.Namespace) -> int:
     _write_output(code_to_json(code), args.out)
     if args.out and args.out != "-":
         print(f"wrote {args.out}: {code.modes} modes, K={code.K}, "
-              f"{sum(len(c) for c in code.codewords)} points", file=sys.stderr)
+              f"{len(code.point_array)} points", file=sys.stderr)
     return 0
 
 
@@ -137,29 +137,26 @@ def cmd_kl(args: argparse.Namespace) -> int:
     code = _load_code(args.infile)
     report = detection_report(code, args.max_degree, args.tol,
                               include_dephasing_to=args.dephasing)
+    labels, degrees = report.labels(), report.degrees.tolist()
+    lam, delta = report.lam.tolist(), report.delta.tolist()
+    passed = (report.delta <= args.tol).tolist()
     if args.json:
+        kinds = ["monomial"] * len(report.exponents) + ["dephasing"] * len(report.dephasing)
         print(json.dumps({
             "detection_degree": report.detection_degree,
             "tol": report.tol,
-            "rows": [{"label": row.label(), "kind": row.kind,
-                      "degree": row.degree,
-                      "lambda": [row.lam.real, row.lam.imag],
-                      "delta": row.delta,
-                      "pass": row.delta <= args.tol}
-                     for row in report.rows],
+            "rows": [{"label": label, "kind": kind, "degree": degree,
+                      "lambda": [z.real, z.imag], "delta": d, "pass": ok}
+                     for label, kind, degree, z, d, ok in zip(
+                         labels, kinds, degrees, lam, delta, passed)],
         }))
         return 0
     headers = ["error", "r", "s", "lambda", "delta", "pass"]
-    rows = []
-    for row in report.rows:
-        if row.kind == "monomial":
-            r, s = str(list(row.error.r)), str(list(row.error.s))
-        else:
-            r = s = "-"
-        rows.append([row.label(), r, s,
-                     f"{row.lam.real:+.6e}{row.lam.imag:+.6e}j",
-                     f"{row.delta:.6e}",
-                     "pass" if row.delta <= args.tol else "FAIL"])
+    n = code.modes
+    powers = [(str(e[:n]), str(e[n:])) for e in report.exponents.tolist()]
+    powers += [("-", "-")] * len(report.dephasing)
+    rows = [[label, r, s, f"{z.real:+.6e}{z.imag:+.6e}j", f"{d:.6e}", "pass" if ok else "FAIL"]
+            for label, (r, s), z, d, ok in zip(labels, powers, lam, delta, passed)]
     print(f"detection degree = {report.detection_degree} at tol {args.tol:g}")
     _print_table(headers, [[c.replace(",", ";") for c in r] for r in rows])
     if args.csv:
@@ -275,8 +272,7 @@ def cmd_table(args: argparse.Namespace) -> int:
     rows = []
     for entry in catalog_mod.list_catalog():
         code = entry.build(args.energy)
-        sizes = sorted({len(c) for c in code.codewords})
-        size_text = "|".join(map(str, sizes))
+        size_text = "|".join(map(str, np.unique(code.codeword_sizes).tolist()))
         sep = _fmt(min_separation(code)[0]) if code.K >= 2 else "-"
         design = design_strength(code, args.tmax)
         det = detection_report(code, args.max_degree, args.tol)

@@ -4,10 +4,11 @@ A code is a finite family of disjoint point sets (constellations) living on a
 common sphere in C^n, one constellation per logical codeword.  Everything in
 this module is immutable after construction and safe to share between threads.
 
-Every analysis of a code reads one stacked frame, built lazily and cached on
-the code as read-only arrays:
+Every analysis of a code reads one stacked frame of read-only arrays, all
+but the first three built lazily and cached on the code:
 
-* ``point_array``: all N points stacked codeword by codeword (N x n);
+* ``point_array``: all N points stacked codeword by codeword (N x n), with
+  ``codeword_sizes`` and ``labels``: these three are the code itself;
 * ``codeword_index``: the codeword of each stacked point (length N), with
   ``codeword_starts`` the first row of each codeword and
   ``index_in_codeword`` each point's position inside its codeword;
@@ -16,9 +17,11 @@ the code as read-only arrays:
 * ``codeword_norms_sq``: the squared norms of the unnormalized codewords
   sum_z |z>, each the sum of its diagonal block of ``overlap``.
 
-A ``Constellation`` stores its points as one read-only (m, n) array, which
-``point_array`` concatenates; ``Point`` is the value type of one point, made
-per row on request (``Constellation.points``), never the storage.
+Sums over each codeword's points reshape when all codewords have one size
+(as a compiled CSS code's do), and use ``np.add.reduceat`` otherwise.
+A ``Constellation`` stores its points as one read-only (m, n) array, a view
+of the frame for a code's ``codewords``, made on request; ``Point`` is the
+value type of one point, made per row on request (``Constellation.points``).
 
 Geometric validity (common radius, no duplicate points, disjoint
 constellations) is checked by :func:`validate_code`, which reports violations
@@ -162,6 +165,14 @@ class Constellation:
         """The points stacked into one read-only (len, n) complex array."""
         return self._array
 
+    @classmethod
+    def _of_rows(cls, label: str, rows: np.ndarray) -> "Constellation":
+        """A constellation on ``rows``, checked and read-only, kept as is."""
+        c = cls.__new__(cls)
+        object.__setattr__(c, "label", label)
+        object.__setattr__(c, "_array", rows)
+        return c
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Constellation):
             return NotImplemented
@@ -173,45 +184,74 @@ class Constellation:
 
 @dataclass(frozen=True)
 class QSCode:
-    """K disjoint labeled constellations on one sphere of squared radius E."""
+    """K disjoint labeled constellations on one sphere of squared radius E,
+    stored as columns: the stacked points, each codeword's size and labels.
+    Made from ``Constellation``s or, by :meth:`from_points`, the columns;
+    ``codewords`` builds the constellations on first read, as views.
+    """
 
     modes: int
     radius_sq: float
-    codewords: tuple[Constellation, ...]
+    point_array: np.ndarray
+    codeword_sizes: np.ndarray
+    labels: tuple[str, ...]
 
     def __init__(self, modes: int, radius_sq: float, codewords: Sequence[Constellation]):
         cws = tuple(codewords)
-        if not cws:
-            raise ValueError("a code needs at least one codeword constellation")
         if any(c.n != modes for c in cws):
             raise DimensionMismatchError("all constellations must have the declared mode count")
+        self._set_frame(modes, radius_sq, np.concatenate([np.empty((0, modes))] + [
+            c.as_array() for c in cws]), [len(c) for c in cws], [c.label for c in cws])
+        object.__setattr__(self, "codewords", cws)
+
+    @classmethod
+    def from_points(cls, modes: int, radius_sq: float, points,
+                    sizes: Sequence[int], labels: Sequence[str]) -> "QSCode":
+        """The code whose codeword mu, labeled labels[mu], holds the next
+        sizes[mu] rows of the (N, n) ``points``."""
+        code = cls.__new__(cls)
+        code._set_frame(modes, radius_sq, _as_points(points, 2), sizes, labels)
+        return code
+
+    def _set_frame(self, modes: int, radius_sq: float, points: np.ndarray,
+                   sizes: Sequence[int], labels: Sequence[str]) -> None:
+        sizes, labels = np.array(sizes, dtype=np.intp).reshape(-1), tuple(map(str, labels))
+        if points.shape[1] != modes:
+            raise DimensionMismatchError("all constellations must have the declared mode count")
+        counts = sizes.tolist()   # checked as Python ints: a few codewords cost no reductions
+        if not counts or min(counts) < 1 or sum(counts) != len(points) or len(labels) != len(counts):
+            raise ValueError(f"codeword sizes {counts} must be positive, one per "
+                             f"label, and add up to the {len(points)} points")
         radius_sq = float(radius_sq)
         if not math.isfinite(radius_sq) or radius_sq < 0:
             raise ValueError("radius_sq must be finite and nonnegative")
-        object.__setattr__(self, "modes", int(modes))
-        object.__setattr__(self, "radius_sq", radius_sq)
-        object.__setattr__(self, "codewords", cws)
+        for name, value in (("modes", int(modes)), ("radius_sq", radius_sq), ("labels", labels),
+                            ("point_array", _read_only(points)),
+                            ("codeword_sizes", _read_only(sizes))):
+            object.__setattr__(self, name, value)
 
     @property
     def K(self) -> int:
-        return len(self.codewords)
-
-    # The frame: cached on first use, read-only, shared by every analysis.
+        return len(self.labels)
 
     @cached_property
-    def point_array(self) -> np.ndarray:
-        """All points stacked codeword by codeword, (N, n) complex."""
-        return _read_only(np.concatenate([c.as_array() for c in self.codewords]))
+    def codewords(self) -> tuple[Constellation, ...]:
+        """The codewords as ``Constellation``s, views of ``point_array``."""
+        Z, starts = self.point_array, self.codeword_starts.tolist()
+        return tuple(Constellation._of_rows(label, Z[a:a + m]) for label, a, m in
+                     zip(self.labels, starts, self.codeword_sizes.tolist()))
+
+    # The rest of the frame: cached on first use, read-only, shared by every analysis.
 
     @cached_property
     def codeword_starts(self) -> np.ndarray:
         """Row of ``point_array`` where each codeword's points begin, (K,)."""
-        return _read_only(np.cumsum([0] + [len(c) for c in self.codewords[:-1]]))
+        return _read_only(np.cumsum(self.codeword_sizes) - self.codeword_sizes)
 
     @cached_property
     def codeword_index(self) -> np.ndarray:
         """Codeword of each row of ``point_array``, (N,)."""
-        return _read_only(np.repeat(np.arange(self.K), [len(c) for c in self.codewords]))
+        return _read_only(np.repeat(np.arange(self.K), self.codeword_sizes))
 
     @cached_property
     def index_in_codeword(self) -> np.ndarray:
@@ -230,31 +270,50 @@ class QSCode:
         exponent of ``overlap`` times t, (N, N).  Not cached."""
         Z = self.point_array
         half = 0.5 * np.sum(np.abs(Z) ** 2, axis=1)
-        return np.exp(t * (-half[:, None] - half[None, :] + np.conj(Z) @ Z.T))
+        G = np.conj(Z) @ Z.T   # in place from here: no further N x N temporaries
+        G += -half[:, None] - half[None, :]
+        G *= t
+        return np.exp(G, out=G)
 
     @cached_property
     def codeword_norms_sq(self) -> np.ndarray:
         """Squared norm of each unnormalized codeword sum_z |z>, (K,): the sum
         of its diagonal block of ``overlap``.  Raises on a spurious imaginary
         part and on a norm too small to resolve."""
-        totals = np.diag(self.codeword_sums(self.overlap))
-        for total, c in zip(totals, self.codewords):
-            scale = len(c) ** 2
-            if abs(total.imag) > 1e-12 * scale:
+        if self._common_size:   # only the diagonal blocks: each row's own codeword
+            own = self.overlap.reshape(len(self.point_array), self.K, -1)
+            totals = self._block_sums(own[np.arange(len(own)), self.codeword_index].sum(1), 0)
+        else:
+            totals = np.diag(self.codeword_sums(self.overlap))
+        for total, size, label in zip(totals.tolist(), self.codeword_sizes.tolist(), self.labels):
+            if abs(total.imag) > 1e-12 * size ** 2:
                 raise QscError(f"codeword norm has a spurious imaginary part {total.imag:.3e}")
-            if total.real <= 1e-12 * scale:
+            if total.real <= 1e-12 * size ** 2:
                 raise DegenerateConstellationError(
-                    f"constellation '{c.label}' is numerically degenerate (norm {total.real:.3e})")
+                    f"constellation '{label}' is numerically degenerate (norm {total.real:.3e})")
         return _read_only(totals.real.copy())
 
     def codeword_sums(self, M: np.ndarray) -> np.ndarray:
         """C M C^T for the K x N codeword-membership matrix C: the sum of each
         (codeword, codeword) block of an N x N matrix over the stacked points."""
-        starts = self.codeword_starts
-        return np.add.reduceat(np.add.reduceat(M, starts, axis=0), starts, axis=1)
+        return self._block_sums(self._block_sums(M, 0), 1)
+
+    @cached_property
+    def _common_size(self) -> int:
+        """The size of every codeword when they all have one, else 0."""
+        sizes = self.codeword_sizes
+        return int(sizes[0]) if np.all(sizes == sizes[0]) else 0
+
+    def _block_sums(self, M: np.ndarray, axis: int) -> np.ndarray:
+        """Sums of M over each codeword's points along ``axis`` (length N to
+        K): a reshape to (K, m) summed over m when every codeword has m
+        points, else ``np.add.reduceat``.  They add in different orders."""
+        if self._common_size:
+            return M.reshape(M.shape[:axis] + (self.K, -1) + M.shape[axis + 1:]).sum(axis=axis + 1)
+        return np.add.reduceat(M, self.codeword_starts, axis=axis)
 
     def _key(self) -> tuple:
-        return (self.modes, self.radius_sq, tuple((c.label, len(c)) for c in self.codewords),
+        return (self.modes, self.radius_sq, self.labels, self.codeword_sizes.tobytes(),
                 _canonical_bytes(self.point_array))
 
     def __eq__(self, other: object) -> bool:
@@ -456,7 +515,7 @@ def validate_code(code: QSCode, tol_sphere: float = TOL_SPHERE,
     :func:`_pairs_within`), with the arithmetic of :func:`distance_blocks`.
     """
     Z, index, local = code.point_array, code.codeword_index, code.index_in_codeword
-    labels = [c.label for c in code.codewords]
+    labels = code.labels
     own: list[list[Violation]] = [[] for _ in labels]
     res = np.abs(np.sum(np.abs(Z) ** 2, axis=1) - code.radius_sq)
     for g in np.flatnonzero(res > tol_sphere):
@@ -569,29 +628,14 @@ def code_to_json(code: QSCode) -> str:
     lines = ["{", f'  "modes": {code.modes},', f'  "radius_sq": {_fmt(code.radius_sq)},',
              '  "codewords": [']
     start = 0
-    for ci, c in enumerate(code.codewords):
-        stop = start + 2 * code.modes * len(c)
-        lines += ["    {", f'      "label": {json.dumps(c.label)},', '      "points": [',
-                  ",\n".join([row] * len(c)) % tuple(words[start:stop]),
+    for ci, (label, size) in enumerate(zip(code.labels, code.codeword_sizes.tolist())):
+        stop = start + 2 * code.modes * size
+        lines += ["    {", f'      "label": {json.dumps(label)},', '      "points": [',
+                  ",\n".join([row] * size) % tuple(words[start:stop]),
                   "      ]", "    }" + ("," if ci < code.K - 1 else "")]
         start = stop
     lines += ["  ]", "}"]
     return "\n".join(lines) + "\n"
-
-
-def _parse_points(raw: object, bools: bool) -> np.ndarray:
-    """One codeword's ``points`` value, a list of [re, im] pairs per point, as
-    an (m, n) complex array.  Coordinates must be JSON numbers; ``bools`` says
-    whether the document may hold a boolean, which is then looked for."""
-    if not isinstance(raw, list) or not raw:
-        raise ValueError("a constellation needs at least one point")
-    pairs = np.array(raw)   # raises ValueError on ragged lists
-    if pairs.ndim != 3 or pairs.shape[2] != 2:
-        raise TypeError("each point must be a nonempty list of [re, im] pairs")
-    if pairs.dtype.kind not in "iuf" or (
-            bools and any(type(x) is bool for point in raw for pair in point for x in pair)):
-        raise TypeError("point coordinates must be JSON numbers")
-    return pairs.astype(np.float64, copy=False).view(np.complex128)[:, :, 0]
 
 
 def code_from_json(text: str, tol_sphere: float = TOL_SPHERE,
@@ -613,12 +657,22 @@ def code_from_json(text: str, tol_sphere: float = TOL_SPHERE,
         # type(), not isinstance: a JSON true is a bool, which subclasses int
         if type(modes) is not int or type(radius_sq) not in (int, float):
             raise CodeFormatError("'modes' must be an integer and 'radius_sq' a number")
+        labels = [entry["label"] for entry in raw_codewords]
+        points = [entry["points"] for entry in raw_codewords]
+        if not all(isinstance(raw, list) and raw for raw in points):
+            raise ValueError("a constellation needs at least one point")
+        # every point of every codeword, read by one call; raises on ragged lists
+        flat = [point for raw in points for point in raw]
+        pairs = np.array(flat)
+        if pairs.ndim != 3 or pairs.shape[2] != 2:
+            raise TypeError("each point must be a nonempty list of [re, im] pairs")
         # numpy reads a JSON boolean among numbers as a number; only a text
         # that holds one of these two tokens can contain a boolean
-        bools = "true" in text or "false" in text
-        code = QSCode(modes, radius_sq, [
-            Constellation(entry["label"], _parse_points(entry["points"], bools))
-            for entry in raw_codewords])
+        if pairs.dtype.kind not in "iuf" or (("true" in text or "false" in text) and any(
+                type(x) is bool for point in flat for pair in point for x in pair)):
+            raise TypeError("point coordinates must be JSON numbers")
+        Z = pairs.astype(np.float64, copy=False).view(np.complex128)[:, :, 0]
+        code = QSCode.from_points(modes, radius_sq, Z, [len(raw) for raw in points], labels)
     except KeyError as exc:
         raise CodeFormatError(f"document is missing required field: {exc}") from exc
     except (TypeError, ValueError, OverflowError, DimensionMismatchError) as exc:

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .constellation import Constellation, QSCode, QscError, min_separation
+from .constellation import QSCode, QscError, min_separation
 from .moments import BudgetExceededError
 
 CODE_SIZE_BUDGET = 1_000_000
@@ -174,11 +174,11 @@ def compile_css(spec: ClassicalCodeSpec, alpha: complex,
     first = np.unique(coset[by_weight], return_index=True)[1]
     rank = np.empty_like(first)
     rank[np.argsort(first)] = np.arange(len(first))
-    words = dual[np.argsort(rank[coset], kind="stable")].reshape(len(first), -1, n)
+    words = dual[np.argsort(rank[coset], kind="stable")]
     leaders = dual[by_weight[np.sort(first)]].tolist()
-    constellations = [Constellation("".join(map(str, leader)), phases[coset_words])
-                      for leader, coset_words in zip(leaders, words)]
-    return QSCode(n, n * abs(alpha) ** 2, constellations)
+    return QSCode.from_points(n, n * abs(alpha) ** 2, phases[words],
+                              [len(words) // len(first)] * len(first),
+                              ["".join(map(str, leader)) for leader in leaders])
 
 
 @dataclass(frozen=True)
@@ -201,8 +201,12 @@ def css_properties(spec: ClassicalCodeSpec, alpha: complex = 2.0) -> CssProperti
     constellation, so the classical-to-quantum dictionary can be checked
     empirically.  The compiled code is returned with them; its KL error
     detection is ``kl.detection_report``'s to measure."""
-    if spec.length > 20:
-        raise BudgetExceededError("weight enumeration is limited to length <= 20")
+    # C_X lies in C_Z^perp and C_Z in C_X^perp, so the two duals are the
+    # largest word sets enumerated here: both are checked before any is
+    rank = min(len(_rref([list(r) for r in gen], spec.q)) for gen in (spec.gen_x, spec.gen_z))
+    if spec.q ** (spec.length - rank) > CODE_SIZE_BUDGET:
+        raise BudgetExceededError(
+            f"dual code: {spec.q}^{spec.length - rank} words exceed the budget")
     c_x, dual_z = spec.c_x(), spec.c_z_dual()
     code = compile_css(spec, alpha, dual_z)
     sep = min_separation(code)[0] if code.K >= 2 else 0.0

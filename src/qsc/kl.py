@@ -27,8 +27,12 @@ the matrices of every s that r pairs with.  Only the pairs with s at or after
 r in the graded order are computed, which needs A_r only for 2|r| <= the
 degree bound (one N x N pass, for r = 0, at degree 1); the other half follows
 from the dagger identity <c_mu|E^dag|c_nu> = conj <c_nu|E|c_mu>.  A report
-keeps only each matrix's summary.  Norms, with their imaginary-part and
-degeneracy checks, are computed once per code.
+keeps only each matrix's summary, as columns (``DetectionReport``): the
+exponents, degrees, lambda and delta of every row, each row's (r, s) read from
+the graded tables by position.  When all codewords have one size, as a
+compiled CSS code's do, every block sum over the codewords reshapes and sums
+(:mod:`qsc.constellation`).  Norms, with their imaginary-part and degeneracy
+checks, are computed once per code.
 
 A code detects E when the matrix is proportional to the identity; the report
 records the deviation from that for every error up to a degree bound.
@@ -37,6 +41,7 @@ records the deviation from that for every error up to a degree bound.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -47,9 +52,10 @@ from .constellation import DegenerateConstellationError  # noqa: F401
 from .moments import (
     BudgetExceededError,
     _check_tolerance,
+    _index_position,
+    _index_table,
     count_multi_indices,
     monomial_values,
-    multi_indices,
 )
 
 MAX_STIRLING = 20
@@ -90,13 +96,18 @@ class MonomialError:
         return MonomialError((0,) * n, (0,) * n)
 
     def label(self) -> str:
-        parts = []
-        for i, (ri, si) in enumerate(zip(self.r, self.s), start=1):
-            if ri:
-                parts.append(f"ad{i}^{ri}" if ri > 1 else f"ad{i}")
-            if si:
-                parts.append(f"a{i}^{si}" if si > 1 else f"a{i}")
-        return " ".join(parts) if parts else "I"
+        return _monomial_label(self.r, self.s)
+
+
+def _monomial_label(r, s) -> str:
+    """'ad1^2 a2' for r = (2, 0), s = (0, 1); 'I' for the identity."""
+    parts = []
+    for i, (ri, si) in enumerate(zip(r, s), start=1):
+        if ri:
+            parts.append(f"ad{i}^{ri}" if ri > 1 else f"ad{i}")
+        if si:
+            parts.append(f"a{i}^{si}" if si > 1 else f"a{i}")
+    return " ".join(parts) if parts else "I"
 
 
 def coherent_overlap(z, w) -> complex:
@@ -176,17 +187,45 @@ class DetectionRow:
 
     def label(self) -> str:
         if self.kind == "monomial":
-            assert self.error is not None
             return self.error.label()
-        return f"n{self.mode + 1}^{self.power}" if self.power != 1 else f"n{self.mode + 1}"
+        return _dephasing_label(self.mode, self.power)
 
 
-@dataclass(frozen=True)
+def _dephasing_label(mode: int, power: int) -> str:
+    return f"n{mode + 1}^{power}" if power != 1 else f"n{mode + 1}"
+
+
+@dataclass(frozen=True, eq=False)
 class DetectionReport:
-    rows: tuple[DetectionRow, ...]
+    """Every error's summary, as columns: the monomial rows in the graded order
+    of their exponents (r, s), then the dephasing rows, (mode, power) each.
+    ``rows`` builds the same rows as ``DetectionRow``s on first read.
+    """
+
+    exponents: np.ndarray   # (errors, 2n) int
+    dephasing: np.ndarray   # (dephasing rows, 2) int: mode, power
+    degrees: np.ndarray     # (rows,) int
+    lam: np.ndarray         # (rows,) complex
+    delta: np.ndarray       # (rows,) float
     detection_degree: int
     max_degree: int
     tol: float
+    code: QSCode = field(repr=False, compare=False)
+
+    def labels(self) -> list[str]:
+        """The label of every row: the monomial's, or n<mode>^<power>."""
+        n = self.exponents.shape[1] // 2
+        return ([_monomial_label(e[:n], e[n:]) for e in self.exponents.tolist()]
+                + [_dephasing_label(i, k) for i, k in self.dephasing.tolist()])
+
+    @cached_property
+    def rows(self) -> tuple[DetectionRow, ...]:
+        n = self.exponents.shape[1] // 2
+        kinds = ([("monomial", MonomialError(tuple(e[:n]), tuple(e[n:])), None, None)
+                  for e in self.exponents.tolist()]
+                 + [("dephasing", None, i, k) for i, k in self.dephasing.tolist()])
+        return tuple(DetectionRow(*kind, *summary, self.code) for kind, summary in zip(
+            kinds, zip(self.degrees.tolist(), self.lam.tolist(), self.delta.tolist())))
 
 
 def _summarize(matrix: np.ndarray) -> tuple[complex, float]:
@@ -196,11 +235,11 @@ def _summarize(matrix: np.ndarray) -> tuple[complex, float]:
     return lam, delta
 
 
-def _monomial_summaries(code: QSCode, monomials: list[tuple[int, ...]],
+def _monomial_summaries(code: QSCode, monomials: np.ndarray,
                         max_degree: int) -> tuple[np.ndarray, np.ndarray]:
     """lambda and delta of every error (a^dag)^r a^s with |r| + |s| <= max_degree,
     as (M, M) arrays indexed by the positions of r and s in ``monomials``, the
-    M monomials of degree <= max_degree in graded order.
+    M monomials of degree <= max_degree in graded order (rows of exponents).
 
     Row first: A_r[mu, j] = sum_{i in mu} conj(Z^r[i]) O[i, j] is formed once
     for each creation monomial r that pairs with some s >= r in the graded
@@ -211,7 +250,7 @@ def _monomial_summaries(code: QSCode, monomials: list[tuple[int, ...]],
     <c_mu|E^dag|c_nu> = conj <c_nu|E|c_mu>: lambda conjugated, the same delta.
     """
     Z = monomial_values(code.point_array, monomials)
-    O, starts = code.overlap, code.codeword_starts
+    O = code.overlap
     N, K, M = len(Z), code.K, len(monomials)
     norms = np.sqrt(np.outer(code.codeword_norms_sq, code.codeword_norms_sq))[:, :, None]
     degrees = np.sum(monomials, axis=1)
@@ -227,10 +266,10 @@ def _monomial_summaries(code: QSCode, monomials: list[tuple[int, ...]],
             break   # 2|r| > max_degree from here on
         weights = np.conj(Z[:, r, None])
         for j in range(0, N, columns):
-            A[:, j:j + columns] = np.add.reduceat(weights * O[:, j:j + columns], starts, axis=0)
+            A[:, j:j + columns] = code._block_sums(weights * O[:, j:j + columns], 0)
         for first in range(r, prefix[r], width):
             stop = min(first + width, prefix[r])
-            X = np.add.reduceat(A[:, :, None] * Z[None, :, first:stop], starts, axis=1)
+            X = code._block_sums(A[:, :, None] * Z[None, :, first:stop], 1)
             X /= norms
             lam[r, first:stop] = np.trace(X) / K
             X[diag, diag] -= lam[r, first:stop]
@@ -258,23 +297,16 @@ def detection_report(code: QSCode, max_degree: int, tol: float,
     if n_errors > ERROR_BUDGET:
         raise BudgetExceededError(
             f"error enumeration needs {n_errors} monomials, budget is {ERROR_BUDGET}")
-    monomials = list(multi_indices(n, max_degree))
-    position = {d: j for j, d in enumerate(monomials)}
-    lam, delta = _monomial_summaries(code, monomials, max_degree)
-
-    rows = []
-    for combined in multi_indices(2 * n, max_degree):
-        e = MonomialError(combined[:n], combined[n:])
-        r, s = position[e.r], position[e.s]
-        rows.append(DetectionRow("monomial", e, None, None, e.degree,
-                                 complex(lam[r, s]), float(delta[r, s]), code))
-    for i in range(n):
-        for k in range(1, include_dephasing_to + 1):
-            m = dephasing_kl_matrix(code, i, k)
-            rows.append(DetectionRow("dephasing", None, i, k, 2 * k, *_summarize(m), code))
-
-    degree = -1
-    while degree < max_degree and all(row.delta <= tol for row in rows[:n_errors]
-                                      if row.degree == degree + 1):
-        degree += 1
-    return DetectionReport(tuple(rows), degree, max_degree, tol)
+    lam, delta = _monomial_summaries(code, _index_table(n, max_degree), max_degree)
+    exponents = _index_table(2 * n, max_degree)
+    r, s = _index_position(exponents[:, :n]), _index_position(exponents[:, n:])
+    dephasing = np.array([(i, k) for i in range(n) for k in range(1, include_dephasing_to + 1)],
+                         dtype=np.intp).reshape(-1, 2)
+    extra = np.array([_summarize(dephasing_kl_matrix(code, i, k)) for i, k in dephasing.tolist()],
+                     dtype=np.complex128).reshape(-1, 2)   # lambda, delta
+    degrees = np.concatenate([exponents.sum(axis=1), 2 * dephasing[:, 1]])
+    failing = degrees[:n_errors][~(delta[r, s] <= tol)]   # one reduction, NaN failing too
+    return DetectionReport(exponents, dephasing, degrees, np.concatenate([lam[r, s], extra[:, 0]]),
+                           np.concatenate([delta[r, s], extra[:, 1].real]),
+                           int(failing.min()) - 1 if len(failing) else max_degree,
+                           max_degree, tol, code)

@@ -11,6 +11,7 @@ and in :mod:`qsc.symmetries`.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -28,6 +29,10 @@ MOMENT_BLOCK_ENTRIES = 1 << 16
 # Samples per batch of monte_carlo_sphere_average: its (batch, n) complex
 # draws take 1.6 MB per mode.
 MC_BATCH = 100_000
+# Graded tables of at most this many rows (1 MB at dim 16) are kept, for up
+# to 256 (dim, degree) pairs; a larger one, which only a run near
+# INDEX_BUDGET or ERROR_BUDGET needs, is built on each call and never held.
+CACHED_TABLE_ROWS = 1 << 13
 
 
 class BudgetExceededError(QscError):
@@ -70,20 +75,30 @@ def multi_indices(dim: int, max_degree: int) -> Iterator[tuple[int, ...]]:
 
 
 def _degree_table(dim: int, degree: int) -> np.ndarray:
-    """The tuples of ``dim`` entries summing to ``degree``, as the rows of an
-    integer array in lexicographic order.
+    """The tuples of ``dim`` entries summing to ``degree``, as the rows of a
+    read-only integer array in lexicographic order, built once per process
+    for a table of at most CACHED_TABLE_ROWS rows.
 
     By stars and bars, each tuple is a choice of dim - 1 bar positions among
     degree + dim - 1 slots, its entries the gaps between the bars; the
     choices come in lexicographic order, and so do the tuples.
     """
+    if math.comb(degree + dim - 1, dim - 1) <= CACHED_TABLE_ROWS:
+        return _cached_degree_table(dim, degree)
+    return _cached_degree_table.__wrapped__(dim, degree)
+
+
+@functools.lru_cache(maxsize=256)
+def _cached_degree_table(dim: int, degree: int) -> np.ndarray:
     slots = degree + dim - 1
     choices = itertools.combinations(range(slots), dim - 1)
     bars = np.empty((math.comb(slots, dim - 1), dim + 1), dtype=np.intp)
     bars[:, 0], bars[:, -1] = -1, slots
     bars[:, 1:-1] = np.fromiter(itertools.chain.from_iterable(choices),
                                 dtype=np.intp).reshape(len(bars), dim - 1)
-    return bars[:, 1:] - bars[:, :-1] - 1
+    table = bars[:, 1:] - bars[:, :-1] - 1
+    table.flags.writeable = False
+    return table
 
 
 def _index_table(dim: int, max_degree: int) -> np.ndarray:
@@ -263,8 +278,8 @@ def design_strength(code: QSCode, t_max: int, tol: float = DESIGN_TOL) -> Design
             f"moment enumeration needs {n_indices} indices, budget is {INDEX_BUDGET}")
 
     z = _unit_points(code.point_array, lambda g: f"point {code.index_in_codeword[g]} of "
-                     f"codeword '{code.codewords[code.codeword_index[g]].label}'")
-    sizes = np.array([len(c) for c in code.codewords])
+                     f"codeword '{code.labels[code.codeword_index[g]]}'")
+    sizes = code.codeword_sizes
     block = max(1, MOMENT_BLOCK_ENTRIES // max(len(z), code.K))
     sphere_res, match_res = np.zeros((2, t_max + 1))
     # values[mu, j]: the average of block column j over codeword mu's points

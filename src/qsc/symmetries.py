@@ -264,6 +264,10 @@ def vanishing_ideal(code: QSCode, max_degree: int,
     found, their multiples for every later degree are written by one indexed
     assignment, through the positions of the monomials d + m in the graded
     order; each later degree reads a slice of them.
+
+    Once the columns of degree <= D reach rank N, the number of points, the
+    ideal's homogenization has regularity at most D + 1, so it is generated
+    in degrees <= D + 1 and the search stops there.
     """
     if max_degree < 1:
         raise ValueError("max_degree must be at least 1")
@@ -282,10 +286,16 @@ def vanishing_ideal(code: QSCode, max_degree: int,
     R = np.linalg.qr(V, mode="r")
     found: list[np.ndarray] = []   # each degree's generators, as coefficient rows
     multiples: list[tuple[int, np.ndarray]] = []   # (degree, _multiples of its generators)
+    last = max_degree
     for degree in range(1, max_degree + 1):
+        if degree > last:
+            break
         cols = ends[degree]
         _, sigma, Vh = np.linalg.svd(R[:min(len(V), cols), :cols])
-        null = np.conj(Vh[int(np.sum(sigma > tol_ideal * sigma[0])):])  # V y = 0
+        rank = int(np.sum(sigma > tol_ideal * sigma[0]))
+        if rank == len(V):
+            last = min(last, degree + 1)
+        null = np.conj(Vh[rank:])  # V y = 0
         if multiples and len(null):
             # keep the null directions orthogonal to every multiple z^m g
             A = np.vstack([rows[:, :ends[degree - g_degree], :cols].reshape(-1, cols)
@@ -299,8 +309,8 @@ def vanishing_ideal(code: QSCode, max_degree: int,
         coeffs /= np.linalg.norm(coeffs, axis=1, keepdims=True)
         coeffs[np.abs(coeffs) <= 1e-14 * np.max(np.abs(coeffs), axis=1, keepdims=True)] = 0.0
         found.append(coeffs)
-        if degree < max_degree:
-            multiples.append((degree, _multiples(coeffs, table, ends[max_degree - degree],
+        if degree < last:
+            multiples.append((degree, _multiples(coeffs, table, ends[last - degree],
                                                  cols, scales)))
     monomials = list(map(tuple, table.tolist()))
     return [VanishingPolynomial({monomials[j]: complex(c[j]) for j in np.flatnonzero(c)},

@@ -200,7 +200,8 @@ def brute_vanishing_ideal(code, max_degree: int, tol_ideal: float = 1e-8) -> lis
     """Vanishing-ideal generators as (degree, {exponents: coefficient}), degree
     by degree: a full SVD of each degree's scaled evaluation columns (plain
     powers), the multiples z^m g built term by term, and the null directions
-    orthogonal to them kept."""
+    orthogonal to them kept.  Every degree up to max_degree is searched, with
+    no early stop."""
     n = code.modes
     monomials = list(brute_multi_indices(n, max_degree))
     position = {d: j for j, d in enumerate(monomials)}

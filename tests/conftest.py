@@ -54,3 +54,24 @@ def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     q, r = np.linalg.qr(g)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+# (q, length, rank of gen_X, rank of gen_Z) of the CSS pairs of the css_catalog
+# benchmark: K = q^(length - rx - rz) codewords of q^rx points each, from
+# K = 128 singletons to K = 16 codewords of 16 points
+CSS_SHAPES = (
+    (2, 7, 0, 0), (2, 8, 2, 0), (2, 8, 4, 0),
+    (2, 6, 1, 1), (3, 4, 0, 1), (3, 4, 1, 0), (3, 5, 1, 1),
+    (2, 5, 0, 0), (3, 5, 2, 0), (2, 6, 1, 0), (2, 7, 2, 0),
+    (3, 5, 2, 1), (2, 8, 4, 1), (3, 3, 0, 1), (2, 4, 3, 0),
+)
+
+
+def css_of_shape(q: int, length: int, rx: int, rz: int, alpha: complex = 1.8) -> qsc.QSCode:
+    """A compiled CSS code of the given shape: gen_X rows e_i + e_(length-1)
+    for i < rx and gen_Z rows e_(rx+j) for j < rz, orthogonal when
+    rx + rz < length."""
+    unit = np.eye(length, dtype=int)
+    gen_x = [unit[i] + unit[length - 1] for i in range(rx)]
+    gen_z = [unit[rx + j] for j in range(rz)]
+    return qsc.compile_css(qsc.ClassicalCodeSpec(q, length, gen_x, gen_z), alpha)

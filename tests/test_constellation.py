@@ -32,7 +32,7 @@ from brute_force import (
     brute_pairs_within,
     brute_violations,
 )
-from conftest import constellations_as_lists, random_unitary
+from conftest import CSS_SHAPES, constellations_as_lists, css_of_shape, random_unitary
 
 
 # ---------------------------------------------------------------------------
@@ -128,6 +128,46 @@ def test_frame_overlap_matches_pairwise_overlaps(repetition_css):
     assert np.max(np.abs(repetition_css.overlap - expected)) < 1e-14
     norms = [qsc.codeword_norm_sq(c) for c in repetition_css.codewords]
     assert np.allclose(repetition_css.codeword_norms_sq, norms, rtol=1e-14, atol=0.0)
+
+
+def test_codewords_are_views_of_the_frame(cat33):
+    code = QSCode.from_points(1, 4.0, cat33.point_array, cat33.codeword_sizes, cat33.labels)
+    assert code == cat33 and code.codewords == cat33.codewords
+    assert all(np.shares_memory(c.as_array(), code.point_array) for c in code.codewords)
+    assert code.codewords is code.codewords
+
+
+@pytest.mark.parametrize("sizes, labels", [
+    ([3, 3, 2], ["0", "1", "2"]), ([3, 3, 4], ["0", "1", "2"]), ([3, 6], ["0", "1", "2"]),
+    ([3, 0, 6], ["0", "1", "2"]), ([], []),
+])
+def test_from_points_rejects_sizes_that_do_not_cover_the_points(cat33, sizes, labels):
+    with pytest.raises(ValueError):
+        QSCode.from_points(1, 4.0, cat33.point_array, sizes, labels)
+
+
+_EQUAL_SIZE_CODES = ([(e.entry_id, e.build(4.0)) for e in qsc.list_catalog()
+                      if e.entry_id != "cell24(partition=two)"]
+                     + [(f"css{shape}", css_of_shape(*shape)) for shape in CSS_SHAPES])
+
+
+@pytest.mark.parametrize("code", [code for _, code in _EQUAL_SIZE_CODES],
+                         ids=[name for name, _ in _EQUAL_SIZE_CODES])
+def test_block_sums_of_equal_codewords_match_reduceat(code):
+    # the reshaped sums add in another order: each may differ from reduceat's
+    # by rounding, far below 1e-15 of the sum of its terms' magnitudes
+    assert code._common_size * code.K == len(code.point_array)
+    rng = np.random.default_rng(len(code.point_array))
+    N, K, starts = len(code.point_array), code.K, code.codeword_starts
+    for M, axis in ((code.overlap, 0), (code.overlap, 1),
+                    (rng.standard_normal((N, 3)) + 1j * rng.standard_normal((N, 3)), 0),
+                    (rng.standard_normal((K, N, 2)) + 1j * rng.standard_normal((K, N, 2)), 1)):
+        scale = np.add.reduceat(np.abs(M), starts, axis=axis)
+        assert np.all(np.abs(code._block_sums(M, axis) - np.add.reduceat(M, starts, axis=axis))
+                      <= 1e-15 * scale)
+    sums, scale = (np.diag(np.add.reduceat(np.add.reduceat(M, starts, axis=0), starts, axis=1))
+                   for M in (code.overlap, np.abs(code.overlap)))
+    assert np.all(np.abs(code.codeword_norms_sq - sums) <= 1e-15 * scale)
 
 
 # ---------------------------------------------------------------------------
@@ -391,6 +431,30 @@ def test_json_parse_error_reports_position():
 _GOOD_CODEWORDS = [{"label": "0", "points": [[[2.0, 0.0]]]}]
 
 
+def _neighbours(size: int, width: int, radius: float) -> list[dict]:
+    """Two valid codewords of ``size`` points each, of ``width`` modes, on the
+    sphere of the given radius and away from every point the malformed
+    documents below hold (phases 0.3 and up, 2.3 and up, on mode 1)."""
+    return [{"label": label, "points": [
+        [[radius * math.cos(t), radius * math.sin(t)]] + [[0.0, 0.0]] * (width - 1)
+        for t in (base + 0.2 * k for k in range(size))]}
+        for label, base in (("a", 0.3), ("c", 2.3))]
+
+
+def _with_neighbours(doc: dict) -> dict:
+    """The document with a valid codeword before and after its first, each
+    of as many 1-mode points on the radius-2 sphere."""
+    points = doc["codewords"][0]["points"]
+    a, c = _neighbours(max(1, len(points)), 1, 2.0)
+    return {**doc, "codewords": [a] + doc["codewords"] + [c]}
+
+
+# each malformed document is read on its own and between two valid codewords
+# of equal size, so that it also passes through the parse of many codewords
+neighbours = pytest.mark.parametrize("neighbours", [False, True],
+                                     ids=["one-codeword", "equal-sizes"])
+
+
 @pytest.mark.parametrize("doc", [
     {"modes": 1, "radius_sq": 4.0, "codewords": [{"label": "0", "points": []}]},
     {"modes": "abc", "radius_sq": 4.0, "codewords": _GOOD_CODEWORDS},
@@ -404,61 +468,89 @@ _GOOD_CODEWORDS = [{"label": "0", "points": [[[2.0, 0.0]]]}]
     {"modes": 1, "radius_sq": "4", "codewords": _GOOD_CODEWORDS},
 ], ids=["empty-points", "modes-not-integer", "negative-radius", "ragged-points", "nan-radius",
         "modes-float", "modes-string", "modes-bool", "radius-string"])
-def test_json_malformed_documents_raise_code_format_error(doc):
+@neighbours
+def test_json_malformed_documents_raise_code_format_error(doc, neighbours):
     with pytest.raises(CodeFormatError):
-        code_from_json(json.dumps(doc))
+        code_from_json(json.dumps(_with_neighbours(doc) if neighbours else doc))
 
 
-def _one_codeword_document(points: str, modes: int = 1, label: str = "0") -> str:
-    """A document on the unit sphere whose only codeword has the given
-    ``points`` text."""
-    return ('{"modes": %d, "radius_sq": 1.0, "codewords": [{"label": %s, "points": %s}]}'
-            % (modes, json.dumps(label), points))
+def _document(points: str, modes: int = 1, label: str = "0", neighbours: bool = False,
+              width: int | None = None) -> str:
+    """A document on the unit sphere whose codeword ``label`` has the given
+    ``points`` text: its only codeword, or with ``neighbours`` the middle one
+    of three, the other two valid, of as many points of ``width`` modes
+    (``modes`` by default)."""
+    codewords = '{"label": %s, "points": %s}' % (json.dumps(label), points)
+    if neighbours:
+        parsed = json.loads(points)   # NaN, Infinity and booleans parse too
+        size = len(parsed) if isinstance(parsed, list) and parsed else 1
+        a, c = (json.dumps(cw) for cw in _neighbours(size, width or modes, 1.0))
+        codewords = f"{a}, {codewords}, {c}"
+    return '{"modes": %d, "radius_sq": 1.0, "codewords": [%s]}' % (modes, codewords)
 
 
-def test_json_reads_the_one_codeword_document():
-    code = code_from_json(_one_codeword_document("[[[1.0, 0.0]], [[0, 1]]]"))
-    assert code.point_array.tolist() == [[1.0 + 0j], [1j]]
+@neighbours
+def test_json_reads_the_document(neighbours):
+    code = code_from_json(_document("[[[1.0, 0.0]], [[0, 1]]]", neighbours=neighbours))
+    assert code.codewords[code.labels.index("0")].as_array().tolist() == [[1.0 + 0j], [1j]]
+    assert code.codeword_sizes.tolist() == ([2, 2, 2] if neighbours else [2])
 
 
+@neighbours
 @pytest.mark.parametrize("points", ['[[["1", 0.0]]]', '[[["1", "0"]]]', '[[[1.0, "0"]]]'])
-def test_json_rejects_string_coordinates(points):
+def test_json_rejects_string_coordinates(points, neighbours):
     with pytest.raises(CodeFormatError, match="JSON numbers"):
-        code_from_json(_one_codeword_document(points))
+        code_from_json(_document(points, neighbours=neighbours))
 
 
+@neighbours
 @pytest.mark.parametrize("points", ['[[[true, 0.0]]]', '[[[1, false]]]', '[[[true, false]]]',
                                     '[[[0.0, 1.0]], [[true, 0.0]]]'])
-def test_json_rejects_boolean_coordinates(points):
+def test_json_rejects_boolean_coordinates(points, neighbours):
     with pytest.raises(CodeFormatError, match="JSON numbers"):
-        code_from_json(_one_codeword_document(points))
+        code_from_json(_document(points, neighbours=neighbours))
     # a label that spells a boolean is still a label
-    code = code_from_json(_one_codeword_document("[[[1.0, 0.0]]]", label="true or false"))
-    assert code.codewords[0].label == "true or false"
+    code = code_from_json(_document("[[[1.0, 0.0]]]", label="true or false",
+                                    neighbours=neighbours))
+    assert "true or false" in [c.label for c in code.codewords]
 
 
+@neighbours
 @pytest.mark.parametrize("points,modes", [
     ("[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 1.0]]]", 2),
     ("[[[1.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]]]", 1),
     ("[[[1.0, 0.0], [0.0]]]", 2),
 ])
-def test_json_rejects_ragged_points(points, modes):
+def test_json_rejects_ragged_points(points, modes, neighbours):
     with pytest.raises(CodeFormatError):
-        code_from_json(_one_codeword_document(points, modes))
+        code_from_json(_document(points, modes, neighbours=neighbours))
 
 
+@neighbours
 @pytest.mark.parametrize("points", ["[[[1.0, 0.0, 0.0]]]", "[[[1.0]]]", "[[1.0, 0.0]]",
-                                    "[[[[1.0, 0.0]]]]", "[[]]", "[[[]]]", "[1.0]", '"1"'])
-def test_json_rejects_points_that_are_not_pairs(points):
+                                    "[[[[1.0, 0.0]]]]", "[[]]", "[[[]]]", "[1.0]", '"1"',
+                                    "[]"])
+def test_json_rejects_points_that_are_not_pairs(points, neighbours):
     with pytest.raises(CodeFormatError):
-        code_from_json(_one_codeword_document(points))
+        code_from_json(_document(points, neighbours=neighbours))
 
 
+@neighbours
+@pytest.mark.parametrize("modes,width", [(2, 1), (1, 2), (3, 2)])
+def test_json_rejects_wrong_mode_count(modes, width, neighbours):
+    # every point, in every codeword, has ``width`` modes where the document
+    # declares ``modes``
+    points = json.dumps([[[1.0, 0.0]] + [[0.0, 0.0]] * (width - 1)])
+    with pytest.raises(CodeFormatError, match="mode count"):
+        code_from_json(_document(points, modes, neighbours=neighbours, width=width))
+
+
+@neighbours
 @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
-def test_json_rejects_non_finite_tokens(token):
+def test_json_rejects_non_finite_tokens(token, neighbours):
     for points in (f"[[[{token}, 0.0]]]", f"[[[1.0, {token}]]]"):
         with pytest.raises(CodeFormatError, match="finite"):
-            code_from_json(_one_codeword_document(points))
+            code_from_json(_document(points, neighbours=neighbours))
 
 
 # ---------------------------------------------------------------------------

@@ -199,11 +199,32 @@ def test_separation_distance_dictionary_binary(q, n, gen_x, gen_z):
         2.0 * 1.5 * math.sqrt(props.d_x), rel=1e-12)
 
 
-def test_css_length_budget():
+def test_css_properties_beyond_length_20():
+    # seven blocks of three modes: C_X spanned by each block's all-ones word,
+    # C_Z by even words inside the blocks, all but (0, 1, 1) on the last (K = 2).
+    # So C_Z^perp \ C_X holds e_20 (d_x = 1), and C_X^perp \ C_Z the words
+    # (1, 0, 1) and (0, 1, 1) on the last block (d_z = 2).
+    blocks = [[3 * b + i for i in range(3)] for b in range(7)]
+    gen_x = [[int(j in block) for j in range(21)] for block in blocks]
+    gen_z = [[int(j in (block[i], block[i + 1])) for j in range(21)]
+             for block in blocks for i in range(2)][:13]
+    props = css_properties(ClassicalCodeSpec(2, 21, gen_x, gen_z), alpha=1.5)
+    assert (props.K, props.points_per_codeword, props.dual_z_size) == (2, 128, 256)
+    assert props.d_x == 1 and props.d_z == 2
+    assert props.min_separation == pytest.approx(2.0 * 1.5 * math.sqrt(props.d_x), rel=1e-12)
+
+
+def test_css_properties_budget_checked_before_enumeration(monkeypatch):
     from qsc.moments import BudgetExceededError
-    spec = ClassicalCodeSpec(2, 2, gen_x=[(1, 1)], gen_z=[])
-    object.__setattr__(spec, "length", 25)
-    with pytest.raises(BudgetExceededError):
+    # C_Z^perp has 2^6 words, but C_X^perp has 2^20, above the budget
+    gen_x = [[1] * 21]
+    gen_z = [[1 if j in (0, i) else 0 for j in range(21)] for i in range(1, 16)]
+    spec = ClassicalCodeSpec(2, 21, gen_x, gen_z)
+
+    def no_work(*args):
+        raise AssertionError("words enumerated before the budget guard")
+    monkeypatch.setattr(qsc.css, "_span", no_work)
+    with pytest.raises(BudgetExceededError, match="2\\^20 words"):
         css_properties(spec)
 
 

@@ -23,7 +23,7 @@ from qsc.kl import (
 from qsc.moments import BudgetExceededError, multi_indices
 
 from brute_force import brute_kl_matrix, brute_overlap
-from conftest import constellations_as_lists, random_three_point_code
+from conftest import constellations_as_lists, css_of_shape, random_three_point_code
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +236,21 @@ def test_detection_two_legged_cat(two_legged):
     assert loss_row.delta == pytest.approx(2.0)
 
 
+def test_detection_report_columns_match_its_rows():
+    code = qsc.build("cat", 16.0, S=2, K=2)
+    report = detection_report(code, 2, tol=1e-6, include_dephasing_to=2)
+    rows = report.rows
+    assert len(rows) == len(report.exponents) + len(report.dephasing) == len(report.lam)
+    assert report.labels() == [row.label() for row in rows]
+    assert report.degrees.tolist() == [row.degree for row in rows]
+    assert report.lam.tolist() == [row.lam for row in rows]
+    assert report.delta.tolist() == [row.delta for row in rows]
+    assert report.exponents.tolist() == [list(row.error.r + row.error.s) for row in rows
+                                         if row.kind == "monomial"]
+    assert report.dephasing.tolist() == [[row.mode, row.power] for row in rows
+                                         if row.kind == "dephasing"]
+
+
 def test_detection_budget(monkeypatch):
     code = qsc.build("cat", 4.0, S=1, K=2)
     monkeypatch.setattr(qsc.kl, "ERROR_BUDGET", 10)   # degree 3 on 1 mode: 10 errors
@@ -344,3 +359,22 @@ def test_detection_rows_of_cell24_two_match_kl_matrix():
     code = qsc.build("cell24", 4.0, partition="two")
     assert sorted(len(c) for c in code.codewords) == [8, 16]
     _assert_rows_match_kl_matrix(code)
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+@pytest.mark.parametrize("shape", [(2, 7, 0, 0), (2, 7, 3, 0)], ids=["K128", "K16x8"])
+def test_detection_rows_of_css_codes_match_brute_force(shape, degree):
+    # K = 128 singleton codewords, and K = 16 codewords of 8 points: both
+    # summed by reshaping; the oracle takes a tenth of a second per row, so
+    # five rows spread over the report are checked, the last of top degree
+    code = css_of_shape(*shape)
+    cws = constellations_as_lists(code)
+    report = detection_report(code, degree, tol=1e-6)
+    assert report.degrees[-1] == degree
+    for i in np.linspace(0, len(report.rows) - 1, 5).astype(int):
+        row = report.rows[i]
+        brute = np.array(brute_kl_matrix(cws, row.error.r, row.error.s))
+        lam = np.trace(brute) / code.K
+        scale = 1e-12 * max(1.0, np.max(np.abs(brute)))
+        assert abs(row.lam - lam) <= scale, row.label()
+        assert abs(row.delta - np.max(np.abs(brute - lam * np.eye(code.K)))) <= scale, row.label()

@@ -12,6 +12,7 @@ from qsc.constellation import Constellation, DimensionMismatchError, PassiveUnit
 from qsc.moments import (
     BudgetExceededError,
     MomentIndex,
+    _degree_table,
     _index_blocks,
     _index_position,
     _index_table,
@@ -297,3 +298,16 @@ def test_index_position_of_sums():
     sums = table[:, None, :] + table[None, :, :]
     want = [[lookup[tuple(row)] for row in block.tolist()] for block in sums]
     assert np.array_equal(_index_position(sums), np.array(want))
+
+
+def test_degree_tables_are_built_once_and_read_only(monkeypatch):
+    table = _degree_table(4, 3)
+    assert table is _degree_table(4, 3)
+    with pytest.raises(ValueError, match="read-only"):
+        table[0, 0] = 7
+    # a table above the row limit is built on each call, as read-only
+    monkeypatch.setattr(qsc.moments, "CACHED_TABLE_ROWS", len(table) - 1)
+    large = _degree_table(4, 3)
+    assert large is not _degree_table(4, 3) and np.array_equal(large, table)
+    with pytest.raises(ValueError, match="read-only"):
+        large[0, 0] = 7
