@@ -229,13 +229,14 @@ def cmd_css(args: argparse.Namespace) -> int:
 
 
 def cmd_perf(args: argparse.Namespace) -> int:
-    if args.cutoff < 2:
+    if args.cutoff is not None and args.cutoff < 2:
         raise ValueError("cutoff must be at least 2")
     code = _load_code(args.infile)
     start, stop, count = _parse_range(args.gammas if args.channel == "loss" else args.sigmas)
     levels = np.linspace(start, stop, count)
     if args.channel == "dephasing":
-        cfg = fock_mod.FockConfig(cutoff=args.cutoff, modes=code.modes)
+        cfg = (fock_mod.FockConfig.for_code(code) if args.cutoff is None
+               else fock_mod.FockConfig(cutoff=args.cutoff, modes=code.modes))
     rows = []
     for level in levels:
         if args.channel == "loss":
@@ -243,7 +244,8 @@ def cmd_perf(args: argparse.Namespace) -> int:
         else:
             f = fock_mod.dephasing_channel_fidelity(code, float(level), cfg)
         rows.append([_fmt(level), _fmt(f)])
-        print(f"{args.channel} {level:g}: F = {f:.12g}", file=sys.stderr)
+        at = "" if args.channel == "loss" else f" at cutoff {cfg.cutoff}"
+        print(f"{args.channel} {level:g}{at}: F = {f:.12g}", file=sys.stderr)
     header = ["gamma" if args.channel == "loss" else "sigma", "fidelity"]
     text = _csv(header, rows)
     if args.json:
@@ -372,15 +374,17 @@ def build_parser() -> argparse.ArgumentParser:
                     "number of modes; dephasing uses the exact Kraus operators of the "
                     "Gaussian phase multiplier on a Fock space truncated at --cutoff "
                     "per mode, on any number of modes with cutoff^modes <= "
-                    f"{fock_mod.DIM_BUDGET}.")
+                    f"{fock_mod.DIM_BUDGET}.  The cutoff is derived from the code "
+                    "unless given.")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--channel", choices=["loss", "dephasing"], default="loss")
     p.add_argument("--gammas", default="0.001:0.05:10",
                    help="loss levels start:stop:count")
     p.add_argument("--sigmas", default="0.01:0.2:10",
                    help="dephasing levels start:stop:count")
-    p.add_argument("--cutoff", type=int, default=60,
-                   help="Fock cutoff per mode; applies to dephasing only")
+    p.add_argument("--cutoff", type=int, default=None,
+                   help="Fock cutoff per mode, dephasing only (default: derived from the "
+                        "code, where no point leaves more than machine epsilon beyond it)")
     p.add_argument("--csv", default="-")
     p.add_argument("--json", action="store_true")
 

@@ -12,28 +12,24 @@ orthonormal codewords E_j |e_mu>, which one function turns into the fidelity.
   of the N x N environment overlap matrix give an orthonormal Kraus basis, and
   the Gram matrix needs only the overlaps of the damped points.
 * Dephasing is the Schur multiplier rho_mn -> exp(-sigma^2 (m-n)^2/2) rho_mn
-  on a Fock space truncated at a cutoff per mode.  The eigenpairs of that
-  multiplier give its exact Kraus operators, diagonal in the number basis;
-  each mode's set is compressed to the directions that act on the code's
-  marginal number distribution before the Kronecker products across modes
-  are formed.  No quadrature is involved.
+  on a Fock space truncated at a cutoff per mode, by default the one the code
+  derives (``FockConfig.for_code``).  The multiplier's eigenpairs give its
+  exact Kraus operators, diagonal in the number basis, which are contracted
+  with the code one mode at a time and compressed after each.  No quadrature.
 
-The embedding (``embed_codewords``) writes each codeword as an explicit
-number-basis vector, the sum of its points' coherent states, on any number of
-modes whose joint dimension cutoff^modes fits ``DIM_BUDGET``.  The test
-suite's Fock oracles, KL matrices by sandwiching truncated ladder operators
-among them, start from it.
+``embed_codewords`` writes every codeword as a number-basis vector on any
+number of modes whose joint dimension cutoff^modes fits ``DIM_BUDGET``; the
+test suite's Fock oracles start from it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
-from .constellation import Constellation, QSCode, QscError
+from .constellation import QSCode, QscError
 
 # Largest joint Fock dimension cutoff^modes of the truncated simulation, the
 # length of each embedded codeword: cutoff 64 on 2 modes, 16 on 3, 8 on 4.
@@ -45,12 +41,13 @@ COMPLETENESS_TOL = 1e-8
 # weights and the corrupted-codeword Gram matrix) are positive semidefinite,
 # and below it an eigenvalue is within rounding of the largest.
 EIGEN_FLOOR = 1e-14
-# Largest corrupted-codeword Gram dimension J*K (J Kraus operators, K
-# codewords).  The dephasing Gram matrix is held twice while it is built,
-# 2 x 16 x 3000^2 bytes = 288 MB at the budget.  At cutoff 60 and sigma = 0.5
-# the 2-mode repetition cat code at alpha = 2 keeps 26 compressed Kraus
-# operators per mode (1,352); nine codewords at alpha = 2 need 6,084.
+# Largest corrupted-codeword Gram dimension J*K (J Kraus operators, K codewords),
+# held twice while rotated (2 x 16 x 3000^2 bytes = 288 MB); dephasing checks each
+# mode's joint J before compressing it (nine codewords at sigma = 0.5: 26 x 26 x 9).
 GRAM_DIM_BUDGET = 3000
+EPS = np.finfo(float).eps
+# Past this codeword Gram condition number G^(-1/2) keeps under half its digits.
+GRAM_CONDITION_LIMIT = 1.0 / math.sqrt(EPS)
 
 
 class TruncationError(QscError):
@@ -82,44 +79,41 @@ class FockConfig:
     def dim(self) -> int:
         return self.cutoff ** self.modes
 
-
-def coherent_amplitudes(alpha: complex, cutoff: int) -> np.ndarray:
-    """Number-basis amplitudes e^{-|a|^2/2} a^k / sqrt(k!) up to the cutoff."""
-    out = np.zeros(cutoff, dtype=np.complex128)
-    out[0] = math.exp(-0.5 * abs(alpha) ** 2)
-    for k in range(1, cutoff):
-        out[k] = out[k - 1] * alpha / math.sqrt(k)
-    return out
-
-
-def _point_vector(amplitudes: np.ndarray, cfg: FockConfig) -> np.ndarray:
-    factors = []
-    for alpha in amplitudes:
-        vec = coherent_amplitudes(alpha, cfg.cutoff)
-        tail = max(0.0, 1.0 - float(np.sum(np.abs(vec) ** 2)))
-        if tail > TAIL_TOL:
-            raise TruncationError(
-                f"coherent tail mass {tail:.3e} beyond cutoff {cfg.cutoff} "
-                f"for amplitude {alpha:.4g}")
-        factors.append(vec)
-    return reduce(np.kron, factors)
+    @classmethod
+    def for_code(cls, code: QSCode) -> FockConfig:
+        """The smallest c at which the Poisson tail sum_{n >= c} e^-a a^n / n!
+        of the largest |z_m|^2 = a is at most machine epsilon, capped at the
+        budget for the code's modes (where the embedding still checks TAIL_TOL)."""
+        cap = round(DIM_BUDGET ** (1.0 / code.modes))
+        cap -= cap ** code.modes > DIM_BUDGET
+        a = max(float(np.max(np.abs(code.point_array) ** 2)), np.finfo(float).tiny)
+        # past n = 2a the terms at least halve: 64 more leave out < 2^-63 of them
+        n = np.arange(1, 2 * math.ceil(a) + 64)
+        terms = np.exp(-a + np.concatenate(([0.0], np.cumsum(np.log(a / n)))))
+        c = int(np.argmax(np.cumsum(terms[::-1])[::-1] <= EPS))
+        return cls(cutoff=max(2, min(c, cap)), modes=code.modes)
 
 
-def codeword_vector(c: Constellation, cfg: FockConfig, normalized: bool = True) -> np.ndarray:
-    """Embed sum_z |z> for one constellation; optionally unit-normalize."""
-    vec = np.zeros(cfg.dim, dtype=np.complex128)
-    for amplitudes in c.as_array():
-        vec += _point_vector(amplitudes, cfg)
-    if normalized:
-        vec = vec / np.linalg.norm(vec)
-    return vec
-
-
-def embed_codewords(code: QSCode, cfg: FockConfig) -> list[np.ndarray]:
-    """Normalized number-basis vectors for every codeword of the code."""
+def embed_codewords(code: QSCode, cfg: FockConfig) -> np.ndarray:
+    """Normalized number-basis vectors of the codewords, (K, cutoff^modes);
+    ``TruncationError`` names the largest tail mass above TAIL_TOL."""
     if code.modes != cfg.modes:
         raise QscError(f"code has {code.modes} modes, config expects {cfg.modes}")
-    return [codeword_vector(c, cfg) for c in code.codewords]
+    Z = code.point_array
+    steps = Z[:, :, None] / np.sqrt(np.arange(1, cfg.cutoff))
+    # e^{-|z|^2/2} z^k / sqrt(k!) of every point and mode, (N, n, cutoff)
+    amps = np.cumprod(np.dstack((np.exp(-0.5 * np.abs(Z) ** 2), steps)), axis=2)
+    tails = 1.0 - np.sum(np.abs(amps) ** 2, axis=2)
+    worst = np.unravel_index(np.argmax(tails), tails.shape)
+    if tails[worst] > TAIL_TOL:
+        raise TruncationError(
+            f"coherent tail mass {tails[worst]:.3e} beyond cutoff {cfg.cutoff} "
+            f"for amplitude {Z[worst]:.4g}")
+    vecs = amps[:, 0]
+    for m in range(1, cfg.modes):
+        vecs = (vecs[:, :, None] * amps[:, m, None, :]).reshape(len(Z), -1)
+    sums = code._block_sums(vecs, 0)
+    return sums / np.linalg.norm(sums, axis=1, keepdims=True)
 
 
 # ---------------------------------------------------------------------------
@@ -133,9 +127,8 @@ def _require_two_codewords(code: QSCode) -> None:
 
 def _check_gram_dim(J: int, K: int) -> None:
     if J * K > GRAM_DIM_BUDGET:
-        raise QscError(
-            f"the corrupted-codeword Gram matrix would have dimension {J * K} "
-            f"({J} Kraus operators x {K} codewords), above the budget {GRAM_DIM_BUDGET}")
+        raise QscError(f"the corrupted-codeword Gram matrix would have dimension {J * K} "
+                       f"({J} Kraus operators x {K} codewords), above the budget {GRAM_DIM_BUDGET}")
 
 
 def _kept_eigenpairs(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -146,34 +139,27 @@ def _kept_eigenpairs(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _inverse_sqrt(gram: np.ndarray) -> np.ndarray:
-    """G^(-1/2) of a codeword Gram matrix: the coefficients of the Loewdin
-    (symmetric) orthogonalisation, e_mu = sum_nu G^(-1/2)[nu, mu] c_nu."""
+    """G^(-1/2) of a codeword Gram matrix of condition at most GRAM_CONDITION_LIMIT:
+    the Loewdin (symmetric) orthogonalisation, e_mu = sum_nu G^(-1/2)[nu, mu] c_nu."""
     vals, vecs = np.linalg.eigh(gram)
-    if np.min(vals) <= 1e-12:
-        raise QscError("codewords are numerically linearly dependent")
+    condition = vals[-1] / vals[0] if vals[0] > 0 else math.inf
+    if condition > GRAM_CONDITION_LIMIT:
+        raise QscError(f"codewords are numerically linearly dependent: their Gram matrix "
+                       f"has condition number {condition:.3g}, above {GRAM_CONDITION_LIMIT:.3g}")
     return (vecs / np.sqrt(vals)) @ vecs.conj().T
 
 
 def _transpose_recovery_fidelity(gram: np.ndarray, J: int, K: int) -> float:
-    """Entanglement fidelity of channel + transpose-channel recovery.
-
+    """Entanglement fidelity of channel + transpose-channel recovery from
     ``gram[(j, mu), (k, nu)]`` = <E_j e_mu|E_k e_nu> for J Kraus operators and
     K orthonormal codewords, j major.  With H the (pseudo) square root of the
     Gram matrix, F = (1/K^2) sum_{j,k} |sum_mu H[(j,mu),(k,mu)]|^2; the sums
-    over mu are taken from the eigenvectors, without forming H.
-
-    F does not depend on the Kraus representation, so the Kraus operators are
-    first rotated to the eigenvectors of their weights on the code,
-    Q[j, k] = sum_mu gram[(j, mu), (k, mu)], and those of weight below the
-    floor (operators that vanish on the code) are dropped: the Gram matrix
-    that is decomposed shrinks from J*K to (rank Q)*K, 162 to 84 for the
-    2-mode repetition cat code at E = 4 and sigma = 0.1.
+    over mu are taken from the eigenvectors, without forming H.  F does not
+    depend on the Kraus representation (Nielsen-Chuang, Thm 8.2), so callers
+    first rotate theirs to the eigenvectors of their weights on the code,
+    Q[j, k] = sum_mu gram[(j, mu), (k, mu)], and drop those below the floor.
     """
-    G = gram.reshape(J, K, J, K)
-    weights, U = _kept_eigenpairs(np.einsum("jmkm->jk", G))
-    G = np.tensordot(np.tensordot(U.conj(), G, axes=([0], [0])), U, axes=([2], [0]))
-    J = len(weights)
-    vals, vecs = _kept_eigenpairs(G.transpose(0, 1, 3, 2).reshape(J * K, J * K))
+    vals, vecs = _kept_eigenpairs(gram)
     Y = vecs.reshape(J, K, -1)
     T = np.tensordot(Y * np.sqrt(vals), Y.conj(), axes=([1, 2], [1, 2]))
     return float(np.sum(np.abs(T) ** 2)) / K ** 2
@@ -201,8 +187,11 @@ def loss_channel_fidelity(code: QSCode, gamma: float) -> float:
     J, K = len(lam), code.K
     _check_gram_dim(J, K)
     X = (np.sqrt(lam)[:, None, None] * V.T.conj()[:, None, :] * A[None, :, :]).reshape(J * K, -1)
-    gram = X.conj() @ code.scaled_overlap(1.0 - gamma) @ X.T
-    return _transpose_recovery_fidelity(gram, J, K)
+    G = (X.conj() @ code.scaled_overlap(1.0 - gamma) @ X.T).reshape(J, K, J, K)
+    weights, U = _kept_eigenpairs(np.einsum("jmkm->jk", G))
+    G = np.tensordot(np.tensordot(U.conj(), G, axes=([0], [0])), U, axes=([2], [0]))
+    J = len(weights)
+    return _transpose_recovery_fidelity(G.transpose(0, 1, 3, 2).reshape(J * K, J * K), J, K)
 
 
 def _dephasing_kraus(sigma: float, cutoff: int) -> np.ndarray:
@@ -215,40 +204,47 @@ def _dephasing_kraus(sigma: float, cutoff: int) -> np.ndarray:
     return (U * np.sqrt(d)).T
 
 
-def dephasing_channel_fidelity(code: QSCode, sigma: float, cfg: FockConfig) -> float:
+def dephasing_channel_fidelity(code: QSCode, sigma: float,
+                               cfg: FockConfig | None = None) -> float:
     """Entanglement fidelity of Gaussian dephasing + transpose recovery on the
-    truncated Fock space of ``cfg``, with the exact Kraus operators of the
-    dephasing multiplier at that cutoff, compressed mode by mode (22 to 9 per
-    mode for the 2-mode repetition cat code at E = 4, sigma = 0.1, cutoff 60)."""
+    truncated Fock space of ``cfg`` (by default ``FockConfig.for_code``), with
+    the exact Kraus operators of the dephasing multiplier at that cutoff.
+
+    Modes are contracted one at a time.  Each mode's operators are cut to the
+    eigenvectors of their weight on its marginal of the code's number
+    distribution p = sum_mu |e_mu|^2 above the floor, and after the mode so is
+    the joint index, by p: what vanishes on the code vanishes in every product
+    with the other modes (the 2-mode repetition cat code at E = 4, sigma = 0.1,
+    cutoff 23 keeps 9 of 12 per mode and 42 of 81 jointly)."""
     if not (math.isfinite(sigma) and sigma >= 0):
         raise ValueError(f"sigma must be finite and nonnegative, got {sigma}")
     _require_two_codewords(code)
+    cfg = cfg or FockConfig.for_code(code)
     kraus = _dephasing_kraus(sigma, cfg.cutoff)
-    completeness = reduce(np.kron, [np.sum(kraus ** 2, axis=0)] * cfg.modes)
-    deviation = float(np.max(np.abs(completeness - 1.0)))
+    # the joint completeness is a Kronecker power: its extremes are one mode's, powered
+    s = np.sum(kraus ** 2, axis=0)
+    deviation = max(abs(s.max() ** cfg.modes - 1.0), abs(s.min() ** cfg.modes - 1.0))
     if deviation > COMPLETENESS_TOL:
-        raise KrausCompletenessError(
-            f"dephasing Kraus completeness deviates by {deviation:.3e}")
-    psis = np.array(embed_codewords(code, cfg))
+        raise KrausCompletenessError(f"dephasing Kraus completeness deviates by {deviation:.3e}")
+    psis = embed_codewords(code, cfg)
+    # points within rounding of the real axis (as alpha e^{i pi}) have real states
+    if np.all(np.abs(code.point_array.imag) <= 4 * EPS * np.abs(code.point_array)):
+        psis = psis.real
     ortho = _inverse_sqrt(psis.conj() @ psis.T).T @ psis
-    K, shape = code.K, (cfg.cutoff,) * cfg.modes
-    # Each mode's operators, rotated to the eigenvectors of their weights
-    # k diag(w_m) k^T on the code's marginal number distribution w_m, keep
-    # only the directions above the floor: a combination that vanishes where
-    # w_m does vanishes on the code in every product with the other modes.
-    probs = np.sum(np.abs(ortho) ** 2, axis=0).reshape(shape)
-    per_mode = []
-    for m in range(cfg.modes):
-        w = np.sum(probs, axis=tuple(i for i in range(cfg.modes) if i != m))
-        per_mode.append(_kept_eigenpairs((kraus * w) @ kraus.T)[1].T @ kraus)
-    J = math.prod(len(k) for k in per_mode)
-    _check_gram_dim(J, K)
-    # gram[(a, mu), (b, nu)] = sum_x D_a(x) D_b(x) conj(e_mu(x)) e_nu(x), with
-    # D_a the Kronecker product of per-mode diagonals: contract one mode at a
-    # time, each step turning the leading number axis x_m into (a_m, b_m).
-    T = (ortho.conj()[:, None, :] * ortho[None, :, :]).reshape((K, K) + shape)
-    for k in per_mode:
-        T = np.tensordot(T, k[:, None, :] * k[None, :, :], axes=([2], [2]))
-    order = ([2 + 2 * m for m in range(cfg.modes)] + [0]
-             + [3 + 2 * m for m in range(cfg.modes)] + [1])
-    return _transpose_recovery_fidelity(T.transpose(order).reshape(J * K, J * K), J, K)
+    K, c, n = code.K, cfg.cutoff, cfg.modes
+    probs = np.sum(np.abs(ortho) ** 2, axis=0).reshape((c,) * n)
+    # T[mu, nu, x, A, B] = conj(e_mu(x)) e_nu(x) D_A D_B over the modes done,
+    # x the number states of the rest: the Gram matrix once all are done.
+    T = (ortho.conj()[:, None, :] * ortho[None, :, :]).reshape(K, K, -1, 1, 1)
+    for m in range(n):
+        w = np.sum(probs, axis=tuple(i for i in range(n) if i != m))
+        k = _kept_eigenpairs((kraus * w) @ kraus.T)[1].T @ kraus
+        J = T.shape[-1] * len(k)
+        _check_gram_dim(J, K)
+        T = np.tensordot(T.reshape(K, K, c, -1, *T.shape[-2:]), k[:, None] * k[None], axes=(2, 2))
+        T = T.transpose(0, 1, 2, 3, 5, 4, 6).reshape(K, K, -1, J, J)
+        if m and len(k) > 1:   # mode 0 is already cut by its marginal; one operator adds none
+            U = _kept_eigenpairs(np.einsum("mmxjk->jk", T).real)[1]
+            T = U.T @ T @ U
+    J = T.shape[-1]
+    return _transpose_recovery_fidelity(T[:, :, 0].transpose(2, 0, 3, 1).reshape(J * K, -1), J, K)

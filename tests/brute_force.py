@@ -8,11 +8,13 @@ through a full distance table per candidate.  The loop versions of the
 package's array kernels live here too: the recursive monomial enumeration,
 the per-degree full-SVD vanishing ideal with term-by-term multiples, and the
 600-cell built vertex by vertex.  The JSON writer oracle
-formats every coordinate on its own, point by point.  The KL and channel
-oracles at the end work in a truncated Fock space with numpy, on the
-package's codeword embedding, and take different routes to their results
-than the package does.  Results from these functions are the source of the
-expected values asserted in the test suite.
+formats every coordinate on its own, point by point.  The Fock embedding
+oracle builds each point's state from one coherent-state recursion per mode
+and Kronecker products, point by point.  The KL and channel oracles at the
+end work in a truncated Fock space with numpy, on the package's codeword
+embedding, and take different routes to their results than the package
+does.  Results from these functions are the source of the expected values
+asserted in the test suite.
 """
 
 from __future__ import annotations
@@ -20,12 +22,13 @@ from __future__ import annotations
 import cmath
 import json
 import math
+from functools import reduce
 from itertools import permutations, product
 
 import numpy as np
 
 from qsc.constellation import PassiveUnitary, QscError
-from qsc.fock import embed_codewords
+from qsc.fock import TAIL_TOL, TruncationError, embed_codewords
 from qsc.symmetries import X_TYPE, Z_TYPE, SymmetryAction
 
 
@@ -379,6 +382,42 @@ def brute_code_to_json(code) -> str:
     lines.append("  ]")
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# Fock embedding oracle: one point and one mode at a time
+# ---------------------------------------------------------------------------
+
+def coherent_amplitudes(alpha: complex, cutoff: int) -> np.ndarray:
+    """Number-basis amplitudes e^{-|a|^2/2} a^k / sqrt(k!) up to the cutoff."""
+    out = np.zeros(cutoff, dtype=np.complex128)
+    out[0] = math.exp(-0.5 * abs(alpha) ** 2)
+    for k in range(1, cutoff):
+        out[k] = out[k - 1] * alpha / math.sqrt(k)
+    return out
+
+
+def _point_vector(amplitudes: np.ndarray, cfg) -> np.ndarray:
+    factors = []
+    for alpha in amplitudes:
+        vec = coherent_amplitudes(alpha, cfg.cutoff)
+        tail = max(0.0, 1.0 - float(np.sum(np.abs(vec) ** 2)))
+        if tail > TAIL_TOL:
+            raise TruncationError(
+                f"coherent tail mass {tail:.3e} beyond cutoff {cfg.cutoff} "
+                f"for amplitude {alpha:.4g}")
+        factors.append(vec)
+    return reduce(np.kron, factors)
+
+
+def codeword_vector(c, cfg, normalized: bool = True) -> np.ndarray:
+    """Embed sum_z |z> for one constellation; optionally unit-normalize."""
+    vec = np.zeros(cfg.dim, dtype=np.complex128)
+    for amplitudes in c.as_array():
+        vec += _point_vector(amplitudes, cfg)
+    if normalized:
+        vec = vec / np.linalg.norm(vec)
+    return vec
 
 
 # ---------------------------------------------------------------------------

@@ -142,11 +142,14 @@ def test_perf_loss_on_three_modes(tmp_path, capsys):
 
 
 def test_perf_dephasing_on_three_modes_is_a_computation_error(tmp_path, capsys):
+    # at E = 4 the derived cutoff (23) is capped at the budget's 16 on three
+    # modes, where the tail check refuses the amplitudes sqrt(2)
     path = tmp_path / "hessian.json"
     path.write_text(qsc.code_to_json(qsc.build("hessian", 4.0)))
     assert run(["perf", "--in", str(path), "--channel", "dephasing", "--sigmas", "0.1"]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "3" in err and "Traceback" not in err
+    assert err.startswith("error: coherent tail mass") and "beyond cutoff 16" in err
+    assert "Traceback" not in err
 
 
 def test_perf_dephasing_on_three_modes_within_the_dimension_budget(tmp_path, capsys):
@@ -162,6 +165,44 @@ def test_perf_dephasing_on_three_modes_within_the_dimension_budget(tmp_path, cap
                 "--sigmas", "0.1", "--json"]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and "coherent tail mass" in captured.err
+
+
+def test_perf_dephasing_at_the_derived_cutoff_reproduces_locked_values(tmp_path, capsys):
+    import math
+    from pathlib import Path
+    locked = json.loads((Path(__file__).parent / "fixtures" / "perf.json").read_text())
+    spec = qsc.ClassicalCodeSpec(2, 2, gen_x=[[1, 1]], gen_z=[])
+    codes = {"two_legged_E4": (qsc.build("cat", 4.0, S=1, K=2), 30),
+             "four_legged_E4": (qsc.build("cat", 4.0, S=2, K=2), 30),
+             "css_rep2_E4": (qsc.compile_css(spec, complex(math.sqrt(2.0))), 23)}
+    for name, (code, cutoff) in codes.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(qsc.code_to_json(code))
+        doc = _json_out(["perf", "--in", str(path), "--channel", "dephasing", "--sigmas", "0.1",
+                         "--json"], capsys)
+        assert abs(doc[0]["fidelity"] - locked["dephasing"][f"{name}_sigma0.1"]) <= 1e-10
+        assert run(["perf", "--in", str(path), "--channel", "dephasing", "--sigmas", "0.1"]) == 0
+        assert f"dephasing 0.1 at cutoff {cutoff}: F = " in capsys.readouterr().err
+
+
+def test_perf_dephasing_on_three_modes_at_the_derived_cutoff(tmp_path, capsys):
+    # the hessian at E = 1 derives cutoff 15, inside the budget's 16
+    path = tmp_path / "hessian1.json"
+    path.write_text(qsc.code_to_json(qsc.build("hessian", 1.0)))
+    argv = ["perf", "--in", str(path), "--channel", "dephasing", "--sigmas", "0.1", "--json"]
+    derived = _json_out(argv, capsys)[0]["fidelity"]
+    assert abs(derived - _json_out(argv + ["--cutoff", "16"], capsys)[0]["fidelity"]) <= 1e-12
+    assert derived == pytest.approx(0.978609532328, abs=1e-12)
+
+
+@pytest.mark.parametrize("channel", ["loss", "dephasing"])
+def test_perf_refuses_an_ill_conditioned_code(channel, tmp_path, capsys):
+    path = tmp_path / "cell600.json"
+    path.write_text(qsc.code_to_json(qsc.build("cell600", 1.0, partition="five")))
+    assert run(["perf", "--in", str(path), "--channel", channel, "--json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: codewords are numerically")
+    assert "condition number" in captured.err and "Traceback" not in captured.err
 
 
 def test_design_on_a_point_at_the_origin_is_a_computation_error(tmp_path, capsys):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -13,8 +14,6 @@ from qsc.kl import MonomialError, codeword_norm_sq, kl_matrix
 from qsc.fock import (
     FockConfig,
     TruncationError,
-    codeword_vector,
-    coherent_amplitudes,
     dephasing_channel_fidelity,
     embed_codewords,
     loss_channel_fidelity,
@@ -23,6 +22,8 @@ from qsc.moments import multi_indices
 
 from brute_force import (
     annihilation,
+    codeword_vector,
+    coherent_amplitudes,
     fock_loss_fidelity,
     kl_matrix_fock,
     quadrature_dephasing_fidelity,
@@ -357,3 +358,132 @@ def test_dephasing_on_three_modes_matches_one_mode(sigma):
     one = dephasing_channel_fidelity(cat, sigma, FockConfig(cutoff=16, modes=1))
     three = dephasing_channel_fidelity(padded, sigma, FockConfig(cutoff=16, modes=3))
     assert abs(three - one) <= 1e-13
+
+
+# ---------------------------------------------------------------------------
+# the per-point embedding oracle, the derived cutoff and the joint compression
+# ---------------------------------------------------------------------------
+
+EPS = np.finfo(float).eps
+
+
+def _poisson_tail(a, c):
+    """sum_{n >= c} e^-a a^n / n!, term by term far past the mode."""
+    term, terms = math.exp(-a), []
+    for n in range(400):
+        if n >= c:
+            terms.append(term)
+        term *= a / (n + 1)
+    return math.fsum(terms)
+
+
+def _rep2(alpha):
+    return qsc.compile_css(qsc.ClassicalCodeSpec(2, 2, gen_x=[[1, 1]], gen_z=[]), complex(alpha))
+
+
+def _catalog_codes(energies, max_modes):
+    for entry in qsc.list_catalog():
+        if entry.modes <= max_modes:
+            for E in energies:
+                yield f"{entry.entry_id}@E={E:g}", entry.build(E)
+
+
+def test_embedding_matches_per_point_oracle():
+    codes = list(_catalog_codes([1.0], 3)) + list(_catalog_codes([4.0], 2))
+    for name, code in codes:
+        cfg = FockConfig.for_code(code)
+        oracle = np.array([codeword_vector(c, cfg) for c in code.codewords])
+        assert np.max(np.abs(embed_codewords(code, cfg) - oracle)) <= 1e-14, name
+
+
+def test_truncation_error_names_the_worst_point():
+    # only the second point's first mode is past the cutoff
+    code = QSCode(2, 1.0, [Constellation("0", [Point([0.5, 0.5])]),
+                           Constellation("1", [Point([4.0, 0.1])])])
+    cfg = FockConfig(cutoff=20, modes=2)
+    with pytest.raises(TruncationError, match="beyond cutoff 20 for amplitude 4"):
+        embed_codewords(code, cfg)
+    with pytest.raises(TruncationError):
+        codeword_vector(code.codewords[1], cfg)
+
+
+@pytest.mark.parametrize("code, a, cutoff", [
+    (qsc.build("cat", 1.0, S=1, K=2), 1.0, 18),
+    (qsc.build("cat", 4.0, S=2, K=2), 4.0, 30),
+    (qsc.build("cat", 16.0, S=1, K=2), 16.0, 59),
+    (_rep2(math.sqrt(2.0)), 2.0, 23),
+    (qsc.build("hessian", 1.0), 0.5, 15),
+], ids=["cat E=1", "cat E=4", "cat E=16", "rep2 E=4", "hessian E=1"])
+def test_derived_cutoff_is_the_smallest_with_a_tail_below_epsilon(code, a, cutoff):
+    assert float(np.max(np.abs(code.point_array) ** 2)) == pytest.approx(a, rel=1e-12)
+    assert _poisson_tail(a, cutoff) <= EPS < _poisson_tail(a, cutoff - 1)
+    assert FockConfig.for_code(code) == FockConfig(cutoff=cutoff, modes=code.modes)
+
+
+def test_derived_cutoff_is_capped_by_the_dimension_budget():
+    # the caps: 4096 on one mode, 64 on two, 16 on three
+    for code, cap in ((qsc.build("cat", 5000.0, S=1, K=2), 4096), (_rep2(6.0), 64),
+                      (qsc.build("hessian", 4.0), 16)):
+        assert FockConfig.for_code(code).cutoff == cap
+    # the hessian at E = 4 (a = 2) would take 23, and 16 photons leave a tail
+    # above TAIL_TOL, which the embedding still refuses
+    assert _poisson_tail(2.0, 23) <= EPS < _poisson_tail(2.0, 22)
+    with pytest.raises(TruncationError, match="beyond cutoff 16"):
+        dephasing_channel_fidelity(qsc.build("hessian", 4.0), 0.1)
+
+
+def _convergence_codes():
+    yield "two_legged_E4", qsc.build("cat", 4.0, S=1, K=2)
+    yield "four_legged_E4", qsc.build("cat", 4.0, S=2, K=2)
+    yield "css_rep2_E4", _rep2(math.sqrt(2.0))
+    for name, code in _catalog_codes([1.0, 4.0], 2):
+        # one codeword has no channel fidelity; the Gram matrix of
+        # cell600(partition=five) at E = 1 is refused (condition 1.9e12)
+        if code.K > 1 and name != "cell600(partition=five)@E=1":
+            yield name, code
+
+
+@pytest.mark.parametrize("sigma", [0.1, 0.3])
+def test_derived_cutoff_converges(sigma):
+    for name, code in _convergence_codes():
+        c = FockConfig.for_code(code).cutoff
+        f = dephasing_channel_fidelity(code, sigma)
+        assert f == dephasing_channel_fidelity(code, sigma, FockConfig(c, code.modes))
+        for other in (c + 4, 60):
+            g = dephasing_channel_fidelity(code, sigma, FockConfig(other, code.modes))
+            assert abs(f - g) <= 1e-10, (name, c, other)
+
+
+def test_three_mode_dephasing_matches_quadrature_oracle():
+    # q = 2, length 3: C_X the repetition code {000, 111}, K = 2 codewords of
+    # two points each at alpha = 0.5 per mode; the oracle averages 8^3 phase
+    # triples on the 10^3-dimensional Fock space
+    code = qsc.compile_css(qsc.ClassicalCodeSpec(2, 3, gen_x=[[1, 1, 1]], gen_z=[[1, 1, 0]]), 0.5)
+    assert (code.K, len(code.point_array)) == (2, 4)
+    cfg = FockConfig(cutoff=10, modes=3)
+    oracle = quadrature_dephasing_fidelity(code, 0.2, cfg, nodes=8, check_convergence=False)
+    assert abs(dephasing_channel_fidelity(code, 0.2, cfg) - oracle) <= 1e-10
+
+
+@pytest.mark.parametrize("spec", [qsc.ClassicalCodeSpec(2, 2, gen_x=[[1, 1]], gen_z=[]),
+                                  qsc.ClassicalCodeSpec(2, 3, gen_x=[[1, 1, 1]], gen_z=[[1, 1, 0]])],
+                         ids=["2 modes", "3 modes"])
+def test_real_and_complex_arithmetic_agree(spec):
+    # a code on the real axis runs in real arithmetic; a global phase, which
+    # dephasing does not see, sends the same code through complex arithmetic.
+    # At sigma = 0.3 the two read 2.5e-13 to 2.8e-13 apart, the size of the
+    # rounding spread the square root of the Gram matrix gives small codes
+    real, rotated = (qsc.compile_css(spec, 0.8 * phase) for phase in (1.0, cmath.exp(0.3j)))
+    for sigma in (0.1, 0.3):
+        assert abs(dephasing_channel_fidelity(real, sigma) - dephasing_channel_fidelity(rotated, sigma)) <= 1e-12
+
+
+def test_channels_refuse_an_ill_conditioned_codeword_gram():
+    # cell600(partition=five) at E = 1: Gram eigenvalues from 2.7e-12 to 5.0
+    code = qsc.build("cell600", 1.0, partition="five")
+    with pytest.raises(qsc.QscError, match=r"condition number 1\.\d+e\+12, above 6\.7"):
+        loss_channel_fidelity(code, 0.01)
+    with pytest.raises(qsc.QscError, match=r"condition number \d\.\d+e\+12, above 6\.7"):
+        dephasing_channel_fidelity(code, 0.1)
+    # at E = 4 the same entry's condition number is 7.8e3
+    assert 0.0 < loss_channel_fidelity(qsc.build("cell600", 4.0, partition="five"), 0.01) < 1.0
