@@ -10,32 +10,23 @@ from .constellation import (
     QSCode,
     QscError,
     DimensionMismatchError,
-    OrbitOverflowError,
     CodeFormatError,
     Violation,
-    chordal_distance,
     code_from_json,
     code_to_json,
     min_separation,
-    orbit,
     validate_code,
 )
 from .moments import (
     BudgetExceededError,
     DesignReport,
-    MomentIndex,
     design_strength,
-    moment,
-    moment_indices,
-    monte_carlo_sphere_average,
     sphere_average,
 )
 from .kl import (
     DetectionReport,
     DetectionRow,
     MonomialError,
-    coherent_overlap,
-    codeword_norm_sq,
     dephasing_kl_matrix,
     detection_report,
     kl_matrix,
@@ -49,7 +40,7 @@ from .symmetries import (
     vanishing_ideal,
     verify_jump_annihilates,
 )
-from .catalog import CatalogEntry, CatalogError, build, list_catalog, symmetry_generators
+from .catalog import CatalogEntry, CatalogError, build, list_catalog
 from .css import ClassicalCodeSpec, CssError, CssProperties, compile_css, css_properties
 from .fock import (
     FockConfig,

@@ -19,15 +19,12 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
-from .constellation import (
-    PassiveUnitary,
-    QSCode,
-    QscError,
-)
+from .constellation import CODE_SIZE_BUDGET, QSCode, QscError
+from .moments import BudgetExceededError
 
 _GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -37,7 +34,7 @@ class CatalogError(QscError):
 
 
 # ---------------------------------------------------------------------------
-# Quaternion helpers (used by the 24-cell / 600-cell builders and generators)
+# Quaternion helpers (used by the 24-cell / 600-cell builders)
 # ---------------------------------------------------------------------------
 
 def _quat_mul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -50,17 +47,6 @@ def _quat_mul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
         a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
         a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
     ], axis=-1)
-
-
-def _right_multiplication_unitary(q: np.ndarray) -> PassiveUnitary:
-    """Right quaternion multiplication as a 2x2 unitary on (x1+ix2, x3+ix4).
-
-    Writing a quaternion as z1 + z2*j, right multiplication by w + v*j acts
-    C-linearly: (z1, z2) -> (z1*w - z2*conj(v), z1*v + z2*conj(w)).
-    """
-    w = complex(q[0], q[1])
-    v = complex(q[2], q[3])
-    return PassiveUnitary(np.array([[w, -np.conj(v)], [v, np.conj(w)]]))
 
 
 # The 16 sign vectors of itertools.product((1.0, -1.0), repeat=4), as rows.
@@ -154,6 +140,15 @@ def _hessian_vertices() -> tuple[np.ndarray, np.ndarray]:
 # Builders
 # ---------------------------------------------------------------------------
 
+def _check_size(base: int, exponent: int = 1) -> None:
+    """Refuse a code of base^exponent points above CODE_SIZE_BUDGET before any
+    point is made.  A base of at least 2 raised beyond the budget's bit length
+    exceeds it, so no larger power is ever formed."""
+    if exponent > CODE_SIZE_BUDGET.bit_length() or base ** exponent > CODE_SIZE_BUDGET:
+        count = f"{base}^{exponent}" if exponent > 1 else str(base)
+        raise BudgetExceededError(f"code with {count} points exceeds the budget {CODE_SIZE_BUDGET}")
+
+
 def _numbered_code(n: int, E: float, groups: list) -> QSCode:
     """A code whose codeword mu, labeled str(mu), holds the rows ``groups[mu]``."""
     points = np.concatenate([np.array(g, dtype=np.complex128).reshape(len(g), n)
@@ -165,6 +160,7 @@ def _numbered_code(n: int, E: float, groups: list) -> QSCode:
 def _build_cat(E: float, S: int = 2, K: int = 2) -> QSCode:
     if S < 1 or K < 1:
         raise CatalogError("cat needs S >= 1 and K >= 1")
+    _check_size(S * K)
     alpha = math.sqrt(E)
     total = S * K
     groups: list[list[complex]] = [[] for _ in range(K)]
@@ -181,6 +177,7 @@ def _build_hypercube(E: float, n: int = 2) -> QSCode:
     """
     if n < 1:
         raise CatalogError("hypercube needs n >= 1")
+    _check_size(4, n)
     scale = math.sqrt(E / (2.0 * n))
     groups: list[list[np.ndarray]] = [[], []]
     for signs in itertools.product((1.0, -1.0), repeat=2 * n):
@@ -198,6 +195,7 @@ def _build_orthoplex(E: float, n: int = 2) -> QSCode:
     """
     if n < 1:
         raise CatalogError("orthoplex needs n >= 1")
+    _check_size(4 * n)
     r = math.sqrt(E)
     groups: list[list[np.ndarray]] = [[], []]
     for j in range(n):
@@ -264,6 +262,7 @@ def _build_gamma(E: float, n: int = 2, q: int = 3) -> QSCode:
     w = exp(2pi i/q), partitioned into q codewords by sum(k) mod q."""
     if n < 1 or q < 2:
         raise CatalogError("gamma needs n >= 1 and q >= 2")
+    _check_size(q, n)
     w = cmath.exp(2j * math.pi / q)
     scale = math.sqrt(E / n)
     groups: list[list[np.ndarray]] = [[] for _ in range(q)]
@@ -277,6 +276,7 @@ def _build_beta(E: float, n: int = 2, q: int = 3) -> QSCode:
     q codewords by the phase residue k."""
     if n < 1 or q < 2:
         raise CatalogError("beta needs n >= 1 and q >= 2")
+    _check_size(q * n)
     w = cmath.exp(2j * math.pi / q)
     r = math.sqrt(E)
     groups: list[list[np.ndarray]] = [[] for _ in range(q)]
@@ -322,48 +322,6 @@ def build(name: str, E: float, **options) -> QSCode:
         return builder(E, **options)
     except TypeError as exc:
         raise CatalogError(f"invalid options for {name!r}: {exc}") from exc
-
-
-def _rotations_and_permutations(n: int, angle: float,
-                                perms: Optional[list[tuple[int, ...]]] = None
-                                ) -> list[PassiveUnitary]:
-    """The n single-mode phase rotations by ``angle``, then the mode
-    permutations ``perms`` (row k of each is e_{perm[k]}); adjacent mode swaps
-    when ``perms`` is None."""
-    if perms is None:
-        perms = [tuple(range(j)) + (j + 1, j) + tuple(range(j + 2, n)) for j in range(n - 1)]
-    gens = [PassiveUnitary.phase_rotation([angle if i == j else 0.0 for i in range(n)])
-            for j in range(n)]
-    return gens + [PassiveUnitary(np.eye(n, dtype=np.complex128)[list(p)]) for p in perms]
-
-
-def symmetry_generators(name: str, **options) -> list[PassiveUnitary]:
-    """Documented symmetry generators whose closure reproduces the vertex set."""
-    if name == "cat":
-        S, K = options.get("S", 2), options.get("K", 2)
-        return [PassiveUnitary.phase_rotation([2.0 * math.pi / (S * K)])]
-    if name in ("hypercube", "orthoplex"):
-        return _rotations_and_permutations(options.get("n", 2), math.pi / 2.0)
-    if name == "cell24" or name == "cell600":
-        if name == "cell24":
-            quats = [
-                np.array([0.0, 1.0, 0.0, 0.0]),            # right mult by i
-                np.array([0.0, 0.0, 1.0, 0.0]),            # right mult by j
-                np.array([0.5, 0.5, 0.5, 0.5]),            # right mult by (1+i+j+k)/2
-            ]
-        else:
-            quats = [
-                np.array([-0.5, 0.5, 0.5, 0.5]),
-                np.array([0.0, 0.5, _GOLDEN / 2.0, 1.0 / (2.0 * _GOLDEN)]),
-            ]
-        return [_right_multiplication_unitary(q) for q in quats]
-    if name in ("gamma", "beta"):
-        return _rotations_and_permutations(options.get("n", 2),
-                                           2.0 * math.pi / options.get("q", 3))
-    if name == "hessian":
-        # the cyclic mode shift (z1, z2, z3) -> (z3, z1, z2)
-        return _rotations_and_permutations(3, 2.0 * math.pi / 3.0, [(2, 0, 1)])
-    raise CatalogError(f"no symmetry generators for {name!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from . import css as css_mod
 from . import fock as fock_mod
 from .constellation import QSCode, QscError, code_from_json, code_to_json, min_separation
 from .kl import detection_report
-from .moments import design_strength, moment_indices, monte_carlo_sphere_average, sphere_average
+from .moments import design_strength
 from .symmetries import enumerate_phase_symmetries, vanishing_ideal, verify_jump_annihilates
 
 
@@ -97,8 +97,6 @@ def cmd_build(args: argparse.Namespace) -> int:
 def cmd_design(args: argparse.Namespace) -> int:
     code = _load_code(args.infile)
     report = design_strength(code, args.tmax, tol=args.tol)
-    if args.mc_samples:
-        _mc_check(code.modes, args.mc_samples, args.seed)
     if args.json:
         print(json.dumps({
             "t_sphere": report.sphere_strength,
@@ -119,18 +117,6 @@ def cmd_design(args: argparse.Namespace) -> int:
                            [[str(d), _fmt(rs), _fmt(rm)] for d, rs, rm in report.rows()]),
                       args.csv)
     return 0
-
-
-def _mc_check(n: int, samples: int, seed: int) -> None:
-    """Cross-check the closed-form sphere average against Monte Carlo."""
-    worst = 0.0
-    for idx in moment_indices(n, 4):
-        est, se = monte_carlo_sphere_average(idx, n, samples=samples, seed=seed)
-        diff = abs(est - sphere_average(idx, n))
-        sigmas = diff / se if se > 0 else 0.0
-        worst = max(worst, sigmas)
-    print(f"monte-carlo check: worst deviation {worst:.2f} standard errors "
-          f"({samples} samples, seed {seed})", file=sys.stderr)
 
 
 def cmd_kl(args: argparse.Namespace) -> int:
@@ -332,9 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--csv", default=None)
     p.add_argument("--json", action="store_true")
-    p.add_argument("--mc-samples", type=int, default=0,
-                   help="also cross-check the sphere averages by Monte Carlo")
-    p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("kl", help="error-detection (KL) report")
     p.add_argument("--in", dest="infile", required=True)

@@ -49,6 +49,9 @@ import numpy as np
 TOL_SPHERE = 1e-9
 TOL_POINT = 1e-9
 TOL_UNITARY = 1e-12
+# Points (or classical words) a code may have: the CSS enumerations and the
+# catalog builders check their count against it before they make any.
+CODE_SIZE_BUDGET = 1_000_000
 # Point pairs per block of the chunked distance pass: each of its temporaries
 # stays within 128 kB however many points a code has.
 DISTANCE_BLOCK_PAIRS = 1 << 13
@@ -64,10 +67,6 @@ class QscError(Exception):
 
 class DimensionMismatchError(QscError):
     """Operands have a different number of modes."""
-
-
-class OrbitOverflowError(QscError):
-    """Group closure exceeded the requested maximum size."""
 
 
 class CodeFormatError(QscError):
@@ -352,11 +351,6 @@ class PassiveUnitary:
     def n(self) -> int:
         return self.matrix.shape[0]
 
-    def apply(self, p: Point) -> Point:
-        if p.n != self.n:
-            raise DimensionMismatchError(f"unitary has n={self.n}, point has n={p.n}")
-        return Point(self.matrix @ p.amplitudes)
-
     @staticmethod
     def phase_rotation(phases: Sequence[float]) -> "PassiveUnitary":
         """diag(exp(i*theta_k)): rotates each mode by its own angle."""
@@ -393,13 +387,6 @@ class Violation:
         return (f"point {self.point_index} of '{self.constellation}' collides with point "
                 f"{self.other_point_index} of '{self.other_constellation}' "
                 f"(distance {self.residual:.3e})")
-
-
-def chordal_distance(p: Point, q: Point) -> float:
-    """Euclidean distance ||p - q|| between two amplitude vectors."""
-    if p.n != q.n:
-        raise DimensionMismatchError(f"points have n={p.n} and n={q.n}")
-    return float(np.linalg.norm(p.amplitudes - q.amplitudes))
 
 
 def distance_blocks(A: np.ndarray, B: np.ndarray,
@@ -561,39 +548,6 @@ def min_separation(code: QSCode) -> tuple[float, tuple[int, int, int, int]]:
         if m < best or w < witness:
             best, witness = m, w
     return best, witness
-
-
-def orbit(seed: Point, generators: Sequence[PassiveUnitary], max_size: int,
-          label: str = "orbit", tol_point: float = TOL_POINT,
-          tol_sphere: float = TOL_SPHERE) -> Constellation:
-    """Close a seed point under a set of passive unitaries.
-
-    Breadth-first closure with tolerance-based deduplication: each image is
-    compared with the stacked points found so far in one step.  Raises
-    :class:`OrbitOverflowError` as soon as the orbit grows past ``max_size``.
-    """
-    if max_size < 1:
-        raise ValueError("max_size must be at least 1")
-    for g in generators:
-        if g.n != seed.n:
-            raise DimensionMismatchError("generator dimension does not match the seed")
-    stacked = seed.amplitudes[None, :]
-    frontier = [seed.amplitudes]
-    while frontier:
-        new_frontier: list[np.ndarray] = []
-        for p in frontier:
-            for g in generators:
-                q = g.matrix @ p
-                if abs(np.sum(np.abs(q) ** 2) - seed.norm_sq) > tol_sphere:
-                    raise QscError("generator failed to preserve the sphere radius")
-                if np.all(np.linalg.norm(stacked - q, axis=1) > tol_point):
-                    if len(stacked) + 1 > max_size:
-                        raise OrbitOverflowError(
-                            f"orbit closure exceeded max_size={max_size}")
-                    stacked = np.vstack([stacked, q])
-                    new_frontier.append(q)
-        frontier = new_frontier
-    return Constellation(label, stacked)
 
 
 # ---------------------------------------------------------------------------

@@ -17,10 +17,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .constellation import QSCode, QscError, min_separation
+from .constellation import CODE_SIZE_BUDGET, QSCode, QscError, min_separation
 from .moments import BudgetExceededError
-
-CODE_SIZE_BUDGET = 1_000_000
 
 
 class CssError(QscError):

@@ -46,9 +46,7 @@ from typing import Optional
 
 import numpy as np
 
-from .constellation import Constellation, DimensionMismatchError, QSCode
-# re-exported: kl_matrix raises it through QSCode.codeword_norms_sq
-from .constellation import DegenerateConstellationError  # noqa: F401
+from .constellation import DimensionMismatchError, QSCode
 from .moments import (
     BudgetExceededError,
     _check_tolerance,
@@ -88,13 +86,6 @@ class MonomialError:
     def degree(self) -> int:
         return sum(self.r) + sum(self.s)
 
-    def dagger(self) -> "MonomialError":
-        return MonomialError(self.s, self.r)
-
-    @staticmethod
-    def identity(n: int) -> "MonomialError":
-        return MonomialError((0,) * n, (0,) * n)
-
     def label(self) -> str:
         return _monomial_label(self.r, self.s)
 
@@ -108,21 +99,6 @@ def _monomial_label(r, s) -> str:
         if si:
             parts.append(f"a{i}^{si}" if si > 1 else f"a{i}")
     return " ".join(parts) if parts else "I"
-
-
-def coherent_overlap(z, w) -> complex:
-    """<z|w> = exp(-|z|^2/2 - |w|^2/2 + conj(z).w) for normalized coherent states."""
-    za = np.asarray(getattr(z, "amplitudes", z), dtype=np.complex128)
-    wa = np.asarray(getattr(w, "amplitudes", w), dtype=np.complex128)
-    if za.shape != wa.shape:
-        raise DimensionMismatchError("points have different mode counts")
-    return complex(np.exp(-0.5 * np.vdot(za, za).real - 0.5 * np.vdot(wa, wa).real
-                          + np.vdot(za, wa)))
-
-
-def codeword_norm_sq(c: Constellation) -> float:
-    """Squared norm of the unnormalized superposition sum_z |z>."""
-    return float(QSCode(c.n, 0.0, [c]).codeword_norms_sq[0])
 
 
 def kl_matrix(code: QSCode, e: MonomialError) -> np.ndarray:

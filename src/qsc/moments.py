@@ -19,16 +19,13 @@ from typing import Iterator
 
 import numpy as np
 
-from .constellation import Constellation, DimensionMismatchError, QSCode, QscError
+from .constellation import DimensionMismatchError, QSCode, QscError
 
 DESIGN_TOL = 1e-9
 INDEX_BUDGET = 10_000_000
 # Entries of design_strength's largest temporary per block of moment indices
 # (N points or K codewords times the block's columns): 1 MB of complex.
 MOMENT_BLOCK_ENTRIES = 1 << 16
-# Samples per batch of monte_carlo_sphere_average: its (batch, n) complex
-# draws take 1.6 MB per mode.
-MC_BATCH = 100_000
 # Graded tables of at most this many rows (1 MB at dim 16) are kept, for up
 # to 256 (dim, degree) pairs; a larger one, which only a run near
 # INDEX_BUDGET or ERROR_BUDGET needs, is built on each call and never held.
@@ -39,39 +36,11 @@ class BudgetExceededError(QscError):
     """An enumeration would exceed its configured budget."""
 
 
-@dataclass(frozen=True)
-class MomentIndex:
-    """Exponents of the monomial prod_i z_i^{p_i} conj(z_i)^{q_i}."""
-
-    p: tuple[int, ...]
-    q: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.p) != len(self.q):
-            raise DimensionMismatchError("p and q must have equal length")
-        if any(e < 0 for e in self.p) or any(e < 0 for e in self.q):
-            raise ValueError("exponents must be nonnegative")
-
-    @property
-    def n(self) -> int:
-        return len(self.p)
-
-    @property
-    def degree(self) -> int:
-        return sum(self.p) + sum(self.q)
-
-
 def _check_tolerance(tol: float) -> None:
     """Tolerances must be finite and nonnegative: every comparison with NaN
     or a negative tolerance fails, and every one with infinity passes."""
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tolerance must be finite and nonnegative, got {tol}")
-
-
-def multi_indices(dim: int, max_degree: int) -> Iterator[tuple[int, ...]]:
-    """All nonnegative integer tuples with sum <= max_degree, graded lex order:
-    the rows of :func:`_index_table`."""
-    yield from map(tuple, _index_table(dim, max_degree).tolist())
 
 
 def _degree_table(dim: int, degree: int) -> np.ndarray:
@@ -102,8 +71,8 @@ def _cached_degree_table(dim: int, degree: int) -> np.ndarray:
 
 
 def _index_table(dim: int, max_degree: int) -> np.ndarray:
-    """The tuples of :func:`multi_indices` as the rows of one integer array,
-    degree by degree."""
+    """All nonnegative integer tuples of ``dim`` entries with sum <= max_degree,
+    in graded lexicographic order, as the rows of one integer array."""
     return np.vstack([_degree_table(dim, d) for d in range(max_degree + 1)])
 
 
@@ -141,12 +110,6 @@ def _index_position(rows: np.ndarray) -> np.ndarray:
     return below + np.sum(comb[left, after] - comb[left - rows, after], axis=-1)
 
 
-def moment_indices(n: int, max_degree: int) -> Iterator[MomentIndex]:
-    """All MomentIndex with degree <= max_degree, graded lex on (p, q)."""
-    for combined in multi_indices(2 * n, max_degree):
-        yield MomentIndex(combined[:n], combined[n:])
-
-
 def count_multi_indices(dim: int, max_degree: int) -> int:
     return math.comb(max_degree + dim, dim)
 
@@ -177,71 +140,33 @@ def _moment_values(z: np.ndarray, p, q) -> np.ndarray:
     return monomial_values(columns, np.stack([p, q], axis=-1).reshape(len(p), -1))
 
 
-def _unit_points(z: np.ndarray, name) -> np.ndarray:
-    """The rows of z scaled to unit norm; a point at the origin has no
-    direction, so it raises, named by ``name(row)``, rather than give NaN."""
-    norms = np.linalg.norm(z, axis=1, keepdims=True)
-    if not np.all(norms):
-        raise QscError(f"{name(int(np.argmin(norms)))} lies at the origin, where "
-                       "the moments of unit-normalized points are undefined")
-    return z / norms
-
-
-def moment(c: Constellation, idx: MomentIndex) -> complex:
-    """Average of z^p conj(z)^q over the unit-normalized constellation points."""
-    if idx.n != c.n:
-        raise DimensionMismatchError(f"index has n={idx.n}, constellation has n={c.n}")
-    z = _unit_points(c.as_array(), lambda g: f"point {g} of constellation '{c.label}'")
-    vals = _moment_values(z, [idx.p], [idx.q])
-    return complex(np.mean(vals))
-
-
-def sphere_average(idx: MomentIndex, n: int) -> complex:
-    """Average of z^p conj(z)^q over the uniform unit sphere in C^n.
+def sphere_average(p, q, n: int) -> np.ndarray:
+    """Averages of z^p conj(z)^q over the uniform unit sphere in C^n, (M,)
+    for (M, n) exponent rows p and q.
 
     Zero unless p == q componentwise; otherwise
-    prod_i p_i! * (n-1)! / (n-1+|p|)!.  Validated against Monte Carlo
-    sampling in the test suite before being relied on.
+    prod_i p_i! * (n-1)! / (n-1+|p|)!: the quotient of the Python integers,
+    then a multiply by each p_i! in turn.  Checked against Monte Carlo
+    sampling and a loop oracle in the test suite.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if idx.n != n:
-        raise DimensionMismatchError(f"index has n={idx.n}, expected {n}")
-    if idx.p != idx.q:
-        return 0j
-    total = sum(idx.p)
-    value = math.factorial(n - 1) / math.factorial(n - 1 + total)
-    for e in idx.p:
-        value *= math.factorial(e)
-    return complex(value)
-
-
-def monte_carlo_sphere_average(idx: MomentIndex, n: int, samples: int = 1_000_000,
-                               seed: int = 0) -> tuple[complex, float]:
-    """Estimate the uniform-sphere moment by sampling normalized Gaussians.
-
-    Returns (estimate, standard error of the estimate); the standard error
-    combines the real and imaginary component variances.
-    """
-    rng = np.random.default_rng(seed)
-    total = 0j
-    total_re2 = 0.0
-    total_im2 = 0.0
-    done = 0
-    while done < samples:
-        m = min(MC_BATCH, samples - done)
-        g = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
-        z = g / np.linalg.norm(g, axis=1, keepdims=True)
-        vals = _moment_values(z, [idx.p], [idx.q])[:, 0]
-        total += vals.sum()
-        total_re2 += np.sum(vals.real ** 2)
-        total_im2 += np.sum(vals.imag ** 2)
-        done += m
-    mean = total / samples
-    var_re = total_re2 / samples - mean.real ** 2
-    var_im = total_im2 / samples - mean.imag ** 2
-    se = math.sqrt(max(var_re + var_im, 0.0) / samples)
-    return complex(mean), se
+    p, q = np.asarray(p, dtype=np.intp), np.asarray(q, dtype=np.intp)
+    if n < 1 or p.ndim != 2 or p.shape != q.shape or p.shape[1] != n:
+        raise DimensionMismatchError(f"exponent rows {p.shape} and {q.shape} do not fit {n} modes")
+    if np.any(p < 0) or np.any(q < 0):
+        raise ValueError("exponents must be nonnegative")
+    rows = np.flatnonzero(np.all(p == q, axis=1))
+    diagonal = p[rows]
+    totals = diagonal.sum(axis=1)
+    quotient = np.array([math.factorial(n - 1) / math.factorial(n - 1 + t)
+                         for t in range(int(totals.max(initial=0)) + 1)])
+    factorial = np.array([float(math.factorial(e))
+                          for e in range(int(diagonal.max(initial=0)) + 1)])
+    value = quotient[totals]
+    for i in range(n):
+        value *= factorial[diagonal[:, i]]
+    out = np.zeros(len(p), dtype=np.complex128)
+    out[rows] = value
+    return out
 
 
 @dataclass(frozen=True)
@@ -277,8 +202,13 @@ def design_strength(code: QSCode, t_max: int, tol: float = DESIGN_TOL) -> Design
         raise BudgetExceededError(
             f"moment enumeration needs {n_indices} indices, budget is {INDEX_BUDGET}")
 
-    z = _unit_points(code.point_array, lambda g: f"point {code.index_in_codeword[g]} of "
-                     f"codeword '{code.labels[code.codeword_index[g]]}'")
+    norms = np.linalg.norm(code.point_array, axis=1, keepdims=True)
+    if not np.all(norms):   # no direction: raise rather than give NaN
+        g = int(np.argmin(norms))
+        raise QscError(f"point {code.index_in_codeword[g]} of codeword "
+                       f"'{code.labels[code.codeword_index[g]]}' lies at the origin, where "
+                       "the moments of unit-normalized points are undefined")
+    z = code.point_array / norms
     sizes = code.codeword_sizes
     block = max(1, MOMENT_BLOCK_ENTRIES // max(len(z), code.K))
     sphere_res, match_res = np.zeros((2, t_max + 1))
@@ -287,9 +217,7 @@ def design_strength(code: QSCode, t_max: int, tol: float = DESIGN_TOL) -> Design
         p, q = combined[:, :n], combined[:, n:]
         vals = _moment_values(z, p, q)
         values = np.add.reduceat(vals, code.codeword_starts, axis=0) / sizes[:, None]
-        target = np.zeros(len(combined), dtype=np.complex128)
-        for j in np.flatnonzero(np.all(p == q, axis=1)):
-            target[j] = sphere_average(MomentIndex(tuple(p[j]), tuple(q[j])), n)
+        target = sphere_average(p, q, n)
         degree = combined.sum(axis=1)
         np.maximum.at(sphere_res, degree, np.max(np.abs(values - target), axis=0))
         np.maximum.at(match_res, degree,

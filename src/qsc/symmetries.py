@@ -71,10 +71,6 @@ class SymmetryAction:
     codeword_permutation: Optional[tuple[int, ...]]
     classification: str
 
-    @property
-    def is_symmetry(self) -> bool:
-        return self.classification != NOT_A_SYMMETRY
-
 
 def classify_symmetry(code: QSCode, u: PassiveUnitary,
                       tol: float = TOL_POINT) -> SymmetryAction:
@@ -160,10 +156,12 @@ def enumerate_phase_symmetries(code: QSCode, max_order: int) -> list[SymmetryAct
     if max_order < 1:
         raise ValueError("max_order must be at least 1")
     n = code.modes
-    total = sum(m ** n for m in range(1, max_order + 1))
-    if total > PHASE_CANDIDATE_BUDGET:
-        raise BudgetExceededError(
-            f"{total} phase candidates exceed the budget {PHASE_CANDIDATE_BUDGET}")
+    total = 0
+    for m in range(1, max_order + 1):   # stops as soon as the budget is passed
+        total += m ** n
+        if total > PHASE_CANDIDATE_BUDGET:
+            raise BudgetExceededError(
+                f"{total} phase candidates exceed the budget {PHASE_CANDIDATE_BUDGET}")
     points = code.point_array
     pivots = points[np.unique(np.argmax(np.abs(points), axis=0))]
     block = max(1, PHASE_BLOCK_ENTRIES // (len(pivots) * n))

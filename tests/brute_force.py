@@ -7,7 +7,10 @@ symmetry oracle classifies every candidate on its own, with no prefilter,
 through a full distance table per candidate.  The loop versions of the
 package's array kernels live here too: the recursive monomial enumeration,
 the per-degree full-SVD vanishing ideal with term-by-term multiples, and the
-600-cell built vertex by vertex.  The JSON writer oracle
+600-cell built vertex by vertex.  Each catalog vertex set is checked as the
+orbit of one of its points under the entry's documented symmetry
+generators, closed point by point here, and the closed-form sphere
+averages against a Monte Carlo estimate.  The JSON writer oracle
 formats every coordinate on its own, point by point.  The Fock embedding
 oracle builds each point's state from one coherent-state recursion per mode
 and Kronecker products, point by point.  The KL and channel oracles at the
@@ -56,6 +59,31 @@ def brute_sphere_average(p: tuple[int, ...], q: tuple[int, ...], n: int) -> comp
     for e in p:
         value *= math.factorial(e)
     return complex(value)
+
+
+# Samples per batch of monte_carlo_sphere_average: its (batch, n) complex
+# draws take 1.6 MB per mode.
+MC_BATCH = 100_000
+
+
+def monte_carlo_sphere_average(p: tuple[int, ...], q: tuple[int, ...], n: int,
+                               samples: int, seed: int) -> tuple[complex, float]:
+    """Estimate the uniform-sphere average of z^p conj(z)^q from normalized
+    Gaussian samples, drawn in batches of MC_BATCH.  Returns (estimate,
+    standard error of the estimate); the standard error combines the real and
+    imaginary component variances."""
+    rng = np.random.default_rng(seed)
+    total, total_sq, done = 0j, 0.0, 0
+    while done < samples:
+        m = min(MC_BATCH, samples - done)
+        g = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+        z = g / np.linalg.norm(g, axis=1, keepdims=True)
+        vals = np.prod(z ** np.array(p) * np.conj(z) ** np.array(q), axis=1)
+        total += vals.sum()
+        total_sq += np.sum(np.abs(vals) ** 2)
+        done += m
+    mean = total / samples
+    return complex(mean), math.sqrt(max(total_sq / samples - abs(mean) ** 2, 0.0) / samples)
 
 
 def all_indices(n: int, degree: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -239,6 +267,9 @@ def brute_vanishing_ideal(code, max_degree: int, tol_ideal: float = 1e-8) -> lis
             for degree, c in generators]
 
 
+GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
+
+
 def _quaternion_product(p, q) -> np.ndarray:
     a1, b1, c1, d1 = p
     a2, b2, c2, d2 = q
@@ -266,9 +297,8 @@ def brute_binary_tetrahedral_group() -> list[np.ndarray]:
 def brute_cell600_vertices() -> np.ndarray:
     """The 120 icosians: the binary tetrahedral group, then every even
     permutation of every signed (phi, 1, 1/phi, 0)/2, repeats skipped."""
-    golden = (1.0 + math.sqrt(5.0)) / 2.0
     vertices = brute_binary_tetrahedral_group()
-    base = np.array([golden / 2.0, 0.5, 1.0 / (2.0 * golden), 0.0])
+    base = np.array([GOLDEN / 2.0, 0.5, 1.0 / (2.0 * GOLDEN), 0.0])
     even_perms = [p for p in permutations(range(4))
                   if sum(1 for a in range(4) for b in range(a + 1, 4) if p[a] > p[b]) % 2 == 0]
     seen = set()
@@ -295,6 +325,79 @@ def brute_cell600_cosets(vertices: np.ndarray) -> np.ndarray:
             assigned[int(np.argmin(dist))] = coset
         coset += 1
     return assigned
+
+
+def _right_multiplication_unitary(q) -> PassiveUnitary:
+    """Right quaternion multiplication as a 2x2 unitary on (x1+ix2, x3+ix4).
+
+    Writing a quaternion as z1 + z2*j, right multiplication by w + v*j acts
+    C-linearly: (z1, z2) -> (z1*w - z2*conj(v), z1*v + z2*conj(w)).
+    """
+    w = complex(q[0], q[1])
+    v = complex(q[2], q[3])
+    return PassiveUnitary(np.array([[w, -np.conj(v)], [v, np.conj(w)]]))
+
+
+def _rotations_and_permutations(n: int, angle: float, perms=None) -> list[PassiveUnitary]:
+    """The n single-mode phase rotations by ``angle``, then the mode
+    permutations ``perms`` (row k of each is e_{perm[k]}); adjacent mode swaps
+    when ``perms`` is None."""
+    if perms is None:
+        perms = [tuple(range(j)) + (j + 1, j) + tuple(range(j + 2, n)) for j in range(n - 1)]
+    gens = [PassiveUnitary.phase_rotation([angle if i == j else 0.0 for i in range(n)])
+            for j in range(n)]
+    return gens + [PassiveUnitary(np.eye(n, dtype=np.complex128)[list(p)]) for p in perms]
+
+
+def symmetry_generators(name: str, **options) -> list[PassiveUnitary]:
+    """Documented symmetry generators of a catalog entry, whose closure
+    reproduces its vertex set."""
+    if name == "cat":
+        S, K = options.get("S", 2), options.get("K", 2)
+        return [PassiveUnitary.phase_rotation([2.0 * math.pi / (S * K)])]
+    if name in ("hypercube", "orthoplex"):
+        return _rotations_and_permutations(options.get("n", 2), math.pi / 2.0)
+    if name == "cell24":
+        # right multiplication by i, by j and by (1+i+j+k)/2
+        quats = [(0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0), (0.5, 0.5, 0.5, 0.5)]
+        return [_right_multiplication_unitary(q) for q in quats]
+    if name == "cell600":
+        quats = [(-0.5, 0.5, 0.5, 0.5), (0.0, 0.5, GOLDEN / 2.0, 1.0 / (2.0 * GOLDEN))]
+        return [_right_multiplication_unitary(q) for q in quats]
+    if name in ("gamma", "beta"):
+        return _rotations_and_permutations(options.get("n", 2),
+                                           2.0 * math.pi / options.get("q", 3))
+    if name == "hessian":
+        # the cyclic mode shift (z1, z2, z3) -> (z3, z1, z2)
+        return _rotations_and_permutations(3, 2.0 * math.pi / 3.0, [(2, 0, 1)])
+    raise ValueError(f"no symmetry generators for {name!r}")
+
+
+class OrbitOverflowError(QscError):
+    """Group closure exceeded the requested maximum size."""
+
+
+def orbit(seed, generators: list[PassiveUnitary], max_size: int) -> np.ndarray:
+    """The closure of a seed point under passive unitaries, as rows: breadth
+    first, an image new when it lies more than 1e-9 from every point found
+    so far.  Raises OrbitOverflowError as soon as it grows past ``max_size``,
+    and QscError when a generator moves the seed off its sphere."""
+    found = [np.asarray(seed, dtype=np.complex128)]
+    frontier = list(found)
+    while frontier:
+        new_frontier = []
+        for p in frontier:
+            for g in generators:
+                image = g.matrix @ p
+                if abs(np.linalg.norm(image) - np.linalg.norm(found[0])) > 1e-9:
+                    raise QscError("generator failed to preserve the sphere radius")
+                if all(np.linalg.norm(image - r) > 1e-9 for r in found):
+                    if len(found) == max_size:
+                        raise OrbitOverflowError(f"orbit closure exceeded max_size={max_size}")
+                    found.append(image)
+                    new_frontier.append(image)
+        frontier = new_frontier
+    return np.array(found)
 
 
 def brute_violations(radius_sq: float, labels: list[str],

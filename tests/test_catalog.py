@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 import qsc
-from qsc.catalog import CatalogError, build, list_catalog, symmetry_generators
-from qsc.constellation import chordal_distance, min_separation, orbit, validate_code
-from qsc.moments import design_strength
+from qsc.catalog import CatalogError, build, list_catalog
+from qsc.constellation import min_separation, validate_code
+from qsc.moments import BudgetExceededError, design_strength
 from qsc.symmetries import X_TYPE, enumerate_phase_symmetries
 
-from brute_force import brute_cell600_cosets, brute_cell600_vertices
+from brute_force import brute_cell600_cosets, brute_cell600_vertices, orbit, symmetry_generators
 
 ENTRIES = list_catalog()
 
@@ -37,12 +37,10 @@ def test_energy_scaling(entry):
 def test_orbit_closure_under_documented_generators(entry):
     code = entry.build(4.0)
     gens = symmetry_generators(entry.name, **entry.params)
-    seed = code.codewords[0].points[0]
-    all_points = [p for c in code.codewords for p in c.points]
-    closed = orbit(seed, gens, max_size=len(all_points))
-    assert len(closed) == len(all_points)
-    for p in closed.points:
-        assert min(chordal_distance(p, v) for v in all_points) < 1e-9
+    closed = orbit(code.point_array[0], gens, max_size=len(code.point_array))
+    assert len(closed) == len(code.point_array)
+    for p in closed:
+        assert np.min(np.linalg.norm(code.point_array - p, axis=1)) < 1e-9
 
 
 def test_cat_examples():
@@ -64,6 +62,37 @@ def test_cat_rejects_bad_parameters():
         build("nonexistent", 4.0)
     with pytest.raises(CatalogError):
         build("cell24", 4.0, partition="seven")
+
+
+@pytest.mark.parametrize("name, fits, over", [
+    ("cat", {"S": 4, "K": 4}, {"S": 17, "K": 1}),
+    ("hypercube", {"n": 2}, {"n": 3}),
+    ("orthoplex", {"n": 4}, {"n": 5}),
+    ("gamma", {"n": 2, "q": 4}, {"n": 2, "q": 5}),
+    ("beta", {"n": 8, "q": 2}, {"n": 3, "q": 7}),
+])
+def test_build_counts_points_against_the_budget(monkeypatch, name, fits, over):
+    monkeypatch.setattr(qsc.catalog, "CODE_SIZE_BUDGET", 16)
+    assert len(build(name, 4.0, **fits).point_array) == 16
+    with pytest.raises(BudgetExceededError, match="points exceeds the budget 16"):
+        build(name, 4.0, **over)
+
+
+@pytest.mark.parametrize("name, options", [
+    ("cat", {"S": 1000, "K": 1001}),
+    ("hypercube", {"n": 20}),
+    ("hypercube", {"n": 10 ** 9}),
+    ("orthoplex", {"n": 250_001}),
+    ("gamma", {"n": 13, "q": 3}),
+    ("gamma", {"n": 10 ** 9, "q": 2}),
+    ("beta", {"n": 500_001, "q": 2}),
+])
+def test_oversized_builds_are_refused_before_any_point(monkeypatch, name, options):
+    def no_work(*args):
+        raise AssertionError("points made before the size check")
+    monkeypatch.setattr(qsc.catalog, "_numbered_code", no_work)
+    with pytest.raises(BudgetExceededError, match="points exceeds the budget 1000000"):
+        build(name, 4.0, **options)
 
 
 @pytest.mark.parametrize("energy", [math.nan, math.inf, -math.inf, 0.0])

@@ -55,6 +55,23 @@ def test_energy_that_is_not_finite_is_rejected_before_building(argv, capsys):
     assert captured.err.startswith("error: ") and "E must be finite and positive" in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["build", "--name", "hypercube", "--n", "20"],
+    ["build", "--name", "gamma", "--n", "20", "--q", "3"],
+    ["build", "--name", "cat", "--S", "1000", "--K", "1001"],
+    ["symmetries", "--max-order", "1000000000"],
+], ids=" ".join)
+def test_oversized_inputs_are_refused_before_any_work(argv, tmp_path, capsys):
+    if argv[0] == "symmetries":
+        path = tmp_path / "two_legged.json"
+        path.write_text(qsc.code_to_json(qsc.build("cat", 4.0, S=1, K=2)))
+        argv = argv + ["--in", str(path)]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "exceed" in captured.err
+
+
 def test_unreadable_code_file_is_a_computation_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"modes": 1, "radius_sq": NaN, "codewords": []}')

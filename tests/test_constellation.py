@@ -13,24 +13,26 @@ from qsc.constellation import (
     CodeFormatError,
     Constellation,
     DimensionMismatchError,
-    OrbitOverflowError,
     PassiveUnitary,
     Point,
     QSCode,
-    chordal_distance,
     code_from_json,
     code_to_json,
+    distance_blocks,
     min_separation,
-    orbit,
     validate_code,
 )
 
 import qsc.constellation as constellation_mod
 from brute_force import (
+    OrbitOverflowError,
     brute_code_to_json,
     brute_min_separation,
+    brute_overlap,
     brute_pairs_within,
     brute_violations,
+    orbit,
+    symmetry_generators,
 )
 from conftest import CSS_SHAPES, constellations_as_lists, css_of_shape, random_unitary
 
@@ -124,9 +126,11 @@ def test_frame_is_stacked_by_codeword_cached_and_read_only(cat33):
 
 def test_frame_overlap_matches_pairwise_overlaps(repetition_css):
     points = [p for c in repetition_css.codewords for p in c.points]
-    expected = np.array([[qsc.coherent_overlap(p, q) for q in points] for p in points])
+    expected = np.array([[brute_overlap(p.amplitudes, q.amplitudes) for q in points]
+                         for p in points])
     assert np.max(np.abs(repetition_css.overlap - expected)) < 1e-14
-    norms = [qsc.codeword_norm_sq(c) for c in repetition_css.codewords]
+    norms = [sum(brute_overlap(z, w) for z in c.as_array() for w in c.as_array()).real
+             for c in repetition_css.codewords]
     assert np.allclose(repetition_css.codeword_norms_sq, norms, rtol=1e-14, atol=0.0)
 
 
@@ -247,20 +251,25 @@ def test_validate_reports_duplicate_point():
 
 
 # ---------------------------------------------------------------------------
-# chordal distance
+# distances
 # ---------------------------------------------------------------------------
 
-def test_chordal_distance_examples():
-    assert chordal_distance(Point([2.0]), Point([-2.0])) == 4.0
-    p = Point([1.3 - 0.2j, 0.4j])
-    assert chordal_distance(p, p) == 0.0
-    assert math.isclose(chordal_distance(Point([1.0, 0.0]), Point([0.0, 1.0])),
-                        math.sqrt(2.0))
+def distances(rows) -> np.ndarray:
+    """Every distance |a - b| between the rows, by distance_blocks."""
+    rows = np.array(rows, dtype=np.complex128)
+    return np.vstack([block for _, _, block in distance_blocks(rows, rows)])
 
 
-def test_chordal_distance_dimension_mismatch():
+def test_distance_examples():
+    assert distances([[2.0], [-2.0]])[0, 1] == 4.0
+    p = [1.3 - 0.2j, 0.4j]
+    assert distances([p, p])[0, 1] == 0.0
+    assert math.isclose(distances([[1.0, 0.0], [0.0, 1.0]])[0, 1], math.sqrt(2.0))
+
+
+def test_frame_rejects_rows_of_another_mode_count():
     with pytest.raises(DimensionMismatchError):
-        chordal_distance(Point([1.0]), Point([1.0, 0.0]))
+        QSCode.from_points(2, 1.0, [[1.0], [-1.0]], [2], ["0"])
 
 
 finite_complex = st.builds(
@@ -274,9 +283,8 @@ finite_complex = st.builds(
        st.lists(finite_complex, min_size=2, max_size=2),
        st.lists(finite_complex, min_size=2, max_size=2))
 def test_triangle_inequality(a, b, c):
-    pa, pb, pc = Point(a), Point(b), Point(c)
-    assert chordal_distance(pa, pc) <= (
-        chordal_distance(pa, pb) + chordal_distance(pb, pc) + 1e-9)
+    d = distances([a, b, c])
+    assert d[0, 2] <= d[0, 1] + d[1, 2] + 1e-9
 
 
 @settings(max_examples=25)
@@ -284,10 +292,9 @@ def test_triangle_inequality(a, b, c):
 def test_unitary_is_isometry(seed):
     rng = np.random.default_rng(seed)
     u = PassiveUnitary(random_unitary(3, rng))
-    p = Point(rng.standard_normal(3) + 1j * rng.standard_normal(3))
-    q = Point(rng.standard_normal(3) + 1j * rng.standard_normal(3))
-    assert abs(chordal_distance(u.apply(p), u.apply(q)) -
-               chordal_distance(p, q)) < 1e-12
+    p = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    q = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    assert abs(np.linalg.norm(u.matrix @ p - u.matrix @ q) - np.linalg.norm(p - q)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +320,7 @@ def test_min_separation_cell24_matches_brute_force():
     expected = brute_min_separation(constellations_as_lists(code))
     assert math.isclose(dist, expected, rel_tol=1e-12)
     mu, nu, i, j = witness
-    d = chordal_distance(code.codewords[mu].points[i], code.codewords[nu].points[j])
+    d = np.linalg.norm(code.codewords[mu].as_array()[i] - code.codewords[nu].as_array()[j])
     assert d == dist
 
 
@@ -347,44 +354,41 @@ def test_min_separation_witness_is_lexicographically_first():
 
 def test_orbit_fourth_roots():
     gen = PassiveUnitary(np.array([[1j]]))
-    c = orbit(Point([2.0]), [gen], max_size=8)
+    c = orbit([2.0], [gen], max_size=8)
     assert len(c) == 4
-    values = sorted((complex(p.amplitudes[0]) for p in c.points), key=lambda z: (z.real, z.imag))
+    values = sorted(c[:, 0].tolist(), key=lambda z: (z.real, z.imag))
     expected = sorted([2 + 0j, 2j, -2 + 0j, -2j], key=lambda z: (z.real, z.imag))
     assert np.allclose(values, expected)
 
 
 def test_orbit_swap():
     swap = PassiveUnitary(np.array([[0, 1], [1, 0]], dtype=complex))
-    c = orbit(Point([1.0, 0.0]), [swap], max_size=4)
+    c = orbit([1.0, 0.0], [swap], max_size=4)
     assert len(c) == 2
 
 
 def test_orbit_24cell_closure():
     code = qsc.build("cell24", 1.0, partition="one")
-    gens = qsc.symmetry_generators("cell24")
-    seed = code.codewords[0].points[0]
-    c = orbit(seed, gens, max_size=24)
+    gens = symmetry_generators("cell24")
+    c = orbit(code.point_array[0], gens, max_size=24)
     assert len(c) == 24
-    vertex_set = {p for p in code.codewords[0].points}
-    for p in c.points:
-        assert min(chordal_distance(p, v) for v in vertex_set) < 1e-9
+    for p in c:
+        assert np.min(np.linalg.norm(code.point_array - p, axis=1)) < 1e-9
 
 
 def test_orbit_is_closed_under_generators():
-    gens = qsc.symmetry_generators("cell600")
-    c = orbit(Point([1.0, 0.0]), gens, max_size=120)
+    gens = symmetry_generators("cell600")
+    c = orbit([1.0, 0.0], gens, max_size=120)
     assert len(c) == 120
     for g in gens:
-        for p in c.points[:10]:
-            img = g.apply(p)
-            assert min(chordal_distance(img, r) for r in c.points) < 1e-9
+        for p in c[:10]:
+            assert np.min(np.linalg.norm(c - g.matrix @ p, axis=1)) < 1e-9
 
 
 def test_orbit_overflow():
     gen = PassiveUnitary(np.array([[1j]]))
     with pytest.raises(OrbitOverflowError):
-        orbit(Point([2.0]), [gen], max_size=3)
+        orbit([2.0], [gen], max_size=3)
 
 
 def test_non_unitary_generator_rejected():

@@ -10,33 +10,41 @@ from hypothesis import strategies as st
 import qsc
 from qsc.constellation import Constellation, Point, QSCode
 from qsc.kl import (
-    DegenerateConstellationError,
     MonomialError,
     _summarize,
-    codeword_norm_sq,
-    coherent_overlap,
     dephasing_kl_matrix,
     detection_report,
     kl_matrix,
     stirling2,
 )
-from qsc.moments import BudgetExceededError, multi_indices
+from qsc.moments import BudgetExceededError
 
-from brute_force import brute_kl_matrix, brute_overlap
+from brute_force import brute_kl_matrix, brute_multi_indices, brute_overlap
 from conftest import constellations_as_lists, css_of_shape, random_three_point_code
 
 
 # ---------------------------------------------------------------------------
-# overlaps and norms
+# overlaps and norms, read from the code's frame
 # ---------------------------------------------------------------------------
+
+def frame_overlap(z, w) -> complex:
+    """<z|w> as the overlap frame of a one-codeword code on z and w holds it."""
+    c = Constellation("0", [z, w])
+    return complex(QSCode(c.n, 0.0, [c]).overlap[0, 1])
+
+
+def frame_norm_sq(c: Constellation) -> float:
+    """The squared norm of sum_z |z> over c, from the frame of a code on c."""
+    return float(QSCode(c.n, 0.0, [c]).codeword_norms_sq[0])
+
 
 def test_overlap_of_identical_states_is_one():
     z = Point([1.3 - 0.7j, 0.2j])
-    assert coherent_overlap(z, z) == pytest.approx(1.0)
+    assert frame_overlap(z, z) == pytest.approx(1.0)
 
 
 def test_overlap_antipodal_unit():
-    assert coherent_overlap(Point([1.0]), Point([-1.0])) == pytest.approx(math.exp(-2.0))
+    assert frame_overlap(Point([1.0]), Point([-1.0])) == pytest.approx(math.exp(-2.0))
 
 
 def test_overlap_magnitude_identity_for_equal_norms():
@@ -46,16 +54,16 @@ def test_overlap_magnitude_identity_for_equal_norms():
         w = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         w *= np.linalg.norm(z) / np.linalg.norm(w)
         expected = math.exp(-0.5 * float(np.linalg.norm(z - w)) ** 2)
-        assert abs(coherent_overlap(z, w)) == pytest.approx(expected, rel=1e-12)
+        assert abs(frame_overlap(z, w)) == pytest.approx(expected, rel=1e-12)
 
 
 def test_codeword_norm_single_point():
-    assert codeword_norm_sq(Constellation("0", [Point([2.0])])) == pytest.approx(1.0)
+    assert frame_norm_sq(Constellation("0", [Point([2.0])])) == pytest.approx(1.0)
 
 
 def test_codeword_norm_two_legs():
     c = Constellation("0", [Point([2.0]), Point([-2.0])])
-    assert codeword_norm_sq(c) == pytest.approx(2.0 + 2.0 * math.exp(-8.0), rel=1e-14)
+    assert frame_norm_sq(c) == pytest.approx(2.0 + 2.0 * math.exp(-8.0), rel=1e-14)
 
 
 def test_codeword_norm_degenerate():
@@ -65,8 +73,8 @@ def test_codeword_norm_degenerate():
     # force degeneracy with opposite-sign duplicates of the same state
     degenerate = QSCode(1, 0.0, [Constellation("0", [Point([0.0]), Point([0.0])])])
     # duplicate points are a validity violation, but the norm itself is 4 > 0
-    assert codeword_norm_sq(degenerate.codewords[0]) == pytest.approx(4.0)
-    assert codeword_norm_sq(c) > 0.0
+    assert degenerate.codeword_norms_sq[0] == pytest.approx(4.0)
+    assert frame_norm_sq(c) > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -74,7 +82,7 @@ def test_codeword_norm_degenerate():
 # ---------------------------------------------------------------------------
 
 def test_identity_error_gives_gram_matrix(four_legged):
-    m = kl_matrix(four_legged, MonomialError.identity(1))
+    m = kl_matrix(four_legged, MonomialError((0,), (0,)))
     assert np.allclose(np.diag(m), 1.0)
     assert np.allclose(m, m.conj().T)
     assert np.min(np.linalg.eigvalsh(m)) >= -1e-10
@@ -87,7 +95,7 @@ def test_identity_error_gives_gram_matrix(four_legged):
                          ids=lambda e: e.entry_id)
 def test_gram_psd_across_catalog(entry):
     code = entry.build(4.0)
-    m = kl_matrix(code, MonomialError.identity(code.modes))
+    m = kl_matrix(code, MonomialError((0,) * code.modes, (0,) * code.modes))
     assert np.allclose(np.diag(m), 1.0, atol=1e-12)
     assert np.min(np.linalg.eigvalsh(m)) >= -1e-10
 
@@ -107,7 +115,7 @@ def test_two_legged_loss_not_detected(two_legged):
 
 def test_kl_matches_brute_force(cat33):
     lists = constellations_as_lists(cat33)
-    for combined in multi_indices(2, 2):
+    for combined in brute_multi_indices(2, 2):
         e = MonomialError(combined[:1], combined[1:])
         mine = kl_matrix(cat33, e)
         brute = np.array(brute_kl_matrix(lists, e.r, e.s))
@@ -213,7 +221,7 @@ def test_detection_four_legged_cat(four_legged):
     report = detection_report(four_legged, 1, tol=1e-6)
     assert report.detection_degree == -1
     identity_row = report.rows[0]
-    assert identity_row.error == MonomialError.identity(1)
+    assert identity_row.error == MonomialError((0,), (0,))
     assert identity_row.delta == pytest.approx(
         abs(4 * math.exp(-4.0) * math.cos(4.0) / (2 + 2 * math.exp(-8.0))), rel=1e-9)
     relaxed = detection_report(four_legged, 1, tol=0.05)
@@ -267,7 +275,7 @@ def test_detection_rows_conjugate_pairs(four_legged):
     report = detection_report(four_legged, 2, tol=1e-6)
     by_error = {row.error: row.matrix for row in report.rows if row.kind == "monomial"}
     for e, m in by_error.items():
-        assert np.max(np.abs(by_error[e.dagger()] - m.conj().T)) < 1e-12
+        assert np.max(np.abs(by_error[MonomialError(e.s, e.r)] - m.conj().T)) < 1e-12
 
 
 amplitude = st.builds(complex, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
@@ -297,7 +305,7 @@ def test_detection_rows_match_brute_force(cws):
     # the identity row is the Gram matrix of the normalized codewords
     sums = np.array([[sum(brute_overlap(z, w) for z in a for w in b) for b in cws] for a in cws])
     gram = sums / np.sqrt(np.outer(np.diag(sums).real, np.diag(sums).real))
-    assert report.rows[0].error == MonomialError.identity(code.modes)
+    assert report.rows[0].error == MonomialError((0,) * code.modes, (0,) * code.modes)
     assert np.max(np.abs(report.rows[0].matrix - gram)) <= 1e-12
 
 
@@ -339,7 +347,7 @@ def _assert_rows_match_kl_matrix(code):
     report = detection_report(code, 2, tol=1e-6)
     errors = [row.error for row in report.rows]
     # the report holds both (r, s) and (s, r): half of them filled by the dagger
-    assert {e.dagger() for e in errors} == set(errors)
+    assert {MonomialError(e.s, e.r) for e in errors} == set(errors)
     for row in report.rows:
         lam, delta = _summarize(kl_matrix(code, row.error))
         scale = 1e-12 * max(1.0, abs(lam))

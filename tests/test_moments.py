@@ -11,18 +11,14 @@ import qsc
 from qsc.constellation import Constellation, DimensionMismatchError, PassiveUnitary, Point, QSCode
 from qsc.moments import (
     BudgetExceededError,
-    MomentIndex,
     _degree_table,
     _index_blocks,
     _index_position,
     _index_table,
+    _moment_values,
     count_multi_indices,
     design_strength,
-    moment,
-    moment_indices,
     monomial_values,
-    monte_carlo_sphere_average,
-    multi_indices,
     sphere_average,
 )
 
@@ -33,6 +29,7 @@ from brute_force import (
     brute_moment,
     brute_sphere_average,
     brute_sphere_strength,
+    monte_carlo_sphere_average,
 )
 from conftest import constellations_as_lists, random_unitary
 
@@ -68,25 +65,32 @@ def test_monomial_values_rejects_bad_exponents():
 # single moments
 # ---------------------------------------------------------------------------
 
+def moment(c: Constellation, p, q) -> complex:
+    """Average of z^p conj(z)^q over the unit-normalized points of c, by the
+    evaluator design_strength averages over each codeword."""
+    z = c.as_array() / np.linalg.norm(c.as_array(), axis=1, keepdims=True)
+    return complex(np.mean(_moment_values(z, [p], [q])))
+
+
 def test_trivial_moment_is_one():
     c = Constellation("c", [Point([0.3 + 0.4j, 1.0])])
-    assert moment(c, MomentIndex((0, 0), (0, 0))) == 1.0
+    assert moment(c, (0, 0), (0, 0)) == 1.0
 
 
 def test_fourth_roots_first_moment_vanishes():
-    assert abs(moment(fourth_roots(), MomentIndex((1,), (0,)))) < 1e-15
+    assert abs(moment(fourth_roots(), (1,), (0,))) < 1e-15
 
 
 def test_fourth_roots_fourth_moment_is_one():
-    assert abs(moment(fourth_roots(), MomentIndex((4,), (0,))) - 1.0) < 1e-15
+    assert abs(moment(fourth_roots(), (4,), (0,)) - 1.0) < 1e-15
 
 
 def test_moment_matches_brute_force():
     code = qsc.build("cell24", 2.5, partition="three")
     lists = constellations_as_lists(code)
-    for idx in moment_indices(2, 4):
+    for e in brute_multi_indices(4, 4):
         for c, pts in zip(code.codewords, lists):
-            assert abs(moment(c, idx) - brute_moment(pts, idx.p, idx.q)) < 1e-12
+            assert abs(moment(c, e[:2], e[2:]) - brute_moment(pts, e[:2], e[2:])) < 1e-12
 
 
 @settings(max_examples=40)
@@ -96,8 +100,8 @@ def test_moment_conjugation_symmetry(seed, p1, p2, q1, q2):
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2))
     c = Constellation("c", [Point(row) for row in z])
-    a = moment(c, MomentIndex((p1, p2), (q1, q2)))
-    b = moment(c, MomentIndex((q1, q2), (p1, p2)))
+    a = moment(c, (p1, p2), (q1, q2))
+    b = moment(c, (q1, q2), (p1, p2))
     assert a == pytest.approx(b.conjugate(), abs=1e-13)
 
 
@@ -106,26 +110,35 @@ def test_moment_conjugation_symmetry(seed, p1, p2, q1, q2):
 # ---------------------------------------------------------------------------
 
 def test_sphere_average_closed_form_small_cases():
-    assert sphere_average(MomentIndex((1,), (1,)), 1) == 1.0
-    assert sphere_average(MomentIndex((1, 0), (1, 0)), 2) == 0.5
-    assert sphere_average(MomentIndex((2, 0), (0, 2)), 2) == 0.0
+    assert sphere_average([[1]], [[1]], 1).tolist() == [1.0]
     # E|z1|^4 on C^2: 2!*1!/3! = 1/3
-    assert sphere_average(MomentIndex((2, 0), (2, 0)), 2) == pytest.approx(1 / 3)
+    averages = sphere_average([[1, 0], [2, 0], [2, 0]], [[1, 0], [0, 2], [2, 0]], 2)
+    assert averages[:2].tolist() == [0.5, 0.0]
+    assert averages[2] == pytest.approx(1 / 3)
+    # an off-diagonal exponent beyond 170 (171! overflows a float) is never
+    # turned into a factorial: |z|^200 averages to 1 on the circle
+    assert sphere_average([[171], [100]], [[0], [100]], 1).tolist() == pytest.approx([0.0, 1.0])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_sphere_average_matches_loop_oracle(n):
+    table = _index_table(2 * n, 6)
+    want = [brute_sphere_average(tuple(e[:n]), tuple(e[n:]), n) for e in table.tolist()]
+    assert sphere_average(table[:, :n], table[:, n:], n).tolist() == want
 
 
 def test_sphere_average_monte_carlo_degree_two():
-    idx = MomentIndex((2, 0), (0, 2))
-    est, se = monte_carlo_sphere_average(idx, 2, samples=200_000, seed=7)
+    est, se = monte_carlo_sphere_average((2, 0), (0, 2), 2, samples=200_000, seed=7)
     assert abs(est) < max(3.0 * se, 3e-3)
 
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_sphere_average_monte_carlo_all_low_degree(n):
     base_seed = 1000 * n
-    for k, idx in enumerate(moment_indices(n, 3)):
-        est, se = monte_carlo_sphere_average(idx, n, samples=100_000,
-                                             seed=base_seed + k)
-        assert abs(est - sphere_average(idx, n)) <= 3.0 * se + 1e-12, idx
+    for k, e in enumerate(brute_multi_indices(2 * n, 3)):
+        p, q = e[:n], e[n:]
+        est, se = monte_carlo_sphere_average(p, q, n, samples=100_000, seed=base_seed + k)
+        assert abs(est - sphere_average([p], [q], n)[0]) <= 3.0 * se + 1e-12, e
 
 
 # ---------------------------------------------------------------------------
@@ -173,9 +186,9 @@ def test_phase_rotation_shifts_moment_by_phase():
     c = Constellation("c", [Point(row) for row in z])
     thetas = rng.uniform(0, 2 * math.pi, size=2)
     rotated = Constellation("c", [Point(row * np.exp(1j * thetas)) for row in z])
-    idx = MomentIndex((2, 1), (0, 3))
-    phase = np.exp(1j * (np.array(idx.p) - np.array(idx.q)) @ thetas)
-    assert moment(rotated, idx) == pytest.approx(moment(c, idx) * phase, abs=1e-12)
+    p, q = (2, 1), (0, 3)
+    phase = np.exp(1j * (np.array(p) - np.array(q)) @ thetas)
+    assert moment(rotated, p, q) == pytest.approx(moment(c, p, q) * phase, abs=1e-12)
 
 
 @pytest.mark.parametrize("name,params", [
@@ -260,19 +273,16 @@ def test_point_at_the_origin_is_named_not_a_nan():
     origin = QSCode(1, 0.0, [Constellation("0", [Point([0.0])])])
     with pytest.raises(qsc.QscError, match="point 0 of codeword '0' lies at the origin"):
         design_strength(origin, 2)
-    c = Constellation("c", [Point([1.0, 0.0]), Point([0.0, 0.0])])
-    with pytest.raises(qsc.QscError, match="point 1 of constellation 'c' lies at the origin"):
-        moment(c, MomentIndex((0, 0), (0, 0)))
+    code = QSCode(2, 1.0, [Constellation("c", [Point([1.0, 0.0]), Point([0.0, 0.0])])])
+    with pytest.raises(qsc.QscError, match="point 1 of codeword 'c' lies at the origin"):
+        design_strength(code, 2)
 
 
 def test_enumeration_is_graded_lexicographic():
-    seen = list(moment_indices(1, 2))
-    expected = [
-        MomentIndex((0,), (0,)),
-        MomentIndex((0,), (1,)), MomentIndex((1,), (0,)),
-        MomentIndex((0,), (2,)), MomentIndex((1,), (1,)), MomentIndex((2,), (0,)),
-    ]
-    assert seen == expected
+    # (p, q) of the moments z^p conj(z)^q on one mode, as design_strength
+    # takes them from the rows of the graded table
+    seen = [(e[:1], e[1:]) for e in _index_table(2, 2).tolist()]
+    assert seen == [([0], [0]), ([0], [1]), ([1], [0]), ([0], [2]), ([1], [1]), ([2], [0])]
 
 
 # Every degree 0-8 on dimensions 1-16, up to 20,000 tuples per dimension:
@@ -282,7 +292,8 @@ def test_multi_indices_match_recursive_oracle(dim):
     top = max(d for d in range(9) if count_multi_indices(dim, d) <= 20_000)
     oracle = list(brute_multi_indices(dim, top))
     for degree in range(top + 1):
-        assert list(multi_indices(dim, degree)) == oracle[:count_multi_indices(dim, degree)]
+        assert list(map(tuple, _index_table(dim, degree).tolist())) == \
+            oracle[:count_multi_indices(dim, degree)]
         table = _index_table(dim, degree)
         assert table.shape == (count_multi_indices(dim, degree), dim)
         assert np.array_equal(_index_position(table), np.arange(len(table)))
