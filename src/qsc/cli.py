@@ -387,14 +387,32 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _parser: argparse.ArgumentParser | None = None
+_subcommands: dict[str, argparse.ArgumentParser] = {}
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """The subcommand's own parser on everything after its name, so argparse
+    runs once, not nested inside the top-level parser; the top-level parser
+    only where no subcommand is named (no arguments, -h, an unknown command).
+    Leftovers are reported by the top-level parser, as a nested parse does."""
+    sub = _subcommands.get(argv[0]) if argv else None
+    if sub is None:
+        return _parser.parse_args(argv)
+    args, extras = sub.parse_known_args(argv[1:])
+    if extras:
+        _parser.error("unrecognized arguments: " + " ".join(extras))
+    args.command = argv[0]
+    return args
 
 
 def run(argv: list[str] | None = None) -> int:
     global _parser
     if _parser is None:
         _parser = build_parser()
+        subparsers, = (a for a in _parser._actions if isinstance(a, argparse._SubParsersAction))
+        _subcommands.update(subparsers.choices)
     try:
-        args = _parser.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

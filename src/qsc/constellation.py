@@ -52,6 +52,9 @@ TOL_UNITARY = 1e-12
 # Points (or classical words) a code may have: the CSS enumerations and the
 # catalog builders check their count against it before they make any.
 CODE_SIZE_BUDGET = 1_000_000
+# Entries of an N x N overlap matrix, checked before any is allocated: 4,096
+# points (the q = 2, length-12 CSS code), 256 MB of complex entries.
+OVERLAP_BUDGET = 4096 ** 2
 # Point pairs per block of the chunked distance pass: each of its temporaries
 # stays within 128 kB however many points a code has.
 DISTANCE_BLOCK_PAIRS = 1 << 13
@@ -266,8 +269,12 @@ class QSCode:
 
     def scaled_overlap(self, t: float) -> np.ndarray:
         """Overlaps <sqrt(t) z|sqrt(t) w> of the points scaled by sqrt(t): the
-        exponent of ``overlap`` times t, (N, N).  Not cached."""
+        exponent of ``overlap`` times t, (N, N).  Not cached.  Refused above
+        OVERLAP_BUDGET entries."""
         Z = self.point_array
+        if len(Z) ** 2 > OVERLAP_BUDGET:
+            raise QscError(f"the overlap matrix of {len(Z)} points has {len(Z) ** 2} entries, "
+                           f"which exceeds the budget {OVERLAP_BUDGET}")
         half = 0.5 * np.sum(np.abs(Z) ** 2, axis=1)
         G = np.conj(Z) @ Z.T   # in place from here: no further N x N temporaries
         G += -half[:, None] - half[None, :]

@@ -8,14 +8,17 @@ orthonormal codewords E_j |e_mu>, which one function turns into the fidelity.
 
 * Loss is exact, in the coherent frame of the code, for any number of modes
   and with no cutoff.  Pure loss maps |z> to |sqrt(eta) z> (x) |sqrt(gamma) z>
-  (eta = 1 - gamma, the second factor in the environment), so the eigenpairs
-  of the N x N environment overlap matrix give an orthonormal Kraus basis, and
-  the Gram matrix needs only the overlaps of the damped points.
+  (eta = 1 - gamma, the second factor in the environment), so the kept
+  eigenpairs of the N x N environment overlap matrix give an orthonormal
+  Kraus basis of at most N operators, and the Gram matrix, built in that
+  basis with no further rotation, needs only the overlaps of the damped
+  points.  One Gram eigendecomposition gives the fidelity.
 * Dephasing is the Schur multiplier rho_mn -> exp(-sigma^2 (m-n)^2/2) rho_mn
   on a Fock space truncated at a cutoff per mode, by default the one the code
   derives (``FockConfig.for_code``).  The multiplier's eigenpairs give its
   exact Kraus operators, diagonal in the number basis, which are contracted
-  with the code one mode at a time and compressed after each.  No quadrature.
+  with the code one mode at a time and compressed after each, since their
+  joint index would otherwise grow as a power of the mode count.  No quadrature.
 
 ``embed_codewords`` writes every codeword as a number-basis vector on any
 number of modes whose joint dimension cutoff^modes fits ``DIM_BUDGET``; the
@@ -42,8 +45,9 @@ COMPLETENESS_TOL = 1e-8
 # and below it an eigenvalue is within rounding of the largest.
 EIGEN_FLOOR = 1e-14
 # Largest corrupted-codeword Gram dimension J*K (J Kraus operators, K codewords),
-# held twice while rotated (2 x 16 x 3000^2 bytes = 288 MB); dephasing checks each
-# mode's joint J before compressing it (nine codewords at sigma = 0.5: 26 x 26 x 9).
+# held twice while decomposed (2 x 16 x 3000^2 bytes = 288 MB).  Both channels
+# refuse K above it before any work (J >= 1); dephasing checks each mode's joint
+# J before compressing it (nine codewords at sigma = 0.5: 26 x 26 x 9).
 GRAM_DIM_BUDGET = 3000
 EPS = np.finfo(float).eps
 # Past this codeword Gram condition number G^(-1/2) keeps under half its digits.
@@ -120,15 +124,18 @@ def embed_codewords(code: QSCode, cfg: FockConfig) -> np.ndarray:
 # Channel fidelity with transpose-channel recovery
 # ---------------------------------------------------------------------------
 
-def _require_two_codewords(code: QSCode) -> None:
-    if code.K < 2:
-        raise ValueError("channel fidelity needs at least two codewords")
-
-
 def _check_gram_dim(J: int, K: int) -> None:
     if J * K > GRAM_DIM_BUDGET:
         raise QscError(f"the corrupted-codeword Gram matrix would have dimension {J * K} "
                        f"({J} Kraus operators x {K} codewords), above the budget {GRAM_DIM_BUDGET}")
+
+
+def _check_codeword_count(code: QSCode) -> None:
+    """At least two codewords, and few enough for a Gram matrix of one Kraus
+    operator: a larger code is refused before any of its frame is built."""
+    if code.K < 2:
+        raise ValueError("channel fidelity needs at least two codewords")
+    _check_gram_dim(1, code.K)
 
 
 def _kept_eigenpairs(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -155,9 +162,11 @@ def _transpose_recovery_fidelity(gram: np.ndarray, J: int, K: int) -> float:
     K orthonormal codewords, j major.  With H the (pseudo) square root of the
     Gram matrix, F = (1/K^2) sum_{j,k} |sum_mu H[(j,mu),(k,mu)]|^2; the sums
     over mu are taken from the eigenvectors, without forming H.  F does not
-    depend on the Kraus representation (Nielsen-Chuang, Thm 8.2), so callers
-    first rotate theirs to the eigenvectors of their weights on the code,
-    Q[j, k] = sum_mu gram[(j, mu), (k, mu)], and drop those below the floor.
+    depend on the Kraus representation (Nielsen-Chuang, Thm 8.2), so any
+    basis of the operators will do.  Only dephasing rotates its joint index
+    (to the eigenvectors of the weights on the code, dropping those below the
+    floor), because only that index outgrows the code; loss passes its at
+    most N environment eigenvectors as they are.
     """
     vals, vecs = _kept_eigenpairs(gram)
     Y = vecs.reshape(J, K, -1)
@@ -174,11 +183,14 @@ def loss_channel_fidelity(code: QSCode, gamma: float) -> float:
     S = <sqrt(gamma) z|sqrt(gamma) w> and P = <sqrt(eta) z|sqrt(eta) w>, the
     Kraus operator of environment state a sends e_mu to sum_i X[(a, mu), i]
     |sqrt(eta) z_i> with X[(a, mu), i] = sqrt(lambda_a) conj(V[i, a]) A[mu, i],
-    so the Gram matrix is conj(X) P X^T.
+    so the Gram matrix is conj(X) P X^T, already (a, mu)-major: it goes to the
+    fidelity as it is, one eigendecomposition, with no rotation of the Kraus
+    index.  A code with more codewords than GRAM_DIM_BUDGET is refused before
+    its overlaps are built.
     """
     if not 0.0 <= gamma < 1.0:
         raise ValueError("gamma must lie in [0, 1)")
-    _require_two_codewords(code)
+    _check_codeword_count(code)
     norms = code.codeword_norms_sq
     index = code.codeword_index
     inv_sqrt = _inverse_sqrt(code.codeword_sums(code.overlap) / np.sqrt(np.outer(norms, norms)))
@@ -187,11 +199,7 @@ def loss_channel_fidelity(code: QSCode, gamma: float) -> float:
     J, K = len(lam), code.K
     _check_gram_dim(J, K)
     X = (np.sqrt(lam)[:, None, None] * V.T.conj()[:, None, :] * A[None, :, :]).reshape(J * K, -1)
-    G = (X.conj() @ code.scaled_overlap(1.0 - gamma) @ X.T).reshape(J, K, J, K)
-    weights, U = _kept_eigenpairs(np.einsum("jmkm->jk", G))
-    G = np.tensordot(np.tensordot(U.conj(), G, axes=([0], [0])), U, axes=([2], [0]))
-    J = len(weights)
-    return _transpose_recovery_fidelity(G.transpose(0, 1, 3, 2).reshape(J * K, J * K), J, K)
+    return _transpose_recovery_fidelity(X.conj() @ code.scaled_overlap(1.0 - gamma) @ X.T, J, K)
 
 
 def _dephasing_kraus(sigma: float, cutoff: int) -> np.ndarray:
@@ -218,7 +226,7 @@ def dephasing_channel_fidelity(code: QSCode, sigma: float,
     cutoff 23 keeps 9 of 12 per mode and 42 of 81 jointly)."""
     if not (math.isfinite(sigma) and sigma >= 0):
         raise ValueError(f"sigma must be finite and nonnegative, got {sigma}")
-    _require_two_codewords(code)
+    _check_codeword_count(code)
     cfg = cfg or FockConfig.for_code(code)
     kraus = _dephasing_kraus(sigma, cfg.cutoff)
     # the joint completeness is a Kronecker power: its extremes are one mode's, powered

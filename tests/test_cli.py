@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 import qsc
@@ -241,3 +242,82 @@ def test_run_dispatches_through_module_at_call_time(monkeypatch, capsys):
     monkeypatch.setattr(qsc.cli, "cmd_catalog", lambda args: calls.append(args.json) or 0)
     assert run(["catalog", "--json"]) == 0
     assert calls == [True] and capsys.readouterr().out == ""
+
+
+# Each command line's exit code, the program named in its usage line and the
+# last line it prints.  A named subcommand is parsed by its own parser alone;
+# what it prints must be what the top-level parser prints when it dispatches
+# that subcommand itself.
+PARSE_EXITS = [
+    ([], 2, "qsc", "qsc: error: the following arguments are required: command"),
+    (["-h"], 0, "qsc", "  -h, --help            show this help message and exit"),
+    (["bogus"], 2, "qsc", "qsc: error: argument command: invalid choice: "),
+    (["perf"], 2, "qsc perf", "qsc perf: error: the following arguments are required: --in"),
+    (["perf", "--help"], 0, "qsc perf", "  --json"),
+    (["perf", "--in"], 2, "qsc perf", "qsc perf: error: argument --in: expected one argument"),
+    (["perf", "--in", "x.json", "--bogus"], 2, "qsc", "qsc: error: unrecognized arguments: --bogus"),
+    (["kl", "extra", "--in", "x"], 2, "qsc", "qsc: error: unrecognized arguments: extra"),
+    (["kl", "--in", "x", "--max-degree", "two"], 2, "qsc kl",
+     "qsc kl: error: argument --max-degree: invalid int value: 'two'"),
+]
+
+
+@pytest.mark.parametrize("argv, code, prog, last_line", PARSE_EXITS,
+                         ids=[" ".join(argv) or "no arguments" for argv, *_ in PARSE_EXITS])
+def test_parse_exits_print_what_the_top_level_parser_prints(argv, code, prog, last_line,
+                                                            monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as nested:
+        qsc.cli.build_parser().parse_args(argv)
+    expected = (nested.value.code or 0, *capsys.readouterr())
+    assert run(argv) == code == expected[0]
+    out, err = capsys.readouterr()
+    assert (out, err) == expected[1:]
+    printed, silent = (out, err) if code == 0 else (err, out)
+    assert silent == "" and printed.startswith(f"usage: {prog} [-h]")
+    assert printed.splitlines()[-1].startswith(last_line)
+
+
+def test_missing_input_file_is_a_computation_error(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    assert run(["perf", "--in", str(missing), "--channel", "loss", "--json"]) == 1
+    assert capsys.readouterr() == ("", f"error: [Errno 2] No such file or directory: '{missing}'\n")
+
+
+def _circle_code(points: int, codewords: int) -> qsc.QSCode:
+    """``points`` distinct points on the radius-2 circle, dealt out in order to
+    ``codewords`` codewords of nearly equal size."""
+    z = 2.0 * np.exp(2j * np.pi * np.arange(points) / points)[:, None]
+    sizes = [len(block) for block in np.array_split(np.arange(points), codewords)]
+    return qsc.QSCode.from_points(1, 4.0, z, sizes, [str(mu) for mu in range(codewords)])
+
+
+@pytest.mark.parametrize("argv, points, codewords, message", [
+    (["kl", "--max-degree", "1"], 4097, 2, "overlap matrix of 4097 points"),
+    (["perf", "--channel", "loss", "--gammas", "0.01"], 3001, 3001,
+     "Gram matrix would have dimension 3001"),
+], ids=["kl", "perf loss"])
+def test_oversized_code_is_refused_with_one_line(argv, points, codewords, message,
+                                                 tmp_path, capsys):
+    path = tmp_path / "large.json"
+    path.write_text(qsc.code_to_json(_circle_code(points, codewords)))
+    assert run(argv + ["--in", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and message in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_design_far_beyond_the_float_factorials(tmp_path, capsys):
+    # 171! overflows a float, and a sphere average of degree 342 or more on one
+    # mode needs it.  The points +-1 (normalized) give each monomial of degree
+    # d >= 1 the value +-1 against a sphere average of 0 (z^d) and the codewords
+    # values that differ by 2 at odd d and agree at even d.
+    path = tmp_path / "two_legged.json"
+    path.write_text(qsc.code_to_json(qsc.build("cat", 4.0, S=1, K=2)))
+    doc = _json_out(["design", "--in", str(path), "--tmax", "400", "--json"], capsys)
+    assert (doc["t_sphere"], doc["t_match"]) == (0, 0)
+    assert doc["sphere_residual_per_degree"] == {str(d): float(d > 0) for d in range(401)}
+    # the second point is 2 e^{i pi}, whose imaginary part 2.4e-16 leaves its
+    # powers at even d off by rounding (under 5e-14 at d = 400)
+    assert doc["match_residual_per_degree"] == pytest.approx(
+        {str(d): 2.0 * (d % 2) for d in range(401)}, abs=1e-13)

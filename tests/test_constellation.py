@@ -134,6 +134,20 @@ def test_frame_overlap_matches_pairwise_overlaps(repetition_css):
     assert np.allclose(repetition_css.codeword_norms_sq, norms, rtol=1e-14, atol=0.0)
 
 
+def test_overlap_is_refused_above_its_budget(monkeypatch):
+    # the budget admits the q = 2, length-12 CSS code: 4,096 points, 256 MB
+    assert constellation_mod.OVERLAP_BUDGET == 4096 ** 2
+    monkeypatch.setattr(constellation_mod, "OVERLAP_BUDGET", 16)
+    four, five = (QSCode.from_points(1, 4.0, 2.0 * np.exp(2j * np.pi * np.arange(n) / n)[:, None],
+                                     [n], ["0"]) for n in (4, 5))
+    assert four.scaled_overlap(0.5).shape == four.overlap.shape == (4, 4)
+    with pytest.raises(qsc.QscError, match="overlap matrix of 5 points has 25 entries, which "
+                                       "exceeds the budget 16"):
+        five.scaled_overlap(0.5)
+    with pytest.raises(qsc.QscError, match="exceeds the budget"):
+        qsc.detection_report(five, 1, 1e-6)
+
+
 def test_codewords_are_views_of_the_frame(cat33):
     code = QSCode.from_points(1, 4.0, cat33.point_array, cat33.codeword_sizes, cat33.labels)
     assert code == cat33 and code.codewords == cat33.codewords

@@ -309,6 +309,46 @@ def test_channels_reject_a_single_codeword():
         dephasing_channel_fidelity(single, 0.1, FockConfig(cutoff=20, modes=2))
 
 
+def test_channels_refuse_more_codewords_than_the_gram_budget_before_any_work(monkeypatch):
+    # one Kraus operator per codeword is the least a Gram matrix can have
+    code = QSCode.from_points(1, 4.0, 2.0 * np.exp(2j * np.pi * np.arange(3001) / 3001)[:, None],
+                              [1] * 3001, [str(mu) for mu in range(3001)])
+    for channel, level in ((loss_channel_fidelity, 0.01), (dephasing_channel_fidelity, 0.1)):
+        with pytest.raises(qsc.QscError, match="dimension 3001 .* above the budget 3000"):
+            channel(code, level)
+    assert not {"overlap", "codeword_norms_sq"} & set(vars(code))
+    # at the budget the check passes: without loss the environment keeps one state
+    monkeypatch.setattr(qsc.fock, "GRAM_DIM_BUDGET", 4)
+    four, five = (qsc.build("cat", 4.0, S=1, K=K) for K in (4, 5))
+    assert loss_channel_fidelity(four, 0.0) == pytest.approx(1.0, abs=1e-12)
+    with pytest.raises(qsc.QscError, match="dimension 5 "):
+        loss_channel_fidelity(five, 0.0)
+
+
+# cell600(partition=five) at E = 1 is refused as ill-conditioned (below)
+LOSS_SYMMETRY_CASES = [(entry, energy) for entry in qsc.list_catalog() for energy in (1.0, 4.0)
+                       if entry.num_codewords >= 2
+                       and (entry.entry_id, energy) != ("cell600(partition=five)", 1.0)]
+
+
+@pytest.mark.parametrize("entry, energy", LOSS_SYMMETRY_CASES,
+                         ids=[f"{e.entry_id} E={E:g}" for e, E in LOSS_SYMMETRY_CASES])
+def test_loss_is_invariant_under_a_global_phase_and_the_point_order(entry, energy):
+    # loss commutes with a global phase, and the order of a codeword's points
+    # leaves the codeword as it is; F is computed in whatever Kraus basis the
+    # environment eigenvectors of each variant give
+    code = entry.build(energy)
+    rng = np.random.default_rng(2302)
+    order = np.concatenate([start + rng.permutation(size) for start, size in
+                            zip(code.codeword_starts.tolist(), code.codeword_sizes.tolist())])
+    variants = [QSCode.from_points(code.modes, code.radius_sq, z, code.codeword_sizes, code.labels)
+                for z in (code.point_array * cmath.exp(0.7j), code.point_array[order])]
+    for gamma in (0.01, 0.1):
+        f = loss_channel_fidelity(code, gamma)
+        for variant in variants:
+            assert abs(loss_channel_fidelity(variant, gamma) - f) <= 1e-12
+
+
 def test_dephasing_gram_budget():
     # q = 3, length 2, no generators: nine single-point codewords at alpha = 2.
     # At sigma = 0.5 each mode keeps 26 Kraus operators after compression, so

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -125,6 +126,16 @@ def test_sphere_average_matches_loop_oracle(n):
     table = _index_table(2 * n, 6)
     want = [brute_sphere_average(tuple(e[:n]), tuple(e[n:]), n) for e in table.tolist()]
     assert sphere_average(table[:, :n], table[:, n:], n).tolist() == want
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_sphere_average_is_the_exact_ratio_rounded_once(n):
+    # entries up to 299, far past 170 (171! overflows a float): each average is
+    # the nearest float to prod_i p_i! (n-1)! / (n-1+|p|)!, as float() rounds a Fraction
+    rows = np.random.default_rng(n).integers(0, 300, size=(20, n))
+    want = [float(Fraction(math.prod(map(math.factorial, row)) * math.factorial(n - 1),
+                           math.factorial(n - 1 + sum(row)))) for row in rows.tolist()]
+    assert sphere_average(rows, rows, n).tolist() == want
 
 
 def test_sphere_average_monte_carlo_degree_two():
