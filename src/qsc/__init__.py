@@ -4,9 +4,7 @@ transpose recovery: loss exactly in the coherent frame for any number of
 modes, dephasing with exact Kraus operators on a truncated Fock space."""
 
 from .constellation import (
-    Constellation,
     PassiveUnitary,
-    Point,
     QSCode,
     QscError,
     DimensionMismatchError,

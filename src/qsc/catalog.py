@@ -153,8 +153,7 @@ def _numbered_code(n: int, E: float, groups: list) -> QSCode:
     """A code whose codeword mu, labeled str(mu), holds the rows ``groups[mu]``."""
     points = np.concatenate([np.array(g, dtype=np.complex128).reshape(len(g), n)
                              for g in groups])
-    return QSCode.from_points(n, E, points, [len(g) for g in groups],
-                              [str(mu) for mu in range(len(groups))])
+    return QSCode(n, E, points, [len(g) for g in groups], [str(mu) for mu in range(len(groups))])
 
 
 def _build_cat(E: float, S: int = 2, K: int = 2) -> QSCode:

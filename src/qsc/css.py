@@ -174,9 +174,8 @@ def compile_css(spec: ClassicalCodeSpec, alpha: complex,
     rank[np.argsort(first)] = np.arange(len(first))
     words = dual[np.argsort(rank[coset], kind="stable")]
     leaders = dual[by_weight[np.sort(first)]].tolist()
-    return QSCode.from_points(n, n * abs(alpha) ** 2, phases[words],
-                              [len(words) // len(first)] * len(first),
-                              ["".join(map(str, leader)) for leader in leaders])
+    return QSCode(n, n * abs(alpha) ** 2, phases[words], [len(words) // len(first)] * len(first),
+                  ["".join(map(str, leader)) for leader in leaders])
 
 
 @dataclass(frozen=True)

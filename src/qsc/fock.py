@@ -91,6 +91,8 @@ class FockConfig:
         cap = round(DIM_BUDGET ** (1.0 / code.modes))
         cap -= cap ** code.modes > DIM_BUDGET
         a = max(float(np.max(np.abs(code.point_array) ** 2)), np.finfo(float).tiny)
+        if a >= cap:   # the tail at any c <= a is about 1/2 or more, so c > a
+            return cls(cutoff=max(2, cap), modes=code.modes)
         # past n = 2a the terms at least halve: 64 more leave out < 2^-63 of them
         n = np.arange(1, 2 * math.ceil(a) + 64)
         terms = np.exp(-a + np.concatenate(([0.0], np.cumsum(np.log(a / n)))))

@@ -213,12 +213,16 @@ def design_strength(code: QSCode, t_max: int, tol: float = DESIGN_TOL) -> Design
     for combined in _index_blocks(2 * n, t_max, block):
         p, q = combined[:, :n], combined[:, n:]
         vals = _moment_values(z, p, q)
-        values = np.add.reduceat(vals, code.codeword_starts, axis=0) / sizes[:, None]
+        # in row order, so that the codeword sums reshape without a copy and
+        # the residuals below read contiguous rows
+        values = code._block_sums(np.ascontiguousarray(vals), 0) / sizes[:, None]
         target = sphere_average(p, q, n)
         degree = combined.sum(axis=1)
         np.maximum.at(sphere_res, degree, np.max(np.abs(values - target), axis=0))
-        np.maximum.at(match_res, degree,
-                      np.max([np.max(np.abs(values - v), axis=0) for v in values], axis=0))
+        # the spread |values[mu] - values[nu]| over each pair mu < nu once
+        np.maximum.at(match_res, degree, np.max(
+            [np.max(np.abs(values[mu + 1:] - values[mu]), axis=0) for mu in range(code.K - 1)],
+            axis=0, initial=0.0))
 
     def largest_passing(res: np.ndarray) -> int:
         failing = np.flatnonzero(~(res <= tol))

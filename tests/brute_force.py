@@ -183,7 +183,7 @@ def brute_phase_symmetries(code, max_order: int) -> list:
     codeword map is read from sets; the first candidate of each point
     permutation is kept."""
     labels = [(mu, i) for mu, c in enumerate(code.codewords) for i in range(len(c))]
-    points = np.vstack([c.as_array() for c in code.codewords])
+    points = np.vstack(code.codewords)
     found, seen = [], set()
     for m in range(1, max_order + 1):
         for ks in product(range(m), repeat=code.modes):
@@ -236,7 +236,7 @@ def brute_vanishing_ideal(code, max_degree: int, tol_ideal: float = 1e-8) -> lis
     n = code.modes
     monomials = list(brute_multi_indices(n, max_degree))
     position = {d: j for j, d in enumerate(monomials)}
-    points = [p for c in code.codewords for p in c.as_array()]
+    points = [p for c in code.codewords for p in c]
     V = np.array([[np.prod(z ** np.array(d)) for d in monomials] for z in points])
     scales = np.max(np.abs(V), axis=0)
     scales[scales == 0.0] = 1.0
@@ -407,7 +407,8 @@ def brute_violations(radius_sq: float, labels: list[str],
 
     Returns (kind, label, i, other_label, j, residual) tuples in the order
     codeword by codeword (sphere, then duplicate), then disjointness by
-    (mu, nu, i, j).
+    (mu, nu, i, j).  As in the package, tol_sphere is widened by 16 (n + 1)
+    eps E, the rounding that |z|^2 of a point built on the sphere may carry.
     """
     def distance(z, w):
         return math.sqrt(sum(abs(zi - wi) ** 2 for zi, wi in zip(z, w)))
@@ -416,7 +417,7 @@ def brute_violations(radius_sq: float, labels: list[str],
     for label, points in zip(labels, constellations):
         for i, z in enumerate(points):
             res = abs(sum(abs(zi) ** 2 for zi in z) - radius_sq)
-            if res > tol_sphere:
+            if res > tol_sphere + 16 * (len(z) + 1) * np.finfo(float).eps * radius_sq:
                 out.append(("sphere", label, i, None, None, res))
         for i in range(len(points)):
             for j in range(i):
@@ -465,19 +466,18 @@ def _json_number(x: float) -> str:
 
 def brute_code_to_json(code) -> str:
     """The interchange document, formatted coordinate by coordinate from
-    each ``Point`` of each constellation."""
+    each point row of each codeword."""
     lines = ["{"]
     lines.append(f'  "modes": {code.modes},')
     lines.append(f'  "radius_sq": {_json_number(code.radius_sq)},')
     lines.append('  "codewords": [')
-    for ci, c in enumerate(code.codewords):
+    for ci, (label, points) in enumerate(zip(code.labels, code.codewords)):
         lines.append("    {")
-        lines.append(f'      "label": {json.dumps(c.label)},')
+        lines.append(f'      "label": {json.dumps(label)},')
         lines.append('      "points": [')
-        points = c.points
         for pi, p in enumerate(points):
             entries = ", ".join(f"[{_json_number(z.real)}, {_json_number(z.imag)}]"
-                                for z in p.amplitudes)
+                                for z in p)
             comma = "," if pi < len(points) - 1 else ""
             lines.append(f"        [{entries}]{comma}")
         lines.append("      ]")
@@ -514,9 +514,10 @@ def _point_vector(amplitudes: np.ndarray, cfg) -> np.ndarray:
 
 
 def codeword_vector(c, cfg, normalized: bool = True) -> np.ndarray:
-    """Embed sum_z |z> for one constellation; optionally unit-normalize."""
+    """Embed sum_z |z> for one codeword's (m, n) point rows; optionally
+    unit-normalize."""
     vec = np.zeros(cfg.dim, dtype=np.complex128)
-    for amplitudes in c.as_array():
+    for amplitudes in c:
         vec += _point_vector(amplitudes, cfg)
     if normalized:
         vec = vec / np.linalg.norm(vec)

@@ -38,16 +38,22 @@ def random_three_point_code(alpha: float, seed: int = 20240315) -> qsc.QSCode:
         gaps = np.diff(np.concatenate([thetas, [thetas[0] + 2.0 * math.pi]]))
         if np.min(gaps) > 0.5:
             break
-    codewords = [
-        qsc.Constellation(str(k), [qsc.Point([alpha * cmath.exp(1j * t)])])
-        for k, t in enumerate(thetas)
-    ]
-    return qsc.QSCode(1, alpha ** 2, codewords)
+    return code_of(1, alpha ** 2, [[[alpha * cmath.exp(1j * t)]] for t in thetas])
+
+
+def code_of(modes: int, radius_sq: float, codewords) -> qsc.QSCode:
+    """The code whose codeword ``label`` holds the amplitude rows
+    ``codewords[label]``, in the mapping's order; a list of row lists is
+    labeled "0", "1", ... in its order."""
+    if not isinstance(codewords, dict):
+        codewords = {str(mu): rows for mu, rows in enumerate(codewords)}
+    rows = [np.array(r, dtype=np.complex128) for r in codewords.values()]
+    return qsc.QSCode(modes, radius_sq, np.concatenate(rows), [len(r) for r in rows],
+                      list(codewords))
 
 
 def constellations_as_lists(code: qsc.QSCode) -> list[list[list[complex]]]:
-    return [[list(map(complex, p.amplitudes)) for p in c.points]
-            for c in code.codewords]
+    return [c.tolist() for c in code.codewords]
 
 
 def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:

@@ -289,7 +289,7 @@ def _circle_code(points: int, codewords: int) -> qsc.QSCode:
     ``codewords`` codewords of nearly equal size."""
     z = 2.0 * np.exp(2j * np.pi * np.arange(points) / points)[:, None]
     sizes = [len(block) for block in np.array_split(np.arange(points), codewords)]
-    return qsc.QSCode.from_points(1, 4.0, z, sizes, [str(mu) for mu in range(codewords)])
+    return qsc.QSCode(1, 4.0, z, sizes, [str(mu) for mu in range(codewords)])
 
 
 @pytest.mark.parametrize("argv, points, codewords, message", [

@@ -11,10 +11,8 @@ from hypothesis import strategies as st
 import qsc
 from qsc.constellation import (
     CodeFormatError,
-    Constellation,
     DimensionMismatchError,
     PassiveUnitary,
-    Point,
     QSCode,
     code_from_json,
     code_to_json,
@@ -34,78 +32,59 @@ from brute_force import (
     orbit,
     symmetry_generators,
 )
-from conftest import CSS_SHAPES, constellations_as_lists, css_of_shape, random_unitary
+from conftest import CSS_SHAPES, code_of, constellations_as_lists, css_of_shape, random_unitary
 
 
 # ---------------------------------------------------------------------------
 # structural validation
 # ---------------------------------------------------------------------------
 
-def test_point_requires_modes():
+@pytest.mark.parametrize("points", [np.zeros((0, 2)), np.zeros((2, 0)), np.ones(2), [[]],
+                                    [[1.0], [1.0, 0.0]]],
+                         ids=["no-points", "no-modes", "one-axis", "empty-row", "ragged"])
+def test_code_requires_a_nonempty_stack_of_points(points):
     with pytest.raises(ValueError):
-        Point([])
+        QSCode(2, 1.0, points, [2], ["0"])
 
 
-def test_point_requires_finite_amplitudes():
-    with pytest.raises(ValueError):
-        Point([float("nan") + 0j])
-    with pytest.raises(ValueError):
-        Point([complex(1.0, float("inf"))])
+@pytest.mark.parametrize("bad", [float("nan"), complex(1.0, float("inf"))])
+def test_code_requires_finite_amplitudes(bad):
+    with pytest.raises(ValueError, match="finite"):
+        QSCode(1, 1.0, [[1.0], [bad]], [2], ["0"])
 
 
-def test_point_is_immutable_and_hashable():
-    p = Point([1 + 2j])
-    with pytest.raises(ValueError):
-        p.amplitudes[0] = 0
-    assert p == Point([1 + 2j])
-    assert hash(p) == hash(Point([1 + 2j]))
-
-
-def test_constellation_rejects_empty_and_mixed_modes():
-    with pytest.raises(ValueError):
-        Constellation("c", [])
-    with pytest.raises(DimensionMismatchError):
-        Constellation("c", [Point([1.0]), Point([1.0, 0.0])])
-    for bad in (np.zeros((0, 2)), np.zeros((2, 0)), np.ones(3), np.array([[1.0, np.inf]])):
-        with pytest.raises(ValueError):
-            Constellation("c", bad)
-
-
-def test_constellation_stores_one_read_only_copy():
+def test_code_stores_one_read_only_copy():
     rows = np.array([[1.0, 0.0], [0.0, 1j]])
-    c = Constellation("c", rows)
+    code = QSCode(2, 1.0, rows, [1, 1], ["0", "1"])
     rows[0, 0] = 5.0
-    assert c.as_array()[0, 0] == 1.0
-    assert not c.as_array().flags.writeable
-    assert c.points == (Point([1.0, 0.0]), Point([0.0, 1j]))
-    assert c == Constellation("c", [Point([1.0, 0.0]), [0.0, 1j]])
-    assert c != Constellation("d", rows[1:])
+    assert code.point_array[0, 0] == 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        code.point_array[0, 0] = 0
+    assert not code.codeword_sizes.flags.writeable
+    assert code == code_of(2, 1.0, {"0": [[1.0, 0.0]], "1": [[0.0, 1j]]})
+    assert hash(code) == hash(code_of(2, 1.0, [[[1.0, 0.0]], [[0.0, 1j]]]))
+    assert code != code_of(2, 1.0, {"0": [[1.0, 0.0]], "2": [[0.0, 1j]]})
+    assert code != QSCode(2, 1.0, rows, [2], ["0"])
 
 
 def test_signed_zeros_compare_and_hash_equal():
-    plus, minus = Point([0j, 1.0]), Point([complex(-0.0, -0.0), 1.0])
-    assert plus == minus and hash(plus) == hash(minus)
-    assert len({plus, minus}) == 1 and minus in {plus}
-
     def code(zero):
-        return QSCode(2, 4.0, [Constellation("0", [[2.0, zero]]),
-                               Constellation("1", [[zero, 2.0]])])
+        return code_of(2, 4.0, [[[2.0, zero]], [[zero, 2.0]]])
 
     a, b = code(0j), code(complex(-0.0, -0.0))
-    assert a.codewords[0] == b.codewords[0] and hash(a.codewords[0]) == hash(b.codewords[0])
     assert a == b and hash(a) == hash(b)
     assert len({a, b}) == 1 and b in {a}
 
 
 def test_code_rejects_mode_mismatch():
     with pytest.raises(DimensionMismatchError):
-        QSCode(2, 1.0, [Constellation("0", [Point([1.0])])])
+        QSCode(2, 1.0, [[1.0]], [1], ["0"])
 
 
 @pytest.mark.parametrize("radius_sq", [float("nan"), float("inf"), -1.0])
 def test_code_rejects_bad_radius(radius_sq):
     with pytest.raises(ValueError):
-        QSCode(1, radius_sq, [Constellation("0", [Point([1.0])])])
+        QSCode(1, radius_sq, [[1.0]], [1], ["0"])
 
 
 # ---------------------------------------------------------------------------
@@ -115,9 +94,7 @@ def test_code_rejects_bad_radius(radius_sq):
 def test_frame_is_stacked_by_codeword_cached_and_read_only(cat33):
     Z = cat33.point_array
     assert Z is cat33.point_array
-    assert cat33.codewords[0].as_array() is cat33.codewords[0].as_array()
-    assert np.array_equal(Z, np.concatenate([[p.amplitudes for p in c.points]
-                                             for c in cat33.codewords]))
+    assert np.array_equal(Z, np.concatenate(cat33.codewords))
     assert cat33.codeword_index.tolist() == [0, 0, 0, 1, 1, 1, 2, 2, 2]
     assert cat33.codeword_starts.tolist() == [0, 3, 6]
     for arr in (Z, cat33.codeword_index, cat33.overlap, cat33.codeword_norms_sq):
@@ -125,11 +102,10 @@ def test_frame_is_stacked_by_codeword_cached_and_read_only(cat33):
 
 
 def test_frame_overlap_matches_pairwise_overlaps(repetition_css):
-    points = [p for c in repetition_css.codewords for p in c.points]
-    expected = np.array([[brute_overlap(p.amplitudes, q.amplitudes) for q in points]
-                         for p in points])
+    points = repetition_css.point_array
+    expected = np.array([[brute_overlap(p, q) for q in points] for p in points])
     assert np.max(np.abs(repetition_css.overlap - expected)) < 1e-14
-    norms = [sum(brute_overlap(z, w) for z in c.as_array() for w in c.as_array()).real
+    norms = [sum(brute_overlap(z, w) for z in c for w in c).real
              for c in repetition_css.codewords]
     assert np.allclose(repetition_css.codeword_norms_sq, norms, rtol=1e-14, atol=0.0)
 
@@ -138,8 +114,8 @@ def test_overlap_is_refused_above_its_budget(monkeypatch):
     # the budget admits the q = 2, length-12 CSS code: 4,096 points, 256 MB
     assert constellation_mod.OVERLAP_BUDGET == 4096 ** 2
     monkeypatch.setattr(constellation_mod, "OVERLAP_BUDGET", 16)
-    four, five = (QSCode.from_points(1, 4.0, 2.0 * np.exp(2j * np.pi * np.arange(n) / n)[:, None],
-                                     [n], ["0"]) for n in (4, 5))
+    four, five = (QSCode(1, 4.0, 2.0 * np.exp(2j * np.pi * np.arange(n) / n)[:, None], [n], ["0"])
+                  for n in (4, 5))
     assert four.scaled_overlap(0.5).shape == four.overlap.shape == (4, 4)
     with pytest.raises(qsc.QscError, match="overlap matrix of 5 points has 25 entries, which "
                                        "exceeds the budget 16"):
@@ -149,9 +125,12 @@ def test_overlap_is_refused_above_its_budget(monkeypatch):
 
 
 def test_codewords_are_views_of_the_frame(cat33):
-    code = QSCode.from_points(1, 4.0, cat33.point_array, cat33.codeword_sizes, cat33.labels)
-    assert code == cat33 and code.codewords == cat33.codewords
-    assert all(np.shares_memory(c.as_array(), code.point_array) for c in code.codewords)
+    code = QSCode(1, 4.0, cat33.point_array, cat33.codeword_sizes, cat33.labels)
+    assert code == cat33
+    assert [c.tolist() for c in code.codewords] == [code.point_array[a:a + 3].tolist()
+                                                    for a in (0, 3, 6)]
+    assert all(np.shares_memory(c, code.point_array) and not c.flags.writeable
+               for c in code.codewords)
     assert code.codewords is code.codewords
 
 
@@ -159,9 +138,9 @@ def test_codewords_are_views_of_the_frame(cat33):
     ([3, 3, 2], ["0", "1", "2"]), ([3, 3, 4], ["0", "1", "2"]), ([3, 6], ["0", "1", "2"]),
     ([3, 0, 6], ["0", "1", "2"]), ([], []),
 ])
-def test_from_points_rejects_sizes_that_do_not_cover_the_points(cat33, sizes, labels):
+def test_code_rejects_sizes_that_do_not_cover_the_points(cat33, sizes, labels):
     with pytest.raises(ValueError):
-        QSCode.from_points(1, 4.0, cat33.point_array, sizes, labels)
+        QSCode(1, 4.0, cat33.point_array, sizes, labels)
 
 
 _EQUAL_SIZE_CODES = ([(e.entry_id, e.build(4.0)) for e in qsc.list_catalog()
@@ -198,10 +177,7 @@ def test_validate_valid_two_legged_cat(two_legged):
 
 def test_validate_reports_sphere_violation():
     alpha = 2.0
-    code = QSCode(1, alpha ** 2, [
-        Constellation("0", [Point([alpha])]),
-        Constellation("1", [Point([-alpha]), Point([alpha * 1.01])]),
-    ])
+    code = code_of(1, alpha ** 2, [[[alpha]], [[-alpha], [alpha * 1.01]]])
     violations = validate_code(code)
     assert len(violations) == 1
     v = violations[0]
@@ -213,10 +189,7 @@ def test_validate_reports_sphere_violation():
 
 def test_validate_reports_shared_point():
     alpha = 2.0
-    code = QSCode(1, alpha ** 2, [
-        Constellation("0", [Point([alpha])]),
-        Constellation("1", [Point([-alpha]), Point([alpha])]),
-    ])
+    code = code_of(1, alpha ** 2, [[[alpha]], [[-alpha], [alpha]]])
     kinds = {v.kind for v in validate_code(code)}
     assert kinds == {"disjoint"}
 
@@ -225,11 +198,11 @@ def _planted_code() -> QSCode:
     """Every kind of violation, interleaved across codewords: duplicates,
     off-sphere points, points shared between codewords and a near-duplicate
     (distance 1e-12) shared three ways."""
-    return QSCode(2, 4.0, [
-        Constellation("a", [[2.0, 0.0], [0.0, 2j], [2.0, 0.0], [2.5, 0.0]]),
-        Constellation("b", [[-2.0, 0.0], [0.0, 2j], [0.0, 2j + 1e-12], [0.0, 3.0]]),
-        Constellation("c", [[0.0, -2.0], [2.0, 0.0], [-2.0, 0.0], [0.0, 2.0]]),
-    ])
+    return code_of(2, 4.0, {
+        "a": [[2.0, 0.0], [0.0, 2j], [2.0, 0.0], [2.5, 0.0]],
+        "b": [[-2.0, 0.0], [0.0, 2j], [0.0, 2j + 1e-12], [0.0, 3.0]],
+        "c": [[0.0, -2.0], [2.0, 0.0], [-2.0, 0.0], [0.0, 2.0]],
+    })
 
 
 def _as_tuples(violations):
@@ -246,8 +219,7 @@ def test_validate_matches_brute_force(build, block_pairs, monkeypatch):
     monkeypatch.setattr(constellation_mod, "DISTANCE_BLOCK_PAIRS", block_pairs)
     code = build()
     mine = _as_tuples(validate_code(code))
-    labels = [c.label for c in code.codewords]
-    brute = brute_violations(code.radius_sq, labels, constellations_as_lists(code))
+    brute = brute_violations(code.radius_sq, list(code.labels), constellations_as_lists(code))
     assert [v[:5] for v in mine] == [v[:5] for v in brute]
     for a, b in zip(mine, brute):
         assert abs(a[5] - b[5]) <= 1e-12
@@ -256,9 +228,7 @@ def test_validate_matches_brute_force(build, block_pairs, monkeypatch):
 
 
 def test_validate_reports_duplicate_point():
-    code = QSCode(1, 4.0, [
-        Constellation("0", [Point([2.0]), Point([2.0])]),
-    ])
+    code = code_of(1, 4.0, [[[2.0], [2.0]]])
     violations = validate_code(code)
     assert [v.kind for v in violations] == ["duplicate"]
     assert "coincide" in violations[0].describe()
@@ -283,7 +253,7 @@ def test_distance_examples():
 
 def test_frame_rejects_rows_of_another_mode_count():
     with pytest.raises(DimensionMismatchError):
-        QSCode.from_points(2, 1.0, [[1.0], [-1.0]], [2], ["0"])
+        QSCode(2, 1.0, [[1.0], [-1.0]], [2], ["0"])
 
 
 finite_complex = st.builds(
@@ -334,7 +304,7 @@ def test_min_separation_cell24_matches_brute_force():
     expected = brute_min_separation(constellations_as_lists(code))
     assert math.isclose(dist, expected, rel_tol=1e-12)
     mu, nu, i, j = witness
-    d = np.linalg.norm(code.codewords[mu].as_array()[i] - code.codewords[nu].as_array()[j])
+    d = np.linalg.norm(code.codewords[mu][i] - code.codewords[nu][j])
     assert d == dist
 
 
@@ -343,9 +313,7 @@ def test_min_separation_tie_breaks_by_codeword_pair_first(block_pairs, monkeypat
     # d(a1, b0) = d(a0, c0) = 1: the witness orders (mu, nu) before (i, j),
     # so the pair in codewords (0, 1) wins even though a0 comes before a1
     monkeypatch.setattr(constellation_mod, "DISTANCE_BLOCK_PAIRS", block_pairs)
-    code = QSCode(1, 0.0, [Constellation("a", [[0.0], [10.0]]),
-                           Constellation("b", [[11.0]]),
-                           Constellation("c", [[1.0]])])
+    code = code_of(1, 0.0, {"a": [[0.0], [10.0]], "b": [[11.0]], "c": [[1.0]]})
     assert min_separation(code) == (1.0, (0, 1, 1, 0))
 
 
@@ -422,9 +390,11 @@ def test_json_two_legged_document(two_legged):
     assert doc["codewords"][0]["points"] == [[[2.0, 0.0]]]
 
 
+# at E = 1e7 and above rounding alone puts |z|^2 more than 1e-9 off E
+@pytest.mark.parametrize("energy", [4.0, 1e7, 1e8, 1e12])
 @pytest.mark.parametrize("entry", qsc.list_catalog(), ids=lambda e: e.entry_id)
-def test_json_round_trip_catalog(entry):
-    code = entry.build(4.0)
+def test_json_round_trip_catalog(entry, energy):
+    code = entry.build(energy)
     text = code_to_json(code)
     loaded = code_from_json(text)
     assert loaded == code
@@ -484,8 +454,11 @@ neighbours = pytest.mark.parametrize("neighbours", [False, True],
     {"modes": "1", "radius_sq": 4.0, "codewords": _GOOD_CODEWORDS},
     {"modes": True, "radius_sq": 4.0, "codewords": _GOOD_CODEWORDS},
     {"modes": 1, "radius_sq": "4", "codewords": _GOOD_CODEWORDS},
-], ids=["empty-points", "modes-not-integer", "negative-radius", "ragged-points", "nan-radius",
-        "modes-float", "modes-string", "modes-bool", "radius-string"])
+] + [{"modes": 1, "radius_sq": 4.0, "codewords": [{"label": label, "points": [[[2.0, 0.0]]]}]}
+     for label in (None, 5, [1, 2], {}, True)],
+    ids=["empty-points", "modes-not-integer", "negative-radius", "ragged-points", "nan-radius",
+         "modes-float", "modes-string", "modes-bool", "radius-string", "label-null",
+         "label-number", "label-list", "label-object", "label-bool"])
 @neighbours
 def test_json_malformed_documents_raise_code_format_error(doc, neighbours):
     with pytest.raises(CodeFormatError):
@@ -510,7 +483,7 @@ def _document(points: str, modes: int = 1, label: str = "0", neighbours: bool = 
 @neighbours
 def test_json_reads_the_document(neighbours):
     code = code_from_json(_document("[[[1.0, 0.0]], [[0, 1]]]", neighbours=neighbours))
-    assert code.codewords[code.labels.index("0")].as_array().tolist() == [[1.0 + 0j], [1j]]
+    assert code.codewords[code.labels.index("0")].tolist() == [[1.0 + 0j], [1j]]
     assert code.codeword_sizes.tolist() == ([2, 2, 2] if neighbours else [2])
 
 
@@ -530,7 +503,7 @@ def test_json_rejects_boolean_coordinates(points, neighbours):
     # a label that spells a boolean is still a label
     code = code_from_json(_document("[[[1.0, 0.0]]]", label="true or false",
                                     neighbours=neighbours))
-    assert "true or false" in [c.label for c in code.codewords]
+    assert "true or false" in code.labels
 
 
 @neighbours
@@ -608,10 +581,8 @@ def raw_codes(draw):
                            st.floats(allow_nan=False, allow_infinity=False))
     Z = np.array(draw(st.lists(coordinate, min_size=count, max_size=count)))
     Z = Z.view(np.complex128).reshape(-1, n)
-    starts = np.cumsum([0] + sizes)
-    return QSCode(n, draw(st.sampled_from([0.0, 1.0, 2.5, 1e-300, 1e300])),
-                  [Constellation(str(mu), Z[a:b]) for mu, (a, b) in
-                   enumerate(zip(starts[:-1], starts[1:]))])
+    return QSCode(n, draw(st.sampled_from([0.0, 1.0, 2.5, 1e-300, 1e300])), Z, sizes,
+                  [str(mu) for mu in range(len(sizes))])
 
 
 @settings(max_examples=200, deadline=None)
@@ -775,6 +746,7 @@ def test_pairs_within_measure_only_candidates(monkeypatch):
     for tol in (-1.0, math.nan):
         assert validate_code(code, tol_point=tol) == []
     assert len(calls) == 1
-    duplicated = QSCode(2, 4.0, list(code.codewords) + [code.codewords[2]])
+    duplicated = QSCode(2, 4.0, np.vstack([code.point_array, code.codewords[2]]),
+                        [*code.codeword_sizes, code.codeword_sizes[2]], [*code.labels, "2"])
     assert len(validate_code(duplicated)) == 24
     assert sum(measured) <= 2 * len(duplicated.point_array)

@@ -72,13 +72,12 @@ def test_repetition_example():
     assert code.modes == 2
     assert code.radius_sq == pytest.approx(8.0)
     def as_real_set(c):
-        return {tuple(np.round(p.amplitudes.real, 9)) for p in c.points}
+        return {tuple(np.round(p.real, 9)) for p in c}
 
     a = 2.0
     assert as_real_set(code.codewords[0]) == {(a, a), (-a, -a)}
     assert as_real_set(code.codewords[1]) == {(a, -a), (-a, a)}
-    assert all(np.max(np.abs(p.amplitudes.imag)) < 1e-12
-               for c in code.codewords for p in c.points)
+    assert np.max(np.abs(code.point_array.imag)) < 1e-12
     assert validate_code(code) == []
 
 
@@ -86,7 +85,7 @@ def test_degenerate_limit_is_two_legged_cat():
     spec = ClassicalCodeSpec(2, 1, gen_x=[], gen_z=[])
     code = compile_css(spec, 2.0)
     assert code.K == 2
-    values = sorted(complex(c.points[0].amplitudes[0]).real for c in code.codewords)
+    values = sorted(c[0, 0].real for c in code.codewords)
     assert values == pytest.approx([-2.0, 2.0])
 
 
@@ -96,7 +95,7 @@ def test_degenerate_limit_is_product_of_cats():
     assert code.K == 9
     assert all(len(c) == 1 for c in code.codewords)
     w = cmath.exp(2j * math.pi / 3)
-    seen = {tuple(np.round(c.points[0].amplitudes, 9)) for c in code.codewords}
+    seen = {tuple(np.round(c[0], 9)) for c in code.codewords}
     expected = {tuple(np.round([w ** a, w ** b], 9)) for a in range(3) for b in range(3)}
     assert seen == expected
 
@@ -120,7 +119,7 @@ def test_points_are_exactly_the_dual_strings(q, n, gen_x, gen_z):
     w = cmath.exp(2j * math.pi / q)
     dual_z = brute_dual([tuple(r) for r in gen_z], n, q)
     expected = {tuple(np.round([alpha * w ** b for b in word], 9)) for word in dual_z}
-    seen = {tuple(np.round(p.amplitudes, 9)) for c in code.codewords for p in c.points}
+    seen = {tuple(np.round(p, 9)) for p in code.point_array}
     assert seen == expected
 
 
@@ -129,12 +128,11 @@ def test_coset_leaders_are_weight_then_lex_ordered():
     # lexicographically first lowest-weight unused representative
     spec = ClassicalCodeSpec(2, 4, gen_x=[(1, 1, 1, 1)], gen_z=[(1, 1, 1, 1)])
     code = compile_css(spec, 1.0)
-    labels = [c.label for c in code.codewords]
-    assert labels == ["0000", "0011", "0101", "0110"]
+    assert list(code.labels) == ["0000", "0011", "0101", "0110"]
     # the coset {011, 100} is led by its weight-1 word, not by the
     # lexicographically first word 011
     code = compile_css(ClassicalCodeSpec(2, 3, gen_x=[(1, 1, 1)]), 1.0)
-    assert [c.label for c in code.codewords] == ["000", "001", "010", "100"]
+    assert list(code.labels) == ["000", "001", "010", "100"]
 
 
 def test_gen_z_row_rotation_is_z_type_when_contained_in_cx():

@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import qsc
-from qsc.constellation import Constellation, Point, QSCode
+from qsc.constellation import QSCode
 from qsc.kl import MonomialError, kl_matrix
 from qsc.fock import (
     FockConfig,
@@ -28,7 +28,7 @@ from brute_force import (
     kl_matrix_fock,
     quadrature_dephasing_fidelity,
 )
-from conftest import random_three_point_code
+from conftest import code_of, random_three_point_code
 
 
 CFG1 = FockConfig(cutoff=60, modes=1)
@@ -47,7 +47,7 @@ def test_config_validation():
 
 
 def test_vacuum_embedding():
-    code = QSCode(1, 0.0, [Constellation("0", [Point([0.0])])])
+    code = code_of(1, 0.0, [[[0.0]]])
     vec = embed_codewords(code, CFG1)[0]
     assert vec[0] == pytest.approx(1.0)
     assert np.max(np.abs(vec[1:])) == 0.0
@@ -56,8 +56,7 @@ def test_vacuum_embedding():
 def test_two_leg_constellation_has_even_support():
     # the uniform superposition over {+alpha, -alpha} only occupies even
     # photon numbers
-    c = Constellation("0", [Point([2.0]), Point([-2.0])])
-    vec = codeword_vector(c, CFG1)
+    vec = codeword_vector(np.array([[2.0], [-2.0]]), CFG1)
     assert np.max(np.abs(vec[1::2])) < 1e-15
     assert np.linalg.norm(vec) == pytest.approx(1.0)
 
@@ -264,9 +263,7 @@ def loss_codes(draw):
     pts = vecs * (math.sqrt(E) / norms)[:, None]
     dists = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
     assume(np.min(dists + 10.0 * np.eye(len(pts))) >= 1.0)
-    starts = np.cumsum([0] + sizes)
-    return QSCode(n, E, [Constellation(str(mu), [Point(p) for p in pts[a:b]])
-                         for mu, (a, b) in enumerate(zip(starts, starts[1:]))])
+    return QSCode(n, E, pts, sizes, [str(mu) for mu in range(len(sizes))])
 
 
 # loss_codes rejects short points and close pairs by design; Hypothesis also
@@ -285,9 +282,8 @@ def test_exact_loss_matches_fock_oracle(code):
 
 def test_loss_on_three_modes_matches_one_mode(two_legged):
     # the points (z, 0, 0): the two idle modes stay in vacuum under loss
-    padded = QSCode(3, two_legged.radius_sq, [
-        Constellation(c.label, [Point([p.amplitudes[0], 0.0, 0.0]) for p in c.points])
-        for c in two_legged.codewords])
+    padded = QSCode(3, two_legged.radius_sq, np.pad(two_legged.point_array, ((0, 0), (0, 2))),
+                    two_legged.codeword_sizes, two_legged.labels)
     one_mode = loss_channel_fidelity(two_legged, 0.01)
     assert abs(loss_channel_fidelity(padded, 0.01) - one_mode) <= 1e-12
     assert abs(one_mode - fock_loss_fidelity(two_legged, 0.01, CFG1)) <= 1e-10
@@ -311,8 +307,8 @@ def test_channels_reject_a_single_codeword():
 
 def test_channels_refuse_more_codewords_than_the_gram_budget_before_any_work(monkeypatch):
     # one Kraus operator per codeword is the least a Gram matrix can have
-    code = QSCode.from_points(1, 4.0, 2.0 * np.exp(2j * np.pi * np.arange(3001) / 3001)[:, None],
-                              [1] * 3001, [str(mu) for mu in range(3001)])
+    code = QSCode(1, 4.0, 2.0 * np.exp(2j * np.pi * np.arange(3001) / 3001)[:, None],
+                  [1] * 3001, [str(mu) for mu in range(3001)])
     for channel, level in ((loss_channel_fidelity, 0.01), (dephasing_channel_fidelity, 0.1)):
         with pytest.raises(qsc.QscError, match="dimension 3001 .* above the budget 3000"):
             channel(code, level)
@@ -341,7 +337,7 @@ def test_loss_is_invariant_under_a_global_phase_and_the_point_order(entry, energ
     rng = np.random.default_rng(2302)
     order = np.concatenate([start + rng.permutation(size) for start, size in
                             zip(code.codeword_starts.tolist(), code.codeword_sizes.tolist())])
-    variants = [QSCode.from_points(code.modes, code.radius_sq, z, code.codeword_sizes, code.labels)
+    variants = [QSCode(code.modes, code.radius_sq, z, code.codeword_sizes, code.labels)
                 for z in (code.point_array * cmath.exp(0.7j), code.point_array[order])]
     for gamma in (0.01, 0.1):
         f = loss_channel_fidelity(code, gamma)
@@ -392,8 +388,8 @@ def test_dephasing_on_three_modes_matches_one_mode(sigma):
     # points (z, 0, 0): the two empty modes hold the vacuum, which
     # dephasing leaves alone
     cat = qsc.build("cat", 1.0, S=1, K=2)
-    padded = QSCode(3, cat.radius_sq, [
-        Constellation(c.label, np.pad(c.as_array(), ((0, 0), (0, 2)))) for c in cat.codewords])
+    padded = QSCode(3, cat.radius_sq, np.pad(cat.point_array, ((0, 0), (0, 2))),
+                    cat.codeword_sizes, cat.labels)
     one = dephasing_channel_fidelity(cat, sigma, FockConfig(cutoff=16, modes=1))
     three = dephasing_channel_fidelity(padded, sigma, FockConfig(cutoff=16, modes=3))
     assert abs(three - one) <= 1e-13
@@ -437,8 +433,7 @@ def test_embedding_matches_per_point_oracle():
 
 def test_truncation_error_names_the_worst_point():
     # only the second point's first mode is past the cutoff
-    code = QSCode(2, 1.0, [Constellation("0", [Point([0.5, 0.5])]),
-                           Constellation("1", [Point([4.0, 0.1])])])
+    code = code_of(2, 1.0, [[[0.5, 0.5]], [[4.0, 0.1]]])
     cfg = FockConfig(cutoff=20, modes=2)
     with pytest.raises(TruncationError, match="beyond cutoff 20 for amplitude 4"):
         embed_codewords(code, cfg)
@@ -469,6 +464,20 @@ def test_derived_cutoff_is_capped_by_the_dimension_budget():
     assert _poisson_tail(2.0, 23) <= EPS < _poisson_tail(2.0, 22)
     with pytest.raises(TruncationError, match="beyond cutoff 16"):
         dephasing_channel_fidelity(qsc.build("hessian", 4.0), 0.1)
+
+
+def test_derived_cutoff_past_the_cap_sums_no_series(monkeypatch):
+    # the Poisson series of a 1-mode cat at E = 1e10 would take 2e10 terms
+    # (149 GiB): past the cap the cutoff is the cap, with no series at all
+    code = qsc.build("cat", 1e10, S=1, K=2)
+
+    def no_series(*args, **kwargs):
+        raise AssertionError("a number series was built")
+    with monkeypatch.context() as patched:
+        patched.setattr(qsc.fock.np, "arange", no_series)
+        assert FockConfig.for_code(code).cutoff == 4096
+    with pytest.raises(TruncationError, match="beyond cutoff 4096"):
+        dephasing_channel_fidelity(code, 0.1)
 
 
 def _convergence_codes():

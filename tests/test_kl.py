@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qsc
-from qsc.constellation import Constellation, Point, QSCode
 from qsc.kl import (
     MonomialError,
     _summarize,
@@ -20,7 +19,7 @@ from qsc.kl import (
 from qsc.moments import BudgetExceededError
 
 from brute_force import brute_kl_matrix, brute_multi_indices, brute_overlap
-from conftest import constellations_as_lists, css_of_shape, random_three_point_code
+from conftest import code_of, constellations_as_lists, css_of_shape, random_three_point_code
 
 
 # ---------------------------------------------------------------------------
@@ -29,22 +28,22 @@ from conftest import constellations_as_lists, css_of_shape, random_three_point_c
 
 def frame_overlap(z, w) -> complex:
     """<z|w> as the overlap frame of a one-codeword code on z and w holds it."""
-    c = Constellation("0", [z, w])
-    return complex(QSCode(c.n, 0.0, [c]).overlap[0, 1])
+    return complex(code_of(len(z), 0.0, [[z, w]]).overlap[0, 1])
 
 
-def frame_norm_sq(c: Constellation) -> float:
-    """The squared norm of sum_z |z> over c, from the frame of a code on c."""
-    return float(QSCode(c.n, 0.0, [c]).codeword_norms_sq[0])
+def frame_norm_sq(rows) -> float:
+    """The squared norm of sum_z |z> over the point rows, from the frame of a
+    code on them."""
+    return float(code_of(len(rows[0]), 0.0, [rows]).codeword_norms_sq[0])
 
 
 def test_overlap_of_identical_states_is_one():
-    z = Point([1.3 - 0.7j, 0.2j])
+    z = [1.3 - 0.7j, 0.2j]
     assert frame_overlap(z, z) == pytest.approx(1.0)
 
 
 def test_overlap_antipodal_unit():
-    assert frame_overlap(Point([1.0]), Point([-1.0])) == pytest.approx(math.exp(-2.0))
+    assert frame_overlap([1.0], [-1.0]) == pytest.approx(math.exp(-2.0))
 
 
 def test_overlap_magnitude_identity_for_equal_norms():
@@ -58,20 +57,19 @@ def test_overlap_magnitude_identity_for_equal_norms():
 
 
 def test_codeword_norm_single_point():
-    assert frame_norm_sq(Constellation("0", [Point([2.0])])) == pytest.approx(1.0)
+    assert frame_norm_sq([[2.0]]) == pytest.approx(1.0)
 
 
 def test_codeword_norm_two_legs():
-    c = Constellation("0", [Point([2.0]), Point([-2.0])])
-    assert frame_norm_sq(c) == pytest.approx(2.0 + 2.0 * math.exp(-8.0), rel=1e-14)
+    assert frame_norm_sq([[2.0], [-2.0]]) == pytest.approx(2.0 + 2.0 * math.exp(-8.0), rel=1e-14)
 
 
 def test_codeword_norm_degenerate():
-    c = Constellation("0", [Point([1e-9]), Point([-1e-9])])
+    c = [[1e-9], [-1e-9]]
     # the superposition of two nearly identical states is fine, but a
     # +/- cat at tiny amplitude has norm ~ 2 + 2*(1 - eps) which is fine too;
     # force degeneracy with opposite-sign duplicates of the same state
-    degenerate = QSCode(1, 0.0, [Constellation("0", [Point([0.0]), Point([0.0])])])
+    degenerate = code_of(1, 0.0, [[[0.0], [0.0]]])
     # duplicate points are a validity violation, but the norm itself is 4 > 0
     assert degenerate.codeword_norms_sq[0] == pytest.approx(4.0)
     assert frame_norm_sq(c) > 0.0
@@ -157,7 +155,7 @@ def test_high_energy_matrices_match_brute_force(name, params, energy):
     # at high energy the overlaps of distant points, exp(-|z - w|^2 / 2),
     # underflow to zero, which is also what their exact values round to
     code = qsc.build(name, energy, **params)
-    cws = [c.as_array().tolist() for c in code.codewords]
+    cws = constellations_as_lists(code)
     report = detection_report(code, 2, tol=1e-6)
     for row in report.rows:
         brute = np.array(brute_kl_matrix(cws, row.error.r, row.error.s))
@@ -292,7 +290,7 @@ def small_codes(draw):
 @settings(max_examples=40, deadline=None)
 @given(small_codes())
 def test_detection_rows_match_brute_force(cws):
-    code = QSCode(len(cws[0][0]), 0.0, [Constellation(str(mu), pts) for mu, pts in enumerate(cws)])
+    code = code_of(len(cws[0][0]), 0.0, cws)
     report = detection_report(code, 2, tol=1e-6)
     for row in report.rows:
         brute = np.array(brute_kl_matrix(cws, row.error.r, row.error.s))
@@ -340,7 +338,7 @@ def unequal_codes(draw):
     sizes = draw(st.lists(st.integers(1, 4), min_size=2, max_size=3, unique=True))
     point = st.lists(amplitude, min_size=n, max_size=n)
     cws = [draw(st.lists(point, min_size=m, max_size=m)) for m in sizes]
-    return QSCode(n, 0.0, [Constellation(str(mu), pts) for mu, pts in enumerate(cws)])
+    return code_of(n, 0.0, cws)
 
 
 def _assert_rows_match_kl_matrix(code):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qsc
-from qsc.constellation import Constellation, DimensionMismatchError, PassiveUnitary, Point, QSCode
+from qsc.constellation import DimensionMismatchError, QSCode
 from qsc.moments import (
     BudgetExceededError,
     _degree_table,
@@ -32,11 +32,11 @@ from brute_force import (
     brute_sphere_strength,
     monte_carlo_sphere_average,
 )
-from conftest import constellations_as_lists, random_unitary
+from conftest import code_of, constellations_as_lists, random_unitary
 
 
-def fourth_roots() -> Constellation:
-    return Constellation("c", [Point([1.0]), Point([1j]), Point([-1.0]), Point([-1j])])
+def fourth_roots() -> np.ndarray:
+    return np.array([[1.0], [1j], [-1.0], [-1j]])
 
 
 # ---------------------------------------------------------------------------
@@ -66,15 +66,15 @@ def test_monomial_values_rejects_bad_exponents():
 # single moments
 # ---------------------------------------------------------------------------
 
-def moment(c: Constellation, p, q) -> complex:
-    """Average of z^p conj(z)^q over the unit-normalized points of c, by the
-    evaluator design_strength averages over each codeword."""
-    z = c.as_array() / np.linalg.norm(c.as_array(), axis=1, keepdims=True)
+def moment(c: np.ndarray, p, q) -> complex:
+    """Average of z^p conj(z)^q over the unit-normalized point rows of c, by
+    the evaluator design_strength averages over each codeword."""
+    z = c / np.linalg.norm(c, axis=1, keepdims=True)
     return complex(np.mean(_moment_values(z, [p], [q])))
 
 
 def test_trivial_moment_is_one():
-    c = Constellation("c", [Point([0.3 + 0.4j, 1.0])])
+    c = np.array([[0.3 + 0.4j, 1.0]])
     assert moment(c, (0, 0), (0, 0)) == 1.0
 
 
@@ -100,9 +100,8 @@ def test_moment_matches_brute_force():
 def test_moment_conjugation_symmetry(seed, p1, p2, q1, q2):
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2))
-    c = Constellation("c", [Point(row) for row in z])
-    a = moment(c, (p1, p2), (q1, q2))
-    b = moment(c, (q1, q2), (p1, p2))
+    a = moment(z, (p1, p2), (q1, q2))
+    b = moment(z, (q1, q2), (p1, p2))
     assert a == pytest.approx(b.conjugate(), abs=1e-13)
 
 
@@ -194,12 +193,11 @@ def test_phase_rotation_shifts_moment_by_phase():
     rng = np.random.default_rng(11)
     z = rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2))
     z /= np.linalg.norm(z, axis=1, keepdims=True)
-    c = Constellation("c", [Point(row) for row in z])
     thetas = rng.uniform(0, 2 * math.pi, size=2)
-    rotated = Constellation("c", [Point(row * np.exp(1j * thetas)) for row in z])
+    rotated = z * np.exp(1j * thetas)
     p, q = (2, 1), (0, 3)
     phase = np.exp(1j * (np.array(p) - np.array(q)) @ thetas)
-    assert moment(rotated, p, q) == pytest.approx(moment(c, p, q) * phase, abs=1e-12)
+    assert moment(rotated, p, q) == pytest.approx(moment(z, p, q) * phase, abs=1e-12)
 
 
 @pytest.mark.parametrize("name,params", [
@@ -211,11 +209,8 @@ def test_strengths_invariant_under_phase_rotations(name, params):
     base = design_strength(code, 6)
     rng = np.random.default_rng(3)
     thetas = rng.uniform(0, 2 * math.pi, size=code.modes)
-    rotated = QSCode(code.modes, code.radius_sq, [
-        Constellation(c.label, [Point(p.amplitudes * np.exp(1j * thetas))
-                                for p in c.points])
-        for c in code.codewords
-    ])
+    rotated = QSCode(code.modes, code.radius_sq, code.point_array * np.exp(1j * thetas),
+                     code.codeword_sizes, code.labels)
     report = design_strength(rotated, 6)
     assert report.sphere_strength == base.sphere_strength
     assert report.matching_strength == base.matching_strength
@@ -227,22 +222,20 @@ def test_sphere_strength_invariant_under_random_unitary():
     rng = np.random.default_rng(17)
     for _ in range(3):
         u = random_unitary(2, rng)
-        rotated = QSCode(2, 1.0, [
-            Constellation(c.label, [Point(u @ p.amplitudes) for p in c.points])
-            for c in code.codewords
-        ])
+        rotated = QSCode(2, 1.0, code.point_array @ u.T, code.codeword_sizes, code.labels)
         assert design_strength(rotated, 6).sphere_strength == base.sphere_strength
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 2), st.integers(1, 3), st.integers(0, 4))
-def test_design_residuals_match_brute_force(seed, n, K, t_max):
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 2), st.integers(1, 3), st.integers(0, 4),
+       st.booleans())
+def test_design_residuals_match_brute_force(seed, n, K, t_max, equal):
     rng = np.random.default_rng(seed)
-    code = QSCode(n, 1.0, [
-        Constellation(str(mu), [Point(row) for row in
-                                rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))])
-        for mu, m in enumerate(rng.integers(1, 5, size=K))
-    ])
+    # codewords of one size are summed by a reshape, of several by reduceat
+    sizes = np.repeat(rng.integers(1, 5), K) if equal else rng.integers(1, 5, size=K)
+    N = int(sizes.sum())
+    code = QSCode(n, 1.0, rng.standard_normal((N, n)) + 1j * rng.standard_normal((N, n)), sizes,
+                  [str(mu) for mu in range(K)])
     lists = constellations_as_lists(code)
     report = design_strength(code, t_max)
     for degree in range(t_max + 1):
@@ -263,7 +256,7 @@ def test_design_residuals_match_brute_force(seed, n, K, t_max):
 def test_design_report_independent_of_block_size(monkeypatch, name, params):
     code = qsc.build(name, 4.0, **params)
     default = design_strength(code, 6)
-    n_points = sum(len(c) for c in code.codewords)
+    n_points = len(code.point_array)
     monkeypatch.setattr("qsc.moments.MOMENT_BLOCK_ENTRIES", 3 * max(n_points, code.K))
     assert design_strength(code, 6) == default
 
@@ -281,10 +274,10 @@ def test_design_budget_guard(monkeypatch):
 
 
 def test_point_at_the_origin_is_named_not_a_nan():
-    origin = QSCode(1, 0.0, [Constellation("0", [Point([0.0])])])
+    origin = code_of(1, 0.0, [[[0.0]]])
     with pytest.raises(qsc.QscError, match="point 0 of codeword '0' lies at the origin"):
         design_strength(origin, 2)
-    code = QSCode(2, 1.0, [Constellation("c", [Point([1.0, 0.0]), Point([0.0, 0.0])])])
+    code = code_of(2, 1.0, {"c": [[1.0, 0.0], [0.0, 0.0]]})
     with pytest.raises(qsc.QscError, match="point 1 of codeword 'c' lies at the origin"):
         design_strength(code, 2)
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qsc
-from qsc.constellation import Constellation, PassiveUnitary, Point, QSCode
+from qsc.constellation import PassiveUnitary, QSCode
 from qsc.moments import BudgetExceededError
 from qsc.symmetries import (
     NOT_A_SYMMETRY,
@@ -21,6 +21,7 @@ from qsc.symmetries import (
 )
 
 from brute_force import brute_multi_indices, brute_phase_symmetries, brute_vanishing_ideal
+from conftest import code_of
 
 
 def phase(theta: float) -> PassiveUnitary:
@@ -52,21 +53,20 @@ def test_third_rotation_is_not_a_symmetry(four_legged):
 def test_point_permutation_is_bijection(four_legged):
     action = classify_symmetry(four_legged, phase(math.pi / 2))
     values = set(action.point_permutation.values())
-    assert len(values) == sum(len(c) for c in four_legged.codewords)
+    assert len(values) == len(four_legged.point_array)
 
 
 def test_images_match_their_nearest_point():
     # points 0.5e-9 apart, both within the tolerance of each image: each
     # image goes to its nearest point, not to the first point in reach
-    code = QSCode(1, 4.0, [Constellation("0", [[2.0], [2.0 + 0.5e-9j]]),
-                           Constellation("1", [[-2.0]])])
+    code = code_of(1, 4.0, [[[2.0], [2.0 + 0.5e-9j]], [[-2.0]]])
     action = classify_symmetry(code, PassiveUnitary(np.eye(1)))
     assert action.classification == Z_TYPE
     assert action.point_permutation == {(0, 0): (0, 0), (0, 1): (0, 1), (1, 0): (1, 0)}
 
 
 def test_an_image_matching_no_point_is_not_a_symmetry():
-    code = QSCode(1, 4.0, [Constellation("0", [[2.0]])])
+    code = code_of(1, 4.0, [[[2.0]]])
     assert classify_symmetry(code, phase(0.3)).classification == NOT_A_SYMMETRY
     assert classify_symmetry(code, phase(0.0)).classification == Z_TYPE
 
@@ -108,7 +108,7 @@ def test_enumerate_repetition_css(repetition_css):
 
 
 def test_enumerate_single_point_code_finds_only_identity():
-    code = QSCode(2, 4.0, [Constellation("0", [Point([2.0, 0.0])])])
+    code = code_of(2, 4.0, [[[2.0, 0.0]]])
     actions = enumerate_phase_symmetries(code, 2)
     assert len(actions) == 1
     assert actions[0].unitary.per_mode_phases == (0.0, 0.0)
@@ -232,8 +232,8 @@ def test_ideal_outputs_all_verify():
 
 def test_ideal_invariant_under_relabeling():
     code = qsc.build("cell24", 1.0, partition="three")
-    permuted = QSCode(code.modes, code.radius_sq,
-                      [code.codewords[i] for i in (2, 0, 1)])
+    permuted = code_of(code.modes, code.radius_sq,
+                       {code.labels[i]: code.codewords[i] for i in (2, 0, 1)})
     a = vanishing_ideal(code, 5)
     b = vanishing_ideal(permuted, 5)
     assert len(a) == len(b)
@@ -279,7 +279,7 @@ def test_ideal_generator_multiples_span_every_vanishing_polynomial(name, params,
     # evaluation matrix with unit-scaled columns: its null space is the
     # space of vanishing polynomials of degree <= `degree`
     V = np.array([[np.prod(p ** np.array(d)) for d in monomials]
-                  for c in code.codewords for p in (q.amplitudes for q in c.points)])
+                  for p in code.point_array])
     scales = np.max(np.abs(V), axis=0)
     scales[scales == 0.0] = 1.0   # a monomial that vanishes at every point
     sigma = np.linalg.svd(V / scales, compute_uv=False)
@@ -318,8 +318,7 @@ def test_prefilter_matches_unfiltered_enumeration(energy):
 def test_prefilter_survivor_rejected_by_block_classification(monkeypatch):
     # the pivot is the first point, 2: the rotations by pi and pi/2 map it
     # onto a point, but send 2i and -2 to -2i, which is not a point
-    code = QSCode(1, 4.0, [Constellation("0", [Point([2.0]), Point([-2.0])]),
-                           Constellation("1", [Point([2j])])])
+    code = code_of(1, 4.0, [[[2.0], [-2.0]], [[2j]]])
     classified = []
     match = qsc.symmetries._match_images
 
@@ -350,9 +349,8 @@ def phase_pattern_codes(draw):
     alpha = draw(st.sampled_from([0.7, 1.0, 1.5]))
     groups = [patterns[mu::K] for mu in range(K)]
     w = np.exp(2j * np.pi / q)
-    return QSCode(n, n * alpha ** 2, [
-        Constellation(str(mu), alpha * w ** np.array(g, dtype=float).reshape(len(g), n))
-        for mu, g in enumerate(groups)])
+    return code_of(n, n * alpha ** 2,
+                   [alpha * w ** np.array(g, dtype=float).reshape(len(g), n) for g in groups])
 
 
 @settings(max_examples=60, deadline=None)
@@ -405,9 +403,10 @@ def _span_projectors(polys: list[dict], monomials: list) -> dict:
 
 def _permuted_within_codewords(code: QSCode, seed: int) -> QSCode:
     rng = np.random.default_rng(seed)
-    return QSCode(code.modes, code.radius_sq,
-                  [Constellation(c.label, c.as_array()[rng.permutation(len(c))])
-                   for c in code.codewords])
+    order = np.concatenate([start + rng.permutation(size) for start, size in
+                            zip(code.codeword_starts.tolist(), code.codeword_sizes.tolist())])
+    return QSCode(code.modes, code.radius_sq, code.point_array[order], code.codeword_sizes,
+                  code.labels)
 
 
 @pytest.mark.parametrize("energy", [1.0, 4.0, 16.0])
@@ -440,7 +439,7 @@ def test_vanishing_ideal_matches_oracle_on_random_points(seed):
     g = rng.standard_normal((N, 2)) + 1j * rng.standard_normal((N, 2))
     energy = float(rng.uniform(1.0, 16.0))
     z = g / np.linalg.norm(g, axis=1, keepdims=True) * math.sqrt(energy)
-    code = QSCode(2, energy, [Constellation("0", z[:2]), Constellation("1", z[2:])])
+    code = QSCode(2, energy, z, [2, N - 2], ["0", "1"])
     monomials = list(brute_multi_indices(2, 5))
     want = brute_vanishing_ideal(code, 5)
     got = vanishing_ideal(code, 5)
