@@ -23,8 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .constellation import CODE_SIZE_BUDGET, QSCode, QscError
-from .moments import BudgetExceededError
+from .constellation import CODE_SIZE_BUDGET, BudgetExceededError, QSCode, QscError
 
 _GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 

@@ -6,6 +6,11 @@ line (``python -m json.tool`` indents it); computation results go to stdout,
 progress and errors to stderr.  Exit codes: 0 success, 1 computation error,
 2 usage error (an unparsable command line, or an argument value the library
 rejects with ValueError, such as a negative degree).
+
+Importing this module loads only :mod:`qsc.constellation`: each subcommand
+imports the layers it runs when it runs, so a ``qsc perf`` process never
+executes the KL or moment code, and a name replaced in its module (a test
+stub, the benchmark's tracing wrapper) is the one a later command calls.
 """
 
 from __future__ import annotations
@@ -17,13 +22,7 @@ import sys
 
 import numpy as np
 
-from . import catalog as catalog_mod
-from . import css as css_mod
-from . import fock as fock_mod
 from .constellation import QSCode, QscError, code_from_json, code_to_json, min_separation
-from .kl import detection_report
-from .moments import design_strength
-from .symmetries import enumerate_phase_symmetries, vanishing_ideal, verify_jump_annihilates
 
 
 def _fmt(x: float) -> str:
@@ -64,7 +63,9 @@ def _csv(headers: list[str], rows: list[list[str]]) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_catalog(args: argparse.Namespace) -> int:
-    entries = catalog_mod.list_catalog()
+    from .catalog import list_catalog
+
+    entries = list_catalog()
     if args.json:
         doc = [{
             "id": e.entry_id, "name": e.name, "modes": e.modes,
@@ -86,7 +87,9 @@ def _builder_options(args: argparse.Namespace) -> dict:
 
 
 def cmd_build(args: argparse.Namespace) -> int:
-    code = catalog_mod.build(args.name, args.energy, **_builder_options(args))
+    from .catalog import build
+
+    code = build(args.name, args.energy, **_builder_options(args))
     _write_output(code_to_json(code), args.out)
     if args.out and args.out != "-":
         print(f"wrote {args.out}: {code.modes} modes, K={code.K}, "
@@ -95,6 +98,8 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 
 def cmd_design(args: argparse.Namespace) -> int:
+    from .moments import design_strength
+
     code = _load_code(args.infile)
     report = design_strength(code, args.tmax, tol=args.tol)
     if args.json:
@@ -120,6 +125,8 @@ def cmd_design(args: argparse.Namespace) -> int:
 
 
 def cmd_kl(args: argparse.Namespace) -> int:
+    from .kl import detection_report
+
     code = _load_code(args.infile)
     report = detection_report(code, args.max_degree, args.tol,
                               include_dephasing_to=args.dephasing)
@@ -154,6 +161,8 @@ def cmd_kl(args: argparse.Namespace) -> int:
 
 
 def cmd_symmetries(args: argparse.Namespace) -> int:
+    from .symmetries import enumerate_phase_symmetries
+
     code = _load_code(args.infile)
     actions = enumerate_phase_symmetries(code, args.max_order)
     rows = []
@@ -176,6 +185,8 @@ def cmd_symmetries(args: argparse.Namespace) -> int:
 
 
 def cmd_ideal(args: argparse.Namespace) -> int:
+    from .symmetries import vanishing_ideal, verify_jump_annihilates
+
     code = _load_code(args.infile)
     polys = vanishing_ideal(code, args.max_degree, tol_ideal=args.tol)
     if args.json:
@@ -195,8 +206,10 @@ def cmd_ideal(args: argparse.Namespace) -> int:
 
 
 def cmd_css(args: argparse.Namespace) -> int:
-    gen_x = css_mod.read_generator_file(args.gx) if args.gx else []
-    gen_z = css_mod.read_generator_file(args.gz) if args.gz else []
+    from .css import ClassicalCodeSpec, css_properties, read_generator_file
+
+    gen_x = read_generator_file(args.gx) if args.gx else []
+    gen_z = read_generator_file(args.gz) if args.gz else []
     length = args.length
     if length is None:
         if gen_x:
@@ -205,8 +218,8 @@ def cmd_css(args: argparse.Namespace) -> int:
             length = len(gen_z[0])
         else:
             raise QscError("--length is required when both generator files are empty")
-    spec = css_mod.ClassicalCodeSpec(args.q, length, gen_x, gen_z)
-    props = css_mod.css_properties(spec, alpha=complex(args.alpha))
+    spec = ClassicalCodeSpec(args.q, length, gen_x, gen_z)
+    props = css_properties(spec, alpha=complex(args.alpha))
     _write_output(code_to_json(props.code), args.out)
     msg = (f"K={props.K}, {props.points_per_codeword} points per codeword, "
            f"d_x={props.d_x}, d_z={props.d_z}, separation={props.min_separation:.6g}")
@@ -215,20 +228,22 @@ def cmd_css(args: argparse.Namespace) -> int:
 
 
 def cmd_perf(args: argparse.Namespace) -> int:
+    from .fock import FockConfig, dephasing_channel_fidelity, loss_channel_fidelity
+
     if args.cutoff is not None and args.cutoff < 2:
         raise ValueError("cutoff must be at least 2")
     code = _load_code(args.infile)
     start, stop, count = _parse_range(args.gammas if args.channel == "loss" else args.sigmas)
     levels = np.linspace(start, stop, count)
     if args.channel == "dephasing":
-        cfg = (fock_mod.FockConfig.for_code(code) if args.cutoff is None
-               else fock_mod.FockConfig(cutoff=args.cutoff, modes=code.modes))
+        cfg = (FockConfig.for_code(code) if args.cutoff is None
+               else FockConfig(cutoff=args.cutoff, modes=code.modes))
     rows = []
     for level in levels:
         if args.channel == "loss":
-            f = fock_mod.loss_channel_fidelity(code, float(level))
+            f = loss_channel_fidelity(code, float(level))
         else:
-            f = fock_mod.dephasing_channel_fidelity(code, float(level), cfg)
+            f = dephasing_channel_fidelity(code, float(level), cfg)
         rows.append([_fmt(level), _fmt(f)])
         at = "" if args.channel == "loss" else f" at cutoff {cfg.cutoff}"
         print(f"{args.channel} {level:g}{at}: F = {f:.12g}", file=sys.stderr)
@@ -255,10 +270,15 @@ def _parse_range(spec: str) -> tuple[float, float, int]:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
+    from .catalog import list_catalog
+    from .kl import detection_report
+    from .moments import design_strength
+    from .symmetries import vanishing_ideal
+
     headers = ["code", "modes", "K", "points_per_codeword", "min_separation",
                "t_sphere", "t_match", "detection_degree", "jump_degrees"]
     rows = []
-    for entry in catalog_mod.list_catalog():
+    for entry in list_catalog():
         code = entry.build(args.energy)
         size_text = "|".join(map(str, np.unique(code.codeword_sizes).tolist()))
         sep = _fmt(min_separation(code)[0]) if code.K >= 2 else "-"
@@ -356,9 +376,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "recovery.  Loss is exact in the code's coherent frame, for any "
                     "number of modes; dephasing uses the exact Kraus operators of the "
                     "Gaussian phase multiplier on a Fock space truncated at --cutoff "
-                    "per mode, on any number of modes with cutoff^modes <= "
-                    f"{fock_mod.DIM_BUDGET}.  The cutoff is derived from the code "
-                    "unless given.")
+                    "per mode, on any number of modes whose joint dimension "
+                    "cutoff^modes fits the simulation's budget.  The cutoff is "
+                    "derived from the code unless given.")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--channel", choices=["loss", "dephasing"], default="loss")
     p.add_argument("--gammas", default="0.001:0.05:10",

@@ -79,6 +79,10 @@ class DegenerateConstellationError(QscError):
     """The codeword norm collapsed; amplitudes are too small to resolve."""
 
 
+class BudgetExceededError(QscError):
+    """An enumeration would exceed its configured budget."""
+
+
 def _read_only(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
@@ -401,19 +405,22 @@ def validate_code(code: QSCode, tol_sphere: float = TOL_SPHERE,
     fixed direction lie within ``tol_point`` are measured (by
     :func:`_pairs_within`), with the arithmetic of :func:`distance_blocks`.
     """
-    Z, index, local = code.point_array, code.codeword_index, code.index_in_codeword
-    labels = code.labels
-    own: list[list[Violation]] = [[] for _ in labels]
+    Z = code.point_array
     res = np.abs(np.sum(np.abs(Z) ** 2, axis=1) - code.radius_sq)
     # |z|^2 of a point built on the sphere is off E by rounding alone, up to
     # about (n + 1) eps E, which passes any fixed tol_sphere once E is large
     # (1e-9 near E = 1e7): a margin of 16 (n + 1) eps E admits it
     bound = tol_sphere + 16 * (code.modes + 1) * np.finfo(float).eps * code.radius_sq
-    for g in np.flatnonzero(res > bound):
+    off, pairs = np.flatnonzero(res > bound), _pairs_within(Z, None, tol_point)
+    if not len(off) and not len(pairs[0]):   # a valid code needs no index maps
+        return []
+    index, local, labels = code.codeword_index, code.index_in_codeword, code.labels
+    own: list[list[Violation]] = [[] for _ in labels]
+    for g in off:
         own[index[g]].append(Violation("sphere", labels[index[g]], int(local[g]),
                                        None, None, float(res[g])))
     duplicates, disjoint = [], []
-    for g, h, dist in zip(*(x.tolist() for x in _pairs_within(Z, None, tol_point))):
+    for g, h, dist in zip(*(x.tolist() for x in pairs)):
         mu, nu = int(index[g]), int(index[h])
         if mu == nu:   # reported from the later point, as (i, j) with i > j
             duplicates.append((mu, int(local[h]), int(local[g]), dist))

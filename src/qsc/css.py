@@ -17,8 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .constellation import CODE_SIZE_BUDGET, QSCode, QscError, min_separation
-from .moments import BudgetExceededError
+from .constellation import CODE_SIZE_BUDGET, BudgetExceededError, QSCode, QscError, min_separation
 
 
 class CssError(QscError):

@@ -230,13 +230,14 @@ def dephasing_channel_fidelity(code: QSCode, sigma: float,
         raise ValueError(f"sigma must be finite and nonnegative, got {sigma}")
     _check_codeword_count(code)
     cfg = cfg or FockConfig.for_code(code)
+    # the embedding refuses a truncated code before the multiplier is decomposed
+    psis = embed_codewords(code, cfg)
     kraus = _dephasing_kraus(sigma, cfg.cutoff)
     # the joint completeness is a Kronecker power: its extremes are one mode's, powered
     s = np.sum(kraus ** 2, axis=0)
     deviation = max(abs(s.max() ** cfg.modes - 1.0), abs(s.min() ** cfg.modes - 1.0))
     if deviation > COMPLETENESS_TOL:
         raise KrausCompletenessError(f"dephasing Kraus completeness deviates by {deviation:.3e}")
-    psis = embed_codewords(code, cfg)
     # points within rounding of the real axis (as alpha e^{i pi}) have real states
     if np.all(np.abs(code.point_array.imag) <= 4 * EPS * np.abs(code.point_array)):
         psis = psis.real

@@ -46,9 +46,8 @@ from typing import Optional
 
 import numpy as np
 
-from .constellation import DimensionMismatchError, QSCode
+from .constellation import BudgetExceededError, DimensionMismatchError, QSCode
 from .moments import (
-    BudgetExceededError,
     _check_tolerance,
     _index_position,
     _index_table,

@@ -20,7 +20,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .constellation import DimensionMismatchError, QSCode, QscError
+from .constellation import BudgetExceededError, DimensionMismatchError, QSCode, QscError
 
 DESIGN_TOL = 1e-9
 INDEX_BUDGET = 10_000_000
@@ -31,10 +31,6 @@ MOMENT_BLOCK_ENTRIES = 1 << 16
 # to 256 (dim, degree) pairs; a larger one, which only a run near
 # INDEX_BUDGET or ERROR_BUDGET needs, is built on each call and never held.
 CACHED_TABLE_ROWS = 1 << 13
-
-
-class BudgetExceededError(QscError):
-    """An enumeration would exceed its configured budget."""
 
 
 def _check_tolerance(tol: float) -> None:

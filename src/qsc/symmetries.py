@@ -31,6 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .constellation import (
+    BudgetExceededError,
     DimensionMismatchError,
     PassiveUnitary,
     QSCode,
@@ -38,7 +39,6 @@ from .constellation import (
     _pairs_within,
 )
 from .moments import (
-    BudgetExceededError,
     _check_tolerance,
     _index_position,
     _index_table,

@@ -480,6 +480,18 @@ def test_derived_cutoff_past_the_cap_sums_no_series(monkeypatch):
         dephasing_channel_fidelity(code, 0.1)
 
 
+def test_truncated_embedding_builds_no_multiplier(monkeypatch):
+    # at the cap the multiplier is 4096 x 4096: the embedding's tail check
+    # refuses the E = 1e10 cat before any of it is built or decomposed
+    code = qsc.build("cat", 1e10, S=1, K=2)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the dephasing multiplier was built")
+    monkeypatch.setattr(qsc.fock, "_dephasing_kraus", no_work)
+    with pytest.raises(TruncationError, match="beyond cutoff 4096"):
+        dephasing_channel_fidelity(code, 0.1)
+
+
 def _convergence_codes():
     yield "two_legged_E4", qsc.build("cat", 4.0, S=1, K=2)
     yield "four_legged_E4", qsc.build("cat", 4.0, S=2, K=2)
