@@ -3,9 +3,17 @@
 Each string b in Z_q^n becomes the product coherent point
 (alpha w^{b_1}, ..., alpha w^{b_n}) with w = exp(2 pi i / q).  The
 constellation consists of the strings orthogonal to every row of gen_Z
-(the dual code of C_Z), partitioned into cosets of the row space C_X of
+(the dual code C_Z^perp), partitioned into cosets of the row space C_X of
 gen_X; one coset per logical codeword.  The modulus q must be prime so that
 row spaces, duals and cosets are plain linear algebra over a field.
+
+A word lies in a row space iff its reduction by the space's reduced basis is
+zero, and every property follows from that one step.  Two points lie in
+distinct codewords iff their difference word d lies in C_Z^perp \\ C_X, and
+their distance is |alpha| sqrt(sum_i |w^{d_i} - 1|^2).  So d_x is the least
+weight in C_Z^perp \\ C_X, d_z the least in C_X^perp \\ C_Z, and the
+separation is derived from the classical words, not measured on the compiled
+points; ``constellation.min_separation`` is its test oracle.
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .constellation import CODE_SIZE_BUDGET, BudgetExceededError, QSCode, QscError, min_separation
+from .constellation import CODE_SIZE_BUDGET, BudgetExceededError, QSCode, QscError
 
 
 class CssError(QscError):
@@ -38,60 +46,53 @@ def _as_matrix(rows: Sequence[Sequence[int]], length: int, q: int) -> tuple[tupl
     return tuple(out)
 
 
-def _rref(rows: list[list[int]], q: int) -> list[list[int]]:
-    """Reduced row echelon form over Z_q (q prime), exact integer arithmetic."""
-    mat = [row[:] for row in rows]
-    n_cols = len(mat[0]) if mat else 0
-    pivot_row = 0
-    for col in range(n_cols):
-        pivot = next((r for r in range(pivot_row, len(mat)) if mat[r][col] % q), None)
-        if pivot is None:
+def _rref(rows: Sequence[Sequence[int]], length: int, q: int) -> np.ndarray:
+    """Reduced row echelon form over Z_q (q prime) as a (rank, length) array.
+    Exact: q is at most CODE_SIZE_BUDGET, so no product leaves int64."""
+    mat = np.array(rows, dtype=np.int64).reshape(-1, length) % q
+    rank = 0
+    for col in range(length):
+        nonzero = np.flatnonzero(mat[rank:, col])
+        if not len(nonzero):
             continue
-        mat[pivot_row], mat[pivot] = mat[pivot], mat[pivot_row]
-        inv = pow(mat[pivot_row][col], q - 2, q)
-        mat[pivot_row] = [(x * inv) % q for x in mat[pivot_row]]
-        for r in range(len(mat)):
-            if r != pivot_row and mat[r][col] % q:
-                factor = mat[r][col]
-                mat[r] = [(a - factor * b) % q for a, b in zip(mat[r], mat[pivot_row])]
-        pivot_row += 1
-        if pivot_row == len(mat):
-            break
-    return [row for row in mat[:pivot_row] if any(row)]
+        mat[[rank, rank + nonzero[0]]] = mat[[rank + nonzero[0], rank]]
+        mat[rank] = mat[rank] * pow(int(mat[rank, col]), q - 2, q) % q
+        factors = mat[:, col].copy()
+        factors[rank] = 0
+        mat = (mat - np.outer(factors, mat[rank])) % q
+        rank += 1
+    return mat[:rank]
 
 
-def _row_space(rows: Sequence[Sequence[int]], length: int, q: int) -> list[tuple[int, ...]]:
-    basis = _rref([list(r) for r in rows], q) if rows else []
-    if q ** len(basis) > CODE_SIZE_BUDGET:
-        raise BudgetExceededError(f"code with {q}^{len(basis)} words exceeds the budget")
-    return _span(basis, length, q)
-
-
-def _span(basis: list[list[int]], length: int, q: int) -> list[tuple[int, ...]]:
-    """Every Z_q-linear combination of the basis rows, sorted.  The rows are
-    linearly independent, so the q^len(basis) combinations are distinct."""
+def _span(basis: np.ndarray, length: int, q: int) -> np.ndarray:
+    """Every Z_q-linear combination of the basis rows, one per row, in
+    lexicographic order.  The rows are linearly independent, so the
+    q^len(basis) combinations are distinct."""
     k = len(basis)
     if not k:
-        return [(0,) * length]
-    words = np.indices((q,) * k).reshape(k, -1).T @ np.array(basis) % q
-    return list(map(tuple, words[np.lexsort(words.T[::-1])].tolist()))
+        return np.zeros((1, length), dtype=np.int64)
+    words = np.indices((q,) * k).reshape(k, -1).T @ basis % q
+    return words[np.lexsort(words.T[::-1])]
 
 
-def _null_space(rows: Sequence[Sequence[int]], length: int, q: int) -> list[tuple[int, ...]]:
+def _null_space(rows: Sequence[Sequence[int]], length: int, q: int) -> np.ndarray:
     """All x in Z_q^length with row . x = 0 mod q for every generator row."""
-    basis = _rref([list(r) for r in rows], q) if rows else []
-    pivots = [next(i for i, x in enumerate(row) if x) for row in basis]
-    free_cols = [i for i in range(length) if i not in pivots]
-    if q ** len(free_cols) > CODE_SIZE_BUDGET:
-        raise BudgetExceededError(f"dual code: {q}^{len(free_cols)} words exceed the budget")
-    kernel_basis = []
-    for fc in free_cols:
-        vec = [0] * length
-        vec[fc] = 1
-        for row, pc in zip(basis, pivots):
-            vec[pc] = (-row[fc]) % q
-        kernel_basis.append(vec)
-    return _span(kernel_basis, length, q)
+    basis = _rref(rows, length, q)
+    pivots = np.argmax(basis != 0, axis=1)
+    free = np.setdiff1d(np.arange(length), pivots)
+    if q ** len(free) > CODE_SIZE_BUDGET:
+        raise BudgetExceededError(f"dual code: {q}^{len(free)} words exceed the budget")
+    kernel = np.eye(length, dtype=np.int64)[free]
+    kernel[:, pivots] = -basis[:, free].T % q
+    return _span(kernel, length, q)
+
+
+def _reduce(words: np.ndarray, rows: Sequence[Sequence[int]], q: int) -> tuple[np.ndarray, int]:
+    """Each word reduced by the reduced basis of span(rows), whose pivot
+    columns it zeroes, and the span's dimension.  Two words differ by a word
+    of the span iff their reductions agree."""
+    basis = _rref(rows, words.shape[1], q)
+    return (words - words[:, np.argmax(basis != 0, axis=1)] @ basis) % q, len(basis)
 
 
 @dataclass(frozen=True)
@@ -108,6 +109,10 @@ class ClassicalCodeSpec:
                  gen_z: Sequence[Sequence[int]] = ()):
         if length < 1:
             raise CssError("length must be at least 1")
+        # The larger dual has at least q words (the two ranks sum to at most
+        # the length), so a huge q is refused before trial division
+        if q > CODE_SIZE_BUDGET:
+            raise BudgetExceededError(f"modulus q={q}: a dual code of q words exceeds the budget")
         if not _is_prime(q):
             raise CssError(f"modulus q={q} must be prime")
         gx = _as_matrix(gen_x, length, q)
@@ -122,27 +127,17 @@ class ClassicalCodeSpec:
         object.__setattr__(self, "gen_x", gx)
         object.__setattr__(self, "gen_z", gz)
 
-    def c_x(self) -> list[tuple[int, ...]]:
-        return _row_space(self.gen_x, self.length, self.q)
-
-    def c_z(self) -> list[tuple[int, ...]]:
-        return _row_space(self.gen_z, self.length, self.q)
-
-    def c_z_dual(self) -> list[tuple[int, ...]]:
+    def c_z_dual(self) -> np.ndarray:
+        """The words of C_Z^perp, one per row, in lexicographic order."""
         return _null_space(self.gen_z, self.length, self.q)
 
-    def c_x_dual(self) -> list[tuple[int, ...]]:
+    def c_x_dual(self) -> np.ndarray:
+        """The words of C_X^perp, one per row, in lexicographic order."""
         return _null_space(self.gen_x, self.length, self.q)
 
 
-def _min_weight_outside(words: list[tuple], subspace: list[tuple]) -> Optional[int]:
-    """Smallest Hamming weight of a word of ``words`` outside ``subspace``."""
-    inside = set(subspace)
-    return min((sum(map(bool, w)) for w in words if w not in inside), default=None)
-
-
 def compile_css(spec: ClassicalCodeSpec, alpha: complex,
-                dual_z: Optional[Sequence[tuple[int, ...]]] = None) -> QSCode:
+                dual_z: Optional[np.ndarray] = None) -> QSCode:
     """Concatenate the CSS pair with the q-component cat constellations.
 
     Codewords are the cosets of C_X inside the dual of C_Z, labeled by coset
@@ -157,13 +152,11 @@ def compile_css(spec: ClassicalCodeSpec, alpha: complex,
     # alpha w^b for every residue b, by Python's complex power: numpy's
     # differs from it in the last bits for some q and alpha
     phases = np.array([alpha * w ** b for b in range(q)])
-    dual = np.array(spec.c_z_dual() if dual_z is None else dual_z)   # lexicographic order
-    # Two dual words lie in one coset of C_X iff they agree once each is
-    # reduced by the reduced basis of C_X (its pivot columns zeroed).
-    basis = np.array(_rref([list(r) for r in spec.gen_x], q), dtype=np.int64).reshape(-1, n)
-    reduced = (dual - dual[:, np.argmax(basis != 0, axis=1)] @ basis) % q
+    dual = spec.c_z_dual() if dual_z is None else dual_z   # lexicographic order
+    # Two dual words lie in one coset of C_X iff their reductions agree.
+    reduced, rank_x = _reduce(dual, spec.gen_x, q)
     coset = np.unique(reduced, axis=0, return_inverse=True)[1].ravel()
-    if np.any(np.bincount(coset) != q ** len(basis)):
+    if np.any(np.bincount(coset) != q ** rank_x):
         raise CssError("internal: cosets of C_X do not tile the dual code")
     # Each coset's leader is its first word in (weight, lexicographic) order,
     # and the cosets are taken in the order of their leaders.
@@ -179,44 +172,45 @@ def compile_css(spec: ClassicalCodeSpec, alpha: complex,
 
 @dataclass(frozen=True)
 class CssProperties:
-    """Classical distances next to the measured properties of the compiled code."""
+    """The classical-to-quantum dictionary of a CSS pair and its compiled code.
+    ``min_separation`` is |alpha| sqrt(min sum_i |w^{d_i} - 1|^2) over d in
+    C_Z^perp \\ C_X, derived, not measured on ``code`` (0.0 when K < 2)."""
 
     q: int
     length: int
     K: int
-    points_per_codeword: int
+    points_per_codeword: int   # |C_X| = q^rank(gen_X)
     dual_z_size: int
     d_x: Optional[int]   # min weight of C_Z^perp \ C_X
     d_z: Optional[int]   # min weight of C_X^perp \ C_Z
     min_separation: float
-    code: QSCode = field(repr=False)   # the compiled code the properties were measured on
+    code: QSCode = field(repr=False)   # the compiled code
 
 
 def css_properties(spec: ClassicalCodeSpec, alpha: complex = 2.0) -> CssProperties:
-    """Brute-force classical distances plus the separation of the compiled
-    constellation, so the classical-to-quantum dictionary can be checked
-    empirically.  The compiled code is returned with them; its KL error
-    detection is ``kl.detection_report``'s to measure."""
+    """Compile the pair and read its dictionary off the classical words: each
+    dual is reduced by the other generator matrix, and d_x, d_z and the
+    separation are minima over the words outside its row space.  No pair of
+    compiled points is measured; ``min_separation(code)`` is the tests'
+    oracle.  KL error detection is ``kl.detection_report``'s to measure."""
     # C_X lies in C_Z^perp and C_Z in C_X^perp, so the two duals are the
     # largest word sets enumerated here: both are checked before any is
-    rank = min(len(_rref([list(r) for r in gen], spec.q)) for gen in (spec.gen_x, spec.gen_z))
-    if spec.q ** (spec.length - rank) > CODE_SIZE_BUDGET:
-        raise BudgetExceededError(
-            f"dual code: {spec.q}^{spec.length - rank} words exceed the budget")
-    c_x, dual_z = spec.c_x(), spec.c_z_dual()
+    q = spec.q
+    rank = min(len(_rref(gen, spec.length, q)) for gen in (spec.gen_x, spec.gen_z))
+    if q ** (spec.length - rank) > CODE_SIZE_BUDGET:
+        raise BudgetExceededError(f"dual code: {q}^{spec.length - rank} words exceed the budget")
+    dual_z, dual_x = spec.c_z_dual(), spec.c_x_dual()
     code = compile_css(spec, alpha, dual_z)
-    sep = min_separation(code)[0] if code.K >= 2 else 0.0
-    return CssProperties(
-        q=spec.q,
-        length=spec.length,
-        K=code.K,
-        points_per_codeword=len(c_x),
-        dual_z_size=len(dual_z),
-        d_x=_min_weight_outside(dual_z, c_x),
-        d_z=_min_weight_outside(spec.c_x_dual(), spec.c_z()),
-        min_separation=sep,
-        code=code,
-    )
+    reduced, rank_x = _reduce(dual_z, spec.gen_x, q)
+    outside_x = dual_z[reduced.any(axis=1)]
+    outside_z = dual_x[_reduce(dual_x, spec.gen_z, q)[0].any(axis=1)]
+    s = 4 * np.sin(np.pi * np.arange(q) / q) ** 2   # |w^b - 1|^2
+    sep = abs(complex(alpha)) * math.sqrt(s[outside_x].sum(axis=1).min()) if len(outside_x) else 0.0
+    d_x, d_z = (int(np.count_nonzero(w, axis=1).min()) if len(w) else None
+                for w in (outside_x, outside_z))
+    return CssProperties(q=q, length=spec.length, K=code.K, points_per_codeword=q ** rank_x,
+                         dual_z_size=len(dual_z), d_x=d_x, d_z=d_z, min_separation=sep,
+                         code=code)
 
 
 def read_generator_file(path: str) -> list[list[int]]:

@@ -73,6 +73,14 @@ def test_oversized_inputs_are_refused_before_any_work(argv, tmp_path, capsys):
     assert captured.err.startswith("error: ") and "exceed" in captured.err
 
 
+def test_huge_css_modulus_is_one_error_line(capsys):
+    assert run(["css", "--q", "1000000000000000003", "--length", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "exceed" in captured.err
+
+
 def test_unreadable_code_file_is_a_computation_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"modes": 1, "radius_sq": NaN, "codewords": []}')

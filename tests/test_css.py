@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import qsc
-from qsc.constellation import min_separation, validate_code
+from qsc.constellation import BudgetExceededError, min_separation, validate_code
 from qsc.css import ClassicalCodeSpec, CssError, compile_css, css_properties
 from qsc.symmetries import Z_TYPE, classify_symmetry
 from qsc.constellation import PassiveUnitary
@@ -45,6 +45,19 @@ CSS_BATTERY = [
     (3, 3, [], [(1, 2, 0)]),
     (3, 4, [(1, 1, 1, 0)], [(1, 2, 0, 0), (0, 0, 0, 1)]),
 ]
+
+# q = 5 and q = 7 pairs; in the first, d_x = 2 yet the separation is |alpha| sqrt(5),
+# not the Hamming-weight guess |alpha| sqrt(2 |w - 1|^2) = 1.66 |alpha|
+LARGER_Q = [
+    (5, 2, [], [(2, 4)]),
+    (5, 3, [(1, 1, 3)], [(1, 2, 4)]),
+    (7, 3, [(1, 1, 1)], [(1, 2, 4)]),
+    (7, 2, [], []),
+]
+
+
+def brute_min_weight_outside(words: set, subspace: set):
+    return min((sum(map(bool, w)) for w in words - subspace), default=None)
 
 
 def test_css_condition_enforced():
@@ -190,11 +203,56 @@ def test_separation_distance_dictionary_binary(q, n, gen_x, gen_z):
     contributes |alpha - (-alpha)|^2 to the squared distance."""
     spec = ClassicalCodeSpec(q, n, gen_x=gen_x, gen_z=gen_z)
     props = css_properties(spec, alpha=1.5)
+    d_x = brute_min_weight_outside(brute_dual(gen_z, n, q), brute_span(gen_x, n, q))
     if props.K < 2:
-        assert props.d_x is None
+        assert d_x is None
         return
-    assert props.min_separation == pytest.approx(
-        2.0 * 1.5 * math.sqrt(props.d_x), rel=1e-12)
+    assert props.min_separation == pytest.approx(2.0 * 1.5 * math.sqrt(d_x), rel=1e-12)
+
+
+@pytest.mark.parametrize("q,n,gen_x,gen_z", CSS_BATTERY + LARGER_Q)
+def test_distances_match_enumerated_word_sets(q, n, gen_x, gen_z):
+    props = css_properties(ClassicalCodeSpec(q, n, gen_x=gen_x, gen_z=gen_z), alpha=1.5)
+    c_x, c_z = brute_span(gen_x, n, q), brute_span(gen_z, n, q)
+    dual_z, dual_x = brute_dual(gen_z, n, q), brute_dual(gen_x, n, q)
+    assert props.d_x == brute_min_weight_outside(dual_z, c_x)
+    assert props.d_z == brute_min_weight_outside(dual_x, c_z)
+    assert (props.points_per_codeword, props.dual_z_size) == (len(c_x), len(dual_z))
+
+
+@pytest.mark.parametrize("q,n,gen_x,gen_z", CSS_BATTERY + LARGER_Q)
+@pytest.mark.parametrize("alpha", [1.0, 1.5 - 0.7j])
+def test_separation_matches_the_measured_points(q, n, gen_x, gen_z, alpha):
+    """The derived separation and the one measured pairwise on the compiled
+    points round differently: each sums n terms of size up to 4|alpha|^2, so
+    they may part by a few ulps of the result, far below 1e-12 relative."""
+    props = css_properties(ClassicalCodeSpec(q, n, gen_x=gen_x, gen_z=gen_z), alpha=alpha)
+    if props.K < 2:
+        assert props.min_separation == 0.0
+        return
+    assert props.min_separation == pytest.approx(min_separation(props.code)[0], rel=1e-12)
+
+
+def test_separation_is_not_the_hamming_weight_guess():
+    props = css_properties(ClassicalCodeSpec(5, 2, gen_z=[(2, 4)]), alpha=1.0)
+    assert props.d_x == 2
+    assert props.min_separation == pytest.approx(2.2360679774997894, rel=1e-15)   # sqrt(5)
+
+
+def test_css_properties_measures_no_pair_of_points(monkeypatch):
+    def no_pairs(*args, **kwargs):
+        raise AssertionError("a pairwise distance was computed")
+    monkeypatch.setattr(qsc.constellation, "distance_blocks", no_pairs)
+    props = css_properties(ClassicalCodeSpec(3, 4, [(1, 1, 1, 0)], [(1, 2, 0, 0)]), alpha=2.0)
+    assert props.K == 9 and props.min_separation > 0
+
+
+def test_huge_modulus_refused_before_the_primality_test(monkeypatch):
+    def no_trial_division(q):
+        raise AssertionError("primality tested before the budget guard")
+    monkeypatch.setattr(qsc.css, "_is_prime", no_trial_division)
+    with pytest.raises(BudgetExceededError, match="q=1000000000000000003"):
+        ClassicalCodeSpec(1000000000000000003, 1)
 
 
 def test_css_properties_beyond_length_20():
