@@ -21,7 +21,7 @@ _EXPORTS = {
     "moments": ("DesignReport", "design_strength", "sphere_average"),
     "kl": ("DetectionReport", "DetectionRow", "MonomialError", "dephasing_kl_matrix",
            "detection_report", "kl_matrix", "stirling2"),
-    "symmetries": ("SymmetryAction", "VanishingPolynomial", "classify_symmetry",
+    "symmetries": ("SymmetryAction", "VanishingIdeal", "classify_symmetry",
                    "enumerate_phase_symmetries", "vanishing_ideal", "verify_jump_annihilates"),
     "catalog": ("CatalogEntry", "CatalogError", "build", "list_catalog"),
     "css": ("ClassicalCodeSpec", "CssError", "CssProperties", "compile_css", "css_properties"),

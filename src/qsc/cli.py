@@ -184,22 +184,31 @@ def cmd_symmetries(args: argparse.Namespace) -> int:
     return 0
 
 
+def _monomial(d: list[int]) -> str:
+    return " ".join(f"z{i + 1}^{e}" if e > 1 else f"z{i + 1}" for i, e in enumerate(d) if e) or "1"
+
+
 def cmd_ideal(args: argparse.Namespace) -> int:
     from .symmetries import vanishing_ideal, verify_jump_annihilates
 
     code = _load_code(args.infile)
-    polys = vanishing_ideal(code, args.max_degree, tol_ideal=args.tol)
+    ideal = vanishing_ideal(code, args.max_degree, tol_ideal=args.tol)
+    exponents = ideal.exponents.tolist()
+    # each generator's degree, residual and nonzero terms (exponents, coefficient)
+    polys = list(zip(ideal.degrees.tolist(), verify_jump_annihilates(code, ideal).tolist(),
+                     [[(exponents[j], c) for j, c in enumerate(row) if c]
+                      for row in ideal.coefficients.tolist()]))
     if args.json:
         print(json.dumps([{
-            "degree": g.degree,
-            "residual": verify_jump_annihilates(code, g),
-            "terms": {" ".join(map(str, d)): [c.real, c.imag]
-                      for d, c in sorted(g.terms.items())},
-        } for g in polys]))
+            "degree": degree,
+            "residual": residual,
+            "terms": {" ".join(map(str, d)): [c.real, c.imag] for d, c in sorted(terms)},
+        } for degree, residual, terms in polys]))
         return 0
     print(f"{len(polys)} vanishing-ideal generators up to degree {args.max_degree}")
-    rows = [[str(g.degree), f"{verify_jump_annihilates(code, g):.3e}", g.describe()]
-            for g in polys]
+    rows = [[str(degree), f"{residual:.3e}",
+             " + ".join(f"({c.real:+.4g}{c.imag:+.4g}j) {_monomial(d)}" for d, c in terms)]
+            for degree, residual, terms in polys]
     _print_table(["degree", "residual", "polynomial"],
                  [[c.replace(",", ";") for c in r] for r in rows])
     return 0
@@ -284,8 +293,7 @@ def cmd_table(args: argparse.Namespace) -> int:
         sep = _fmt(min_separation(code)[0]) if code.K >= 2 else "-"
         design = design_strength(code, args.tmax)
         det = detection_report(code, args.max_degree, args.tol)
-        polys = vanishing_ideal(code, args.ideal_degree)
-        degrees = sorted({g.degree for g in polys})
+        degrees = sorted(set(vanishing_ideal(code, args.ideal_degree).degrees.tolist()))
         rows.append([entry.entry_id, str(code.modes), str(code.K), size_text, sep,
                      str(design.sphere_strength), str(design.matching_strength),
                      str(det.detection_degree),
@@ -353,7 +361,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-order", type=int, default=8)
     p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("ideal", help="vanishing ideal (jump operators)")
+    p = sub.add_parser(
+        "ideal", help="vanishing ideal (jump operators)",
+        description="Vanishing-ideal generators, degree by degree.  Each has unit norm on the "
+                    "monomials of z, and its last nonzero coefficient in graded order is real, "
+                    "positive and absent from the other generators of its degree.")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--max-degree", type=int, default=6)
     p.add_argument("--tol", type=float, default=1e-8)

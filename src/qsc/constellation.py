@@ -172,6 +172,7 @@ class QSCode:
         half = 0.5 * np.sum(np.abs(Z) ** 2, axis=1)
         G = np.conj(Z) @ Z.T   # in place from here: no further N x N temporaries
         G += -half[:, None] - half[None, :]
+        np.fill_diagonal(G, 0.0)   # <z|z> = 1, not a rounding phase of about E eps
         G *= t
         return np.exp(G, out=G)
 

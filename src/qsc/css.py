@@ -21,11 +21,12 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .constellation import CODE_SIZE_BUDGET, BudgetExceededError, QSCode, QscError
+from .constellation import CODE_SIZE_BUDGET, BudgetExceededError, QSCode, QscError, _read_only
 
 
 class CssError(QscError):
@@ -75,9 +76,9 @@ def _span(basis: np.ndarray, length: int, q: int) -> np.ndarray:
     return words[np.lexsort(words.T[::-1])]
 
 
-def _null_space(rows: Sequence[Sequence[int]], length: int, q: int) -> np.ndarray:
-    """All x in Z_q^length with row . x = 0 mod q for every generator row."""
-    basis = _rref(rows, length, q)
+def _null_space(basis: np.ndarray, length: int, q: int) -> np.ndarray:
+    """All x in Z_q^length with row . x = 0 mod q for every row of the
+    reduced basis ``basis``."""
     pivots = np.argmax(basis != 0, axis=1)
     free = np.setdiff1d(np.arange(length), pivots)
     if q ** len(free) > CODE_SIZE_BUDGET:
@@ -87,12 +88,11 @@ def _null_space(rows: Sequence[Sequence[int]], length: int, q: int) -> np.ndarra
     return _span(kernel, length, q)
 
 
-def _reduce(words: np.ndarray, rows: Sequence[Sequence[int]], q: int) -> tuple[np.ndarray, int]:
-    """Each word reduced by the reduced basis of span(rows), whose pivot
-    columns it zeroes, and the span's dimension.  Two words differ by a word
-    of the span iff their reductions agree."""
-    basis = _rref(rows, words.shape[1], q)
-    return (words - words[:, np.argmax(basis != 0, axis=1)] @ basis) % q, len(basis)
+def _reduce(words: np.ndarray, basis: np.ndarray, q: int) -> np.ndarray:
+    """Each word reduced by the reduced basis ``basis`` of a span, whose pivot
+    columns it zeroes.  Two words differ by a word of the span iff their
+    reductions agree."""
+    return (words - words[:, np.argmax(basis != 0, axis=1)] @ basis) % q
 
 
 @dataclass(frozen=True)
@@ -127,36 +127,53 @@ class ClassicalCodeSpec:
         object.__setattr__(self, "gen_x", gx)
         object.__setattr__(self, "gen_z", gz)
 
+    @cached_property
+    def _bases(self) -> tuple[np.ndarray, np.ndarray]:
+        """The reduced bases of gen_X and gen_Z: each matrix is row reduced
+        once per spec, for compile_css and css_properties alike."""
+        return tuple(_rref(gen, self.length, self.q) for gen in (self.gen_x, self.gen_z))
+
+    @cached_property
+    def _dual_z(self) -> tuple[np.ndarray, np.ndarray]:
+        """The words of C_Z^perp in lexicographic order, and each reduced by
+        gen_X (zero exactly on C_X): enumerated and reduced once per spec."""
+        dual = _read_only(_null_space(self._bases[1], self.length, self.q))
+        return dual, _read_only(_reduce(dual, self._bases[0], self.q))
+
     def c_z_dual(self) -> np.ndarray:
-        """The words of C_Z^perp, one per row, in lexicographic order."""
-        return _null_space(self.gen_z, self.length, self.q)
+        """The words of C_Z^perp, one per row, in lexicographic order (read-only)."""
+        return self._dual_z[0]
 
     def c_x_dual(self) -> np.ndarray:
         """The words of C_X^perp, one per row, in lexicographic order."""
-        return _null_space(self.gen_x, self.length, self.q)
+        return _null_space(self._bases[0], self.length, self.q)
 
 
-def compile_css(spec: ClassicalCodeSpec, alpha: complex,
-                dual_z: Optional[np.ndarray] = None) -> QSCode:
+def compile_css(spec: ClassicalCodeSpec, alpha: complex) -> QSCode:
     """Concatenate the CSS pair with the q-component cat constellations.
 
     Codewords are the cosets of C_X inside the dual of C_Z, labeled by coset
-    leaders in (weight, lexicographic) order; K = |C_Z^perp| / |C_X|.
-    ``dual_z`` is ``spec.c_z_dual()`` when the caller has already enumerated it.
+    leaders in (weight, lexicographic) order; K = |C_Z^perp| / |C_X|.  An
+    alpha of 0, or one whose energy n|alpha|^2 is no finite float, is
+    refused before any word is enumerated.
     """
-    alpha = complex(alpha)
+    alpha, q, n = complex(alpha), spec.q, spec.length
     if alpha == 0:
         raise CssError("alpha must be nonzero")
-    q, n = spec.q, spec.length
+    try:
+        energy = n * abs(alpha) ** 2
+    except OverflowError:
+        energy = math.inf
+    if not math.isfinite(energy):
+        raise CssError(f"alpha = {alpha:g}: the energy n|alpha|^2 is not a finite float")
     w = cmath.exp(2j * math.pi / q)
     # alpha w^b for every residue b, by Python's complex power: numpy's
     # differs from it in the last bits for some q and alpha
     phases = np.array([alpha * w ** b for b in range(q)])
-    dual = spec.c_z_dual() if dual_z is None else dual_z   # lexicographic order
+    dual, reduced = spec._dual_z   # lexicographic order
     # Two dual words lie in one coset of C_X iff their reductions agree.
-    reduced, rank_x = _reduce(dual, spec.gen_x, q)
     coset = np.unique(reduced, axis=0, return_inverse=True)[1].ravel()
-    if np.any(np.bincount(coset) != q ** rank_x):
+    if np.any(np.bincount(coset) != q ** len(spec._bases[0])):
         raise CssError("internal: cosets of C_X do not tile the dual code")
     # Each coset's leader is its first word in (weight, lexicographic) order,
     # and the cosets are taken in the order of their leaders.
@@ -166,7 +183,7 @@ def compile_css(spec: ClassicalCodeSpec, alpha: complex,
     rank[np.argsort(first)] = np.arange(len(first))
     words = dual[np.argsort(rank[coset], kind="stable")]
     leaders = dual[by_weight[np.sort(first)]].tolist()
-    return QSCode(n, n * abs(alpha) ** 2, phases[words], [len(words) // len(first)] * len(first),
+    return QSCode(n, energy, phases[words], [len(words) // len(first)] * len(first),
                   ["".join(map(str, leader)) for leader in leaders])
 
 
@@ -195,20 +212,19 @@ def css_properties(spec: ClassicalCodeSpec, alpha: complex = 2.0) -> CssProperti
     oracle.  KL error detection is ``kl.detection_report``'s to measure."""
     # C_X lies in C_Z^perp and C_Z in C_X^perp, so the two duals are the
     # largest word sets enumerated here: both are checked before any is
-    q = spec.q
-    rank = min(len(_rref(gen, spec.length, q)) for gen in (spec.gen_x, spec.gen_z))
+    (basis_x, basis_z), q = spec._bases, spec.q
+    rank = min(len(basis_x), len(basis_z))
     if q ** (spec.length - rank) > CODE_SIZE_BUDGET:
         raise BudgetExceededError(f"dual code: {q}^{spec.length - rank} words exceed the budget")
+    code = compile_css(spec, alpha)   # refuses alpha before any word is enumerated
     dual_z, dual_x = spec.c_z_dual(), spec.c_x_dual()
-    code = compile_css(spec, alpha, dual_z)
-    reduced, rank_x = _reduce(dual_z, spec.gen_x, q)
-    outside_x = dual_z[reduced.any(axis=1)]
-    outside_z = dual_x[_reduce(dual_x, spec.gen_z, q)[0].any(axis=1)]
+    outside_x = dual_z[spec._dual_z[1].any(axis=1)]
+    outside_z = dual_x[_reduce(dual_x, basis_z, q).any(axis=1)]
     s = 4 * np.sin(np.pi * np.arange(q) / q) ** 2   # |w^b - 1|^2
     sep = abs(complex(alpha)) * math.sqrt(s[outside_x].sum(axis=1).min()) if len(outside_x) else 0.0
     d_x, d_z = (int(np.count_nonzero(w, axis=1).min()) if len(w) else None
                 for w in (outside_x, outside_z))
-    return CssProperties(q=q, length=spec.length, K=code.K, points_per_codeword=q ** rank_x,
+    return CssProperties(q=q, length=spec.length, K=code.K, points_per_codeword=q ** len(basis_x),
                          dual_z_size=len(dual_z), d_x=d_x, d_z=d_z, min_separation=sep,
                          code=code)
 

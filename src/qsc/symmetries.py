@@ -16,15 +16,17 @@ The vanishing ideal holds the polynomials g with g(z) = 0 at every
 constellation point.  Since g(a_1,...,a_n)|z> = g(z)|z>, each such g yields a
 jump operator that annihilates the whole codespace: the codespace is a dark
 space of the corresponding dissipator, which is the algebraic content of
-passive stabilization.  The ideal is reported by its generators, found
-degree by degree, so their degrees are the minimal jump-operator degrees:
-one QR factorisation of the evaluation matrix serves every degree.
-Monomials are evaluated at the points by :func:`qsc.moments.monomial_values`,
-the evaluator the moments and KL matrices share.
+passive stabilization.  :func:`vanishing_ideal` returns it as columns, found
+degree by degree in the unit-sphere variables u = z / sqrt(E), with each
+degree's generators in reduced row echelon form: they depend on neither the
+point order nor E, and their degrees are the minimal jump-operator degrees.
+Monomials are evaluated by :func:`qsc.moments.monomial_values`, the
+evaluator the moments and KL matrices share.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -35,8 +37,10 @@ from .constellation import (
     DimensionMismatchError,
     PassiveUnitary,
     QSCode,
+    QscError,
     TOL_POINT,
     _pairs_within,
+    _read_only,
 )
 from .moments import (
     _check_tolerance,
@@ -47,6 +51,9 @@ from .moments import (
 )
 
 TOL_IDEAL = 1e-8
+# Share of a unit-scale quantity below which vanishing_ideal counts it as
+# rounding: a column of unit-sphere monomial values, or a generator's entry.
+TOL_ROUNDING = 1e-14
 # Phase candidates (the sum of m^n over the orders m) enumerate_phase_symmetries
 # may screen: it streams them in blocks, so this bounds its time, not memory.
 PHASE_CANDIDATE_BUDGET = 1_000_000
@@ -207,82 +214,75 @@ def _phase_candidates(n: int, max_order: int, block: int):
         yield ks[keep], m[keep]
 
 
-@dataclass(frozen=True)
-class VanishingPolynomial:
-    """A polynomial in the mode amplitudes that vanishes on the code points."""
+@dataclass(frozen=True, eq=False)
+class VanishingIdeal:
+    """Generators as columns: ``exponents`` (M, n) the monomials z^d of degree
+    <= max_degree in graded order, ``coefficients`` (G, M) each generator's
+    coefficients on them, and ``degrees`` (G,), nondecreasing."""
 
-    terms: dict[tuple[int, ...], complex]
-    max_degree: int
-
-    @property
-    def n(self) -> int:
-        return len(next(iter(self.terms)))
-
-    @property
-    def degree(self) -> int:
-        return max(sum(d) for d in self.terms)
-
-    def evaluate(self, z: np.ndarray) -> complex | np.ndarray:
-        z = np.asarray(z, dtype=np.complex128)
-        single = z.ndim == 1
-        pts = z[None, :] if single else z
-        out = monomial_values(pts, list(self.terms)) @ np.array(list(self.terms.values()))
-        return complex(out[0]) if single else out
-
-    def describe(self) -> str:
-        def mono(d: tuple[int, ...]) -> str:
-            if not any(d):
-                return "1"
-            return " ".join(f"z{i + 1}^{e}" if e > 1 else f"z{i + 1}"
-                            for i, e in enumerate(d) if e)
-        parts = [f"({coeff.real:+.4g}{coeff.imag:+.4g}j) {mono(d)}"
-                 for d, coeff in sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0]))]
-        return " + ".join(parts)
+    exponents: np.ndarray
+    coefficients: np.ndarray
+    degrees: np.ndarray
 
 
 def vanishing_ideal(code: QSCode, max_degree: int,
-                    tol_ideal: float = TOL_IDEAL) -> list[VanishingPolynomial]:
-    """Generators of the vanishing ideal up to ``max_degree``, degree by degree.
+                    tol_ideal: float = TOL_IDEAL) -> VanishingIdeal:
+    """Generators of the vanishing ideal up to ``max_degree``, degree by degree,
+    in a form that depends on neither the order of the points nor E.
 
-    V has one row per constellation point and one column per monomial z^d
-    with 0 <= |d| <= max_degree in graded order (the constant column makes
-    affine relations such as z^4 - alpha^4 visible).  Columns are scaled by
-    their largest magnitude so the cutoff tol_ideal * sigma_max is robust to
-    the sphere radius.  At each degree D the null space of the columns of
-    degree <= D holds every vanishing polynomial of degree <= D; the
-    directions spanned by the multiples z^m g of lower-degree generators g
-    are dropped, and an orthonormal basis of the rest gives the new
+    V holds the monomials u^d of the graded table (the constant too, so that
+    affine relations such as u^4 - 1 show) at the unit-sphere points
+    u = z / sqrt(E), where none exceeds 1 at any E.  Each coordinate of u
+    carries an absolute rounding error near machine epsilon, so a column no
+    larger than TOL_ROUNDING is zero within rounding and is set to zero; each
+    other is scaled by its largest magnitude, so that the rank cutoff
+    tol_ideal * sigma_max weighs every monomial alike.  At each degree D the
+    null space of the columns of degree <= D holds every vanishing polynomial
+    of degree <= D; the directions spanned by the multiples u^m g of
+    lower-degree generators g are dropped (with the same cutoff), and the
+    rest, in the reduced row echelon form of :func:`_echelon`, are the new
     generators.  So the generator degrees are the minimal jump-operator
     degrees, and the multiples of the generators span the whole null space.
+
+    Generators and multiples stay over the scaled columns, where a
+    generator's entries below TOL_ROUNDING of its largest are rounding and
+    set to zero.  Only the result is divided by each column's scale times
+    E^(|d|/2), giving coefficients of z, each row of unit norm with its
+    leading (last nonzero) coefficient real and positive.  An E at which
+    E^(max_degree/2) or its inverse leaves the float range is refused before
+    anything is evaluated: the coefficients of z would not fit in it.
 
     V is factored once, V = QR with orthonormal Q: the first c columns of V
     are Q times the first c columns of R, so each degree's singular values
     and right singular vectors come from the leading min(N, c) x c block of
     R, and no N x N factor is ever formed.  When a degree's generators are
     found, their multiples for every later degree are written by one indexed
-    assignment, through the positions of the monomials d + m in the graded
-    order; each later degree reads a slice of them.
-
-    Once the columns of degree <= D reach rank N, the number of points, the
-    ideal's homogenization has regularity at most D + 1, so it is generated
-    in degrees <= D + 1 and the search stops there.
+    assignment; each later degree reads a slice of them.  Once the columns
+    of degree <= D reach rank N, the number of points, the ideal's
+    homogenization has regularity at most D + 1, so it is generated in
+    degrees <= D + 1 and the search stops there.
     """
     if max_degree < 1:
         raise ValueError("max_degree must be at least 1")
     _check_tolerance(tol_ideal)
-    n = code.modes
+    n, energy = code.modes, code.radius_sq
     n_cols = count_multi_indices(n, max_degree)
     if n_cols > IDEAL_COLUMN_BUDGET:
         raise BudgetExceededError(
             f"monomial enumeration needs {n_cols} columns, budget is {IDEAL_COLUMN_BUDGET}")
+    if energy == 0.0 or max_degree * abs(math.log(energy)) / 2 >= math.log(np.finfo(float).max):
+        raise QscError(f"E = {energy:g} is out of range for the vanishing ideal to degree "
+                       f"{max_degree}: E^({max_degree}/2) or its inverse leaves the float range")
     table = _index_table(n, max_degree)
     ends = np.searchsorted(table.sum(axis=1), np.arange(max_degree + 1), side="right")
-    V = monomial_values(code.point_array, table)
+    V = monomial_values(code.point_array / math.sqrt(energy), table)
     scales = np.max(np.abs(V), axis=0)
-    scales[scales == 0.0] = 1.0
+    V[:, scales <= TOL_ROUNDING] = 0.0
+    scales[scales <= TOL_ROUNDING] = 1.0
     V /= scales[None, :]
     R = np.linalg.qr(V, mode="r")
-    found: list[np.ndarray] = []   # each degree's generators, as coefficient rows
+    found: list[np.ndarray] = []   # each degree's generators, rows over the scaled columns
+    degrees: list[int] = []
     multiples: list[tuple[int, np.ndarray]] = []   # (degree, _multiples of its generators)
     last = max_degree
     for degree in range(1, max_degree + 1):
@@ -295,46 +295,85 @@ def vanishing_ideal(code: QSCode, max_degree: int,
             last = min(last, degree + 1)
         null = np.conj(Vh[rank:])  # V y = 0
         if multiples and len(null):
-            # keep the null directions orthogonal to every multiple z^m g
+            # keep the null directions orthogonal to every multiple u^m g
             A = np.vstack([rows[:, :ends[degree - g_degree], :cols].reshape(-1, cols)
                            for g_degree, rows in multiples])
             _, s, Wh = np.linalg.svd(A @ null.conj().T)
             null = Wh[int(np.sum(s > tol_ideal * s[0])):] @ null
         if not len(null):
             continue
-        coeffs = np.zeros((len(null), len(table)), dtype=np.complex128)
-        coeffs[:, :cols] = null / scales[:cols]
-        coeffs /= np.linalg.norm(coeffs, axis=1, keepdims=True)
-        coeffs[np.abs(coeffs) <= 1e-14 * np.max(np.abs(coeffs), axis=1, keepdims=True)] = 0.0
-        found.append(coeffs)
+        gens = _echelon(null, tol_ideal)
+        gens /= np.linalg.norm(gens, axis=1, keepdims=True)
+        gens[np.abs(gens) <= TOL_ROUNDING * np.max(np.abs(gens), axis=1, keepdims=True)] = 0.0
+        found.append(np.zeros((len(gens), len(table)), dtype=np.complex128))
+        found[-1][:, :cols] = gens
+        degrees += [degree] * len(gens)
         if degree < last:
-            multiples.append((degree, _multiples(coeffs, table, ends[last - degree],
-                                                 cols, scales)))
-    monomials = list(map(tuple, table.tolist()))
-    return [VanishingPolynomial({monomials[j]: complex(c[j]) for j in np.flatnonzero(c)},
-                                max_degree) for gens in found for c in gens]
+            multiples.append((degree, _multiples(gens, table, ends[last - degree], scales)))
+    # |coefficient of z^d| = |y_d| / (scale_d E^(|d|/2)), taken in logarithms
+    # and divided by each row's largest factor, so that none overflows
+    found = np.vstack(found or [np.zeros((0, len(table)), dtype=np.complex128)])
+    log_scale = np.log(scales) + 0.5 * math.log(energy) * table.sum(axis=1)
+    least = np.min(np.where(found != 0.0, log_scale, np.inf), axis=1, keepdims=True)
+    coeffs = found * np.exp(np.minimum(least - log_scale, 0.0))
+    coeffs /= np.linalg.norm(coeffs, axis=1, keepdims=True)
+    return VanishingIdeal(_read_only(table), _read_only(coeffs),
+                          _read_only(np.array(degrees, dtype=np.intp)))
 
 
-def _multiples(coeffs: np.ndarray, table: np.ndarray, shifts: int, width: int,
-               scales: np.ndarray) -> np.ndarray:
-    """Unit rows [g, s] = z^m g, with m the exponent row s < ``shifts`` of
-    ``table``, over its scaled columns, for the generators g of one degree:
-    coefficient rows over the columns of ``table``, zero beyond ``width``.
-    Every d + m lies in the table, and one indexed assignment writes them all.
+def _echelon(rows: np.ndarray, tol: float) -> np.ndarray:
+    """The reduced row echelon form of the span of ``rows``, pivots taken from
+    the last column down: each row is 1 at its pivot and 0 beyond it and at
+    every other pivot.  It depends on the span only, not on the basis the
+    SVD happened to return.
+
+    A pivot must exceed ``tol`` times the largest entry of ``rows``, the share
+    the rank cutoffs count as zero, so that no rounding residue of a zero is
+    taken for one; the entries a pivot passes over, all below that, are set
+    to zero.  Of the rows left, the one largest at the pivot's column is
+    taken (partial pivoting).
     """
+    rows = rows.copy()
+    floor = tol * np.max(np.abs(rows), initial=0.0)
+    for r in range(len(rows)):
+        above = np.flatnonzero(np.any(np.abs(rows[r:]) > floor, axis=0))
+        if not len(above):
+            return rows[:r]
+        col = above[-1]
+        rows[r:, col + 1:] = 0.0
+        k = r + int(np.argmax(np.abs(rows[r:, col])))
+        rows[[r, k]] = rows[[k, r]]
+        rows[r] /= rows[r, col]
+        rows[r, col] = 1.0   # so that the elimination leaves exact zeros
+        others = np.arange(len(rows)) != r
+        rows[others] -= rows[others, col, None] * rows[r]
+    return rows
+
+
+def _multiples(gens: np.ndarray, table: np.ndarray, shifts: int,
+               scales: np.ndarray) -> np.ndarray:
+    """Unit rows [g, s] = u^m g over the scaled columns of ``table``, with m
+    the exponent row s < ``shifts`` of ``table``, for the generators g of one
+    degree (``gens``, over as many scaled columns as they span).  Every d + m
+    lies in the table, and one indexed assignment writes them all."""
+    width = gens.shape[1]
     position = _index_position(table[None, :width, :] + table[:shifts, None, :])
-    rows = np.zeros((len(coeffs), shifts, len(table)), dtype=np.complex128)
-    rows[:, np.arange(shifts)[:, None], position] = coeffs[:, None, :width] * scales[position]
+    rows = np.zeros((len(gens), shifts, len(table)), dtype=np.complex128)
+    rows[:, np.arange(shifts)[:, None], position] = (
+        (gens / scales[:width])[:, None, :] * scales[position])
     return rows / np.linalg.norm(rows, axis=2, keepdims=True)
 
 
-def verify_jump_annihilates(code: QSCode, g: VanishingPolynomial) -> float:
-    """Largest |g(z)| over all constellation points.
+def verify_jump_annihilates(code: QSCode, ideal: VanishingIdeal) -> np.ndarray:
+    """Largest |g(z)| over the code points for each generator g of ``ideal``,
+    (G,), from one product of the monomial values and the coefficients.
 
     Zero (within tolerance) certifies that the jump operator g(a_1,...,a_n)
     annihilates every codeword, i.e. the codespace is a dark space of the
     dissipator built from g.
     """
-    if g.n != code.modes:
-        raise DimensionMismatchError(f"polynomial has n={g.n}, code has n={code.modes}")
-    return float(np.max(np.abs(g.evaluate(code.point_array))))
+    if ideal.exponents.shape[1] != code.modes:
+        raise DimensionMismatchError(
+            f"ideal has n={ideal.exponents.shape[1]}, code has n={code.modes}")
+    values = monomial_values(code.point_array, ideal.exponents) @ ideal.coefficients.T
+    return np.max(np.abs(values), axis=0, initial=0.0)

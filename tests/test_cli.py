@@ -81,6 +81,19 @@ def test_huge_css_modulus_is_one_error_line(capsys):
     assert "exceed" in captured.err
 
 
+@pytest.mark.parametrize("alpha", ["1e154", "1e155", "1e160", "1e200+1e200j", "nan"])
+def test_css_alpha_whose_energy_is_not_a_float_is_one_error_line(alpha, monkeypatch, capsys):
+    # n |alpha|^2 overflows (or is NaN): refused before any dual is enumerated
+    def no_dual(*args):
+        raise AssertionError("a dual was enumerated")
+
+    monkeypatch.setattr(qsc.css, "_null_space", no_dual)
+    assert run(["css", "--q", "2", "--length", "3", "--alpha", alpha]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: alpha = ") and captured.err.count("\n") == 1
+
+
 def test_unreadable_code_file_is_a_computation_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"modes": 1, "radius_sq": NaN, "codewords": []}')

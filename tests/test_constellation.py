@@ -167,6 +167,20 @@ def test_block_sums_of_equal_codewords_match_reduceat(code):
     assert np.all(np.abs(code.codeword_norms_sq - sums) <= 1e-15 * scale)
 
 
+def test_overlap_of_a_point_with_itself_is_one_at_a_large_energy():
+    # conj(z).z - |z|^2 rounds to about E eps, a phase that read as a spurious
+    # imaginary codeword norm from E = 1e6; at E = 1e8 every other overlap of
+    # the gamma code underflows, so each norm is its codeword's size
+    from qsc.fock import loss_channel_fidelity
+    from qsc.kl import detection_report
+
+    code = qsc.build("gamma", 1e8, n=2, q=3)
+    assert np.all(np.diag(code.overlap) == 1.0)
+    assert np.array_equal(code.codeword_norms_sq, code.codeword_sizes.astype(float))
+    assert detection_report(code, 1, 1e-6).detection_degree == 1
+    assert 0.0 <= loss_channel_fidelity(code, 0.01) <= 1.0
+
+
 # ---------------------------------------------------------------------------
 # validate_code: violations are data
 # ---------------------------------------------------------------------------

@@ -295,3 +295,13 @@ def test_css_properties_enumerates_the_dual_once(monkeypatch):
     assert len(calls) == 1
     assert got == want
     assert got.code == compile_css(spec, 2.0)
+
+
+def test_css_properties_row_reduces_each_generator_matrix_once(monkeypatch):
+    spec = ClassicalCodeSpec(3, 4, gen_x=[(1, 1, 1, 0)], gen_z=[(1, 2, 0, 0)])
+    calls = []
+    rref = qsc.css._rref
+    monkeypatch.setattr(qsc.css, "_rref", lambda *a: calls.append(a) or rref(*a))
+    props = css_properties(spec, 2.0)
+    assert len(calls) == 2
+    assert props.code == compile_css(ClassicalCodeSpec(3, 4, spec.gen_x, spec.gen_z), 2.0)

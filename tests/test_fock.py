@@ -225,12 +225,11 @@ def test_jump_operator_annihilates_embedded_codeword():
     # vanishing polynomial z^4 - alpha^4 on the four-legged cat, realized as
     # the operator a^4 - alpha^4 acting on the embedded codewords
     code = qsc.build("cat", 2.0, S=2, K=2)  # alpha^2 = 2
-    polys = qsc.vanishing_ideal(code, 4)
-    assert len(polys) == 1
-    g = polys[0]
+    ideal = qsc.vanishing_ideal(code, 4)
+    assert len(ideal.degrees) == 1
     a = annihilation(CFG1.cutoff)
     op = np.zeros((CFG1.cutoff, CFG1.cutoff), dtype=complex)
-    for d, coeff in g.terms.items():
+    for d, coeff in zip(ideal.exponents.tolist(), ideal.coefficients[0]):
         op += coeff * np.linalg.matrix_power(a, d[0])
     for psi in embed_codewords(code, CFG1):
         assert np.linalg.norm(op @ psi) < 1e-9

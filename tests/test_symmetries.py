@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from qsc.symmetries import (
     NOT_A_SYMMETRY,
     X_TYPE,
     Z_TYPE,
+    VanishingIdeal,
     classify_symmetry,
     enumerate_phase_symmetries,
     vanishing_ideal,
@@ -26,6 +28,21 @@ from conftest import code_of
 
 def phase(theta: float) -> PassiveUnitary:
     return PassiveUnitary.phase_rotation([theta])
+
+
+def _terms(ideal: VanishingIdeal) -> list[dict]:
+    """Each generator as a dict {exponents: coefficient} of its nonzero terms."""
+    exponents = list(map(tuple, ideal.exponents.tolist()))
+    return [{exponents[j]: complex(row[j]) for j in np.flatnonzero(row)}
+            for row in ideal.coefficients]
+
+
+def _ideal_of(*polys: dict) -> VanishingIdeal:
+    """The ideal with the given {exponents: coefficient} generators."""
+    exponents = sorted({d for g in polys for d in g}, key=lambda d: (sum(d), d))
+    return VanishingIdeal(np.array(exponents),
+                          np.array([[g.get(d, 0.0) for d in exponents] for g in polys], dtype=complex),
+                          np.array([max(map(sum, g)) for g in polys]))
 
 
 # ---------------------------------------------------------------------------
@@ -175,48 +192,39 @@ def test_enumerate_budget_stops_the_count_once_passed(two_legged):
 
 def test_four_legged_ideal_is_z4_minus_alpha4():
     code = qsc.build("cat", 2.0, S=2, K=2)  # alpha = sqrt(2), alpha^4 = 4
-    polys = vanishing_ideal(code, 4)
-    assert len(polys) == 1
-    g = polys[0]
-    assert set(g.terms) == {(0,), (4,)}
-    assert g.terms[(0,)] / g.terms[(4,)] == pytest.approx(-4.0, rel=1e-9)
-    assert verify_jump_annihilates(code, g) < 1e-12
+    ideal = vanishing_ideal(code, 4)
+    assert ideal.degrees.tolist() == [4]
+    g, = _terms(ideal)
+    assert set(g) == {(0,), (4,)}
+    assert g[(0,)] / g[(4,)] == pytest.approx(-4.0, rel=1e-9)
+    assert verify_jump_annihilates(code, ideal)[0] < 1e-12
 
 
 def test_two_legged_ideal_is_z2_minus_alpha2(two_legged):
-    polys = vanishing_ideal(two_legged, 2)
-    assert len(polys) == 1
-    g = polys[0]
-    assert set(g.terms) == {(0,), (2,)}
-    assert g.terms[(0,)] / g.terms[(2,)] == pytest.approx(-4.0, rel=1e-9)
+    g, = _terms(vanishing_ideal(two_legged, 2))
+    assert set(g) == {(0,), (2,)}
+    assert g[(0,)] / g[(2,)] == pytest.approx(-4.0, rel=1e-9)
 
 
 def test_cell24_ideal_nonempty_with_tiny_residuals():
     code = qsc.build("cell24", 1.0, partition="three")
-    polys = vanishing_ideal(code, 6)
-    assert polys
-    for g in polys:
-        assert verify_jump_annihilates(code, g) <= 1e-9
+    ideal = vanishing_ideal(code, 6)
+    assert len(ideal.degrees)
+    assert np.all(verify_jump_annihilates(code, ideal) <= 1e-9)
 
 
 def test_verify_jump_examples(four_legged):
     alpha_sq = 4.0
     good = {(0,): -alpha_sq ** 2, (4,): 1.0}
     bad = {(0,): -alpha_sq, (2,): 1.0}
-    from qsc.symmetries import VanishingPolynomial
-    assert verify_jump_annihilates(
-        four_legged, VanishingPolynomial(good, 4)) < 1e-12
-    res = verify_jump_annihilates(four_legged, VanishingPolynomial(bad, 2))
-    assert res == pytest.approx(2 * alpha_sq)  # (i alpha)^2 - alpha^2 = -2 alpha^2
+    residuals = verify_jump_annihilates(four_legged, _ideal_of(good, bad))
+    assert residuals[0] < 1e-12
+    assert residuals[1] == pytest.approx(2 * alpha_sq)  # (i alpha)^2 - alpha^2 = -2 alpha^2
 
 
 def test_repetition_css_jumps(repetition_css):
-    from qsc.symmetries import VanishingPolynomial
-    for mode in range(2):
-        d0 = (0, 0)
-        d2 = tuple(2 if i == mode else 0 for i in range(2))
-        g = VanishingPolynomial({d0: -4.0, d2: 1.0}, 2)
-        assert verify_jump_annihilates(repetition_css, g) < 1e-12
+    ideal = _ideal_of({(0, 0): -4.0, (2, 0): 1.0}, {(0, 0): -4.0, (0, 2): 1.0})
+    assert np.all(verify_jump_annihilates(repetition_css, ideal) < 1e-12)
 
 
 def test_ideal_outputs_all_verify():
@@ -226,8 +234,7 @@ def test_ideal_outputs_all_verify():
         ("hessian", {}, 3),
     ]:
         code = qsc.build(name, 4.0, **params)
-        for g in vanishing_ideal(code, degree):
-            assert verify_jump_annihilates(code, g) <= 1e-9
+        assert np.all(verify_jump_annihilates(code, vanishing_ideal(code, degree)) <= 1e-9)
 
 
 def test_ideal_invariant_under_relabeling():
@@ -236,16 +243,10 @@ def test_ideal_invariant_under_relabeling():
                        {code.labels[i]: code.codewords[i] for i in (2, 0, 1)})
     a = vanishing_ideal(code, 5)
     b = vanishing_ideal(permuted, 5)
-    assert len(a) == len(b)
-    monomials = list(brute_multi_indices(2, 5))
-    lookup = {d: j for j, d in enumerate(monomials)}
+    assert a.coefficients.shape == b.coefficients.shape
 
-    def projector(polys):
-        basis = np.zeros((len(polys), len(monomials)), dtype=complex)
-        for i, g in enumerate(polys):
-            for d, cval in g.terms.items():
-                basis[i, lookup[d]] = cval
-        q, _ = np.linalg.qr(basis.T)
+    def projector(ideal):
+        q, _ = np.linalg.qr(ideal.coefficients.T)
         return q @ q.conj().T
 
     assert np.max(np.abs(projector(a) - projector(b))) < 1e-9
@@ -253,9 +254,9 @@ def test_ideal_invariant_under_relabeling():
 
 def test_ideal_generators_have_minimal_degree():
     # a^2 - alpha^2 is the only generator; its multiples fill degrees 3..6
-    polys = vanishing_ideal(qsc.build("cat", 4.0, S=1, K=2), 6)
-    assert [g.degree for g in polys] == [2]
-    assert set(polys[0].terms) == {(0,), (2,)}
+    ideal = vanishing_ideal(qsc.build("cat", 4.0, S=1, K=2), 6)
+    assert ideal.degrees.tolist() == [2]
+    assert set(_terms(ideal)[0]) == {(0,), (2,)}
 
 
 @pytest.mark.parametrize("name, params, degree", [
@@ -266,14 +267,14 @@ def test_ideal_generators_have_minimal_degree():
 ])
 def test_ideal_generator_multiples_span_every_vanishing_polynomial(name, params, degree):
     code = qsc.build(name, 4.0, **params)
-    polys = vanishing_ideal(code, degree)
+    ideal = vanishing_ideal(code, degree)
     monomials = list(brute_multi_indices(code.modes, degree))
     lookup = {d: j for j, d in enumerate(monomials)}
     multiples = []
-    for g in polys:
-        for m in brute_multi_indices(code.modes, degree - g.degree):
+    for g_degree, terms in zip(ideal.degrees.tolist(), _terms(ideal)):
+        for m in brute_multi_indices(code.modes, degree - g_degree):
             row = np.zeros(len(monomials), dtype=complex)
-            for d, c in g.terms.items():
+            for d, c in terms.items():
                 row[lookup[tuple(a + b for a, b in zip(d, m))]] = c
             multiples.append(row / np.linalg.norm(row))
     # evaluation matrix with unit-scaled columns: its null space is the
@@ -420,14 +421,13 @@ def test_vanishing_ideal_matches_full_svd_oracle(energy):
         want_spans = _span_projectors([terms for _, terms in want], monomials)
         for c in (code, _permuted_within_codewords(code, 1)):
             got = vanishing_ideal(c, 8)
-            assert [g.degree for g in got] == [degree for degree, _ in want], entry.entry_id
-            got_spans = _span_projectors([g.terms for g in got], monomials)
+            assert got.degrees.tolist() == [degree for degree, _ in want], entry.entry_id
+            got_spans = _span_projectors(_terms(got), monomials)
             assert got_spans.keys() == want_spans.keys()
             for degree, projector in got_spans.items():
                 assert np.max(np.abs(projector - want_spans[degree])) < 1e-12, \
                     (entry.entry_id, degree)
-            assert all(verify_jump_annihilates(c, g) < 1e-9 * max(1.0, energy ** 3)
-                       for g in got)
+            assert np.all(verify_jump_annihilates(c, got) < 1e-9 * max(1.0, energy ** 3))
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -443,9 +443,71 @@ def test_vanishing_ideal_matches_oracle_on_random_points(seed):
     monomials = list(brute_multi_indices(2, 5))
     want = brute_vanishing_ideal(code, 5)
     got = vanishing_ideal(code, 5)
-    assert [g.degree for g in got] == [degree for degree, _ in want]
+    assert got.degrees.tolist() == [degree for degree, _ in want]
     assert len({degree for degree, _ in want}) == 2
-    got_spans = _span_projectors([g.terms for g in got], monomials)
+    got_spans = _span_projectors(_terms(got), monomials)
     want_spans = _span_projectors([terms for _, terms in want], monomials)
     for degree, projector in got_spans.items():
         assert np.max(np.abs(projector - want_spans[degree])) < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# the canonical form: independent of point order, rounding and energy
+# ---------------------------------------------------------------------------
+
+def _moved_within_rounding(code: QSCode, seed: int) -> QSCode:
+    """The code with its points permuted within codewords and each real and
+    imaginary part moved by up to 4 ulps."""
+    rng = np.random.default_rng(seed)
+    parts = _permuted_within_codewords(code, seed).point_array.view(np.float64)
+    moved = parts + rng.integers(-4, 5, size=parts.shape) * np.spacing(parts)
+    return QSCode(code.modes, code.radius_sq, moved.view(np.complex128), code.codeword_sizes,
+                  code.labels)
+
+
+@pytest.mark.parametrize("energy", [1.0, 4.0, 16.0])
+def test_vanishing_ideal_is_canonical(energy):
+    for entry in qsc.list_catalog():
+        code = entry.build(energy)
+        want = vanishing_ideal(code, 6)
+        for seed in range(2):
+            got = vanishing_ideal(_moved_within_rounding(code, seed), 6)
+            assert got.degrees.tolist() == want.degrees.tolist(), entry.entry_id
+            assert np.max(np.abs(got.coefficients - want.coefficients), initial=0.0) < 1e-12, \
+                (entry.entry_id, seed)
+
+
+def _unit_sphere_coefficients(ideal: VanishingIdeal, energy: float) -> np.ndarray:
+    """Coefficients on u = z / sqrt(E), each row of unit norm."""
+    c = ideal.coefficients * energy ** (ideal.exponents.sum(axis=1) / 2)
+    return c / np.linalg.norm(c, axis=1, keepdims=True)
+
+
+def test_vanishing_ideal_does_not_depend_on_the_energy():
+    for entry in qsc.list_catalog():
+        want = vanishing_ideal(entry.build(4.0), 6)
+        for energy in (1e-6, 1e-3, 1e2, 1e4, 1e6, 1e8, 1e12):
+            got = vanishing_ideal(entry.build(energy), 6)
+            assert got.degrees.tolist() == want.degrees.tolist(), (entry.entry_id, energy)
+            assert np.max(np.abs(_unit_sphere_coefficients(got, energy)
+                                 - _unit_sphere_coefficients(want, 4.0)), initial=0.0) < 1e-10
+
+
+@pytest.mark.parametrize("energy, max_degree", [(1e300, 6), (1e-300, 6), (1e120, 6), (0.0, 1)])
+def test_vanishing_ideal_refuses_an_energy_beyond_the_float_range(energy, max_degree, monkeypatch):
+    code = QSCode(1, energy, [[math.sqrt(energy)]], [1], ["0"])
+    monkeypatch.setattr(qsc.symmetries, "monomial_values", _no_work)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(qsc.QscError, match="leaves the float range"):
+            vanishing_ideal(code, max_degree)
+
+
+def test_vanishing_ideal_at_the_edge_of_the_float_range():
+    # E^3 = 1e306 still fits: z^6 - E^3 is found, its z^6 coefficient 1e-306
+    code = qsc.build("cat", 1e102, S=3, K=2)
+    ideal = vanishing_ideal(code, 6)
+    assert ideal.degrees.tolist() == [6]
+    g, = _terms(ideal)
+    assert g[(6,)] == pytest.approx(1e-306, rel=1e-9)
+    assert g[(0,)].real == pytest.approx(-1.0)
