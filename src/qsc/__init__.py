@@ -15,14 +15,14 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "constellation": ("PassiveUnitary", "QSCode", "QscError", "BudgetExceededError",
+    "constellation": ("QSCode", "QscError", "BudgetExceededError",
                       "DimensionMismatchError", "CodeFormatError", "Violation",
                       "code_from_json", "code_to_json", "min_separation", "validate_code"),
     "moments": ("DesignReport", "design_strength", "sphere_average"),
     "kl": ("DetectionReport", "DetectionRow", "MonomialError", "dephasing_kl_matrix",
            "detection_report", "kl_matrix", "stirling2"),
-    "symmetries": ("SymmetryAction", "VanishingIdeal", "classify_symmetry",
-                   "enumerate_phase_symmetries", "vanishing_ideal", "verify_jump_annihilates"),
+    "symmetries": ("PhaseSymmetries", "VanishingIdeal", "enumerate_phase_symmetries",
+                   "vanishing_ideal", "verify_jump_annihilates"),
     "catalog": ("CatalogEntry", "CatalogError", "build", "list_catalog"),
     "css": ("ClassicalCodeSpec", "CssError", "CssProperties", "compile_css", "css_properties"),
     "fock": ("FockConfig", "KrausCompletenessError", "TruncationError",

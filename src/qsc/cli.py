@@ -161,23 +161,19 @@ def cmd_kl(args: argparse.Namespace) -> int:
 
 
 def cmd_symmetries(args: argparse.Namespace) -> int:
-    from .symmetries import enumerate_phase_symmetries
+    from .symmetries import X_TYPE, Z_TYPE, enumerate_phase_symmetries
 
     code = _load_code(args.infile)
     actions = enumerate_phase_symmetries(code, args.max_order)
-    rows = []
-    for act in actions:
-        phases = act.unitary.per_mode_phases or ()
-        rows.append(["(" + ", ".join(f"{t:.6g}" for t in phases) + ")",
-                     act.classification,
-                     str(list(act.codeword_permutation))])
+    columns = list(zip(actions.phases.tolist(),
+                       [Z_TYPE if z else X_TYPE for z in actions.z_type.tolist()],
+                       actions.codeword_permutations.tolist()))
     if args.json:
-        print(json.dumps([{
-            "phases": list(act.unitary.per_mode_phases or ()),
-            "classification": act.classification,
-            "codeword_permutation": list(act.codeword_permutation),
-        } for act in actions]))
+        print(json.dumps([{"phases": phases, "classification": kind, "codeword_permutation": pi}
+                          for phases, kind, pi in columns]))
         return 0
+    rows = [["(" + ", ".join(f"{t:.6g}" for t in phases) + ")", kind, str(pi)]
+            for phases, kind, pi in columns]
     print(f"{len(actions)} phase-rotation symmetries up to order {args.max_order}")
     _print_table(["phases", "type", "codeword permutation"],
                  [[c.replace(",", ";") for c in r] for r in rows])

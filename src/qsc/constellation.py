@@ -26,10 +26,12 @@ reshape when all codewords have one size (as a compiled CSS code's do), and
 Geometric validity (common radius, no duplicate points, disjoint
 constellations) is checked by :func:`validate_code`, which reports violations
 as data rather than raising, so that invalid inputs can be inspected.  Its
-duplicate and disjointness checks, like the symmetry search of
-:mod:`qsc.symmetries`, only ask which points lie within a tolerance of
-another: one private matcher sorts the points' projections onto a fixed
-direction and measures only the pairs whose projections come that close.
+tolerances are in units of the radius, so a code passes or fails alike at
+every E.  Its duplicate and disjointness checks only ask which points lie
+within a distance of another: one private matcher, which the symmetry
+classification of :mod:`qsc.symmetries` calls too, sorts the points'
+projections onto a fixed direction and measures only the pairs whose
+projections come that close.
 :func:`min_separation`, a true minimum, measures every pair of points of
 distinct codewords in row blocks (:func:`distance_blocks`), each block from
 the first point of the codeword after its own.
@@ -39,15 +41,17 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
+# Tolerances in units of the radius: | |z|^2 - E | <= TOL_SPHERE E on the
+# sphere, and points within TOL_POINT sqrt(E) of each other coincide.
 TOL_SPHERE = 1e-9
 TOL_POINT = 1e-9
-TOL_UNITARY = 1e-12
 # Points (or classical words) a code may have: the CSS enumerations and the
 # catalog builders check their count against it before they make any.
 CODE_SIZE_BUDGET = 1_000_000
@@ -229,48 +233,6 @@ class QSCode:
 
 
 @dataclass(frozen=True)
-class PassiveUnitary:
-    """A linear-optical (passive) operation acting on amplitudes as z -> Uz.
-
-    When the unitary is a per-mode phase rotation diag(exp(i*theta_k)), the
-    phases are kept in ``per_mode_phases`` for readable reporting.
-    """
-
-    matrix: np.ndarray
-    per_mode_phases: Optional[tuple[float, ...]] = field(default=None)
-
-    def __init__(self, matrix: Iterable[Iterable[complex]],
-                 per_mode_phases: Optional[Sequence[float]] = None):
-        mat = np.asarray(matrix, dtype=np.complex128)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError("a passive unitary must be a square matrix")
-        dev = np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[0])))
-        if dev > TOL_UNITARY:
-            raise ValueError(f"matrix is not unitary (deviation {dev:.3e} > {TOL_UNITARY:.1e})")
-        object.__setattr__(self, "matrix", _read_only(mat.copy()))
-        object.__setattr__(self, "per_mode_phases",
-                           None if per_mode_phases is None else tuple(float(t) for t in per_mode_phases))
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
-
-    @staticmethod
-    def phase_rotation(phases: Sequence[float]) -> "PassiveUnitary":
-        """diag(exp(i*theta_k)): rotates each mode by its own angle."""
-        phases = [float(t) for t in phases]
-        return PassiveUnitary(np.diag(np.exp(1j * np.array(phases))), per_mode_phases=phases)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PassiveUnitary):
-            return NotImplemented
-        return bool(np.array_equal(self.matrix, other.matrix))
-
-    def __hash__(self) -> int:
-        return hash(self.matrix.tobytes())
-
-
-@dataclass(frozen=True)
 class Violation:
     """A single failed code invariant, with the offending indices and residual."""
 
@@ -325,7 +287,9 @@ def _pairs_within(A: np.ndarray, B: Optional[np.ndarray], tol: float
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every pair of a row of A and a row of B at distance |a - b| <= tol, as
     (rows of A, rows of B, distances) in no particular order; with B None,
-    the pairs g < h of rows of A.  A negative or NaN tolerance matches none.
+    the pairs g < h of rows of A.  A negative tolerance (-0.0 too, which a
+    negative tolerance in units of the radius becomes at E = 0) or a NaN one
+    matches none.
 
     The rows are projected onto one fixed direction u of their real
     coordinates (re z_1, im z_1, re z_2, ...), with |u|_1 = 1: then
@@ -341,7 +305,7 @@ def _pairs_within(A: np.ndarray, B: Optional[np.ndarray], tol: float
     """
     same = B is None
     B = A if same else B
-    if not tol >= 0:
+    if not tol >= 0 or math.copysign(1.0, tol) < 0:
         blocks = [(np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp))]
     elif (len(A) * (len(A) - 1) // 2 if same else len(A) * len(B)) <= SMALL_PAIRS:
         every = (np.arange(len(A))[:, None] < np.arange(len(B)) if same
@@ -396,23 +360,26 @@ def validate_code(code: QSCode, tol_sphere: float = TOL_SPHERE,
                   tol_point: float = TOL_POINT) -> list[Violation]:
     """Check the code invariants and report each failure.
 
-    Returns the empty list iff every point sits on the radius-sqrt(E) sphere
-    within ``tol_sphere`` (plus the rounding of |z|^2), no constellation
-    contains duplicate points, and distinct constellations share no point
-    (both within ``tol_point``).
+    Returns the empty list iff every point sits on the radius-sqrt(E) sphere,
+    | |z|^2 - E | <= tol_sphere E (plus the rounding of |z|^2), no
+    constellation contains duplicate points, and distinct constellations
+    share no point, both at distance <= tol_point sqrt(E).  The tolerances
+    are in units of the radius: the same tests on the unit-sphere points
+    u = z / sqrt(E), without the division, so that a code passes or fails
+    alike at every E.
     Violations come codeword by codeword (sphere, then duplicate, by point
     index), then the disjointness violations in (mu, nu, i, j) order.  Only
     the point pairs g < h of the stacked frame whose projections onto a
-    fixed direction lie within ``tol_point`` are measured (by
+    fixed direction lie within tol_point sqrt(E) are measured (by
     :func:`_pairs_within`), with the arithmetic of :func:`distance_blocks`.
     """
-    Z = code.point_array
-    res = np.abs(np.sum(np.abs(Z) ** 2, axis=1) - code.radius_sq)
+    Z, energy = code.point_array, code.radius_sq
+    res = np.abs(np.sum(np.abs(Z) ** 2, axis=1) - energy)
     # |z|^2 of a point built on the sphere is off E by rounding alone, up to
-    # about (n + 1) eps E, which passes any fixed tol_sphere once E is large
-    # (1e-9 near E = 1e7): a margin of 16 (n + 1) eps E admits it
-    bound = tol_sphere + 16 * (code.modes + 1) * np.finfo(float).eps * code.radius_sq
-    off, pairs = np.flatnonzero(res > bound), _pairs_within(Z, None, tol_point)
+    # about (n + 1) eps E: a margin of 16 (n + 1) eps E admits it at any tol_sphere
+    bound = (tol_sphere + 16 * (code.modes + 1) * sys.float_info.epsilon) * energy
+    off = np.flatnonzero(res > bound)
+    pairs = _pairs_within(Z, None, tol_point * math.sqrt(energy))
     if not len(off) and not len(pairs[0]):   # a valid code needs no index maps
         return []
     index, local, labels = code.codeword_index, code.index_in_codeword, code.labels

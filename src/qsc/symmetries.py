@@ -1,16 +1,33 @@
-"""Passive-unitary symmetries, their logical action, and vanishing ideals.
+"""Phase-rotation symmetries, their logical action, and vanishing ideals.
 
 A passive unitary U sends coherent states to coherent states, |z> -> |Uz>, so
 a U that permutes the constellation points acts exactly on the uniform
 superposition codewords: it is a logical gate.  If it fixes every
 constellation setwise it is Z-type (a stabilizer of the logical identity);
-if it permutes the constellations it is X-type.  One private function
-classifies a stack of unitaries at once, matching all their images to the
-points in one pass that measures only the image-point pairs whose sorted
-projections come within the tolerance (see :mod:`qsc.constellation`):
-:func:`classify_symmetry` is its one-unitary call, and
-:func:`enumerate_phase_symmetries` hands it the phase rotations of each block
-that pass a screen on a few pivot points.
+if it permutes the constellations it is X-type.
+:func:`enumerate_phase_symmetries` finds the phase rotations
+diag(exp(2 pi i k/m)) among them and returns them as the columns of a
+:class:`PhaseSymmetries`.  Points match when they lie within
+tol = TOL_POINT sqrt(E) of each other, TOL_POINT in units of the radius.
+
+The candidates are read off the points.  Each mode has a pivot, the first
+point of largest |z_k|.  A symmetry sends the pivot p to a point q of the
+same moduli, which fixes the mode's phase to that of q_k / p_k within the
+angle tol / |p_k| the tolerance allows there; a mode that is zero at every
+point gets phase 0.  Each such angle is snapped to the fraction k/m of least
+denominator inside it, a candidate takes one target per pivot, its order is
+the lcm of its denominators, and it is kept when that is at most max_order
+and each pivot's image lies near its target (so that the candidates agree on
+the modes several pivots share).  The survivors are classified together by
+:func:`_match_images`, in (order, numerators) order.
+
+That is the result of the exhaustive search, which tries every rotation at
+its least common denominator m <= max_order in that order and keeps the first
+of each point permutation, wherever each mode's interval holds no fraction of
+denominator <= max_order but the one an exact symmetry has there.  Two such
+fractions lie at least 1/max_order^2 of a turn apart, so that holds once the
+pivot coordinate exceeds about max_order^2 tol.  The work grows with the
+number of points, not with the max_order^n candidates.
 
 The vanishing ideal holds the polynomials g with g(z) = 0 at every
 constellation point.  Since g(a_1,...,a_n)|z> = g(z)|z>, each such g yields a
@@ -28,14 +45,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .constellation import (
     BudgetExceededError,
     DimensionMismatchError,
-    PassiveUnitary,
     QSCode,
     QscError,
     TOL_POINT,
@@ -54,56 +69,55 @@ TOL_IDEAL = 1e-8
 # Share of a unit-scale quantity below which vanishing_ideal counts it as
 # rounding: a column of unit-sphere monomial values, or a generator's entry.
 TOL_ROUNDING = 1e-14
-# Phase candidates (the sum of m^n over the orders m) enumerate_phase_symmetries
-# may screen: it streams them in blocks, so this bounds its time, not memory.
-PHASE_CANDIDATE_BUDGET = 1_000_000
 # Monomial columns of vanishing_ideal's evaluation matrix V, which holds N of
 # them as complex: 1.6 MB per point at the budget.
 IDEAL_COLUMN_BUDGET = 100_000
-# Entries of the pivot images (candidates x pivots x modes) per block of
-# phase candidates: 256 kB of complex, so the candidate count never sizes
-# a temporary.
-PHASE_BLOCK_ENTRIES = 1 << 14
+# Point images (candidates x points x modes) enumerate_phase_symmetries may
+# classify, counted from each pivot's targets before any candidate is formed:
+# 64 MB of complex at the budget.
+PHASE_IMAGE_BUDGET = 1 << 22
 Z_TYPE = "Z-type"
 X_TYPE = "X-type"
-NOT_A_SYMMETRY = "not-a-symmetry"
 
 
-@dataclass(frozen=True)
-class SymmetryAction:
-    """How a candidate unitary acts on a code's constellations."""
+@dataclass(frozen=True, eq=False)
+class PhaseSymmetries:
+    """The phase-rotation symmetries diag(exp(2 pi i k/m)) of a code, as
+    columns over S actions in (order, numerators) order: ``numerators``
+    (S, n) and ``orders`` (S,) the k and m, with gcd(m, k_1, ..., k_n) = 1;
+    ``targets`` (S, N), the point each point is sent to;
+    ``codeword_permutations`` (S, K), the codeword each codeword is sent to;
+    and ``z_type`` (S,), whether that is every codeword itself."""
 
-    unitary: PassiveUnitary
-    point_permutation: Optional[dict[tuple[int, int], tuple[int, int]]]
-    codeword_permutation: Optional[tuple[int, ...]]
-    classification: str
+    numerators: np.ndarray
+    orders: np.ndarray
+    targets: np.ndarray
+    codeword_permutations: np.ndarray
+    z_type: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.orders)
+
+    @property
+    def phases(self) -> np.ndarray:
+        """The angles 2 pi k/m of each action, (S, n)."""
+        return 2.0 * np.pi * self.numerators / self.orders[:, None]
 
 
-def classify_symmetry(code: QSCode, u: PassiveUnitary,
-                      tol: float = TOL_POINT) -> SymmetryAction:
-    """Match every image Uz back to the point set and read off the action."""
-    if u.n != code.modes:
-        raise DimensionMismatchError(f"unitary has n={u.n}, code has n={code.modes}")
-    maps, target, pi = _match_images(code, u.matrix[None], tol)
-    if not maps[0]:
-        return SymmetryAction(u, None, None, NOT_A_SYMMETRY)
-    return _action(code, u, target[0], pi[0])
-
-
-def _match_images(code: QSCode, unitaries: np.ndarray, tol: float
+def _match_images(code: QSCode, phases: np.ndarray, tol: float
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Classify the (B, n, n) stack ``unitaries`` on the code at once.
+    """Classify the rotations diag(exp(i phases[b])), (B, n), on the code at once.
 
-    Returns ``maps`` (B,), whether each U permutes the points and maps each
-    codeword onto one codeword, no two onto the same; ``target`` (B, N), the
-    point nearest to each image Uz; and ``pi`` (B, K), the codeword each
+    Returns ``maps`` (B,), whether each rotation permutes the points and maps
+    each codeword onto one codeword, no two onto the same; ``target`` (B, N),
+    the point nearest to each image; and ``pi`` (B, K), the codeword each
     codeword's first point lands in.  ``target`` and ``pi`` are meaningful
     only where ``maps`` holds.  One pass matches every image of every point:
     it measures only the pairs of an image and a point whose projections lie
     within ``tol``, and each image's target is its nearest point among them.
     """
     points, index = code.point_array, code.codeword_index
-    images = (points @ unitaries.transpose(0, 2, 1)).reshape(-1, code.modes)
+    images = (np.exp(1j * phases)[:, None, :] * points).reshape(-1, code.modes)
     g, h, d = _pairs_within(images, points, tol)
     # each image's nearest point within tol, the first by index on a tie:
     # the first pair of its image in (image, distance, point) order
@@ -115,7 +129,7 @@ def _match_images(code: QSCode, unitaries: np.ndarray, tol: float
     target[g[first]] = h[first]
     far = np.ones(len(images), dtype=bool)
     far[g] = False
-    target = target.reshape(len(unitaries), -1)
+    target = target.reshape(len(phases), -1)
     pi = index[target[:, code.codeword_starts]]
     maps = (~np.any(far.reshape(target.shape), axis=1) & _all_distinct(target)
             & np.all(index[target] == pi[:, index], axis=1) & _all_distinct(pi))
@@ -128,90 +142,105 @@ def _all_distinct(rows: np.ndarray) -> np.ndarray:
     return np.all(ordered[:, 1:] != ordered[:, :-1], axis=1)
 
 
-def _action(code: QSCode, u: PassiveUnitary, target: np.ndarray,
-            pi: np.ndarray) -> SymmetryAction:
-    """The action of a symmetry u that sends point g to point target[g] and
-    codeword mu into codeword pi[mu]."""
-    index, local = code.codeword_index, code.index_in_codeword
-    pairs = zip(index.tolist(), local.tolist(), index[target].tolist(), local[target].tolist())
-    permutation = {(mu, i): (nu, j) for mu, i, nu, j in pairs}
-    kind = Z_TYPE if np.array_equal(pi, np.arange(code.K)) else X_TYPE
-    return SymmetryAction(u, permutation, tuple(pi.tolist()), kind)
+def enumerate_phase_symmetries(code: QSCode, max_order: int) -> PhaseSymmetries:
+    """Every per-mode rotation diag(exp(2 pi i k/m)) with m <= max_order that
+    maps the code onto itself, at its least common denominator m, with its
+    action; the candidates are read off the points (see the module docstring).
 
-
-def enumerate_phase_symmetries(code: QSCode, max_order: int) -> list[SymmetryAction]:
-    """Test all per-mode rotations diag(exp(2pi i k/m)) with m <= max_order.
-
-    A candidate is tested only at the order m equal to the least common
-    denominator of its phases k/m (gcd(m, k_1, ..., k_n) == 1), and the
-    surviving symmetries by their induced point permutation, keeping the
-    lowest-order representative of each action.
-
-    The candidates are screened in blocks on a few pivot points (for each
-    mode, the first point of largest |z_k|): every pivot is rotated by every
-    candidate of the block, one matching pass finds which images lie within
-    twice the point tolerance of some point, and only candidates that send
-    each pivot onto a point are classified.  The pivot test is a necessary
-    condition, since a symmetry maps every point to a point, so the result is
-    the same as classifying every candidate.  A block's survivors are
-    classified together by the function behind :func:`classify_symmetry`:
-    one matching pass pairs every image of every point with the points near
-    it, and a ``SymmetryAction`` is built only for a point permutation not
-    seen before.  Both passes measure only the pairs whose projections onto
-    a fixed direction come within the tolerance.
+    The per-pivot target counts bound the candidates: their product times
+    the N x n images of each is checked against PHASE_IMAGE_BUDGET before
+    any candidate is formed.
     """
     if max_order < 1:
         raise ValueError("max_order must be at least 1")
-    n = code.modes
-    total = 0
-    for m in range(1, max_order + 1):   # stops as soon as the budget is passed
-        total += m ** n
-        if total > PHASE_CANDIDATE_BUDGET:
-            raise BudgetExceededError(
-                f"{total} phase candidates exceed the budget {PHASE_CANDIDATE_BUDGET}")
-    points = code.point_array
-    pivots = points[np.unique(np.argmax(np.abs(points), axis=0))]
-    block = max(1, PHASE_BLOCK_ENTRIES // (len(pivots) * n))
-    # survivors are classified in batches whose images (batch x N x n) stay
-    # within as many entries
-    batch = max(1, PHASE_BLOCK_ENTRIES // (len(points) * n))
-    seen: set[bytes] = set()
-    found: list[SymmetryAction] = []
-    for ks, ms in _phase_candidates(n, max_order, block):
-        phases = 2.0 * np.pi * ks / ms[:, None]
-        images = np.exp(1j * phases)[:, None, :] * pivots
-        # twice the point tolerance: rounding in the two ways of forming an
-        # image can never make this test reject a symmetry
-        hit = np.zeros(len(ks) * len(pivots), dtype=bool)
-        hit[_pairs_within(images.reshape(-1, n), points, 2.0 * TOL_POINT)[0]] = True
-        maps = np.all(hit.reshape(len(ks), len(pivots)), axis=1)
-        survivors = phases[maps]
-        for first in range(0, len(survivors), batch):
-            angles = survivors[first:first + batch]
-            unitaries = np.zeros((len(angles), n, n), dtype=np.complex128)
-            unitaries[:, np.arange(n), np.arange(n)] = np.exp(1j * angles)
-            symmetric, target, pi = _match_images(code, unitaries, TOL_POINT)
-            for b in np.flatnonzero(symmetric):
-                key = target[b].tobytes()
-                if key not in seen:
-                    seen.add(key)
-                    u = PassiveUnitary.phase_rotation(angles[b].tolist())
-                    found.append(_action(code, u, target[b], pi[b]))
-    return found
+    Z, n = code.point_array, code.modes
+    tol = TOL_POINT * math.sqrt(code.radius_sq)
+    limit = min(max_order, np.iinfo(np.int64).max)
+    moduli = np.abs(Z)
+    pivots, owner = np.unique(np.argmax(moduli, axis=0), return_inverse=True)
+    # a pivot's targets are the points whose moduli lie within 2 tol of its own
+    hits = np.linalg.norm(moduli - moduli[pivots][:, None, :], axis=2) <= 2.0 * tol
+    # each mode's phase from its pivot to each point, in turns, within the
+    # angle tol / |p_k| (half a turn, any phase, where that is wider)
+    p = Z[pivots[owner], np.arange(n)]
+    half = np.divide(tol, 2.0 * np.pi * np.abs(p), out=np.full(n, 0.5),
+                     where=np.pi * np.abs(p) > tol)
+    turns = np.angle(Z * np.conj(p)) / (2.0 * np.pi)
+    snap = hits[owner].T   # the pairs of a point and a mode whose pivot may go there
+    nums = np.zeros(Z.shape, dtype=np.int64)
+    dens = np.zeros(Z.shape, dtype=np.int64)
+    nums[snap], dens[snap] = _least_denominators((turns - half)[snap], (turns + half)[snap],
+                                                 limit)
+    # a target is kept when the lcm over the modes its pivot owns is small enough
+    orders = np.ones(hits.shape, dtype=np.int64)
+    for mode in range(n):
+        orders[owner[mode]] = _lcm_within(orders[owner[mode]], dens[:, mode], limit)
+    targets = [np.flatnonzero(row) for row in hits & (orders > 0)]
+    images = math.prod(len(t) for t in targets) * len(Z) * n
+    if images > PHASE_IMAGE_BUDGET:
+        raise BudgetExceededError(
+            f"{images} candidate images exceed the budget {PHASE_IMAGE_BUDGET}")
+    # every choice of one target per pivot, and the point each mode's pivot goes to
+    chosen = np.stack(np.meshgrid(*targets, indexing="ij"), axis=-1).reshape(-1, len(pivots))
+    ends = chosen[:, owner]
+    dens, nums = dens[ends, np.arange(n)], nums[ends, np.arange(n)]
+    orders = np.ones(len(chosen), dtype=np.int64)
+    for mode in range(n):
+        orders = _lcm_within(orders, dens[:, mode], limit)
+    keep = orders > 0
+    chosen, orders = chosen[keep], orders[keep]
+    nums = nums[keep] * (orders[:, None] // dens[keep])
+    images = np.exp(1j * (2.0 * np.pi * nums / orders[:, None]))[:, None, :] * Z[pivots]
+    agree = np.all(np.linalg.norm(images - Z[chosen], axis=2) <= 2.0 * tol, axis=1)
+    rows = np.unique(np.column_stack([orders[agree], nums[agree]]), axis=0)
+    orders, nums = rows[:, 0], rows[:, 1:]
+    maps, target, pi = _match_images(code, 2.0 * np.pi * nums / orders[:, None], tol)
+    return PhaseSymmetries(
+        *(_read_only(a[maps]) for a in (nums, orders, target, pi)),
+        _read_only(np.all(pi[maps] == np.arange(code.K), axis=1)))
 
 
-def _phase_candidates(n: int, max_order: int, block: int):
-    """Numerators k (rows) and orders m of the candidates diag(exp(2pi i k/m)),
-    m = 1..max_order and k over range(m)^n in itertools.product order, with
-    gcd(m, k_1, ..., k_n) == 1; in blocks of at most ``block`` candidates."""
-    offsets = np.cumsum([0] + [m ** n for m in range(1, max_order + 1)])
-    for first in range(0, int(offsets[-1]), block):
-        flat = np.arange(first, min(first + block, int(offsets[-1])))
-        m = np.searchsorted(offsets, flat, side="right")
-        digits = m[:, None] ** np.arange(n - 1, -1, -1)
-        ks = (flat - offsets[m - 1])[:, None] // digits % m[:, None]
-        keep = np.gcd.reduce(np.column_stack([m, ks]), axis=1) == 1
-        yield ks[keep], m[keep]
+def _least_denominators(lo: np.ndarray, hi: np.ndarray, limit: int
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    """The fraction k/m of least denominator in each interval [lo, hi] within
+    [-1, 1], as int64 arrays with 0 <= k < m, and m = 0 where that
+    denominator exceeds ``limit``.
+
+    It is read off the continued fraction the interval's ends share: while
+    no integer lies in [lo, hi], its integer part a is the next term and
+    [lo, hi] becomes [1/(hi - a), 1/(lo - a)]; the least integer in the
+    interval is the last term.  (p, q) and (p0, q0) are the last two
+    convergents, so the fraction is c/1 at once or (c p + p0)/(c q + q0).
+    """
+    k = np.zeros(lo.shape, dtype=np.int64)
+    m = np.zeros(lo.shape, dtype=np.int64)
+    live = np.arange(len(lo))
+    p, q = np.ones(len(lo), dtype=np.int64), np.zeros(len(lo), dtype=np.int64)
+    p0, q0 = q.copy(), p.copy()
+    while len(live):
+        c = np.ceil(lo)
+        end = c <= hi
+        done = end & (c * q + q0 <= limit)   # in floats: no int64 overflow
+        c_done = c[done].astype(np.int64)
+        m[live[done]] = c_done * q[done] + q0[done]
+        k[live[done]] = (c_done * p[done] + p0[done]) % m[live[done]]
+        # a later term c >= 1 makes the denominator at least q + q0
+        a = c - 1.0
+        go = ~end & (a * q + q0 + q <= limit)
+        a = a[go].astype(np.int64)
+        p, p0, q, q0 = a * p[go] + p0[go], p[go], a * q[go] + q0[go], q[go]
+        lo, hi = 1.0 / (hi[go] - a), 1.0 / (lo[go] - a)
+        live = live[go]
+    return k, m
+
+
+def _lcm_within(a: np.ndarray, b: np.ndarray, limit: int) -> np.ndarray:
+    """lcm(a, b) of positive int64 entries where it is at most ``limit``,
+    else 0 (as it is where a or b is 0)."""
+    g = np.gcd(a, b)
+    part = a // np.maximum(g, 1)
+    ok = (a > 0) & (b > 0) & (part <= limit // np.maximum(b, 1))
+    return np.where(ok, part * np.where(ok, b, 0), 0)
 
 
 @dataclass(frozen=True, eq=False)

@@ -3,8 +3,10 @@
 The moment, overlap, KL and geometry oracles are written from first
 principles with plain Python loops and cmath, on purpose: no power tables, no
 vectorization, no reuse of the package's enumeration helpers.  The phase
-symmetry oracle classifies every candidate on its own, with no prefilter,
-through a full distance table per candidate.  The loop versions of the
+symmetry oracle classifies every candidate rotation of order <= max_order on
+its own, through a full distance table per candidate; on binary CSS codes a
+second one reads the symmetries off the words, as the translations that map
+the word set onto itself.  The loop versions of the
 package's array kernels live here too: the recursive monomial enumeration,
 the per-degree full-SVD vanishing ideal with term-by-term multiples, and the
 600-cell built vertex by vertex.  Each catalog vertex set is checked as the
@@ -25,14 +27,15 @@ from __future__ import annotations
 import cmath
 import json
 import math
+from fractions import Fraction
 from functools import reduce
 from itertools import permutations, product
 
 import numpy as np
 
-from qsc.constellation import PassiveUnitary, QscError
+from qsc.constellation import QscError
 from qsc.fock import TAIL_TOL, TruncationError, embed_codewords
-from qsc.symmetries import X_TYPE, Z_TYPE, SymmetryAction
+from qsc.symmetries import PhaseSymmetries
 
 
 def normalize(point: list[complex]) -> list[complex]:
@@ -176,14 +179,14 @@ def brute_kl_matrix(constellations: list[list[list[complex]]],
     return out
 
 
-def brute_phase_symmetries(code, max_order: int) -> list:
+def brute_phase_symmetries(code, max_order: int) -> PhaseSymmetries:
     """Every phase candidate diag(exp(2 pi i k/m)) at its lowest order
     m <= max_order, classified on its own with no prefilter: every image is
-    matched to its nearest point through a full distance table, and the
-    codeword map is read from sets; the first candidate of each point
-    permutation is kept."""
-    labels = [(mu, i) for mu, c in enumerate(code.codewords) for i in range(len(c))]
-    points = np.vstack(code.codewords)
+    matched to its nearest point through a full distance table, within
+    1e-9 sqrt(E), and the codeword map is read from sets; the first candidate
+    of each point permutation is kept."""
+    points, index = code.point_array, code.codeword_index.tolist()
+    tol = 1e-9 * math.sqrt(code.radius_sq)
     found, seen = [], set()
     for m in range(1, max_order + 1):
         for ks in product(range(m), repeat=code.modes):
@@ -193,23 +196,68 @@ def brute_phase_symmetries(code, max_order: int) -> list:
             images = points * np.exp(1j * np.array(phases))
             dist = np.sqrt(np.sum(np.abs(images[:, None, :] - points[None, :, :]) ** 2, axis=2))
             nearest = dist.argmin(axis=1).tolist()
-            if dist[np.arange(len(points)), nearest].max() > 1e-9 or \
+            if dist[np.arange(len(points)), nearest].max() > tol or \
                     len(set(nearest)) != len(points):
                 continue
-            perm = {labels[g]: labels[h] for g, h in enumerate(nearest)}
             lands: dict[int, set] = {}
-            for (mu, _), (nu, _) in perm.items():
-                lands.setdefault(mu, set()).add(nu)
+            for g, h in enumerate(nearest):
+                lands.setdefault(index[g], set()).add(index[h])
             if any(len(nus) != 1 for nus in lands.values()):
                 continue
-            pi = tuple(min(lands[mu]) for mu in range(code.K))
-            key = tuple(sorted(perm.items()))
-            if len(set(pi)) != code.K or key in seen:
+            pi = [min(lands[mu]) for mu in range(code.K)]
+            if len(set(pi)) != code.K or tuple(nearest) in seen:
                 continue
-            seen.add(key)
-            kind = Z_TYPE if pi == tuple(range(code.K)) else X_TYPE
-            found.append(SymmetryAction(PassiveUnitary.phase_rotation(phases), perm, pi, kind))
-    return found
+            seen.add(tuple(nearest))
+            found.append((ks, m, nearest, pi, pi == list(range(code.K))))
+    return _columns(code, found)
+
+
+def _columns(code, found: list) -> PhaseSymmetries:
+    """PhaseSymmetries from (numerators, order, targets, codeword permutation,
+    Z-type) tuples, one per action."""
+    columns = [list(column) for column in zip(*found)] or [[]] * 5
+    return PhaseSymmetries(np.array(columns[0], dtype=np.int64).reshape(-1, code.modes),
+                           np.array(columns[1], dtype=np.int64),
+                           np.array(columns[2], dtype=np.intp).reshape(-1, len(code.point_array)),
+                           np.array(columns[3], dtype=np.intp).reshape(-1, code.K),
+                           np.array(columns[4], dtype=bool))
+
+
+def brute_least_denominator(lo: float, hi: float, limit: int) -> tuple[int, int]:
+    """The fraction k/m in [lo, hi] of least denominator m <= limit, as
+    (k mod m, m), or (0, 0) when there is none: every m tried in turn, in
+    exact rational arithmetic."""
+    lo, hi = Fraction(lo), Fraction(hi)
+    for m in range(1, limit + 1):
+        k = math.ceil(lo * m)
+        if k <= hi * m:
+            return k % m, m
+    return 0, 0
+
+
+def brute_binary_css_translations(code, gen_x: list) -> PhaseSymmetries:
+    """The phase symmetries of a compiled q = 2 CSS code whose points are
+    (alpha (-1)^{b_1}, ..., alpha (-1)^{b_n}) with alpha > 0, from its words:
+    every translation b -> b + y of F_2^n that maps the word set onto itself
+    is the rotation by pi y, of order 2 (1 for y = 0), and it is Z-type iff
+    y lies in the span of ``gen_x``.  The words are read off the signs of the
+    points, and each codeword's image found by plain loops."""
+    words = [tuple(int(z.real < 0) for z in point) for point in code.point_array.tolist()]
+    point_of = {w: g for g, w in enumerate(words)}
+    index = code.codeword_index.tolist()
+    span = set()
+    for coefficients in product((0, 1), repeat=len(gen_x)):
+        span.add(tuple(sum(c * row[i] for c, row in zip(coefficients, gen_x)) % 2
+                       for i in range(code.modes)))
+    found = []
+    for y in product((0, 1), repeat=code.modes):
+        moved = [tuple((a + b) % 2 for a, b in zip(w, y)) for w in words]
+        if set(moved) != set(words):
+            continue
+        targets = [point_of[w] for w in moved]
+        pi = [index[targets[start]] for start in code.codeword_starts.tolist()]
+        found.append((list(y), 2 if any(y) else 1, targets, pi, y in span))
+    return _columns(code, found)
 
 
 def brute_multi_indices(dim: int, max_degree: int):
@@ -327,7 +375,7 @@ def brute_cell600_cosets(vertices: np.ndarray) -> np.ndarray:
     return assigned
 
 
-def _right_multiplication_unitary(q) -> PassiveUnitary:
+def _right_multiplication_unitary(q) -> np.ndarray:
     """Right quaternion multiplication as a 2x2 unitary on (x1+ix2, x3+ix4).
 
     Writing a quaternion as z1 + z2*j, right multiplication by w + v*j acts
@@ -335,26 +383,26 @@ def _right_multiplication_unitary(q) -> PassiveUnitary:
     """
     w = complex(q[0], q[1])
     v = complex(q[2], q[3])
-    return PassiveUnitary(np.array([[w, -np.conj(v)], [v, np.conj(w)]]))
+    return np.array([[w, -np.conj(v)], [v, np.conj(w)]])
 
 
-def _rotations_and_permutations(n: int, angle: float, perms=None) -> list[PassiveUnitary]:
+def _rotations_and_permutations(n: int, angle: float, perms=None) -> list[np.ndarray]:
     """The n single-mode phase rotations by ``angle``, then the mode
     permutations ``perms`` (row k of each is e_{perm[k]}); adjacent mode swaps
     when ``perms`` is None."""
     if perms is None:
         perms = [tuple(range(j)) + (j + 1, j) + tuple(range(j + 2, n)) for j in range(n - 1)]
-    gens = [PassiveUnitary.phase_rotation([angle if i == j else 0.0 for i in range(n)])
+    gens = [np.diag([cmath.exp(1j * angle) if i == j else 1.0 for i in range(n)])
             for j in range(n)]
-    return gens + [PassiveUnitary(np.eye(n, dtype=np.complex128)[list(p)]) for p in perms]
+    return gens + [np.eye(n, dtype=np.complex128)[list(p)] for p in perms]
 
 
-def symmetry_generators(name: str, **options) -> list[PassiveUnitary]:
-    """Documented symmetry generators of a catalog entry, whose closure
-    reproduces its vertex set."""
+def symmetry_generators(name: str, **options) -> list[np.ndarray]:
+    """Documented symmetry generators of a catalog entry, as matrices acting
+    on the points z -> U z, whose closure reproduces its vertex set."""
     if name == "cat":
         S, K = options.get("S", 2), options.get("K", 2)
-        return [PassiveUnitary.phase_rotation([2.0 * math.pi / (S * K)])]
+        return [np.array([[cmath.exp(2j * math.pi / (S * K))]])]
     if name in ("hypercube", "orthoplex"):
         return _rotations_and_permutations(options.get("n", 2), math.pi / 2.0)
     if name == "cell24":
@@ -377,8 +425,8 @@ class OrbitOverflowError(QscError):
     """Group closure exceeded the requested maximum size."""
 
 
-def orbit(seed, generators: list[PassiveUnitary], max_size: int) -> np.ndarray:
-    """The closure of a seed point under passive unitaries, as rows: breadth
+def orbit(seed, generators: list[np.ndarray], max_size: int) -> np.ndarray:
+    """The closure of a seed point under matrices z -> U z, as rows: breadth
     first, an image new when it lies more than 1e-9 from every point found
     so far.  Raises OrbitOverflowError as soon as it grows past ``max_size``,
     and QscError when a generator moves the seed off its sphere."""
@@ -388,7 +436,7 @@ def orbit(seed, generators: list[PassiveUnitary], max_size: int) -> np.ndarray:
         new_frontier = []
         for p in frontier:
             for g in generators:
-                image = g.matrix @ p
+                image = g @ p
                 if abs(np.linalg.norm(image) - np.linalg.norm(found[0])) > 1e-9:
                     raise QscError("generator failed to preserve the sphere radius")
                 if all(np.linalg.norm(image - r) > 1e-9 for r in found):
@@ -407,29 +455,32 @@ def brute_violations(radius_sq: float, labels: list[str],
 
     Returns (kind, label, i, other_label, j, residual) tuples in the order
     codeword by codeword (sphere, then duplicate), then disjointness by
-    (mu, nu, i, j).  As in the package, tol_sphere is widened by 16 (n + 1)
-    eps E, the rounding that |z|^2 of a point built on the sphere may carry.
+    (mu, nu, i, j).  Both tolerances are in units of the radius: a point is
+    off the sphere when | |z|^2 - E | exceeds tol_sphere E, widened as in the
+    package by 16 (n + 1) eps E, the rounding that |z|^2 of a point built on
+    the sphere may carry; two points coincide within tol_point sqrt(E).
     """
     def distance(z, w):
         return math.sqrt(sum(abs(zi - wi) ** 2 for zi, wi in zip(z, w)))
 
     out = []
+    reach = tol_point * math.sqrt(radius_sq)
     for label, points in zip(labels, constellations):
         for i, z in enumerate(points):
             res = abs(sum(abs(zi) ** 2 for zi in z) - radius_sq)
-            if res > tol_sphere + 16 * (len(z) + 1) * np.finfo(float).eps * radius_sq:
+            if res > tol_sphere * radius_sq + 16 * (len(z) + 1) * np.finfo(float).eps * radius_sq:
                 out.append(("sphere", label, i, None, None, res))
         for i in range(len(points)):
             for j in range(i):
                 d = distance(points[i], points[j])
-                if d <= tol_point:
+                if d <= reach:
                     out.append(("duplicate", label, i, None, j, d))
     for mu in range(len(constellations)):
         for nu in range(mu + 1, len(constellations)):
             for i, z in enumerate(constellations[mu]):
                 for j, w in enumerate(constellations[nu]):
                     d = distance(z, w)
-                    if d <= tol_point:
+                    if d <= reach:
                         out.append(("disjoint", labels[mu], i, labels[nu], j, d))
     return out
 

@@ -2,11 +2,14 @@ from __future__ import annotations
 
 import cmath
 import math
+from typing import Optional
 
 import numpy as np
 import pytest
 
 import qsc
+from qsc.constellation import TOL_POINT
+from qsc.symmetries import _match_images
 
 
 @pytest.fixture
@@ -50,6 +53,15 @@ def code_of(modes: int, radius_sq: float, codewords) -> qsc.QSCode:
     rows = [np.array(r, dtype=np.complex128) for r in codewords.values()]
     return qsc.QSCode(modes, radius_sq, np.concatenate(rows), [len(r) for r in rows],
                       list(codewords))
+
+
+def rotation_action(code: qsc.QSCode, phases) -> Optional[tuple[int, ...]]:
+    """The codeword permutation of the rotation diag(exp(i phases)) when it
+    maps the code onto itself, else None: one rotation classified by the
+    package's matching pass, at its tolerance."""
+    tol = TOL_POINT * math.sqrt(code.radius_sq)
+    maps, _, pi = _match_images(code, np.array([phases], dtype=float), tol)
+    return tuple(pi[0].tolist()) if maps[0] else None
 
 
 def constellations_as_lists(code: qsc.QSCode) -> list[list[list[complex]]]:

@@ -60,17 +60,25 @@ def test_energy_that_is_not_finite_is_rejected_before_building(argv, capsys):
     ["build", "--name", "hypercube", "--n", "20"],
     ["build", "--name", "gamma", "--n", "20", "--q", "3"],
     ["build", "--name", "cat", "--S", "1000", "--K", "1001"],
-    ["symmetries", "--max-order", "1000000000"],
+    ["symmetries", "--max-order", "8"],
 ], ids=" ".join)
-def test_oversized_inputs_are_refused_before_any_work(argv, tmp_path, capsys):
+def test_oversized_inputs_are_refused_before_any_work(argv, tmp_path, monkeypatch, capsys):
     if argv[0] == "symmetries":
-        path = tmp_path / "two_legged.json"
-        path.write_text(qsc.code_to_json(qsc.build("cat", 4.0, S=1, K=2)))
+        # the 4^12 phase rotations of the 12-mode orthoplex: refused before
+        # any candidate is formed or any image matched
+        path = tmp_path / "orthoplex12.json"
+        path.write_text(qsc.code_to_json(qsc.build("orthoplex", 4.0, n=12)))
         argv = argv + ["--in", str(path)]
+        monkeypatch.setattr(np, "meshgrid", _no_work)
+        monkeypatch.setattr(qsc.symmetries, "_match_images", _no_work)
     assert run(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and "exceed" in captured.err
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("work done before the budget guard")
 
 
 def test_huge_css_modulus_is_one_error_line(capsys):

@@ -12,7 +12,6 @@ import qsc
 from qsc.constellation import (
     CodeFormatError,
     DimensionMismatchError,
-    PassiveUnitary,
     QSCode,
     code_from_json,
     code_to_json,
@@ -208,15 +207,23 @@ def test_validate_reports_shared_point():
     assert kinds == {"disjoint"}
 
 
-def _planted_code() -> QSCode:
+def _planted_code(scale: float = 1.0) -> QSCode:
     """Every kind of violation, interleaved across codewords: duplicates,
     off-sphere points, points shared between codewords and a near-duplicate
-    (distance 1e-12) shared three ways."""
-    return code_of(2, 4.0, {
+    (distance 1e-12 scale) shared three ways; on the sphere E = 4 scale^2."""
+    rows = {
         "a": [[2.0, 0.0], [0.0, 2j], [2.0, 0.0], [2.5, 0.0]],
         "b": [[-2.0, 0.0], [0.0, 2j], [0.0, 2j + 1e-12], [0.0, 3.0]],
         "c": [[0.0, -2.0], [2.0, 0.0], [-2.0, 0.0], [0.0, 2.0]],
-    })
+    }
+    return code_of(2, 4.0 * scale ** 2,
+                   {label: np.array(r) * scale for label, r in rows.items()})
+
+
+def _tiny_planted_code() -> QSCode:
+    """The planted code at scale 1e-9, where every point lies within 1e-9 of
+    every other: in units of the radius it has the same violations."""
+    return _planted_code(1e-9)
 
 
 def _as_tuples(violations):
@@ -226,9 +233,10 @@ def _as_tuples(violations):
 
 # Blocks of 5 point pairs split the 12 x 12 pass into many row blocks.
 @pytest.mark.parametrize("block_pairs", [constellation_mod.DISTANCE_BLOCK_PAIRS, 5])
-@pytest.mark.parametrize("build", [_planted_code, lambda: qsc.build("cell24", 4.0),
+@pytest.mark.parametrize("build", [_planted_code, _tiny_planted_code,
+                                   lambda: qsc.build("cell24", 4.0),
                                    lambda: qsc.build("cell600", 1.0, partition="five")],
-                         ids=["planted", "cell24", "cell600-five"])
+                         ids=["planted", "planted-tiny", "cell24", "cell600-five"])
 def test_validate_matches_brute_force(build, block_pairs, monkeypatch):
     monkeypatch.setattr(constellation_mod, "DISTANCE_BLOCK_PAIRS", block_pairs)
     code = build()
@@ -237,8 +245,9 @@ def test_validate_matches_brute_force(build, block_pairs, monkeypatch):
     assert [v[:5] for v in mine] == [v[:5] for v in brute]
     for a, b in zip(mine, brute):
         assert abs(a[5] - b[5]) <= 1e-12
-    if build is _planted_code:
+    if build in (_planted_code, _tiny_planted_code):
         assert {v[0] for v in mine} == {"sphere", "duplicate", "disjoint"}
+        assert [v[:5] for v in mine] == [v[:5] for v in _as_tuples(validate_code(_planted_code()))]
 
 
 def test_validate_reports_duplicate_point():
@@ -246,6 +255,14 @@ def test_validate_reports_duplicate_point():
     violations = validate_code(code)
     assert [v.kind for v in violations] == ["duplicate"]
     assert "coincide" in violations[0].describe()
+
+
+def test_a_negative_point_tolerance_matches_nothing_at_e_zero():
+    # in units of the radius the threshold is tol_point sqrt(0): 0.0 for the
+    # default, which finds the coincident points, and -0.0 for -1.0
+    code = code_of(1, 0.0, [[[0.0], [0.0]]])
+    assert [v.kind for v in validate_code(code)] == ["duplicate"]
+    assert validate_code(code, tol_point=-1.0) == []
 
 
 # ---------------------------------------------------------------------------
@@ -289,10 +306,10 @@ def test_triangle_inequality(a, b, c):
 @given(st.integers(0, 2 ** 32 - 1))
 def test_unitary_is_isometry(seed):
     rng = np.random.default_rng(seed)
-    u = PassiveUnitary(random_unitary(3, rng))
+    u = random_unitary(3, rng)
     p = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     q = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    assert abs(np.linalg.norm(u.matrix @ p - u.matrix @ q) - np.linalg.norm(p - q)) < 1e-12
+    assert abs(np.linalg.norm(u @ p - u @ q) - np.linalg.norm(p - q)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -349,8 +366,7 @@ def test_min_separation_witness_is_lexicographically_first():
 # ---------------------------------------------------------------------------
 
 def test_orbit_fourth_roots():
-    gen = PassiveUnitary(np.array([[1j]]))
-    c = orbit([2.0], [gen], max_size=8)
+    c = orbit([2.0], [np.array([[1j]])], max_size=8)
     assert len(c) == 4
     values = sorted(c[:, 0].tolist(), key=lambda z: (z.real, z.imag))
     expected = sorted([2 + 0j, 2j, -2 + 0j, -2j], key=lambda z: (z.real, z.imag))
@@ -358,7 +374,7 @@ def test_orbit_fourth_roots():
 
 
 def test_orbit_swap():
-    swap = PassiveUnitary(np.array([[0, 1], [1, 0]], dtype=complex))
+    swap = np.array([[0, 1], [1, 0]], dtype=complex)
     c = orbit([1.0, 0.0], [swap], max_size=4)
     assert len(c) == 2
 
@@ -378,18 +394,17 @@ def test_orbit_is_closed_under_generators():
     assert len(c) == 120
     for g in gens:
         for p in c[:10]:
-            assert np.min(np.linalg.norm(c - g.matrix @ p, axis=1)) < 1e-9
+            assert np.min(np.linalg.norm(c - g @ p, axis=1)) < 1e-9
 
 
 def test_orbit_overflow():
-    gen = PassiveUnitary(np.array([[1j]]))
     with pytest.raises(OrbitOverflowError):
-        orbit([2.0], [gen], max_size=3)
+        orbit([2.0], [np.array([[1j]])], max_size=3)
 
 
 def test_non_unitary_generator_rejected():
-    with pytest.raises(ValueError):
-        PassiveUnitary(np.array([[1.0, 0.0], [0.0, 1.5]]))
+    with pytest.raises(qsc.QscError, match="preserve the sphere radius"):
+        orbit([0.0, 1.0], [np.array([[1.0, 0.0], [0.0, 1.5]])], max_size=4)
 
 
 # ---------------------------------------------------------------------------

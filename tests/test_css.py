@@ -10,8 +10,8 @@ import pytest
 import qsc
 from qsc.constellation import BudgetExceededError, min_separation, validate_code
 from qsc.css import ClassicalCodeSpec, CssError, compile_css, css_properties
-from qsc.symmetries import Z_TYPE, classify_symmetry
-from qsc.constellation import PassiveUnitary
+
+from conftest import rotation_action
 
 
 def brute_dual(gen_z: list[tuple[int, ...]], n: int, q: int) -> set[tuple[int, ...]]:
@@ -160,9 +160,8 @@ def test_gen_z_row_rotation_is_z_type_when_contained_in_cx():
         spec = ClassicalCodeSpec(q, n, gen_x=gen_x, gen_z=gen_z)
         code = compile_css(spec, 2.0)
         for row in gen_z:
-            u = PassiveUnitary.phase_rotation([2 * math.pi * r / q for r in row])
-            action = classify_symmetry(code, u)
-            assert action.classification == Z_TYPE, (q, n, row)
+            pi = rotation_action(code, [2 * math.pi * r / q for r in row])
+            assert pi == tuple(range(code.K)), (q, n, row)
 
 
 def test_css_properties_repetition():

@@ -9,25 +9,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qsc
-from qsc.constellation import PassiveUnitary, QSCode
+from qsc.constellation import QSCode, code_from_json, code_to_json
 from qsc.moments import BudgetExceededError
 from qsc.symmetries import (
-    NOT_A_SYMMETRY,
-    X_TYPE,
-    Z_TYPE,
+    PhaseSymmetries,
     VanishingIdeal,
-    classify_symmetry,
+    _least_denominators,
     enumerate_phase_symmetries,
     vanishing_ideal,
     verify_jump_annihilates,
 )
 
-from brute_force import brute_multi_indices, brute_phase_symmetries, brute_vanishing_ideal
-from conftest import code_of
-
-
-def phase(theta: float) -> PassiveUnitary:
-    return PassiveUnitary.phase_rotation([theta])
+from brute_force import (
+    brute_binary_css_translations,
+    brute_least_denominator,
+    brute_multi_indices,
+    brute_phase_symmetries,
+    brute_vanishing_ideal,
+)
+from conftest import code_of, rotation_action
 
 
 def _terms(ideal: VanishingIdeal) -> list[dict]:
@@ -49,60 +49,59 @@ def _ideal_of(*polys: dict) -> VanishingIdeal:
 # classification
 # ---------------------------------------------------------------------------
 
+def _action(actions: PhaseSymmetries, phases) -> tuple[tuple[int, ...], bool]:
+    """The codeword permutation and Z-type flag of the action with these phases."""
+    row = actions.phases.tolist().index(list(phases))
+    return (tuple(actions.codeword_permutations[row].tolist()), bool(actions.z_type[row]))
+
+
 def test_pi_rotation_is_z_type(four_legged):
-    action = classify_symmetry(four_legged, phase(math.pi))
-    assert action.classification == Z_TYPE
-    assert action.codeword_permutation == (0, 1)
+    assert _action(enumerate_phase_symmetries(four_legged, 4), [math.pi]) == ((0, 1), True)
+    assert rotation_action(four_legged, [math.pi]) == (0, 1)
 
 
 def test_half_pi_rotation_is_x_type(four_legged):
-    action = classify_symmetry(four_legged, phase(math.pi / 2))
-    assert action.classification == X_TYPE
-    assert action.codeword_permutation == (1, 0)
+    assert _action(enumerate_phase_symmetries(four_legged, 4), [math.pi / 2]) == ((1, 0), False)
+    assert rotation_action(four_legged, [math.pi / 2]) == (1, 0)
 
 
 def test_third_rotation_is_not_a_symmetry(four_legged):
-    action = classify_symmetry(four_legged, phase(math.pi / 3))
-    assert action.classification == NOT_A_SYMMETRY
-    assert action.point_permutation is None
+    assert rotation_action(four_legged, [math.pi / 3]) is None
+    assert [math.pi / 3] not in enumerate_phase_symmetries(four_legged, 6).phases.tolist()
 
 
-def test_point_permutation_is_bijection(four_legged):
-    action = classify_symmetry(four_legged, phase(math.pi / 2))
-    values = set(action.point_permutation.values())
-    assert len(values) == len(four_legged.point_array)
+def test_point_targets_are_a_bijection(four_legged):
+    actions = enumerate_phase_symmetries(four_legged, 4)
+    assert len(actions) == 4
+    for targets in actions.targets.tolist():
+        assert sorted(targets) == list(range(len(four_legged.point_array)))
 
 
 def test_images_match_their_nearest_point():
     # points 0.5e-9 apart, both within the tolerance of each image: each
     # image goes to its nearest point, not to the first point in reach
     code = code_of(1, 4.0, [[[2.0], [2.0 + 0.5e-9j]], [[-2.0]]])
-    action = classify_symmetry(code, PassiveUnitary(np.eye(1)))
-    assert action.classification == Z_TYPE
-    assert action.point_permutation == {(0, 0): (0, 0), (0, 1): (0, 1), (1, 0): (1, 0)}
+    actions = enumerate_phase_symmetries(code, 2)
+    assert actions.phases.tolist() == [[0.0]]
+    assert actions.targets.tolist() == [[0, 1, 2]] and actions.z_type.tolist() == [True]
 
 
 def test_an_image_matching_no_point_is_not_a_symmetry():
     code = code_of(1, 4.0, [[[2.0]]])
-    assert classify_symmetry(code, phase(0.3)).classification == NOT_A_SYMMETRY
-    assert classify_symmetry(code, phase(0.0)).classification == Z_TYPE
-
-
-def test_classify_dimension_mismatch(four_legged):
-    with pytest.raises(qsc.DimensionMismatchError):
-        classify_symmetry(four_legged, PassiveUnitary(np.eye(2)))
+    assert rotation_action(code, [0.3]) is None
+    assert rotation_action(code, [0.0]) == (0,)
+    assert enumerate_phase_symmetries(code, 8).phases.tolist() == [[0.0]]
 
 
 def test_symmetries_compose(cat33):
-    a = classify_symmetry(cat33, phase(2 * math.pi / 9))
-    b = classify_symmetry(cat33, phase(2 * math.pi / 3))
-    assert NOT_A_SYMMETRY not in (a.classification, b.classification)
-    composed = classify_symmetry(
-        cat33, PassiveUnitary(a.unitary.matrix @ b.unitary.matrix))
-    assert composed.classification != NOT_A_SYMMETRY
-    expected = tuple(a.codeword_permutation[b.codeword_permutation[mu]]
-                     for mu in range(cat33.K))
-    assert composed.codeword_permutation == expected
+    # the rotations by 2 pi/9 and 2 pi/3 compose to the one by 2 pi 4/9, and
+    # its codeword permutation is the composition of theirs
+    actions = enumerate_phase_symmetries(cat33, 9)
+    a, _ = _action(actions, [2 * math.pi / 9])
+    b, _ = _action(actions, [2 * math.pi / 3])
+    composed, _ = _action(actions, [2 * math.pi * 4 / 9])
+    assert composed == tuple(a[b[mu]] for mu in range(cat33.K))
+    assert rotation_action(cat33, [2 * math.pi / 9 + 2 * math.pi / 3]) == composed
 
 
 # ---------------------------------------------------------------------------
@@ -111,38 +110,36 @@ def test_symmetries_compose(cat33):
 
 def test_enumerate_four_legged(four_legged):
     actions = enumerate_phase_symmetries(four_legged, 4)
-    by_phase = {a.unitary.per_mode_phases: a for a in actions}
-    assert by_phase[(math.pi,)].classification == Z_TYPE
-    assert by_phase[(math.pi / 2,)].classification == X_TYPE
-    assert by_phase[(math.pi / 2,)].codeword_permutation == (1, 0)
+    assert actions.orders.tolist() == [1, 2, 4, 4]
+    assert actions.numerators.tolist() == [[0], [1], [1], [3]]
+    assert actions.z_type.tolist() == [True, True, False, False]
+    assert actions.codeword_permutations.tolist() == [[0, 1], [0, 1], [1, 0], [1, 0]]
 
 
 def test_enumerate_repetition_css(repetition_css):
     actions = enumerate_phase_symmetries(repetition_css, 2)
-    joint = next(a for a in actions
-                 if a.unitary.per_mode_phases == (math.pi, math.pi))
-    assert joint.classification == Z_TYPE
+    assert _action(actions, [math.pi, math.pi]) == ((0, 1), True)
 
 
 def test_enumerate_single_point_code_finds_only_identity():
     code = code_of(2, 4.0, [[[2.0, 0.0]]])
     actions = enumerate_phase_symmetries(code, 2)
     assert len(actions) == 1
-    assert actions[0].unitary.per_mode_phases == (0.0, 0.0)
-    assert actions[0].classification == Z_TYPE
+    assert actions.phases.tolist() == [[0.0, 0.0]]
+    assert actions.z_type.tolist() == [True]
 
 
 def test_enumerate_cat_finds_x_cycle():
     for S, K in [(1, 2), (2, 2), (3, 3)]:
         code = qsc.build("cat", 4.0, S=S, K=K)
         actions = enumerate_phase_symmetries(code, S * K)
-        x_cycles = [a for a in actions if a.classification == X_TYPE]
-        full_cycle = [a for a in x_cycles
-                      if sorted(_cycle_lengths(a.codeword_permutation)) == [K]]
+        full_cycle = [pi for pi, z in zip(actions.codeword_permutations.tolist(),
+                                          actions.z_type.tolist())
+                      if not z and sorted(_cycle_lengths(pi)) == [K]]
         assert full_cycle, f"cat({S},{K}) should have a K-cycle X gate"
 
 
-def _cycle_lengths(perm: tuple[int, ...]) -> list[int]:
+def _cycle_lengths(perm: list[int]) -> list[int]:
     seen = set()
     lengths = []
     for start in range(len(perm)):
@@ -161,29 +158,70 @@ def _cycle_lengths(perm: tuple[int, ...]) -> list[int]:
 def test_z_type_actions_fix_every_codeword():
     for name, params in [("cat", {"S": 2, "K": 2}), ("gamma", {"n": 2, "q": 3})]:
         code = qsc.build(name, 4.0, **params)
-        for action in enumerate_phase_symmetries(code, 6):
-            if action.classification == Z_TYPE:
-                assert action.codeword_permutation == tuple(range(code.K))
+        actions = enumerate_phase_symmetries(code, 6)
+        assert actions.z_type.any() and not actions.z_type.all()
+        for pi, z in zip(actions.codeword_permutations.tolist(), actions.z_type.tolist()):
+            assert z == (pi == list(range(code.K)))
 
 
-def _no_work(*args):
+def _no_work(*args, **kwargs):
     raise AssertionError("work done before the budget guard")
 
 
 def test_enumerate_budget(monkeypatch):
-    code = qsc.build("gamma", 4.0, n=2, q=3)
-    monkeypatch.setattr(qsc.symmetries, "PHASE_CANDIDATE_BUDGET", 50)
-    enumerate_phase_symmetries(code, 4)   # 1 + 4 + 9 + 16 = 30 candidates
-    monkeypatch.setattr(qsc.symmetries, "_phase_candidates", _no_work)
-    with pytest.raises(BudgetExceededError, match="55 phase candidates exceed the budget 50"):
-        enumerate_phase_symmetries(code, 5)
+    # one pivot with 4 targets, each sending the 4 points of n = 1 mode: 16 images
+    code = qsc.build("cat", 4.0, S=2, K=2)
+    monkeypatch.setattr(qsc.symmetries, "PHASE_IMAGE_BUDGET", 16)
+    assert len(enumerate_phase_symmetries(code, 4)) == 4
+    monkeypatch.setattr(qsc.symmetries, "PHASE_IMAGE_BUDGET", 15)
+    monkeypatch.setattr(np, "meshgrid", _no_work)
+    monkeypatch.setattr(qsc.symmetries, "_match_images", _no_work)
+    with pytest.raises(BudgetExceededError, match="16 candidate images exceed the budget 15"):
+        enumerate_phase_symmetries(code, 4)
 
 
-def test_enumerate_budget_stops_the_count_once_passed(two_legged):
-    # summing m over a billion orders takes minutes; the count stops at m = 1414
+def test_orthoplex_group_of_4_to_the_12_rotations_is_refused_before_any_candidate(monkeypatch):
+    # twelve pivots, each with its four images i^j e_k: 4^12 candidates of 48 points
+    code = qsc.build("orthoplex", 4.0, n=12)
+    monkeypatch.setattr(np, "meshgrid", _no_work)
+    monkeypatch.setattr(qsc.symmetries, "_match_images", _no_work)
     with pytest.raises(BudgetExceededError,
-                       match="1000405 phase candidates exceed the budget 1000000"):
-        enumerate_phase_symmetries(two_legged, 10 ** 9)
+                       match=f"{4 ** 12 * 48 * 12} candidate images exceed the budget"):
+        enumerate_phase_symmetries(code, 8)
+
+
+def test_an_order_beyond_every_denominator_changes_nothing(two_legged):
+    # the candidates come from the points, so an order of a billion costs
+    # what order 8 costs, and finds the same rotations
+    assert _actions(enumerate_phase_symmetries(two_legged, 10 ** 9)) == \
+        _actions(enumerate_phase_symmetries(two_legged, 8))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_least_denominators_match_a_search_over_every_denominator(seed):
+    # centers anywhere in a turn, half-widths from 1e-6 (least denominators
+    # beyond the limit) to a half turn (always 0/1)
+    rng = np.random.default_rng(seed)
+    center = rng.uniform(-0.5, 0.5, 200)
+    half = 10.0 ** rng.uniform(-6.0, math.log10(0.5), 200)
+    k, m = _least_denominators(center - half, center + half, 300)
+    want = [brute_least_denominator(c - h, c + h, 300) for c, h in zip(center, half)]
+    assert list(zip(k.tolist(), m.tolist())) == want
+    assert 0 < np.sum(m == 0) < 200
+
+
+def test_least_denominators_recover_exact_phases():
+    # each k/m, m <= 60, within 1e-10 of a turn, at a limit past int32
+    fractions = sorted({(k % m, m) for m in range(1, 61) for k in range(-m, m)
+                        if math.gcd(k, m) == 1})
+    center = np.array([k / m if 2 * k <= m else k / m - 1.0 for k, m in fractions])
+    k, m = _least_denominators(center - 1e-10, center + 1e-10, 10 ** 12)
+    assert list(zip(k.tolist(), m.tolist())) == fractions
+
+
+def test_orders_above_max_order_are_dropped(cat33):
+    assert enumerate_phase_symmetries(cat33, 8).orders.tolist() == [1, 3, 3]
+    assert enumerate_phase_symmetries(cat33, 9).orders.tolist() == [1, 3, 3, 9, 9, 9, 9, 9, 9]
 
 
 # ---------------------------------------------------------------------------
@@ -300,42 +338,58 @@ def test_ideal_budget(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# pivot prefilter against the unfiltered enumeration
+# candidates read off the points against the exhaustive enumeration
 # ---------------------------------------------------------------------------
 
-def _actions(actions):
-    return [(a.unitary.per_mode_phases, a.classification, a.codeword_permutation,
-             a.point_permutation) for a in actions]
+def _actions(actions: PhaseSymmetries):
+    return (actions.phases.tolist(), actions.targets.tolist(),
+            actions.codeword_permutations.tolist(), actions.z_type.tolist())
 
 
 @pytest.mark.parametrize("energy", [1.0, 4.0, 16.0])
-def test_prefilter_matches_unfiltered_enumeration(energy):
+def test_phase_symmetries_match_exhaustive_enumeration(energy):
     for entry in qsc.list_catalog():
         code = entry.build(energy)
         assert _actions(enumerate_phase_symmetries(code, 8)) == \
             _actions(brute_phase_symmetries(code, 8)), entry.entry_id
 
 
-def test_prefilter_survivor_rejected_by_block_classification(monkeypatch):
+@pytest.mark.parametrize("energy", [1e-24, 1e-17, 1e-6, 1e12, 1e14, 1e20])
+def test_phase_symmetries_do_not_depend_on_the_energy(energy):
+    for entry in qsc.list_catalog():
+        want = _actions(enumerate_phase_symmetries(entry.build(4.0), 8))
+        code = code_from_json(code_to_json(entry.build(energy)))
+        assert _actions(enumerate_phase_symmetries(code, 8)) == want, entry.entry_id
+
+
+def test_candidates_that_map_the_pivot_but_not_every_point_are_rejected():
     # the pivot is the first point, 2: the rotations by pi and pi/2 map it
     # onto a point, but send 2i and -2 to -2i, which is not a point
     code = code_of(1, 4.0, [[[2.0], [-2.0]], [[2j]]])
+    actions = enumerate_phase_symmetries(code, 8)
+    assert _actions(actions) == _actions(brute_phase_symmetries(code, 8))
+    assert actions.phases.tolist() == [[0.0]]
+    assert rotation_action(code, [math.pi]) is None
+    assert rotation_action(code, [math.pi / 2]) is None
+
+
+def test_candidates_agree_on_the_modes_pivots_share(monkeypatch):
+    # the pivots (2, 1) of mode 1 and (1, 2) of mode 2 each have two targets,
+    # themselves and the copy rotated by a third of a turn on their own mode;
+    # every choice but the identity rotates the other pivot off its target
+    w = np.exp(2j * np.pi / 3)
+    code = code_of(2, 5.0, [[[2, 1], [1, 2], [2 * w, 1], [1, 2 * w]]])
     classified = []
     match = qsc.symmetries._match_images
 
-    def recording(c, unitaries, tol):
-        maps, target, pi = match(c, unitaries, tol)
-        angles = np.angle(np.diagonal(unitaries, axis1=1, axis2=2))
-        classified.extend(zip(map(tuple, angles.tolist()), maps.tolist()))
-        return maps, target, pi
+    def recording(c, phases, tol):
+        classified.append(phases.tolist())
+        return match(c, phases, tol)
 
     monkeypatch.setattr(qsc.symmetries, "_match_images", recording)
-    actions = enumerate_phase_symmetries(code, 8)
-    assert _actions(actions) == _actions(brute_phase_symmetries(code, 8))
-    assert [a.unitary.per_mode_phases for a in actions] == [(0.0,)]
-    rejected = [angles for angles, maps in classified if not maps]
-    assert rejected == [pytest.approx((math.pi,)), pytest.approx((math.pi / 2,))]
-    assert len(classified) < 22   # every other candidate of order <= 8 is screened out
+    actions = enumerate_phase_symmetries(code, 6)
+    assert classified == [[[0.0, 0.0]]]
+    assert _actions(actions) == _actions(brute_phase_symmetries(code, 6))
 
 
 @st.composite
@@ -356,7 +410,7 @@ def phase_pattern_codes(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(code=phase_pattern_codes(), max_order=st.integers(1, 8))
-def test_block_classification_matches_brute_force(code, max_order):
+def test_phase_symmetries_of_phase_patterns_match_exhaustive_enumeration(code, max_order):
     assert _actions(enumerate_phase_symmetries(code, max_order)) == \
         _actions(brute_phase_symmetries(code, max_order))
 
@@ -366,21 +420,27 @@ def test_block_classification_matches_brute_force(code, max_order):
     ("gamma", {"n": 2, "q": 3}, 8),
     ("cell600", {"partition": "five"}, 6),
     ("hessian", {}, 6),
+    ("css", {"q": 2, "length": 7}, 2),
 ])
-def test_phase_symmetries_independent_of_block_size(name, params, max_order, monkeypatch):
-    code = qsc.build(name, 4.0, **params)
-    default = _actions(enumerate_phase_symmetries(code, max_order))
-    monkeypatch.setattr(qsc.symmetries, "PHASE_BLOCK_ENTRIES", 1)
-    assert _actions(enumerate_phase_symmetries(code, max_order)) == default
+def test_phase_symmetries_match_exhaustive_enumeration_at_other_orders(name, params, max_order):
+    if name == "css":   # 128 singleton codewords
+        code = qsc.compile_css(qsc.ClassicalCodeSpec(params["q"], params["length"], [], []), 2.0)
+        assert (code.K, len(code.point_array)) == (128, 128)
+    else:
+        code = qsc.build(name, 4.0, **params)
+    assert _actions(enumerate_phase_symmetries(code, max_order)) == \
+        _actions(brute_phase_symmetries(code, max_order))
 
 
-def test_phase_symmetries_of_singleton_codewords_independent_of_block_size(monkeypatch):
-    code = qsc.compile_css(qsc.ClassicalCodeSpec(2, 7, gen_x=[], gen_z=[]), 2.0)
-    assert (code.K, len(code.point_array)) == (128, 128)
-    default = _actions(enumerate_phase_symmetries(code, 2))
-    assert default == _actions(brute_phase_symmetries(code, 2))
-    monkeypatch.setattr(qsc.symmetries, "PHASE_BLOCK_ENTRIES", 1)
-    assert _actions(enumerate_phase_symmetries(code, 2)) == default
+def test_phase_symmetries_of_the_256_point_css_code_are_its_word_translations():
+    # K = 64 codewords of 4 points: every y in F_2^8 maps the words onto
+    # themselves, so the rotations by pi y are its 256 symmetries, of order 2
+    gen_x = [[1, 0, 0, 0, 0, 0, 0, 1], [0, 1, 0, 0, 0, 0, 0, 1]]
+    code = qsc.compile_css(qsc.ClassicalCodeSpec(2, 8, gen_x, []), 1.8)
+    assert (code.K, len(code.point_array)) == (64, 256)
+    actions = enumerate_phase_symmetries(code, 8)
+    assert len(actions) == 256 and int(np.sum(actions.z_type)) == 4
+    assert _actions(actions) == _actions(brute_binary_css_translations(code, gen_x))
 
 
 # ---------------------------------------------------------------------------
