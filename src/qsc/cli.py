@@ -22,7 +22,8 @@ import sys
 
 import numpy as np
 
-from .constellation import QSCode, QscError, code_from_json, code_to_json, min_separation
+from .constellation import (CodeFormatError, QSCode, QscError, code_from_json, code_to_json,
+                            min_separation)
 
 
 def _fmt(x: float) -> str:
@@ -30,8 +31,12 @@ def _fmt(x: float) -> str:
 
 
 def _load_code(path: str) -> QSCode:
-    with open(path) as fh:
-        return code_from_json(fh.read())
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise CodeFormatError(f"not UTF-8 text: {exc}") from None
+    return code_from_json(text)
 
 
 def _write_output(text: str, path: str | None) -> None:
@@ -384,9 +389,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "recovery.  Loss is exact in the code's coherent frame, for any "
                     "number of modes; dephasing uses the exact Kraus operators of the "
                     "Gaussian phase multiplier on a Fock space truncated at --cutoff "
-                    "per mode, on any number of modes whose joint dimension "
-                    "cutoff^modes fits the simulation's budget.  The cutoff is "
-                    "derived from the code unless given.")
+                    "per mode, on any number of modes; an input whose arrays would "
+                    "not fit the simulation's budget of entries is refused.")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--channel", choices=["loss", "dephasing"], default="loss")
     p.add_argument("--gammas", default="0.001:0.05:10",
@@ -394,8 +398,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigmas", default="0.01:0.2:10",
                    help="dephasing levels start:stop:count")
     p.add_argument("--cutoff", type=int, default=None,
-                   help="Fock cutoff per mode, dephasing only (default: derived from the "
-                        "code, where no point leaves more than machine epsilon beyond it)")
+                   help="Fock cutoff per mode, dephasing only (default: the least beyond "
+                        "which no point of the code leaves more than machine epsilon)")
     p.add_argument("--csv", default="-")
     p.add_argument("--json", action="store_true")
 

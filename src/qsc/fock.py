@@ -20,9 +20,10 @@ orthonormal codewords E_j |e_mu>, which one function turns into the fidelity.
   with the code one mode at a time and compressed after each, since their
   joint index would otherwise grow as a power of the mode count.  No quadrature.
 
+Each array a channel builds is checked against one budget of ``ENTRY_BUDGET``
+entries before it is built, so no cutoff or mode count is capped as such.
 ``embed_codewords`` writes every codeword as a number-basis vector on any
-number of modes whose joint dimension cutoff^modes fits ``DIM_BUDGET``; the
-test suite's Fock oracles start from it.
+number of modes; the test suite's Fock oracles start from it.
 """
 
 from __future__ import annotations
@@ -34,9 +35,10 @@ import numpy as np
 
 from .constellation import QSCode, QscError
 
-# Largest joint Fock dimension cutoff^modes of the truncated simulation, the
-# length of each embedded codeword: cutoff 64 on 2 modes, 16 on 3, 8 on 4.
-DIM_BUDGET = 4096
+# Most entries of any array a channel builds: a 3000 x 3000 Gram matrix, held
+# twice while decomposed (2 x 16 x 3000^2 bytes = 288 MB), as a pair tensor is
+# while its axes are reordered.
+ENTRY_BUDGET = 3000 ** 2
 TAIL_TOL = 1e-12
 COMPLETENESS_TOL = 1e-8
 # Eigenvalues below this share of the largest are dropped.  The matrices
@@ -44,11 +46,6 @@ COMPLETENESS_TOL = 1e-8
 # weights and the corrupted-codeword Gram matrix) are positive semidefinite,
 # and below it an eigenvalue is within rounding of the largest.
 EIGEN_FLOOR = 1e-14
-# Largest corrupted-codeword Gram dimension J*K (J Kraus operators, K codewords),
-# held twice while decomposed (2 x 16 x 3000^2 bytes = 288 MB).  Both channels
-# refuse K above it before any work (J >= 1); dephasing checks each mode's joint
-# J before compressing it (nine codewords at sigma = 0.5: 26 x 26 x 9).
-GRAM_DIM_BUDGET = 3000
 EPS = np.finfo(float).eps
 # Past this codeword Gram condition number G^(-1/2) keeps under half its digits.
 GRAM_CONDITION_LIMIT = 1.0 / math.sqrt(EPS)
@@ -60,6 +57,11 @@ class TruncationError(QscError):
 
 class KrausCompletenessError(QscError):
     """The truncated Kraus set is not close enough to trace preserving."""
+
+
+def _check_entries(entries: int, what: str) -> None:
+    if entries > ENTRY_BUDGET:
+        raise QscError(f"{what} would hold {entries} entries, above the budget {ENTRY_BUDGET}")
 
 
 @dataclass(frozen=True)
@@ -74,10 +76,6 @@ class FockConfig:
             raise ValueError("cutoff must be at least 2")
         if self.modes < 1:
             raise ValueError("modes must be at least 1")
-        if self.cutoff ** self.modes > DIM_BUDGET:
-            raise QscError(
-                f"Hilbert dimension cutoff^modes = {self.cutoff}^{self.modes} = "
-                f"{self.cutoff ** self.modes} exceeds the budget {DIM_BUDGET}")
 
     @property
     def dim(self) -> int:
@@ -86,18 +84,17 @@ class FockConfig:
     @classmethod
     def for_code(cls, code: QSCode) -> FockConfig:
         """The smallest c at which the Poisson tail sum_{n >= c} e^-a a^n / n!
-        of the largest |z_m|^2 = a is at most machine epsilon, capped at the
-        budget for the code's modes (where the embedding still checks TAIL_TOL)."""
-        cap = round(DIM_BUDGET ** (1.0 / code.modes))
-        cap -= cap ** code.modes > DIM_BUDGET
+        of the largest |z_m|^2 = a is at most machine epsilon.  The tail at any
+        c <= a is about 1/2 or more, so c > a: a code whose c x c dephasing
+        multiplier cannot fit the budget is refused before any series is summed."""
         a = max(float(np.max(np.abs(code.point_array) ** 2)), np.finfo(float).tiny)
-        if a >= cap:   # the tail at any c <= a is about 1/2 or more, so c > a
-            return cls(cutoff=max(2, cap), modes=code.modes)
+        least = math.floor(a) + 1
+        _check_entries(least ** 2, f"the dephasing multiplier at cutoff {least} (|z|^2 = {a:.4g})")
         # past n = 2a the terms at least halve: 64 more leave out < 2^-63 of them
         n = np.arange(1, 2 * math.ceil(a) + 64)
         terms = np.exp(-a + np.concatenate(([0.0], np.cumsum(np.log(a / n)))))
         c = int(np.argmax(np.cumsum(terms[::-1])[::-1] <= EPS))
-        return cls(cutoff=max(2, min(c, cap)), modes=code.modes)
+        return cls(cutoff=max(2, c), modes=code.modes)
 
 
 def embed_codewords(code: QSCode, cfg: FockConfig) -> np.ndarray:
@@ -106,6 +103,7 @@ def embed_codewords(code: QSCode, cfg: FockConfig) -> np.ndarray:
     if code.modes != cfg.modes:
         raise QscError(f"code has {code.modes} modes, config expects {cfg.modes}")
     Z = code.point_array
+    _check_entries(len(Z) * cfg.dim, f"the embedding of {len(Z)} points at cutoff {cfg.cutoff}")
     steps = Z[:, :, None] / np.sqrt(np.arange(1, cfg.cutoff))
     # e^{-|z|^2/2} z^k / sqrt(k!) of every point and mode, (N, n, cutoff)
     amps = np.cumprod(np.dstack((np.exp(-0.5 * np.abs(Z) ** 2), steps)), axis=2)
@@ -126,18 +124,11 @@ def embed_codewords(code: QSCode, cfg: FockConfig) -> np.ndarray:
 # Channel fidelity with transpose-channel recovery
 # ---------------------------------------------------------------------------
 
-def _check_gram_dim(J: int, K: int) -> None:
-    if J * K > GRAM_DIM_BUDGET:
-        raise QscError(f"the corrupted-codeword Gram matrix would have dimension {J * K} "
-                       f"({J} Kraus operators x {K} codewords), above the budget {GRAM_DIM_BUDGET}")
-
-
 def _check_codeword_count(code: QSCode) -> None:
-    """At least two codewords, and few enough for a Gram matrix of one Kraus
-    operator: a larger code is refused before any of its frame is built."""
+    """At least two codewords, whose Gram matrix fits: checked before any frame is built."""
     if code.K < 2:
         raise ValueError("channel fidelity needs at least two codewords")
-    _check_gram_dim(1, code.K)
+    _check_entries(code.K ** 2, f"the Gram matrix of {code.K} codewords")
 
 
 def _kept_eigenpairs(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -187,8 +178,8 @@ def loss_channel_fidelity(code: QSCode, gamma: float) -> float:
     |sqrt(eta) z_i> with X[(a, mu), i] = sqrt(lambda_a) conj(V[i, a]) A[mu, i],
     so the Gram matrix is conj(X) P X^T, already (a, mu)-major: it goes to the
     fidelity as it is, one eigendecomposition, with no rotation of the Kraus
-    index.  A code with more codewords than GRAM_DIM_BUDGET is refused before
-    its overlaps are built.
+    index.  A code whose Gram matrix cannot fit the budget even with one Kraus
+    operator is refused before its overlaps are built.
     """
     if not 0.0 <= gamma < 1.0:
         raise ValueError("gamma must lie in [0, 1)")
@@ -199,7 +190,7 @@ def loss_channel_fidelity(code: QSCode, gamma: float) -> float:
     A = inv_sqrt.T[:, index] / np.sqrt(norms[index])
     lam, V = _kept_eigenpairs(code.scaled_overlap(gamma))
     J, K = len(lam), code.K
-    _check_gram_dim(J, K)
+    _check_entries((J * K) ** 2, f"the Gram matrix of {J} Kraus operators x {K} codewords")
     X = (np.sqrt(lam)[:, None, None] * V.T.conj()[:, None, :] * A[None, :, :]).reshape(J * K, -1)
     return _transpose_recovery_fidelity(X.conj() @ code.scaled_overlap(1.0 - gamma) @ X.T, J, K)
 
@@ -210,6 +201,7 @@ def _dephasing_kraus(sigma: float, cutoff: int) -> np.ndarray:
     exp(-sigma^2 (m-n)^2/2), so that sum_a D_a rho D_a^dag is the multiplier
     applied to rho."""
     m = np.arange(cutoff)
+    sigma = min(sigma, 40.0)   # exp(-800) is 0: complete dephasing, and no overflow past it
     d, U = _kept_eigenpairs(np.exp(-0.5 * sigma ** 2 * (m[:, None] - m[None, :]) ** 2))
     return (U * np.sqrt(d)).T
 
@@ -230,19 +222,21 @@ def dephasing_channel_fidelity(code: QSCode, sigma: float,
         raise ValueError(f"sigma must be finite and nonnegative, got {sigma}")
     _check_codeword_count(code)
     cfg = cfg or FockConfig.for_code(code)
+    K, c, n = code.K, cfg.cutoff, cfg.modes
+    _check_entries(c * c, f"the dephasing multiplier at cutoff {c}")
+    _check_entries(K * K * cfg.dim, f"the pair tensor of {K} codewords at cutoff {c} on {n} modes")
     # the embedding refuses a truncated code before the multiplier is decomposed
     psis = embed_codewords(code, cfg)
-    kraus = _dephasing_kraus(sigma, cfg.cutoff)
+    kraus = _dephasing_kraus(sigma, c)
     # the joint completeness is a Kronecker power: its extremes are one mode's, powered
     s = np.sum(kraus ** 2, axis=0)
-    deviation = max(abs(s.max() ** cfg.modes - 1.0), abs(s.min() ** cfg.modes - 1.0))
+    deviation = max(abs(s.max() ** n - 1.0), abs(s.min() ** n - 1.0))
     if deviation > COMPLETENESS_TOL:
         raise KrausCompletenessError(f"dephasing Kraus completeness deviates by {deviation:.3e}")
     # points within rounding of the real axis (as alpha e^{i pi}) have real states
     if np.all(np.abs(code.point_array.imag) <= 4 * EPS * np.abs(code.point_array)):
         psis = psis.real
     ortho = _inverse_sqrt(psis.conj() @ psis.T).T @ psis
-    K, c, n = code.K, cfg.cutoff, cfg.modes
     probs = np.sum(np.abs(ortho) ** 2, axis=0).reshape((c,) * n)
     # T[mu, nu, x, A, B] = conj(e_mu(x)) e_nu(x) D_A D_B over the modes done,
     # x the number states of the rest: the Gram matrix once all are done.
@@ -251,7 +245,9 @@ def dephasing_channel_fidelity(code: QSCode, sigma: float,
         w = np.sum(probs, axis=tuple(i for i in range(n) if i != m))
         k = _kept_eigenpairs((kraus * w) @ kraus.T)[1].T @ kraus
         J = T.shape[-1] * len(k)
-        _check_gram_dim(J, K)
+        # the mode's largest array, and no smaller than its compression or the Gram matrix
+        _check_entries(K * K * T.shape[2] // c * J * J,
+                       f"the pair tensor of {J} Kraus operators x {K} codewords at mode {m}")
         T = np.tensordot(T.reshape(K, K, c, -1, *T.shape[-2:]), k[:, None] * k[None], axes=(2, 2))
         T = T.transpose(0, 1, 2, 3, 5, 4, 6).reshape(K, K, -1, J, J)
         if m and len(k) > 1:   # mode 0 is already cut by its marginal; one operator adds none

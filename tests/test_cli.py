@@ -109,6 +109,17 @@ def test_unreadable_code_file_is_a_computation_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_code_file_that_is_not_utf8_is_a_computation_error(tmp_path, capsys):
+    # a UTF-16 byte order mark: a malformed document, not a usage error
+    bad = tmp_path / "utf16.json"
+    bad.write_bytes(b"\xff\xfe" + qsc.code_to_json(qsc.build("cat", 4.0)).encode("utf-16-le"))
+    assert run(["kl", "--in", str(bad)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: not UTF-8 text: ") and err.count("\n") == 1
+    with pytest.raises(qsc.CodeFormatError):
+        qsc.cli._load_code(str(bad))
+
+
 def _json_out(argv, capsys):
     assert run(argv) == 0
     return json.loads(capsys.readouterr().out)
@@ -188,19 +199,32 @@ def test_perf_loss_on_three_modes(tmp_path, capsys):
     assert fids == sorted(fids, reverse=True) and len(set(fids)) == 4
 
 
-def test_perf_dephasing_on_three_modes_is_a_computation_error(tmp_path, capsys):
-    # at E = 4 the derived cutoff (23) is capped at the budget's 16 on three
-    # modes, where the tail check refuses the amplitudes sqrt(2)
-    path = tmp_path / "hessian.json"
-    path.write_text(qsc.code_to_json(qsc.build("hessian", 4.0)))
-    assert run(["perf", "--in", str(path), "--channel", "dephasing", "--sigmas", "0.1"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: coherent tail mass") and "beyond cutoff 16" in err
-    assert "Traceback" not in err
+def test_perf_dephasing_past_the_budget_is_one_error_line(tmp_path, capsys):
+    # q = 2, length 3, gen_x = 111 at alpha = 2: sigma = 0.2 would need a
+    # 24.3M-entry pair tensor
+    path = tmp_path / "css3.json"
+    spec = qsc.ClassicalCodeSpec(2, 3, gen_x=[[1, 1, 1]], gen_z=[])
+    path.write_text(qsc.code_to_json(qsc.compile_css(spec, 2.0)))
+    argv = ["perf", "--in", str(path), "--channel", "dephasing", "--json", "--sigmas"]
+    assert _json_out(argv + ["0.1"], capsys)[0]["fidelity"] == pytest.approx(
+        0.999997052975, abs=1e-12)
+    assert run(argv + ["0.2"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: the pair tensor of 225 Kraus operators")
+    assert "above the budget 9000000" in err and err.count("\n") == 1
 
 
-def test_perf_dephasing_on_three_modes_within_the_dimension_budget(tmp_path, capsys):
-    # cutoff 16 on three modes is 16^3 = 4096, the whole budget
+def test_perf_complete_dephasing_at_any_finite_sigma(tmp_path, capsys):
+    # from sigma = 40 the multiplier is the identity in floating point; a
+    # sigma whose square overflows gives the same value
+    path = tmp_path / "two_legged.json"
+    path.write_text(qsc.code_to_json(qsc.build("cat", 4.0, S=1, K=2)))
+    fids = [_json_out(["perf", "--in", str(path), "--channel", "dephasing", "--sigmas", sigma,
+                       "--json"], capsys)[0]["fidelity"] for sigma in ("1e3", "1.3e154", "1e300")]
+    assert fids[0] == fids[1] == fids[2] == pytest.approx(0.5, abs=1e-12)
+
+
+def test_perf_dephasing_at_a_given_cutoff_checks_the_tail(tmp_path, capsys):
     low, high = tmp_path / "hessian1.json", tmp_path / "hessian4.json"
     low.write_text(qsc.code_to_json(qsc.build("hessian", 1.0)))
     high.write_text(qsc.code_to_json(qsc.build("hessian", 4.0)))
@@ -232,14 +256,19 @@ def test_perf_dephasing_at_the_derived_cutoff_reproduces_locked_values(tmp_path,
         assert f"dephasing 0.1 at cutoff {cutoff}: F = " in capsys.readouterr().err
 
 
-def test_perf_dephasing_on_three_modes_at_the_derived_cutoff(tmp_path, capsys):
-    # the hessian at E = 1 derives cutoff 15, inside the budget's 16
-    path = tmp_path / "hessian1.json"
-    path.write_text(qsc.code_to_json(qsc.build("hessian", 1.0)))
-    argv = ["perf", "--in", str(path), "--channel", "dephasing", "--sigmas", "0.1", "--json"]
-    derived = _json_out(argv, capsys)[0]["fidelity"]
-    assert abs(derived - _json_out(argv + ["--cutoff", "16"], capsys)[0]["fidelity"]) <= 1e-12
-    assert derived == pytest.approx(0.978609532328, abs=1e-12)
+@pytest.mark.parametrize("energy, cutoff, larger, fidelity", [(1.0, 15, 16, 0.978609532328),
+                                                              (4.0, 23, 27, 0.994350682313)])
+def test_perf_dephasing_on_three_modes_at_the_derived_cutoff(energy, cutoff, larger, fidelity,
+                                                             tmp_path, capsys):
+    path = tmp_path / "hessian.json"
+    path.write_text(qsc.code_to_json(qsc.build("hessian", energy)))
+    argv = ["perf", "--in", str(path), "--channel", "dephasing", "--sigmas", "0.1"]
+    derived = _json_out(argv + ["--json"], capsys)[0]["fidelity"]
+    assert abs(derived - _json_out(argv + ["--json", "--cutoff", str(larger)],
+                                   capsys)[0]["fidelity"]) <= 1e-12
+    assert derived == pytest.approx(fidelity, abs=1e-12)
+    assert run(argv) == 0
+    assert f"dephasing 0.1 at cutoff {cutoff}: F = " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("channel", ["loss", "dephasing"])
@@ -324,7 +353,7 @@ def _circle_code(points: int, codewords: int) -> qsc.QSCode:
 @pytest.mark.parametrize("argv, points, codewords, message", [
     (["kl", "--max-degree", "1"], 4097, 2, "overlap matrix of 4097 points"),
     (["perf", "--channel", "loss", "--gammas", "0.01"], 3001, 3001,
-     "Gram matrix would have dimension 3001"),
+     "Gram matrix of 3001 codewords would hold 9006001 entries"),
 ], ids=["kl", "perf loss"])
 def test_oversized_code_is_refused_with_one_line(argv, points, codewords, message,
                                                  tmp_path, capsys):

@@ -34,16 +34,24 @@ from conftest import code_of, random_three_point_code
 CFG1 = FockConfig(cutoff=60, modes=1)
 
 
-def test_config_validation():
+def test_config_validation(monkeypatch):
     with pytest.raises(ValueError):
         FockConfig(cutoff=1, modes=1)
     with pytest.raises(ValueError):
         FockConfig(cutoff=10, modes=0)
-    assert FockConfig(cutoff=16, modes=3).dim == 4096
-    with pytest.raises(qsc.QscError, match=r"cutoff\^modes = 17\^3 = 4913"):
-        FockConfig(cutoff=17, modes=3)
-    with pytest.raises(qsc.QscError, match=r"cutoff\^modes"):
-        FockConfig(cutoff=100, modes=2)  # 10000 > 4096
+    # no cap on cutoff^modes: the budget is on the entries of what is built,
+    # here the embedding, N cutoff^modes
+    assert FockConfig(cutoff=17, modes=3).dim == 4913
+    assert FockConfig(cutoff=100, modes=4).dim == 10 ** 8
+    hessian = qsc.build("hessian", 1.0)
+    with pytest.raises(qsc.QscError, match="embedding of 27 points at cutoff 70 would hold "
+                                           "9261000 entries, above the budget 9000000"):
+        embed_codewords(hessian, FockConfig(cutoff=70, modes=3))
+    # at the budget the check passes
+    monkeypatch.setattr(qsc.fock, "ENTRY_BUDGET", 27 * 16 ** 3)
+    assert embed_codewords(hessian, FockConfig(cutoff=16, modes=3)).shape == (3, 4096)
+    with pytest.raises(qsc.QscError, match="27 points at cutoff 17 would hold 132651 entries"):
+        embed_codewords(hessian, FockConfig(cutoff=17, modes=3))
 
 
 def test_vacuum_embedding():
@@ -304,19 +312,21 @@ def test_channels_reject_a_single_codeword():
         dephasing_channel_fidelity(single, 0.1, FockConfig(cutoff=20, modes=2))
 
 
-def test_channels_refuse_more_codewords_than_the_gram_budget_before_any_work(monkeypatch):
-    # one Kraus operator per codeword is the least a Gram matrix can have
+def test_channels_refuse_more_codewords_than_the_budget_before_any_work(monkeypatch):
+    # one Kraus operator per codeword is the least a Gram matrix can have:
+    # K = 3001 codewords make 3001^2 entries, above 3000^2
     code = QSCode(1, 4.0, 2.0 * np.exp(2j * np.pi * np.arange(3001) / 3001)[:, None],
                   [1] * 3001, [str(mu) for mu in range(3001)])
     for channel, level in ((loss_channel_fidelity, 0.01), (dephasing_channel_fidelity, 0.1)):
-        with pytest.raises(qsc.QscError, match="dimension 3001 .* above the budget 3000"):
+        with pytest.raises(qsc.QscError, match="Gram matrix of 3001 codewords would hold "
+                                               "9006001 entries, above the budget 9000000"):
             channel(code, level)
     assert not {"overlap", "codeword_norms_sq"} & set(vars(code))
     # at the budget the check passes: without loss the environment keeps one state
-    monkeypatch.setattr(qsc.fock, "GRAM_DIM_BUDGET", 4)
+    monkeypatch.setattr(qsc.fock, "ENTRY_BUDGET", 4 ** 2)
     four, five = (qsc.build("cat", 4.0, S=1, K=K) for K in (4, 5))
     assert loss_channel_fidelity(four, 0.0) == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(qsc.QscError, match="dimension 5 "):
+    with pytest.raises(qsc.QscError, match="Gram matrix of 5 codewords would hold 25 entries"):
         loss_channel_fidelity(five, 0.0)
 
 
@@ -347,11 +357,31 @@ def test_loss_is_invariant_under_a_global_phase_and_the_point_order(entry, energ
 def test_dephasing_gram_budget():
     # q = 3, length 2, no generators: nine single-point codewords at alpha = 2.
     # At sigma = 0.5 each mode keeps 26 Kraus operators after compression, so
-    # the Gram matrix would be 676 x 9 = 6,084 square (590 MB)
+    # the second mode's pair tensor would hold 9^2 x (26 x 26)^2 entries (590 MB)
     code = qsc.compile_css(qsc.ClassicalCodeSpec(3, 2, gen_x=[], gen_z=[]), 2.0)
     assert code.K == 9
-    with pytest.raises(qsc.QscError, match="budget"):
+    with pytest.raises(qsc.QscError, match="pair tensor of 676 Kraus operators x 9 codewords "
+                                           "at mode 1 would hold 37015056 entries"):
         dephasing_channel_fidelity(code, 0.5, FockConfig(cutoff=60, modes=2))
+
+
+def test_dephasing_refuses_a_pair_tensor_past_the_budget_before_building_it(monkeypatch):
+    # q = 2, length 3, gen_x = 111: K = 4 codewords of two points at alpha = 2,
+    # derived cutoff 30.  At sigma = 0.2 the second mode's pair tensor would
+    # hold 4^2 x 30 x 225^2 entries (389 MB): no array that large is built
+    code = qsc.compile_css(qsc.ClassicalCodeSpec(2, 3, gen_x=[[1, 1, 1]], gen_z=[]), 2.0)
+    sizes, tensordot = [], np.tensordot
+
+    def recorded(*args, **kwargs):
+        result = tensordot(*args, **kwargs)
+        sizes.append(result.size)
+        return result
+    monkeypatch.setattr(np, "tensordot", recorded)
+    assert dephasing_channel_fidelity(code, 0.1) == pytest.approx(0.999997052975, abs=1e-12)
+    with pytest.raises(qsc.QscError, match="pair tensor of 225 Kraus operators x 4 codewords "
+                                           "at mode 1 would hold 24300000 entries"):
+        dephasing_channel_fidelity(code, 0.2)
+    assert max(sizes) <= qsc.fock.ENTRY_BUDGET
 
 
 def test_dephasing_beyond_old_budget(repetition_css):
@@ -453,42 +483,49 @@ def test_derived_cutoff_is_the_smallest_with_a_tail_below_epsilon(code, a, cutof
     assert FockConfig.for_code(code) == FockConfig(cutoff=cutoff, modes=code.modes)
 
 
-def test_derived_cutoff_is_capped_by_the_dimension_budget():
-    # the caps: 4096 on one mode, 64 on two, 16 on three
-    for code, cap in ((qsc.build("cat", 5000.0, S=1, K=2), 4096), (_rep2(6.0), 64),
-                      (qsc.build("hessian", 4.0), 16)):
-        assert FockConfig.for_code(code).cutoff == cap
-    # the hessian at E = 4 (a = 2) would take 23, and 16 photons leave a tail
-    # above TAIL_TOL, which the embedding still refuses
-    assert _poisson_tail(2.0, 23) <= EPS < _poisson_tail(2.0, 22)
-    with pytest.raises(TruncationError, match="beyond cutoff 16"):
-        dephasing_channel_fidelity(qsc.build("hessian", 4.0), 0.1)
+def test_derived_cutoff_has_no_cap():
+    # the tail alone sets the cutoff, on any number of modes: 23 for the
+    # hessian at E = 4 (a = 2) on three, 96 for alpha = 6 on two
+    for code, a, cutoff in ((qsc.build("hessian", 4.0), 2.0, 23), (_rep2(6.0), 36.0, 96)):
+        assert FockConfig.for_code(code) == FockConfig(cutoff=cutoff, modes=code.modes)
+        assert _poisson_tail(a, cutoff) <= EPS < _poisson_tail(a, cutoff - 1)
 
 
-def test_derived_cutoff_past_the_cap_sums_no_series(monkeypatch):
-    # the Poisson series of a 1-mode cat at E = 1e10 would take 2e10 terms
-    # (149 GiB): past the cap the cutoff is the cap, with no series at all
-    code = qsc.build("cat", 1e10, S=1, K=2)
+def _no_work(*args, **kwargs):
+    raise AssertionError("work done before the budget check")
 
-    def no_series(*args, **kwargs):
-        raise AssertionError("a number series was built")
-    with monkeypatch.context() as patched:
-        patched.setattr(qsc.fock.np, "arange", no_series)
-        assert FockConfig.for_code(code).cutoff == 4096
-    with pytest.raises(TruncationError, match="beyond cutoff 4096"):
+
+def test_a_multiplier_past_the_budget_is_refused_before_any_series(monkeypatch):
+    # the cutoff exceeds |z|^2 = a: at E = 1e10 its Poisson series would take
+    # 2e10 terms (149 GiB) and its multiplier 1e20 entries, and at E = 3000
+    # the least cutoff, 3001, already leaves the 3000 x 3000 budget
+    for energy, least in ((1e10, 10000000001), (3000.0, 3001)):
+        code = qsc.build("cat", energy, S=1, K=2)
+        message = f"multiplier at cutoff {least} .* above the budget 9000000"
+        with monkeypatch.context() as patched:
+            patched.setattr(qsc.fock.np, "arange", _no_work)
+            patched.setattr(qsc.fock, "_dephasing_kraus", _no_work)
+            with pytest.raises(qsc.QscError, match=message):
+                FockConfig.for_code(code)
+            with pytest.raises(qsc.QscError, match=message):
+                dephasing_channel_fidelity(code, 0.1)
+    # just inside, the series is summed (2 x 2999 + 63 terms) and the derived
+    # cutoff's multiplier is refused before the embedding or the multiplier
+    code = qsc.build("cat", 2999.0, S=1, K=2)
+    cutoff = FockConfig.for_code(code).cutoff
+    assert 3000 < cutoff < 2999 + 9 * math.sqrt(2999)
+    monkeypatch.setattr(qsc.fock, "embed_codewords", _no_work)
+    monkeypatch.setattr(qsc.fock, "_dephasing_kraus", _no_work)
+    with pytest.raises(qsc.QscError, match=f"multiplier at cutoff {cutoff} would hold"):
         dephasing_channel_fidelity(code, 0.1)
 
 
 def test_truncated_embedding_builds_no_multiplier(monkeypatch):
-    # at the cap the multiplier is 4096 x 4096: the embedding's tail check
-    # refuses the E = 1e10 cat before any of it is built or decomposed
-    code = qsc.build("cat", 1e10, S=1, K=2)
-
-    def no_work(*args, **kwargs):
-        raise AssertionError("the dephasing multiplier was built")
-    monkeypatch.setattr(qsc.fock, "_dephasing_kraus", no_work)
-    with pytest.raises(TruncationError, match="beyond cutoff 4096"):
-        dephasing_channel_fidelity(code, 0.1)
+    # 16 photons leave the E = 100 cat a tail far above TAIL_TOL: the
+    # embedding refuses it before the multiplier is built or decomposed
+    monkeypatch.setattr(qsc.fock, "_dephasing_kraus", _no_work)
+    with pytest.raises(TruncationError, match="beyond cutoff 16"):
+        dephasing_channel_fidelity(qsc.build("cat", 100.0, S=1, K=2), 0.1, FockConfig(16, 1))
 
 
 def _convergence_codes():
@@ -511,6 +548,16 @@ def test_derived_cutoff_converges(sigma):
         for other in (c + 4, 60):
             g = dephasing_channel_fidelity(code, sigma, FockConfig(other, code.modes))
             assert abs(f - g) <= 1e-10, (name, c, other)
+
+
+@pytest.mark.parametrize("sigma, fidelity", [(0.1, 0.994350682313), (0.2, 0.975304957384)])
+def test_derived_cutoff_converges_on_three_modes(sigma, fidelity):
+    # the hessian at E = 4: cutoff 23 against 27 (3.3e-14 and 6.4e-14 apart);
+    # at sigma = 0.3 its pair tensor would leave the budget
+    code = qsc.build("hessian", 4.0)
+    f = dephasing_channel_fidelity(code, sigma)
+    assert abs(f - dephasing_channel_fidelity(code, sigma, FockConfig(27, 3))) <= 1e-12
+    assert f == pytest.approx(fidelity, abs=1e-12)
 
 
 def test_three_mode_dephasing_matches_quadrature_oracle():

@@ -46,7 +46,7 @@ def test_a_name_loads_only_its_layer():
     # catalog and css raise BudgetExceededError without importing moments
     assert _qsc_modules_after("import qsc; qsc.build; qsc.ClassicalCodeSpec") == {
         "qsc", "qsc.catalog", "qsc.constellation", "qsc.css"}
-    assert _qsc_modules_after("import qsc; qsc.fock.DIM_BUDGET") == {
+    assert _qsc_modules_after("import qsc; qsc.fock.ENTRY_BUDGET") == {
         "qsc", "qsc.constellation", "qsc.fock"}
 
 
