@@ -3,8 +3,10 @@
 Real polytopes live in R^{2n} and are read as points of C^n through the fixed
 identification (x1, x2, ..., x_{2n}) -> (x1 + i*x2, ..., x_{2n-1} + i*x_{2n});
 complex polytopes are given directly by their vertex coordinates.  Every
-builder returns a QSCode already scaled to the requested squared radius E,
-with an explicit, documented logical partition.
+builder makes its points as one array, in a documented order, scaled to the
+requested squared radius E, together with the class 0, 1, ... of each point:
+one rule per builder, the code's logical partition.  Codeword mu, labeled
+str(mu), holds the points of class mu, in their order.
 
 Expected code properties (design strengths, separations) are not hardcoded:
 they are produced by this repo's own analysis modules and committed as a
@@ -18,46 +20,21 @@ import importlib.resources
 import itertools
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .constellation import CODE_SIZE_BUDGET, BudgetExceededError, QSCode, QscError
+from .constellation import (CODE_SIZE_BUDGET, OVERLAP_BUDGET, BudgetExceededError, QSCode,
+                            QscError)
 
 _GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
-
-
-class CatalogError(QscError):
-    """Unknown catalog name or invalid builder option."""
-
-
-# ---------------------------------------------------------------------------
-# Quaternion helpers (used by the 24-cell / 600-cell builders)
-# ---------------------------------------------------------------------------
-
-def _quat_mul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Quaternion products p*q over the last axis, broadcast over the rest."""
-    a1, b1, c1, d1 = np.moveaxis(p, -1, 0)
-    a2, b2, c2, d2 = np.moveaxis(q, -1, 0)
-    return np.stack([
-        a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
-        a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
-        a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
-        a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
-    ], axis=-1)
-
-
 # The 16 sign vectors of itertools.product((1.0, -1.0), repeat=4), as rows.
 _SIGNS4 = np.array(list(itertools.product((1.0, -1.0), repeat=4)))
 
 
-def _binary_tetrahedral_group() -> np.ndarray:
-    """The 24 unit quaternions {+-1,+-i,+-j,+-k, (+-1+-i+-j+-k)/2}, as rows:
-    +1 then -1 on each axis in turn, then the halves in sign-product order."""
-    units = np.zeros((8, 4))
-    units[np.arange(8), np.arange(8) // 2] = np.tile([1.0, -1.0], 4)
-    return np.vstack([units, _SIGNS4 / 2.0])
+class CatalogError(QscError):
+    """Unknown catalog name or invalid builder option."""
 
 
 # ---------------------------------------------------------------------------
@@ -68,205 +45,148 @@ def _real_to_complex(vertices: np.ndarray) -> np.ndarray:
     return vertices[:, 0::2] + 1j * vertices[:, 1::2]
 
 
-def _cell24_vertices() -> np.ndarray:
-    """All 24 permutations of (+-1, +-1, 0, 0)/sqrt(2), circumradius 1."""
-    vertices = []
-    for i, j in itertools.combinations(range(4), 2):
-        for si, sj in itertools.product((1.0, -1.0), repeat=2):
-            v = np.zeros(4)
-            v[i], v[j] = si, sj
-            vertices.append(v / math.sqrt(2.0))
-    return np.array(vertices)
-
-
-def _cell24_pairing_class(v: np.ndarray) -> int:
-    """Which of the three inscribed 16-cells a vertex belongs to.
-
-    The support of each vertex is a coordinate pair; the pairings
-    {12,34}, {13,24}, {14,23} each collect 8 vertices forming a 16-cell.
-    """
-    support = tuple(np.flatnonzero(np.abs(v) > 1e-12))
-    return {(0, 1): 0, (2, 3): 0, (0, 2): 1, (1, 3): 1, (0, 3): 2, (1, 2): 2}[support]
-
-
 def _cell600_vertices() -> np.ndarray:
     """The 120 vertices of the 600-cell at circumradius 1 (icosian group).
 
-    The 24 vertices of an inscribed 24-cell, then the 96 even permutations of
-    (+-phi, +-1, +-1/phi, 0)/2: permutation by permutation (in
+    First the binary tetrahedral group, an inscribed 24-cell: the 24 unit
+    quaternions {+-1,+-i,+-j,+-k, (+-1+-i+-j+-k)/2}, +1 then -1 on each axis
+    in turn, then the halves in sign-product order.  Then the 96 even
+    permutations of (+-phi, +-1, +-1/phi, 0)/2: permutation by permutation (in
     itertools.permutations order), signs in product order.  The zero keeps
     the sign +, since a - on it only repeats a vertex."""
+    units = np.zeros((8, 4))
+    units[np.arange(8), np.arange(8) // 2] = np.tile([1.0, -1.0], 4)
     base = np.array([_GOLDEN / 2.0, 0.5, 1.0 / (2.0 * _GOLDEN), 0.0])
     perms = np.array([p for p in itertools.permutations(range(4))
-                      if _permutation_parity(p) == 0])
+                      if sum(a > b for a, b in itertools.combinations(p, 2)) % 2 == 0])
     signed = _SIGNS4[::2] * base                    # (8, 4): sign of the zero is +
     even = signed[:, perms].transpose(1, 0, 2).reshape(-1, 4)
-    return np.vstack([_binary_tetrahedral_group(), even])
+    return np.vstack([units, _SIGNS4 / 2.0, even])
 
 
-def _permutation_parity(perm: tuple[int, ...]) -> int:
-    inversions = sum(1 for a, b in itertools.combinations(range(len(perm)), 2)
-                     if perm[a] > perm[b])
-    return inversions % 2
-
-
-def _hessian_vertices() -> tuple[np.ndarray, np.ndarray]:
-    """27 vertices (0, w^a, -w^b) in C^3 and cyclic shifts, w = exp(2pi i/3).
-
-    This is the standard coordinatization of the 27-vertex exceptional complex
-    polytope; each vertex has squared norm 2.  Returns the vertices together
-    with the phase-residue class (a + b) mod 3 used for the logical partition:
-    the cyclic mode shift fixes each 9-point class, the joint rotation
-    diag(w, w, w) cycles them, and all diagonal moments match across classes
-    (the classes are distinguished only by the off-diagonal z_i z_j moments).
-    """
-    w = cmath.exp(2j * math.pi / 3.0)
-    vertices = []
-    classes = []
-    for shift in range(3):
-        for a in range(3):
-            for b in range(3):
-                v = [0j, 0j, 0j]
-                v[shift] = 0j
-                v[(shift + 1) % 3] = w ** a
-                v[(shift + 2) % 3] = -(w ** b)
-                vertices.append(v)
-                classes.append((a + b) % 3)
-    return np.array(vertices, dtype=np.complex128), np.array(classes)
+def _cell600_cosets(z: np.ndarray) -> np.ndarray:
+    """The left coset vH of the binary tetrahedral group H (an inscribed
+    24-cell) holding each of the 120 icosians, numbered in order of first
+    vertex.  As points of C^2 the quaternions are a + b j, and u = c + d j
+    lies in vH when v^-1 u = (conj(a) c + b conj(d)) + (conj(a) d - b conj(c)) j
+    has every coordinate in {0, +-1/2, +-1}."""
+    (a, b), (c, d) = z.T[:, :, None], z.T[:, None, :]
+    twice = 2.0 * np.stack([a.conj() * c + b * d.conj(), a.conj() * d - b * c.conj()], axis=2)
+    in_group = np.all(np.abs(twice - np.round(twice)) < 1e-9, axis=2)
+    return np.unique(np.argmax(in_group, axis=0), return_inverse=True)[1]
 
 
 # ---------------------------------------------------------------------------
 # Builders
 # ---------------------------------------------------------------------------
 
-def _check_size(base: int, exponent: int = 1) -> None:
-    """Refuse a code of base^exponent points above CODE_SIZE_BUDGET before any
-    point is made.  A base of at least 2 raised beyond the budget's bit length
-    exceeds it, so no larger power is ever formed."""
+def _check_size(modes: int, base: int, exponent: int = 1) -> None:
+    """Refuse a code of base^exponent points of ``modes`` amplitudes each,
+    before any point is made, when its points exceed CODE_SIZE_BUDGET or its
+    amplitudes OVERLAP_BUDGET, the largest complex array a code may hold.  A
+    base of at least 2 raised beyond the budget's bit length exceeds it, so
+    no larger power is ever formed."""
+    count = f"{base}^{exponent}" if exponent > 1 else str(base)
     if exponent > CODE_SIZE_BUDGET.bit_length() or base ** exponent > CODE_SIZE_BUDGET:
-        count = f"{base}^{exponent}" if exponent > 1 else str(base)
         raise BudgetExceededError(f"code with {count} points exceeds the budget {CODE_SIZE_BUDGET}")
+    if base ** exponent * modes > OVERLAP_BUDGET:
+        raise BudgetExceededError(
+            f"code with {count} points of {modes} modes has {base ** exponent * modes} "
+            f"entries, which exceeds the budget {OVERLAP_BUDGET}")
 
 
-def _numbered_code(n: int, E: float, groups: list) -> QSCode:
-    """A code whose codeword mu, labeled str(mu), holds the rows ``groups[mu]``."""
-    points = np.concatenate([np.array(g, dtype=np.complex128).reshape(len(g), n)
-                             for g in groups])
-    return QSCode(n, E, points, [len(g) for g in groups], [str(mu) for mu in range(len(groups))])
+def _partitioned(E: float, points: np.ndarray, classes: np.ndarray) -> QSCode:
+    """The code whose codeword mu, labeled str(mu), holds the points of
+    class mu, in their order."""
+    sizes = np.bincount(classes)
+    return QSCode(points.shape[1], E, points[np.argsort(classes, kind="stable")], sizes,
+                  [str(mu) for mu in range(len(sizes))])
+
+
+def _axis_points(n: int, values: list) -> tuple[np.ndarray, np.ndarray]:
+    """Points values[c][s] e_j of C^n, ordered by class c, then axis j, then
+    s, with the class c of each."""
+    values = np.array(values, dtype=np.complex128)
+    classes, per_class = values.shape
+    points = np.zeros((classes, n, per_class, n), dtype=np.complex128)
+    points[:, np.arange(n), :, np.arange(n)] = values
+    return points.reshape(-1, n), np.repeat(np.arange(classes), n * per_class)
 
 
 def _build_cat(E: float, S: int = 2, K: int = 2) -> QSCode:
+    """The S*K-th roots of unity times sqrt(E); point k is in codeword k mod K."""
     if S < 1 or K < 1:
         raise CatalogError("cat needs S >= 1 and K >= 1")
-    _check_size(S * K)
+    _check_size(1, S * K)
     alpha = math.sqrt(E)
     total = S * K
-    groups: list[list[complex]] = [[] for _ in range(K)]
-    for k in range(total):
-        groups[k % K].append(alpha * cmath.exp(2j * math.pi * k / total))
-    return _numbered_code(1, E, groups)
+    # roots of unity from cmath.exp and complex powers, here and below: np.exp
+    # differs from cmath.exp in the last bits on about a fifth of all roots
+    points = np.array([alpha * cmath.exp(2j * math.pi * k / total) for k in range(total)])
+    return _partitioned(E, points[:, None], np.arange(total) % K)
 
 
 def _build_hypercube(E: float, n: int = 2) -> QSCode:
-    """2^{2n} vertices (+-1 +- i, ...)/sqrt(2n), split by overall sign parity.
-
-    Each vertex corresponds to a sign vector in {+-1}^{2n}; codeword 0 takes
-    the vertices with an even number of minus signs, codeword 1 the rest.
-    """
+    """2^{2n} vertices (+-1 +- i, ...)/sqrt(2n), one per sign vector in
+    {+-1}^{2n}, in product order; class 0 takes the vertices with an even
+    number of minus signs, class 1 the rest."""
     if n < 1:
         raise CatalogError("hypercube needs n >= 1")
-    _check_size(4, n)
-    scale = math.sqrt(E / (2.0 * n))
-    groups: list[list[np.ndarray]] = [[], []]
-    for signs in itertools.product((1.0, -1.0), repeat=2 * n):
-        z = np.array([complex(signs[2 * i], signs[2 * i + 1]) for i in range(n)]) * scale
-        parity = sum(1 for s in signs if s < 0) % 2
-        groups[parity].append(z)
-    return _numbered_code(n, E, groups)
+    _check_size(n, 4, n)
+    minus = np.indices((2,) * (2 * n)).reshape(2 * n, -1).T
+    points = _real_to_complex(1.0 - 2.0 * minus) * math.sqrt(E / (2.0 * n))
+    return _partitioned(E, points, minus.sum(axis=1) % 2)
 
 
 def _build_orthoplex(E: float, n: int = 2) -> QSCode:
-    """4n cross-polytope vertices; real-axis points vs imaginary-axis points.
-
-    Vertices are +-sqrt(E) e_j and +-i sqrt(E) e_j; codeword 0 collects the
-    real-axis vertices, codeword 1 the imaginary-axis ones.
-    """
+    """4n cross-polytope vertices: +-sqrt(E) e_j (class 0, the real axes)
+    and +-i sqrt(E) e_j (class 1, the imaginary axes)."""
     if n < 1:
         raise CatalogError("orthoplex needs n >= 1")
-    _check_size(4 * n)
+    _check_size(n, 4 * n)
     r = math.sqrt(E)
-    groups: list[list[np.ndarray]] = [[], []]
-    for j in range(n):
-        for sign in (1.0, -1.0):
-            z = np.zeros(n, dtype=np.complex128)
-            z[j] = sign * r
-            groups[0].append(z)
-            z = np.zeros(n, dtype=np.complex128)
-            z[j] = 1j * sign * r
-            groups[1].append(z)
-    return _numbered_code(n, E, groups)
+    return _partitioned(E, *_axis_points(n, [[sign * r for sign in (1.0, -1.0)],
+                                             [1j * sign * r for sign in (1.0, -1.0)]]))
 
 
 def _build_cell24(E: float, partition: str = "three") -> QSCode:
-    vertices = _cell24_vertices()
-    classes = np.array([_cell24_pairing_class(v) for v in vertices])
-    z = _real_to_complex(vertices) * math.sqrt(E)
-    if partition == "three":
-        groups = [z[classes == c] for c in range(3)]
-    elif partition == "two":
-        # one inscribed 16-cell against the complementary tesseract
-        groups = [z[classes == 0], z[classes != 0]]
-    elif partition == "one":
-        groups = [z]
-    else:
-        raise CatalogError(
-            f"cell24 partition must be 'three', 'two' or 'one', got {partition!r}")
-    return _numbered_code(2, E, groups)
+    """All 24 permutations of (+-1, +-1, 0, 0)/sqrt(2), support by support.
+
+    The support of each vertex is a coordinate pair; the pairings
+    {12,34}, {13,24}, {14,23} each collect 8 vertices forming an inscribed
+    16-cell.  "three" splits by pairing, "two" takes the first 16-cell
+    against the complementary tesseract, "one" keeps all 24 together.
+    """
+    rule = {"three": [0, 1, 2, 2, 1, 0], "two": [0, 1, 1, 1, 1, 0], "one": [0] * 6}
+    if partition not in rule:
+        raise CatalogError(f"cell24 partition must be 'three', 'two' or 'one', got {partition!r}")
+    pairs = np.array(list(itertools.combinations(range(4), 2)))   # the six supports
+    vertices = np.zeros((6, 4, 4))
+    vertices[np.arange(6)[:, None, None], np.arange(4)[:, None], pairs[:, None]] = _SIGNS4[:4, 2:]
+    z = _real_to_complex(vertices.reshape(24, 4) / math.sqrt(2.0)) * math.sqrt(E)
+    return _partitioned(E, z, np.repeat(rule[partition], 4))
 
 
 def _build_cell600(E: float, partition: str = "one") -> QSCode:
-    vertices = _cell600_vertices()
-    z = _real_to_complex(vertices) * math.sqrt(E)
-    if partition == "one":
-        groups = [z]
-    elif partition == "five":
-        groups = _cell600_coset_partition(vertices, z)
-    else:
+    """The 600-cell whole ("one") or as five inscribed 24-cells ("five")."""
+    if partition not in ("one", "five"):
         raise CatalogError(f"cell600 partition must be 'one' or 'five', got {partition!r}")
-    return _numbered_code(2, E, groups)
-
-
-def _cell600_coset_partition(vertices: np.ndarray, z: np.ndarray) -> list[np.ndarray]:
-    """Split the 120 icosians into five left cosets of the 24-element
-    binary tetrahedral subgroup; each coset is an inscribed 24-cell.  Each
-    coset is the first unassigned vertex times all 24 subgroup elements."""
-    group = _binary_tetrahedral_group()
-    assigned = np.full(len(vertices), -1)
-    coset = 0
-    while np.any(assigned < 0):
-        images = _quat_mul(vertices[np.argmax(assigned < 0)], group)
-        dist = np.linalg.norm(vertices[None, :, :] - images[:, None, :], axis=2)
-        hit = np.argmin(dist, axis=1)
-        if np.any(dist[np.arange(len(group)), hit] > 1e-9):
-            raise CatalogError("coset element is not a 600-cell vertex")
-        assigned[hit] = coset
-        coset += 1
-    assert coset == 5
-    return [z[assigned == c] for c in range(5)]
+    z = _real_to_complex(_cell600_vertices())
+    classes = _cell600_cosets(z) if partition == "five" else np.zeros(120, dtype=int)
+    return _partitioned(E, z * math.sqrt(E), classes)
 
 
 def _build_gamma(E: float, n: int = 2, q: int = 3) -> QSCode:
     """Generalized hypercube: q^n vertices (w^{k_1},...,w^{k_n})*sqrt(E/n),
-    w = exp(2pi i/q), partitioned into q codewords by sum(k) mod q."""
+    w = exp(2pi i/q), k in product order, partitioned into q codewords by
+    sum(k) mod q."""
     if n < 1 or q < 2:
         raise CatalogError("gamma needs n >= 1 and q >= 2")
-    _check_size(q, n)
+    _check_size(n, q, n)
     w = cmath.exp(2j * math.pi / q)
-    scale = math.sqrt(E / n)
-    groups: list[list[np.ndarray]] = [[] for _ in range(q)]
-    for ks in itertools.product(range(q), repeat=n):
-        groups[sum(ks) % q].append(np.array([w ** k for k in ks]) * scale)
-    return _numbered_code(n, E, groups)
+    ks = np.indices((q,) * n).reshape(n, -1).T
+    points = np.array([w ** k for k in range(q)])[ks] * math.sqrt(E / n)
+    return _partitioned(E, points, ks.sum(axis=1) % q)
 
 
 def _build_beta(E: float, n: int = 2, q: int = 3) -> QSCode:
@@ -274,25 +194,30 @@ def _build_beta(E: float, n: int = 2, q: int = 3) -> QSCode:
     q codewords by the phase residue k."""
     if n < 1 or q < 2:
         raise CatalogError("beta needs n >= 1 and q >= 2")
-    _check_size(q * n)
+    _check_size(n, q * n)
     w = cmath.exp(2j * math.pi / q)
     r = math.sqrt(E)
-    groups: list[list[np.ndarray]] = [[] for _ in range(q)]
-    for k in range(q):
-        for j in range(n):
-            z = np.zeros(n, dtype=np.complex128)
-            z[j] = r * w ** k
-            groups[k].append(z)
-    return _numbered_code(n, E, groups)
+    return _partitioned(E, *_axis_points(n, [[r * w ** k] for k in range(q)]))
 
 
 def _build_hessian(E: float) -> QSCode:
     """27-vertex exceptional complex polytope in C^3, partitioned into three
-    9-point codewords by the phase residue of the nonzero coordinates."""
-    vertices, classes = _hessian_vertices()
-    z = vertices * math.sqrt(E / 2.0)
-    groups = [z[classes == c] for c in range(3)]
-    return _numbered_code(3, E, groups)
+    9-point codewords by the phase residue of the nonzero coordinates.
+
+    The vertices are (0, w^a, -w^b) and its cyclic shifts, w = exp(2pi i/3),
+    by shift, then a, then b: the standard coordinatization, each of squared
+    norm 2.  The class is (a + b) mod 3: the cyclic mode shift fixes each
+    9-point class, the joint rotation diag(w, w, w) cycles them, and all
+    diagonal moments match across classes (the classes are distinguished only
+    by the off-diagonal z_i z_j moments).
+    """
+    w = cmath.exp(2j * math.pi / 3.0)
+    powers = np.array([w ** k for k in range(3)])
+    shift, a, b = np.indices((3, 3, 3)).reshape(3, -1)
+    vertices = np.zeros((27, 3), dtype=np.complex128)
+    vertices[np.arange(27), (shift + 1) % 3] = powers[a]
+    vertices[np.arange(27), (shift + 2) % 3] = -powers[b]
+    return _partitioned(E, vertices * math.sqrt(E / 2.0), (a + b) % 3)
 
 
 _BUILDERS: dict[str, Callable[..., QSCode]] = {
@@ -380,8 +305,8 @@ def list_catalog() -> list[CatalogEntry]:
     """All enabled catalog entries, with oracle-generated expected properties.
     Builds no code: each entry's shape comes from the table above."""
     expected = _load_expected_properties()
-    entries = []
-    for name, params, (modes, points, K), desc in _DEFAULT_ENTRIES:
-        entry = CatalogEntry(name, modes, points, K, dict(params), desc)
-        entries.append(replace(entry, expected_properties=dict(expected.get(entry.entry_id, {}))))
+    entries = [CatalogEntry(name, modes, points, K, dict(params), desc)
+               for name, params, (modes, points, K), desc in _DEFAULT_ENTRIES]
+    for entry in entries:   # each entry's own dict, filled before it is handed out
+        entry.expected_properties.update(expected.get(entry.entry_id, {}))
     return entries

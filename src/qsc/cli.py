@@ -328,7 +328,21 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("catalog", help="list the built-in constellation catalog")
     p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("build", help="build a catalog code and write its JSON")
+    p = sub.add_parser(
+        "build", help="build a catalog code and write its JSON",
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+        description="Build a catalog code on the sphere |z|^2 = E.  Each name reads the options\n"
+                    "shown (defaults in brackets); codeword mu holds the points of class mu.\n\n"
+                    "  cat        --S [2] --K [2]  S*K-th roots of unity, root k of class k mod K\n"
+                    "  hypercube  --n [2]          (+-1 +-i, ...) in C^n, class: minus signs mod 2\n"
+                    "  orthoplex  --n [2]          +-e_j (class 0) and +-i e_j (class 1) in C^n\n"
+                    "  cell24     --partition      three [default] 16-cells, two (a 16-cell and\n"
+                    "                              a tesseract) or one\n"
+                    "  cell600    --partition      one [default] or five 24-cells\n"
+                    "  gamma      --n [2] --q [3]  (w^k1, ..., w^kn), w = e^(2 pi i/q),\n"
+                    "                              class (k1 + ... + kn) mod q\n"
+                    "  beta       --n [2] --q [3]  w^k e_j, class k\n"
+                    "  hessian                     27 vertices in C^3, three classes of 9")
     p.add_argument("--name", required=True)
     p.add_argument("--energy", type=float, default=4.0,
                    help="squared sphere radius E (mean photon number)")

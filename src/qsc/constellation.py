@@ -55,8 +55,9 @@ TOL_POINT = 1e-9
 # Points (or classical words) a code may have: the CSS enumerations and the
 # catalog builders check their count against it before they make any.
 CODE_SIZE_BUDGET = 1_000_000
-# Entries of an N x N overlap matrix, checked before any is allocated: 4,096
-# points (the q = 2, length-12 CSS code), 256 MB of complex entries.
+# Most entries of a complex array a code holds, checked before it is
+# allocated: the N x N overlap matrix (4,096 points, the q = 2, length-12 CSS
+# code, 256 MB) and a catalog build's N x n point array.
 OVERLAP_BUDGET = 4096 ** 2
 # Point pairs per block of the chunked distance pass: each of its temporaries
 # stays within 128 kB however many points a code has.
@@ -171,8 +172,8 @@ class QSCode:
         OVERLAP_BUDGET entries."""
         Z = self.point_array
         if len(Z) ** 2 > OVERLAP_BUDGET:
-            raise QscError(f"the overlap matrix of {len(Z)} points has {len(Z) ** 2} entries, "
-                           f"which exceeds the budget {OVERLAP_BUDGET}")
+            raise BudgetExceededError(f"the overlap matrix of {len(Z)} points has {len(Z) ** 2} "
+                                      f"entries, which exceeds the budget {OVERLAP_BUDGET}")
         half = 0.5 * np.sum(np.abs(Z) ** 2, axis=1)
         G = np.conj(Z) @ Z.T   # in place from here: no further N x N temporaries
         G += -half[:, None] - half[None, :]

@@ -230,6 +230,14 @@ def css_properties(spec: ClassicalCodeSpec, alpha: complex = 2.0) -> CssProperti
 
 
 def read_generator_file(path: str) -> list[list[int]]:
-    """Rows of space-separated residues, one per line; blank lines ignored."""
-    with open(path) as fh:
-        return [[int(tok) for tok in line.split()] for line in fh if line.strip()]
+    """Rows of space-separated residues, one per line; blank lines ignored.
+    A line that is not UTF-8 text or holds a token that is not an integer
+    raises CssError naming the file and the line."""
+    with open(path, "rb") as fh:
+        rows = []
+        for number, line in enumerate(fh.read().splitlines(), 1):
+            try:
+                rows.append([int(tok) for tok in line.decode("utf-8").split()])
+            except ValueError as exc:   # UnicodeDecodeError is a ValueError
+                raise CssError(f"generator file {path}, line {number}: {exc}") from None
+    return [row for row in rows if row]

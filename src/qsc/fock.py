@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constellation import QSCode, QscError
+from .constellation import BudgetExceededError, QSCode, QscError
 
 # Most entries of any array a channel builds: a 3000 x 3000 Gram matrix, held
 # twice while decomposed (2 x 16 x 3000^2 bytes = 288 MB), as a pair tensor is
@@ -61,7 +61,8 @@ class KrausCompletenessError(QscError):
 
 def _check_entries(entries: int, what: str) -> None:
     if entries > ENTRY_BUDGET:
-        raise QscError(f"{what} would hold {entries} entries, above the budget {ENTRY_BUDGET}")
+        raise BudgetExceededError(f"{what} would hold {entries} entries, above the budget "
+                                  f"{ENTRY_BUDGET}")
 
 
 @dataclass(frozen=True)

@@ -1,19 +1,37 @@
 from __future__ import annotations
 
+import hashlib
+import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import qsc
 from qsc.catalog import CatalogError, build, list_catalog
-from qsc.constellation import min_separation, validate_code
+from qsc.constellation import code_to_json, min_separation, validate_code
 from qsc.moments import BudgetExceededError, design_strength
 from qsc.symmetries import enumerate_phase_symmetries
 
 from brute_force import brute_cell600_cosets, brute_cell600_vertices, orbit, symmetry_generators
 
 ENTRIES = list_catalog()
+
+
+# Every catalog entry at E = 1, 4 and 16, and a sweep over small options and
+# every partition at E = 1e-6, 3 and 1e8, each with the SHA-256 of its JSON
+# as the builders gave it when the file was written.
+LOCKED = json.loads((Path(__file__).parent / "fixtures" / "catalog_sha256.json").read_text())
+
+
+@pytest.mark.parametrize("case", LOCKED,
+                         ids=lambda c: f"{c['name']}{sorted(c['params'].items())}@{c['E']}")
+def test_build_keeps_its_bytes(case):
+    """Every bit of every point, labels and codeword order included."""
+    text = code_to_json(build(case["name"], case["E"], **case["params"]))
+    assert hashlib.sha256(text.encode()).hexdigest() == case["sha256"]
 
 
 @pytest.mark.parametrize("entry", ENTRIES, ids=lambda e: e.entry_id)
@@ -62,34 +80,51 @@ def test_cat_rejects_bad_parameters():
         build("cell24", 4.0, partition="seven")
 
 
-@pytest.mark.parametrize("name, fits, over", [
-    ("cat", {"S": 4, "K": 4}, {"S": 17, "K": 1}),
-    ("hypercube", {"n": 2}, {"n": 3}),
-    ("orthoplex", {"n": 4}, {"n": 5}),
-    ("gamma", {"n": 2, "q": 4}, {"n": 2, "q": 5}),
-    ("beta", {"n": 8, "q": 2}, {"n": 3, "q": 7}),
+_POINTS = "points exceeds the budget 16$"
+_AMPLITUDES = "entries, which exceeds the budget 16$"
+
+
+@pytest.mark.parametrize("budget, name, fits, over, message", [
+    ("CODE_SIZE_BUDGET", "cat", {"S": 4, "K": 4}, {"S": 17, "K": 1}, _POINTS),
+    ("CODE_SIZE_BUDGET", "hypercube", {"n": 2}, {"n": 3}, _POINTS),
+    ("CODE_SIZE_BUDGET", "orthoplex", {"n": 4}, {"n": 5}, _POINTS),
+    ("CODE_SIZE_BUDGET", "gamma", {"n": 2, "q": 4}, {"n": 2, "q": 5}, _POINTS),
+    ("CODE_SIZE_BUDGET", "beta", {"n": 8, "q": 2}, {"n": 3, "q": 7}, _POINTS),
+    # 8 x 2 and 12 x 3 amplitudes, then 8 x 2 and 10 x 2
+    ("OVERLAP_BUDGET", "orthoplex", {"n": 2}, {"n": 3}, _AMPLITUDES),
+    ("OVERLAP_BUDGET", "beta", {"n": 2, "q": 4}, {"n": 2, "q": 5}, _AMPLITUDES),
 ])
-def test_build_counts_points_against_the_budget(monkeypatch, name, fits, over):
-    monkeypatch.setattr(qsc.catalog, "CODE_SIZE_BUDGET", 16)
-    assert len(build(name, 4.0, **fits).point_array) == 16
-    with pytest.raises(BudgetExceededError, match="points exceeds the budget 16"):
+def test_build_counts_points_and_amplitudes_against_their_budgets(monkeypatch, budget, name,
+                                                                   fits, over, message):
+    monkeypatch.setattr(qsc.catalog, budget, 16)
+    points = build(name, 4.0, **fits).point_array
+    assert (len(points) if budget == "CODE_SIZE_BUDGET" else points.size) == 16
+    with pytest.raises(BudgetExceededError, match=message):
         build(name, 4.0, **over)
 
 
-@pytest.mark.parametrize("name, options", [
-    ("cat", {"S": 1000, "K": 1001}),
-    ("hypercube", {"n": 20}),
-    ("hypercube", {"n": 10 ** 9}),
-    ("orthoplex", {"n": 250_001}),
-    ("gamma", {"n": 13, "q": 3}),
-    ("gamma", {"n": 10 ** 9, "q": 2}),
-    ("beta", {"n": 500_001, "q": 2}),
+class _NoWork:
+    def __getattr__(self, name):
+        raise AssertionError(f"{name} called before the size check")
+
+
+@pytest.mark.parametrize("name, options, message", [
+    ("cat", {"S": 1000, "K": 1001}, "1001000 points exceeds the budget 1000000"),
+    ("hypercube", {"n": 20}, "4^20 points exceeds the budget 1000000"),
+    ("hypercube", {"n": 10 ** 9}, "points exceeds the budget 1000000"),
+    ("orthoplex", {"n": 250_001}, "1000004 points exceeds the budget 1000000"),
+    ("gamma", {"n": 13, "q": 3}, "3^13 points exceeds the budget 1000000"),
+    ("gamma", {"n": 10 ** 9, "q": 2}, "points exceeds the budget 1000000"),
+    ("beta", {"n": 500_001, "q": 2}, "1000002 points exceeds the budget 1000000"),
+    ("beta", {"n": 300, "q": 300}, "90000 points of 300 modes has 27000000 entries"),
+    ("beta", {"n": 1000, "q": 1000}, "1000000 points of 1000 modes has 1000000000 entries"),
+    ("orthoplex", {"n": 2049}, "8196 points of 2049 modes has 16793604 entries"),
 ])
-def test_oversized_builds_are_refused_before_any_point(monkeypatch, name, options):
-    def no_work(*args):
-        raise AssertionError("points made before the size check")
-    monkeypatch.setattr(qsc.catalog, "_numbered_code", no_work)
-    with pytest.raises(BudgetExceededError, match="points exceeds the budget 1000000"):
+def test_oversized_builds_are_refused_before_any_point(monkeypatch, name, options, message):
+    # every array and every root of unity the builders make goes through np or cmath
+    monkeypatch.setattr(qsc.catalog, "np", _NoWork())
+    monkeypatch.setattr(qsc.catalog, "cmath", _NoWork())
+    with pytest.raises(BudgetExceededError, match=re.escape(message)):
         build(name, 4.0, **options)
 
 
@@ -202,7 +237,9 @@ def test_cell600_matches_loop_oracle():
     vertices = qsc.catalog._cell600_vertices()
     want = brute_cell600_vertices()
     assert vertices.tobytes() == want.tobytes()   # every bit, signs of zeros included
-    z = qsc.catalog._real_to_complex(vertices)
     cosets = brute_cell600_cosets(want)
-    groups = qsc.catalog._cell600_coset_partition(vertices, z)
-    assert [g.tobytes() for g in groups] == [z[cosets == c].tobytes() for c in range(5)]
+    z = qsc.catalog._real_to_complex(want)
+    assert qsc.catalog._cell600_cosets(z).tolist() == cosets.tolist()
+    code = build("cell600", 1.0, partition="five")
+    assert [g.tobytes() for g in code.codewords] == \
+        [z[cosets == c].tobytes() for c in range(5)]

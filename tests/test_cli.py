@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -118,6 +119,33 @@ def test_code_file_that_is_not_utf8_is_a_computation_error(tmp_path, capsys):
     assert out == "" and err.startswith("error: not UTF-8 text: ") and err.count("\n") == 1
     with pytest.raises(qsc.CodeFormatError):
         qsc.cli._load_code(str(bad))
+
+
+@pytest.mark.parametrize("content, message", [
+    (b"1 1\n\xff\xfe1 1\n", "line 2: 'utf-8' codec can't decode byte 0xff"),
+    (b"1 1\n\n1 x\n", "line 3: invalid literal for int() with base 10: 'x'"),
+], ids=["not utf-8", "not an integer"])
+def test_generator_file_that_does_not_parse_is_a_computation_error(content, message,
+                                                                    tmp_path, capsys):
+    bad = tmp_path / "gx.txt"
+    bad.write_bytes(content)
+    assert run(["css", "--q", "2", "--gx", str(bad)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: generator file {bad}, {message}")
+    assert err.count("\n") == 1
+    with pytest.raises(qsc.CssError):
+        qsc.css.read_generator_file(str(bad))
+
+
+def test_build_help_names_every_builder_and_partition(capsys):
+    assert run(["build", "-h"]) == 0
+    out = capsys.readouterr().out
+    partitions = {e.params["partition"] for e in qsc.list_catalog() if "partition" in e.params}
+    assert partitions == {"one", "two", "three", "five"}
+    for name in qsc.catalog._BUILDERS:   # each builder opens a row of the table
+        assert f"\n  {name} " in out, name
+    for partition in partitions:
+        assert re.search(rf"\b{partition}\b", out), partition
 
 
 def _json_out(argv, capsys):

@@ -116,10 +116,10 @@ def test_overlap_is_refused_above_its_budget(monkeypatch):
     four, five = (QSCode(1, 4.0, 2.0 * np.exp(2j * np.pi * np.arange(n) / n)[:, None], [n], ["0"])
                   for n in (4, 5))
     assert four.scaled_overlap(0.5).shape == four.overlap.shape == (4, 4)
-    with pytest.raises(qsc.QscError, match="overlap matrix of 5 points has 25 entries, which "
-                                       "exceeds the budget 16"):
+    with pytest.raises(qsc.BudgetExceededError, match="overlap matrix of 5 points has 25 "
+                                                  "entries, which exceeds the budget 16"):
         five.scaled_overlap(0.5)
-    with pytest.raises(qsc.QscError, match="exceeds the budget"):
+    with pytest.raises(qsc.BudgetExceededError, match="exceeds the budget"):
         qsc.detection_report(five, 1, 1e-6)
 
 

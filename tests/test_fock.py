@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import qsc
-from qsc.constellation import QSCode
+from qsc.constellation import BudgetExceededError, QSCode
 from qsc.kl import MonomialError, kl_matrix
 from qsc.fock import (
     FockConfig,
@@ -44,13 +44,14 @@ def test_config_validation(monkeypatch):
     assert FockConfig(cutoff=17, modes=3).dim == 4913
     assert FockConfig(cutoff=100, modes=4).dim == 10 ** 8
     hessian = qsc.build("hessian", 1.0)
-    with pytest.raises(qsc.QscError, match="embedding of 27 points at cutoff 70 would hold "
-                                           "9261000 entries, above the budget 9000000"):
+    with pytest.raises(BudgetExceededError, match="embedding of 27 points at cutoff 70 would "
+                                                  "hold 9261000 entries, above the budget 9000000"):
         embed_codewords(hessian, FockConfig(cutoff=70, modes=3))
     # at the budget the check passes
     monkeypatch.setattr(qsc.fock, "ENTRY_BUDGET", 27 * 16 ** 3)
     assert embed_codewords(hessian, FockConfig(cutoff=16, modes=3)).shape == (3, 4096)
-    with pytest.raises(qsc.QscError, match="27 points at cutoff 17 would hold 132651 entries"):
+    with pytest.raises(BudgetExceededError,
+                       match="27 points at cutoff 17 would hold 132651 entries"):
         embed_codewords(hessian, FockConfig(cutoff=17, modes=3))
 
 
@@ -318,15 +319,16 @@ def test_channels_refuse_more_codewords_than_the_budget_before_any_work(monkeypa
     code = QSCode(1, 4.0, 2.0 * np.exp(2j * np.pi * np.arange(3001) / 3001)[:, None],
                   [1] * 3001, [str(mu) for mu in range(3001)])
     for channel, level in ((loss_channel_fidelity, 0.01), (dephasing_channel_fidelity, 0.1)):
-        with pytest.raises(qsc.QscError, match="Gram matrix of 3001 codewords would hold "
-                                               "9006001 entries, above the budget 9000000"):
+        with pytest.raises(BudgetExceededError, match="Gram matrix of 3001 codewords would hold "
+                                                      "9006001 entries, above the budget 9000000"):
             channel(code, level)
     assert not {"overlap", "codeword_norms_sq"} & set(vars(code))
     # at the budget the check passes: without loss the environment keeps one state
     monkeypatch.setattr(qsc.fock, "ENTRY_BUDGET", 4 ** 2)
     four, five = (qsc.build("cat", 4.0, S=1, K=K) for K in (4, 5))
     assert loss_channel_fidelity(four, 0.0) == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(qsc.QscError, match="Gram matrix of 5 codewords would hold 25 entries"):
+    with pytest.raises(BudgetExceededError,
+                       match="Gram matrix of 5 codewords would hold 25 entries"):
         loss_channel_fidelity(five, 0.0)
 
 
@@ -360,8 +362,9 @@ def test_dephasing_gram_budget():
     # the second mode's pair tensor would hold 9^2 x (26 x 26)^2 entries (590 MB)
     code = qsc.compile_css(qsc.ClassicalCodeSpec(3, 2, gen_x=[], gen_z=[]), 2.0)
     assert code.K == 9
-    with pytest.raises(qsc.QscError, match="pair tensor of 676 Kraus operators x 9 codewords "
-                                           "at mode 1 would hold 37015056 entries"):
+    with pytest.raises(BudgetExceededError,
+                       match="pair tensor of 676 Kraus operators x 9 codewords at mode 1 "
+                             "would hold 37015056 entries"):
         dephasing_channel_fidelity(code, 0.5, FockConfig(cutoff=60, modes=2))
 
 
@@ -378,8 +381,9 @@ def test_dephasing_refuses_a_pair_tensor_past_the_budget_before_building_it(monk
         return result
     monkeypatch.setattr(np, "tensordot", recorded)
     assert dephasing_channel_fidelity(code, 0.1) == pytest.approx(0.999997052975, abs=1e-12)
-    with pytest.raises(qsc.QscError, match="pair tensor of 225 Kraus operators x 4 codewords "
-                                           "at mode 1 would hold 24300000 entries"):
+    with pytest.raises(BudgetExceededError,
+                       match="pair tensor of 225 Kraus operators x 4 codewords at mode 1 "
+                             "would hold 24300000 entries"):
         dephasing_channel_fidelity(code, 0.2)
     assert max(sizes) <= qsc.fock.ENTRY_BUDGET
 
@@ -505,9 +509,9 @@ def test_a_multiplier_past_the_budget_is_refused_before_any_series(monkeypatch):
         with monkeypatch.context() as patched:
             patched.setattr(qsc.fock.np, "arange", _no_work)
             patched.setattr(qsc.fock, "_dephasing_kraus", _no_work)
-            with pytest.raises(qsc.QscError, match=message):
+            with pytest.raises(BudgetExceededError, match=message):
                 FockConfig.for_code(code)
-            with pytest.raises(qsc.QscError, match=message):
+            with pytest.raises(BudgetExceededError, match=message):
                 dephasing_channel_fidelity(code, 0.1)
     # just inside, the series is summed (2 x 2999 + 63 terms) and the derived
     # cutoff's multiplier is refused before the embedding or the multiplier
@@ -516,7 +520,7 @@ def test_a_multiplier_past_the_budget_is_refused_before_any_series(monkeypatch):
     assert 3000 < cutoff < 2999 + 9 * math.sqrt(2999)
     monkeypatch.setattr(qsc.fock, "embed_codewords", _no_work)
     monkeypatch.setattr(qsc.fock, "_dephasing_kraus", _no_work)
-    with pytest.raises(qsc.QscError, match=f"multiplier at cutoff {cutoff} would hold"):
+    with pytest.raises(BudgetExceededError, match=f"multiplier at cutoff {cutoff} would hold"):
         dephasing_channel_fidelity(code, 0.1)
 
 
