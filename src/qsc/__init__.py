@@ -19,8 +19,8 @@ _EXPORTS = {
                       "DimensionMismatchError", "CodeFormatError", "Violation",
                       "code_from_json", "code_to_json", "min_separation", "validate_code"),
     "moments": ("DesignReport", "design_strength", "sphere_average"),
-    "kl": ("DetectionReport", "DetectionRow", "MonomialError", "dephasing_kl_matrix",
-           "detection_report", "kl_matrix", "stirling2"),
+    "kl": ("DetectionReport", "dephasing_kl_matrix", "detection_report", "kl_matrix",
+           "stirling2"),
     "symmetries": ("PhaseSymmetries", "VanishingIdeal", "enumerate_phase_symmetries",
                    "vanishing_ideal", "verify_jump_annihilates"),
     "catalog": ("CatalogEntry", "CatalogError", "build", "list_catalog"),

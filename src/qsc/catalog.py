@@ -97,10 +97,11 @@ def _check_size(modes: int, base: int, exponent: int = 1) -> None:
 
 def _partitioned(E: float, points: np.ndarray, classes: np.ndarray) -> QSCode:
     """The code whose codeword mu, labeled str(mu), holds the points of
-    class mu, in their order."""
+    class mu, in their order.  Points already in class order are not copied."""
     sizes = np.bincount(classes)
-    return QSCode(points.shape[1], E, points[np.argsort(classes, kind="stable")], sizes,
-                  [str(mu) for mu in range(len(sizes))])
+    if np.any(classes[1:] < classes[:-1]):
+        points = points[np.argsort(classes, kind="stable")]
+    return QSCode(points.shape[1], E, points, sizes, [str(mu) for mu in range(len(sizes))])
 
 
 def _axis_points(n: int, values: list) -> tuple[np.ndarray, np.ndarray]:

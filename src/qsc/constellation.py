@@ -57,7 +57,8 @@ TOL_POINT = 1e-9
 CODE_SIZE_BUDGET = 1_000_000
 # Most entries of a complex array a code holds, checked before it is
 # allocated: the N x N overlap matrix (4,096 points, the q = 2, length-12 CSS
-# code, 256 MB) and a catalog build's N x n point array.
+# code, 256 MB), a catalog build's N x n point array, and the vanishing
+# ideal's N x columns monomial values and its arrays of generator multiples.
 OVERLAP_BUDGET = 4096 ** 2
 # Point pairs per block of the chunked distance pass: each of its temporaries
 # stays within 128 kB however many points a code has.

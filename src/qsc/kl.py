@@ -16,23 +16,25 @@ matrix of one error is
 
     (C . conj(Z)^r) O (C . Z^s)^T / sqrt(n_mu n_nu),
 
-where Z^r and Z^s are the columns of monomial values at the points, from
-:func:`qsc.moments.monomial_values`.  :func:`kl_matrix` is the single-error
-path: it evaluates this product as block sums of the N x N matrix
-conj(Z^r) O Z^s.  :func:`detection_report` covers every error of a report in
-one contraction, row first: one ``monomial_values`` call gives every Z^r and
-Z^s, the codeword block sums A_r = C (conj(Z^r) . O) are formed once per
-creation monomial r, and one block sum of A_r Z^s over the codewords gives
-the matrices of every s that r pairs with.  Only the pairs with s at or after
-r in the graded order are computed, which needs A_r only for 2|r| <= the
-degree bound (one N x N pass, for r = 0, at degree 1); the other half follows
-from the dagger identity <c_mu|E^dag|c_nu> = conj <c_nu|E|c_mu>.  A report
-keeps only each matrix's summary, as columns (``DetectionReport``): the
-exponents, degrees, lambda and delta of every row, each row's (r, s) read from
-the graded tables by position.  When all codewords have one size, as a
-compiled CSS code's do, every block sum over the codewords reshapes and sums
-(:mod:`qsc.constellation`).  Norms, with their imaginary-part and degeneracy
-checks, are computed once per code.
+where Z^r and Z^s are the columns of monomial values at the points for the
+exponent rows r and s (n nonnegative integers each), from
+:func:`qsc.moments.monomial_values`.  :func:`kl_matrix` ``(code, r, s)`` is
+the single-error path, block sums of the N x N matrix conj(Z^r) O Z^s;
+:func:`dephasing_kl_matrix` sums the Stirling terms of n_i^k through it.
+:func:`detection_report` covers every monomial error in one contraction,
+row first: one ``monomial_values`` call gives every Z^r and Z^s, the
+codeword block sums A_r = C (conj(Z^r) . O) are formed once per creation
+monomial r, and one block sum of A_r Z^s over the codewords gives the
+matrices of every s that r pairs with.  Only the pairs with s at or after r
+in the graded order are computed, which needs A_r only for 2|r| <= the
+degree bound (one N x N pass, for r = 0, at degree 1); the other half
+follows from the dagger identity <c_mu|E^dag|c_nu> = conj <c_nu|E|c_mu>.
+One rule, ``_summarize``, reduces each matrix, of a tile or of a dephasing
+row, to lambda = trace / K and delta = max |X - lambda I|, and a report
+keeps only those, as columns (``DetectionReport``).  When all codewords
+have one size, as a compiled CSS code's do, every block sum over the
+codewords reshapes and sums (:mod:`qsc.constellation`).  Norms, with their
+imaginary-part and degeneracy checks, are computed once per code.
 
 A code detects E when the matrix is proportional to the identity; the report
 records the deviation from that for every error up to a degree bound.
@@ -40,9 +42,7 @@ records the deviation from that for every error up to a degree bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,31 +64,6 @@ ERROR_BUDGET = 100_000
 KL_BLOCK_ENTRIES = 1 << 14
 
 
-@dataclass(frozen=True)
-class MonomialError:
-    """A normally ordered monomial prod_i (a_i^dag)^{r_i} a_i^{s_i}."""
-
-    r: tuple[int, ...]
-    s: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.r) != len(self.s):
-            raise DimensionMismatchError("r and s must have equal length")
-        if any(e < 0 for e in self.r) or any(e < 0 for e in self.s):
-            raise ValueError("powers must be nonnegative")
-
-    @property
-    def n(self) -> int:
-        return len(self.r)
-
-    @property
-    def degree(self) -> int:
-        return sum(self.r) + sum(self.s)
-
-    def label(self) -> str:
-        return _monomial_label(self.r, self.s)
-
-
 def _monomial_label(r, s) -> str:
     """'ad1^2 a2' for r = (2, 0), s = (0, 1); 'I' for the identity."""
     parts = []
@@ -100,11 +75,13 @@ def _monomial_label(r, s) -> str:
     return " ".join(parts) if parts else "I"
 
 
-def kl_matrix(code: QSCode, e: MonomialError) -> np.ndarray:
-    """K x K matrix of <c_mu| E |c_nu> over unit-normalized codewords."""
-    if e.n != code.modes:
-        raise DimensionMismatchError(f"error has n={e.n}, code has n={code.modes}")
-    z_r, z_s = monomial_values(code.point_array, [e.r, e.s]).T
+def kl_matrix(code: QSCode, r, s) -> np.ndarray:
+    """K x K matrix of <c_mu| prod_i (a_i^dag)^{r_i} a_i^{s_i} |c_nu> over
+    unit-normalized codewords, for exponent rows r and s of n entries each."""
+    if len(r) != code.modes or len(s) != code.modes:
+        raise DimensionMismatchError(
+            f"exponent rows of lengths {len(r)} and {len(s)}, code has n={code.modes}")
+    z_r, z_s = monomial_values(code.point_array, [r, s]).T
     weighted = code.overlap * np.conj(z_r)[:, None]
     weighted *= z_s[None, :]
     norms = code.codeword_norms_sq
@@ -127,54 +104,27 @@ def stirling2(k: int) -> list[int]:
 def dephasing_kl_matrix(code: QSCode, mode: int, k: int) -> np.ndarray:
     """KL matrix of the dephasing power n_mode^k via its normal ordering,
     n^k = sum_j S(k, j) (a^dag)^j a^j."""
-    coeffs = stirling2(k)
+    if not 0 <= mode < code.modes:
+        raise DimensionMismatchError(f"mode {mode} is not one of the code's {code.modes} modes")
     out = np.zeros((code.K, code.K), dtype=np.complex128)
-    for j, c in enumerate(coeffs):
-        if c == 0:
-            continue
-        powers = tuple(j if i == mode else 0 for i in range(code.modes))
-        out += c * kl_matrix(code, MonomialError(powers, powers))
+    powers = [0] * code.modes
+    for j, c in enumerate(stirling2(k)):
+        if c:
+            powers[mode] = j
+            out += c * kl_matrix(code, powers, powers)
     return out
-
-
-@dataclass(frozen=True)
-class DetectionRow:
-    """One error's KL matrix summarized: scale lambda and deviation delta.
-
-    The K x K matrix itself is recomputed from the code's cached frame on
-    access, so a report holds no matrices however many errors it covers.
-    """
-
-    kind: str                       # "monomial" or "dephasing"
-    error: Optional[MonomialError]  # for monomial rows
-    mode: Optional[int]             # for dephasing rows
-    power: Optional[int]            # for dephasing rows
-    degree: int
-    lam: complex
-    delta: float
-    code: QSCode = field(repr=False, compare=False)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        if self.kind == "monomial":
-            return kl_matrix(self.code, self.error)
-        return dephasing_kl_matrix(self.code, self.mode, self.power)
-
-    def label(self) -> str:
-        if self.kind == "monomial":
-            return self.error.label()
-        return _dephasing_label(self.mode, self.power)
-
-
-def _dephasing_label(mode: int, power: int) -> str:
-    return f"n{mode + 1}^{power}" if power != 1 else f"n{mode + 1}"
 
 
 @dataclass(frozen=True, eq=False)
 class DetectionReport:
     """Every error's summary, as columns: the monomial rows in the graded order
-    of their exponents (r, s), then the dephasing rows, (mode, power) each.
-    ``rows`` builds the same rows as ``DetectionRow``s on first read.
+    of their exponent rows (r, s), whose matrices are
+    ``kl_matrix(code, exponents[i, :n], exponents[i, n:])``, then the
+    dephasing rows, (mode, power) each, of ``dephasing_kl_matrix``.
+
+    ``rows`` views the columns as (label, degree, lambda, delta) tuples, built
+    on each read.  It stays only while the benchmark's tracer counts a
+    report's errors as ``len(report.rows)``.
     """
 
     exponents: np.ndarray   # (errors, 2n) int
@@ -185,29 +135,26 @@ class DetectionReport:
     detection_degree: int
     max_degree: int
     tol: float
-    code: QSCode = field(repr=False, compare=False)
 
     def labels(self) -> list[str]:
         """The label of every row: the monomial's, or n<mode>^<power>."""
         n = self.exponents.shape[1] // 2
         return ([_monomial_label(e[:n], e[n:]) for e in self.exponents.tolist()]
-                + [_dephasing_label(i, k) for i, k in self.dephasing.tolist()])
+                + [f"n{i + 1}^{k}" if k != 1 else f"n{i + 1}" for i, k in self.dephasing.tolist()])
 
-    @cached_property
-    def rows(self) -> tuple[DetectionRow, ...]:
-        n = self.exponents.shape[1] // 2
-        kinds = ([("monomial", MonomialError(tuple(e[:n]), tuple(e[n:])), None, None)
-                  for e in self.exponents.tolist()]
-                 + [("dephasing", None, i, k) for i, k in self.dephasing.tolist()])
-        return tuple(DetectionRow(*kind, *summary, self.code) for kind, summary in zip(
-            kinds, zip(self.degrees.tolist(), self.lam.tolist(), self.delta.tolist())))
+    @property
+    def rows(self) -> list[tuple[str, int, complex, float]]:
+        return list(zip(self.labels(), self.degrees.tolist(), self.lam.tolist(),
+                        self.delta.tolist()))
 
 
-def _summarize(matrix: np.ndarray) -> tuple[complex, float]:
-    K = matrix.shape[0]
-    lam = complex(np.trace(matrix) / K)
-    delta = float(np.max(np.abs(matrix - lam * np.eye(K))))
-    return lam, delta
+def _summarize(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """lambda = trace / K and delta = max |X - lambda I| of each matrix of a
+    (K, K, w) stack, as (w,) arrays; X is left holding X - lambda I."""
+    K = X.shape[0]
+    lam = np.trace(X) / K
+    X[np.arange(K), np.arange(K)] -= lam
+    return lam, np.max(np.abs(X), axis=(0, 1))
 
 
 def _monomial_summaries(code: QSCode, monomials: np.ndarray,
@@ -232,7 +179,6 @@ def _monomial_summaries(code: QSCode, monomials: np.ndarray,
     prefix = np.searchsorted(degrees, max_degree - degrees, side="right")
     columns = max(1, KL_BLOCK_ENTRIES // N)
     width = max(1, KL_BLOCK_ENTRIES // (N * K))
-    diag = np.arange(K)
     lam = np.zeros((M, M), dtype=np.complex128)
     delta = np.zeros((M, M))
     A = np.empty((K, N), dtype=np.complex128)
@@ -246,9 +192,7 @@ def _monomial_summaries(code: QSCode, monomials: np.ndarray,
             stop = min(first + width, prefix[r])
             X = code._block_sums(A[:, :, None] * Z[None, :, first:stop], 1)
             X /= norms
-            lam[r, first:stop] = np.trace(X) / K
-            X[diag, diag] -= lam[r, first:stop]
-            delta[r, first:stop] = np.max(np.abs(X), axis=(0, 1))
+            lam[r, first:stop], delta[r, first:stop] = _summarize(X)
     below = np.arange(M)[:, None] > np.arange(M)[None, :]
     return np.where(below, np.conj(lam.T), lam), np.where(below, delta.T, delta)
 
@@ -277,11 +221,11 @@ def detection_report(code: QSCode, max_degree: int, tol: float,
     r, s = _index_position(exponents[:, :n]), _index_position(exponents[:, n:])
     dephasing = np.array([(i, k) for i in range(n) for k in range(1, include_dephasing_to + 1)],
                          dtype=np.intp).reshape(-1, 2)
-    extra = np.array([_summarize(dephasing_kl_matrix(code, i, k)) for i, k in dephasing.tolist()],
-                     dtype=np.complex128).reshape(-1, 2)   # lambda, delta
+    extra = np.array([np.concatenate(_summarize(dephasing_kl_matrix(code, i, k)[:, :, None]))
+                      for i, k in dephasing.tolist()], dtype=np.complex128).reshape(-1, 2)
     degrees = np.concatenate([exponents.sum(axis=1), 2 * dephasing[:, 1]])
     failing = degrees[:n_errors][~(delta[r, s] <= tol)]   # one reduction, NaN failing too
     return DetectionReport(exponents, dephasing, degrees, np.concatenate([lam[r, s], extra[:, 0]]),
                            np.concatenate([delta[r, s], extra[:, 1].real]),
                            int(failing.min()) - 1 if len(failing) else max_degree,
-                           max_degree, tol, code)
+                           max_degree, tol)

@@ -49,6 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constellation import (
+    OVERLAP_BUDGET,
     BudgetExceededError,
     DimensionMismatchError,
     QSCode,
@@ -70,7 +71,8 @@ TOL_IDEAL = 1e-8
 # rounding: a column of unit-sphere monomial values, or a generator's entry.
 TOL_ROUNDING = 1e-14
 # Monomial columns of vanishing_ideal's evaluation matrix V, which holds N of
-# them as complex: 1.6 MB per point at the budget.
+# them as complex: 1.6 MB per point at the budget.  V's entries, and those of
+# each array of generator multiples, are held to OVERLAP_BUDGET.
 IDEAL_COLUMN_BUDGET = 100_000
 # Point images (candidates x points x modes) enumerate_phase_symmetries may
 # classify, counted from each pivot's targets before any candidate is formed:
@@ -299,6 +301,8 @@ def vanishing_ideal(code: QSCode, max_degree: int,
     if n_cols > IDEAL_COLUMN_BUDGET:
         raise BudgetExceededError(
             f"monomial enumeration needs {n_cols} columns, budget is {IDEAL_COLUMN_BUDGET}")
+    _check_entries(len(code.point_array) * n_cols,
+                   f"the values of {n_cols} monomials at {len(code.point_array)} points")
     if energy == 0.0 or max_degree * abs(math.log(energy)) / 2 >= math.log(np.finfo(float).max):
         raise QscError(f"E = {energy:g} is out of range for the vanishing ideal to degree "
                        f"{max_degree}: E^({max_degree}/2) or its inverse leaves the float range")
@@ -338,6 +342,8 @@ def vanishing_ideal(code: QSCode, max_degree: int,
         found[-1][:, :cols] = gens
         degrees += [degree] * len(gens)
         if degree < last:
+            _check_entries(len(gens) * ends[last - degree] * len(table),
+                           f"the multiples of {len(gens)} generators of degree {degree}")
             multiples.append((degree, _multiples(gens, table, ends[last - degree], scales)))
     # |coefficient of z^d| = |y_d| / (scale_d E^(|d|/2)), taken in logarithms
     # and divided by each row's largest factor, so that none overflows
@@ -348,6 +354,13 @@ def vanishing_ideal(code: QSCode, max_degree: int,
     coeffs /= np.linalg.norm(coeffs, axis=1, keepdims=True)
     return VanishingIdeal(_read_only(table), _read_only(coeffs),
                           _read_only(np.array(degrees, dtype=np.intp)))
+
+
+def _check_entries(entries: int, what: str) -> None:
+    """Refuse an array of ``entries`` entries above OVERLAP_BUDGET before it is built."""
+    if entries > OVERLAP_BUDGET:
+        raise BudgetExceededError(
+            f"{what} have {entries} entries, which exceeds the budget {OVERLAP_BUDGET}")
 
 
 def _echelon(rows: np.ndarray, tol: float) -> np.ndarray:

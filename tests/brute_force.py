@@ -591,28 +591,28 @@ def _apply_mode_operator(tensor: np.ndarray, op: np.ndarray, axis: int) -> np.nd
     return np.moveaxis(moved, 0, axis)
 
 
-def apply_monomial(vec: np.ndarray, e, cfg) -> np.ndarray:
+def apply_monomial(vec: np.ndarray, r, s, cfg) -> np.ndarray:
     """Apply prod_i (a_i^dag)^{r_i} a_i^{s_i} to a state vector."""
     a = annihilation(cfg.cutoff)
     ad = a.T.copy()
     tensor = vec.reshape((cfg.cutoff,) * cfg.modes)
     for axis in range(cfg.modes):
-        if e.s[axis]:
-            tensor = _apply_mode_operator(tensor, np.linalg.matrix_power(a, e.s[axis]), axis)
-        if e.r[axis]:
-            tensor = _apply_mode_operator(tensor, np.linalg.matrix_power(ad, e.r[axis]), axis)
+        if s[axis]:
+            tensor = _apply_mode_operator(tensor, np.linalg.matrix_power(a, s[axis]), axis)
+        if r[axis]:
+            tensor = _apply_mode_operator(tensor, np.linalg.matrix_power(ad, r[axis]), axis)
     return tensor.reshape(cfg.dim)
 
 
-def kl_matrix_fock(code, e, cfg) -> np.ndarray:
-    """The KL matrix of monomial error ``e`` by direct truncated matrix algebra
-    on the embedded codewords."""
-    if e.degree > 6:
+def kl_matrix_fock(code, r, s, cfg) -> np.ndarray:
+    """The KL matrix of the monomial error with exponent rows r and s by
+    direct truncated matrix algebra on the embedded codewords."""
+    if sum(r) + sum(s) > 6:
         raise QscError("the Fock oracle is rated for monomials of degree <= 6")
     psis = embed_codewords(code, cfg)
     K = len(psis)
     out = np.zeros((K, K), dtype=np.complex128)
-    applied = [apply_monomial(p, e, cfg) for p in psis]
+    applied = [apply_monomial(p, r, s, cfg) for p in psis]
     for mu in range(K):
         for nu in range(K):
             out[mu, nu] = np.vdot(psis[mu], applied[nu])

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +33,21 @@ def test_build_keeps_its_bytes(case):
     """Every bit of every point, labels and codeword order included."""
     text = code_to_json(build(case["name"], case["E"], **case["params"]))
     assert hashlib.sha256(text.encode()).hexdigest() == case["sha256"]
+
+
+@pytest.mark.parametrize("name, options", [("beta", {"n": 200, "q": 16}),
+                                           ("orthoplex", {"n": 300})])
+def test_build_in_class_order_peaks_at_two_copies_of_its_points(name, options):
+    # the builder's array and the code's own copy; points already in class
+    # order are not sorted into a third
+    build(name, 4.0)   # imports and caches outside the measurement
+    tracemalloc.start()
+    try:
+        code = build(name, 4.0, **options)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * code.point_array.nbytes
 
 
 @pytest.mark.parametrize("entry", ENTRIES, ids=lambda e: e.entry_id)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import qsc
 from qsc.constellation import BudgetExceededError, QSCode
-from qsc.kl import MonomialError, kl_matrix
+from qsc.kl import kl_matrix
 from qsc.fock import (
     FockConfig,
     TruncationError,
@@ -92,34 +92,33 @@ def test_coherent_amplitudes_poisson():
 def test_identity_error_reproduces_gram(four_legged):
     psis = embed_codewords(four_legged, CFG1)
     gram = np.array([[np.vdot(a, b) for b in psis] for a in psis])
-    oracle = kl_matrix_fock(four_legged, MonomialError((0,), (0,)), CFG1)
+    oracle = kl_matrix_fock(four_legged, (0,), (0,), CFG1)
     assert np.allclose(oracle, gram, atol=1e-12)
 
 
 def test_four_legged_loss_zero_in_fock(four_legged):
-    m = kl_matrix_fock(four_legged, MonomialError((0,), (1,)), CFG1)
+    m = kl_matrix_fock(four_legged, (0,), (1,), CFG1)
     assert np.max(np.abs(m)) < 1e-10
 
 
 def test_random_code_number_operator_matches_exact():
     for alpha in (1.0, 2.0):
         code = random_three_point_code(alpha)
-        e = MonomialError((1,), (1,))
-        assert np.max(np.abs(kl_matrix(code, e) -
-                             kl_matrix_fock(code, e, CFG1))) < 1e-8
+        assert np.max(np.abs(kl_matrix(code, (1,), (1,)) -
+                             kl_matrix_fock(code, (1,), (1,), CFG1))) < 1e-8
 
 
 def test_oracle_equivalence_degree_three(cat33):
     for combined in brute_multi_indices(2, 3):
-        e = MonomialError(combined[:1], combined[1:])
-        dev = np.max(np.abs(kl_matrix(cat33, e) - kl_matrix_fock(cat33, e, CFG1)))
-        assert dev < 1e-8, e
+        r, s = combined[:1], combined[1:]
+        dev = np.max(np.abs(kl_matrix(cat33, r, s) - kl_matrix_fock(cat33, r, s, CFG1)))
+        assert dev < 1e-8, (r, s)
 
 
 def test_monomial_degree_cap():
     code = qsc.build("cat", 1.0, S=1, K=2)
     with pytest.raises(qsc.QscError, match="degree"):
-        kl_matrix_fock(code, MonomialError((4,), (3,)), CFG1)
+        kl_matrix_fock(code, (4,), (3,), CFG1)
 
 
 def test_annihilation_matrix():

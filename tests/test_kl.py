@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 import qsc
 from qsc.kl import (
-    MonomialError,
     _summarize,
     dephasing_kl_matrix,
     detection_report,
@@ -80,7 +79,7 @@ def test_codeword_norm_degenerate():
 # ---------------------------------------------------------------------------
 
 def test_identity_error_gives_gram_matrix(four_legged):
-    m = kl_matrix(four_legged, MonomialError((0,), (0,)))
+    m = kl_matrix(four_legged, (0,), (0,))
     assert np.allclose(np.diag(m), 1.0)
     assert np.allclose(m, m.conj().T)
     assert np.min(np.linalg.eigvalsh(m)) >= -1e-10
@@ -93,18 +92,18 @@ def test_identity_error_gives_gram_matrix(four_legged):
                          ids=lambda e: e.entry_id)
 def test_gram_psd_across_catalog(entry):
     code = entry.build(4.0)
-    m = kl_matrix(code, MonomialError((0,) * code.modes, (0,) * code.modes))
+    m = kl_matrix(code, (0,) * code.modes, (0,) * code.modes)
     assert np.allclose(np.diag(m), 1.0, atol=1e-12)
     assert np.min(np.linalg.eigvalsh(m)) >= -1e-10
 
 
 def test_four_legged_loss_cancels_exactly(four_legged):
-    m = kl_matrix(four_legged, MonomialError((0,), (1,)))
+    m = kl_matrix(four_legged, (0,), (1,))
     assert np.max(np.abs(m)) < 1e-12
 
 
 def test_two_legged_loss_not_detected(two_legged):
-    m = kl_matrix(two_legged, MonomialError((0,), (1,)))
+    m = kl_matrix(two_legged, (0,), (1,))
     assert np.max(np.abs(m)) > 0.1
     assert m[0, 0] == pytest.approx(2.0)
     assert m[1, 1] == pytest.approx(-2.0)
@@ -114,9 +113,9 @@ def test_two_legged_loss_not_detected(two_legged):
 def test_kl_matches_brute_force(cat33):
     lists = constellations_as_lists(cat33)
     for combined in brute_multi_indices(2, 2):
-        e = MonomialError(combined[:1], combined[1:])
-        mine = kl_matrix(cat33, e)
-        brute = np.array(brute_kl_matrix(lists, e.r, e.s))
+        r, s = combined[:1], combined[1:]
+        mine = kl_matrix(cat33, r, s)
+        brute = np.array(brute_kl_matrix(lists, r, s))
         assert np.max(np.abs(mine - brute)) < 1e-12
 
 
@@ -125,8 +124,8 @@ def test_dagger_symmetry(repetition_css):
     for _ in range(6):
         r = tuple(rng.integers(0, 3, size=2))
         s = tuple(rng.integers(0, 3, size=2))
-        a = kl_matrix(repetition_css, MonomialError(r, s))
-        b = kl_matrix(repetition_css, MonomialError(s, r))
+        a = kl_matrix(repetition_css, r, s)
+        b = kl_matrix(repetition_css, s, r)
         assert np.max(np.abs(a - b.conj().T)) < 1e-12
 
 
@@ -137,7 +136,7 @@ def test_offdiagonals_shrink_with_radius():
             prev = None
             for E in (1.0, 4.0, 9.0):
                 code = qsc.build(name, E, **params)
-                m = kl_matrix(code, MonomialError((0,), (s_power,)))
+                m = kl_matrix(code, (0,), (s_power,))
                 off = float(np.max(np.abs(m - np.diag(np.diag(m)))))
                 if prev is not None:
                     assert off <= prev + 1e-9
@@ -157,17 +156,20 @@ def test_high_energy_matrices_match_brute_force(name, params, energy):
     code = qsc.build(name, energy, **params)
     cws = constellations_as_lists(code)
     report = detection_report(code, 2, tol=1e-6)
-    for row in report.rows:
-        brute = np.array(brute_kl_matrix(cws, row.error.r, row.error.s))
-        scale = 1e-15 * energy ** (row.degree / 2)
-        assert np.max(np.abs(row.matrix - brute)) <= scale, row.label()
-        assert abs(row.lam - np.trace(brute) / code.K) <= scale, row.label()
+    for label, r, s, degree, lam, _ in monomial_rows(report):
+        brute = np.array(brute_kl_matrix(cws, r, s))
+        scale = 1e-15 * energy ** (degree / 2)
+        assert np.max(np.abs(kl_matrix(code, r, s) - brute)) <= scale, label
+        assert abs(lam - np.trace(brute) / code.K) <= scale, label
 
 
 def test_dimension_mismatch():
     code = qsc.build("cat", 4.0, S=1, K=2)
-    with pytest.raises(qsc.DimensionMismatchError):
-        kl_matrix(code, MonomialError((0, 0), (1, 0)))
+    for r, s in [((0, 0), (1, 0)), ((0,), (1, 0)), ((0, 0), (1,)), ((), ())]:
+        with pytest.raises(qsc.DimensionMismatchError, match="code has n=1"):
+            kl_matrix(code, r, s)
+    with pytest.raises(ValueError, match="nonnegative"):
+        kl_matrix(code, (-1,), (0,))
 
 
 # ---------------------------------------------------------------------------
@@ -186,8 +188,14 @@ def test_stirling_numbers():
 
 
 def test_dephasing_first_power_is_number_operator(four_legged):
-    direct = kl_matrix(four_legged, MonomialError((1,), (1,)))
+    direct = kl_matrix(four_legged, (1,), (1,))
     assert np.allclose(dephasing_kl_matrix(four_legged, 0, 1), direct)
+
+
+@pytest.mark.parametrize("mode", [5, -1, 1])
+def test_dephasing_refuses_a_mode_the_code_lacks(four_legged, mode):
+    with pytest.raises(qsc.DimensionMismatchError, match=f"mode {mode} .* 1 modes"):
+        dephasing_kl_matrix(four_legged, mode, 2)
 
 
 def test_dephasing_expansion_against_fock(four_legged):
@@ -206,11 +214,20 @@ def test_dephasing_expansion_against_fock(four_legged):
 # detection report
 # ---------------------------------------------------------------------------
 
+def monomial_rows(report):
+    """(label, r, s, degree, lambda, delta) of each monomial row of a report,
+    r and s its exponent rows as tuples."""
+    n = report.exponents.shape[1] // 2
+    return zip(report.labels(), (tuple(e[:n]) for e in report.exponents.tolist()),
+               (tuple(e[n:]) for e in report.exponents.tolist()), report.degrees.tolist(),
+               report.lam.tolist(), report.delta.tolist())
+
+
 def test_detection_trivial_single_codeword():
     code = qsc.build("cell24", 4.0, partition="one")
     report = detection_report(code, 2, tol=1e-12)
     assert report.detection_degree == 2
-    assert all(row.delta < 1e-12 for row in report.rows)
+    assert all(delta < 1e-12 for delta in report.delta)
 
 
 def test_detection_four_legged_cat(four_legged):
@@ -218,9 +235,8 @@ def test_detection_four_legged_cat(four_legged):
     # so at tol 1e-6 even the identity fails; at tol 0.05 one loss is covered
     report = detection_report(four_legged, 1, tol=1e-6)
     assert report.detection_degree == -1
-    identity_row = report.rows[0]
-    assert identity_row.error == MonomialError((0,), (0,))
-    assert identity_row.delta == pytest.approx(
+    assert report.exponents[0].tolist() == [0, 0]
+    assert report.delta[0] == pytest.approx(
         abs(4 * math.exp(-4.0) * math.cos(4.0) / (2 + 2 * math.exp(-8.0))), rel=1e-9)
     relaxed = detection_report(four_legged, 1, tol=0.05)
     assert relaxed.detection_degree == 1
@@ -230,16 +246,15 @@ def test_detection_four_legged_cat_high_energy():
     code = qsc.build("cat", 16.0, S=2, K=2)
     report = detection_report(code, 1, tol=1e-6, include_dephasing_to=2)
     assert report.detection_degree == 1
-    labels = [row.label() for row in report.rows]
+    labels = report.labels()
     assert "n1" in labels and "n1^2" in labels
 
 
 def test_detection_two_legged_cat(two_legged):
     report = detection_report(two_legged, 1, tol=0.05)
     assert report.detection_degree == 0
-    loss_row = next(r for r in report.rows
-                    if r.kind == "monomial" and r.error == MonomialError((0,), (1,)))
-    assert loss_row.delta == pytest.approx(2.0)
+    loss_row = report.exponents.tolist().index([0, 1])
+    assert report.delta[loss_row] == pytest.approx(2.0)
 
 
 def test_detection_report_columns_match_its_rows():
@@ -247,14 +262,14 @@ def test_detection_report_columns_match_its_rows():
     report = detection_report(code, 2, tol=1e-6, include_dephasing_to=2)
     rows = report.rows
     assert len(rows) == len(report.exponents) + len(report.dephasing) == len(report.lam)
-    assert report.labels() == [row.label() for row in rows]
-    assert report.degrees.tolist() == [row.degree for row in rows]
-    assert report.lam.tolist() == [row.lam for row in rows]
-    assert report.delta.tolist() == [row.delta for row in rows]
-    assert report.exponents.tolist() == [list(row.error.r + row.error.s) for row in rows
-                                         if row.kind == "monomial"]
-    assert report.dephasing.tolist() == [[row.mode, row.power] for row in rows
-                                         if row.kind == "dephasing"]
+    assert report.labels() == [label for label, _, _, _ in rows]
+    assert report.degrees.tolist() == [degree for _, degree, _, _ in rows]
+    assert report.lam.tolist() == [lam for _, _, lam, _ in rows]
+    assert report.delta.tolist() == [delta for _, _, _, delta in rows]
+    assert report.exponents.tolist() == [list(e) for e in brute_multi_indices(2, 2)]
+    assert report.dephasing.tolist() == [[0, 1], [0, 2]]
+    assert report.labels()[-2:] == ["n1", "n1^2"]
+    assert report.degrees[-2:].tolist() == [2, 4]
 
 
 def test_detection_budget(monkeypatch):
@@ -271,9 +286,9 @@ def test_detection_budget(monkeypatch):
 
 def test_detection_rows_conjugate_pairs(four_legged):
     report = detection_report(four_legged, 2, tol=1e-6)
-    by_error = {row.error: row.matrix for row in report.rows if row.kind == "monomial"}
-    for e, m in by_error.items():
-        assert np.max(np.abs(by_error[MonomialError(e.s, e.r)] - m.conj().T)) < 1e-12
+    by_error = {(r, s): kl_matrix(four_legged, r, s) for _, r, s, _, _, _ in monomial_rows(report)}
+    for (r, s), m in by_error.items():
+        assert np.max(np.abs(by_error[s, r] - m.conj().T)) < 1e-12
 
 
 amplitude = st.builds(complex, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
@@ -292,28 +307,30 @@ def small_codes(draw):
 def test_detection_rows_match_brute_force(cws):
     code = code_of(len(cws[0][0]), 0.0, cws)
     report = detection_report(code, 2, tol=1e-6)
-    for row in report.rows:
-        brute = np.array(brute_kl_matrix(cws, row.error.r, row.error.s))
+    for _, r, s, _, row_lam, row_delta in monomial_rows(report):
+        brute = np.array(brute_kl_matrix(cws, r, s))
         scale = 1e-12 * max(1.0, np.max(np.abs(brute)))
-        assert np.max(np.abs(row.matrix - brute)) <= scale
+        assert np.max(np.abs(kl_matrix(code, r, s) - brute)) <= scale
         # the report's own summary, not only the recomputed matrix
         lam = np.trace(brute) / len(cws)
-        assert abs(row.lam - lam) <= scale
-        assert abs(row.delta - np.max(np.abs(brute - lam * np.eye(len(cws))))) <= scale
+        assert abs(row_lam - lam) <= scale
+        assert abs(row_delta - np.max(np.abs(brute - lam * np.eye(len(cws))))) <= scale
     # the identity row is the Gram matrix of the normalized codewords
     sums = np.array([[sum(brute_overlap(z, w) for z in a for w in b) for b in cws] for a in cws])
     gram = sums / np.sqrt(np.outer(np.diag(sums).real, np.diag(sums).real))
-    assert report.rows[0].error == MonomialError((0,) * code.modes, (0,) * code.modes)
-    assert np.max(np.abs(report.rows[0].matrix - gram)) <= 1e-12
+    n = code.modes
+    assert report.exponents[0].tolist() == [0] * (2 * n)
+    assert np.max(np.abs(kl_matrix(code, report.exponents[0, :n], report.exponents[0, n:])
+                         - gram)) <= 1e-12
 
 
 def _assert_same_report(a, b):
     # the block width changes only the order of some sums, hence the last bit
     assert a.detection_degree == b.detection_degree
-    assert [(r.label(), r.degree) for r in a.rows] == [(r.label(), r.degree) for r in b.rows]
-    for x, y in zip(a.rows, b.rows):
-        assert abs(x.lam - y.lam) <= 1e-14 * max(1.0, abs(x.lam))
-        assert abs(x.delta - y.delta) <= 1e-14 * max(1.0, x.delta)
+    assert (a.labels(), a.degrees.tolist()) == (b.labels(), b.degrees.tolist())
+    for x_lam, y_lam, x_delta, y_delta in zip(a.lam, b.lam, a.delta, b.delta):
+        assert abs(x_lam - y_lam) <= 1e-14 * max(1.0, abs(x_lam))
+        assert abs(x_delta - y_delta) <= 1e-14 * max(1.0, x_delta)
 
 
 @pytest.mark.parametrize("code", [
@@ -343,13 +360,13 @@ def unequal_codes(draw):
 
 def _assert_rows_match_kl_matrix(code):
     report = detection_report(code, 2, tol=1e-6)
-    errors = [row.error for row in report.rows]
+    errors = {(r, s) for _, r, s, _, _, _ in monomial_rows(report)}
     # the report holds both (r, s) and (s, r): half of them filled by the dagger
-    assert {MonomialError(e.s, e.r) for e in errors} == set(errors)
-    for row in report.rows:
-        lam, delta = _summarize(kl_matrix(code, row.error))
+    assert {(s, r) for r, s in errors} == errors
+    for _, r, s, _, row_lam, row_delta in monomial_rows(report):
+        (lam,), (delta,) = _summarize(kl_matrix(code, r, s)[:, :, None])
         scale = 1e-12 * max(1.0, abs(lam))
-        assert abs(row.lam - lam) <= scale and abs(row.delta - delta) <= scale
+        assert abs(row_lam - lam) <= scale and abs(row_delta - delta) <= scale
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(qsc.kl, "KL_BLOCK_ENTRIES", 1)
         _assert_same_report(detection_report(code, 2, tol=1e-6), report)
@@ -377,10 +394,11 @@ def test_detection_rows_of_css_codes_match_brute_force(shape, degree):
     cws = constellations_as_lists(code)
     report = detection_report(code, degree, tol=1e-6)
     assert report.degrees[-1] == degree
-    for i in np.linspace(0, len(report.rows) - 1, 5).astype(int):
-        row = report.rows[i]
-        brute = np.array(brute_kl_matrix(cws, row.error.r, row.error.s))
+    rows = list(monomial_rows(report))
+    for i in np.linspace(0, len(rows) - 1, 5).astype(int):
+        label, r, s, _, row_lam, row_delta = rows[i]
+        brute = np.array(brute_kl_matrix(cws, r, s))
         lam = np.trace(brute) / code.K
         scale = 1e-12 * max(1.0, np.max(np.abs(brute)))
-        assert abs(row.lam - lam) <= scale, row.label()
-        assert abs(row.delta - np.max(np.abs(brute - lam * np.eye(code.K)))) <= scale, row.label()
+        assert abs(row_lam - lam) <= scale, label
+        assert abs(row_delta - np.max(np.abs(brute - lam * np.eye(code.K)))) <= scale, label

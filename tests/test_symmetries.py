@@ -337,6 +337,28 @@ def test_ideal_budget(monkeypatch):
         vanishing_ideal(code, 4)
 
 
+def test_ideal_counts_entries_against_the_overlap_budget(repetition_css, monkeypatch):
+    # 4 points and the 28 monomials of degree <= 6 on 2 modes: V holds 112
+    # entries; the 2 generators of degree 2 times the 3 monomials of degree
+    # <= 1 (the search stops at degree 3) give multiples of 2 x 3 x 28 entries
+    monkeypatch.setattr(qsc.symmetries, "OVERLAP_BUDGET", 168)
+    assert vanishing_ideal(repetition_css, 6).degrees.tolist() == [2, 2]
+    monkeypatch.setattr(qsc.symmetries, "OVERLAP_BUDGET", 167)
+    with monkeypatch.context() as patched:
+        patched.setattr(qsc.symmetries, "_multiples", _no_work)
+        with pytest.raises(BudgetExceededError, match="the multiples of 2 generators of degree 2 "
+                                                      "have 168 entries, which exceeds the budget"):
+            vanishing_ideal(repetition_css, 6)
+    monkeypatch.setattr(qsc.symmetries, "OVERLAP_BUDGET", 112)
+    with pytest.raises(BudgetExceededError, match="168 entries"):
+        vanishing_ideal(repetition_css, 6)
+    monkeypatch.setattr(qsc.symmetries, "OVERLAP_BUDGET", 111)
+    monkeypatch.setattr(qsc.symmetries, "monomial_values", _no_work)
+    with pytest.raises(BudgetExceededError, match="the values of 28 monomials at 4 points have "
+                                                  "112 entries, which exceeds the budget 111"):
+        vanishing_ideal(repetition_css, 6)
+
+
 # ---------------------------------------------------------------------------
 # candidates read off the points against the exhaustive enumeration
 # ---------------------------------------------------------------------------
