@@ -25,8 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .constellation import (CODE_SIZE_BUDGET, OVERLAP_BUDGET, BudgetExceededError, QSCode,
-                            QscError)
+from .constellation import CODE_SIZE_BUDGET, BudgetExceededError, QSCode, QscError, _check_entries
 
 _GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 # The 16 sign vectors of itertools.product((1.0, -1.0), repeat=4), as rows.
@@ -83,16 +82,12 @@ def _cell600_cosets(z: np.ndarray) -> np.ndarray:
 def _check_size(modes: int, base: int, exponent: int = 1) -> None:
     """Refuse a code of base^exponent points of ``modes`` amplitudes each,
     before any point is made, when its points exceed CODE_SIZE_BUDGET or its
-    amplitudes OVERLAP_BUDGET, the largest complex array a code may hold.  A
-    base of at least 2 raised beyond the budget's bit length exceeds it, so
-    no larger power is ever formed."""
+    amplitudes the package's one budget of entries.  A base of at least 2 raised
+    past that bit length exceeds it, so no larger power is ever formed."""
     count = f"{base}^{exponent}" if exponent > 1 else str(base)
     if exponent > CODE_SIZE_BUDGET.bit_length() or base ** exponent > CODE_SIZE_BUDGET:
         raise BudgetExceededError(f"code with {count} points exceeds the budget {CODE_SIZE_BUDGET}")
-    if base ** exponent * modes > OVERLAP_BUDGET:
-        raise BudgetExceededError(
-            f"code with {count} points of {modes} modes has {base ** exponent * modes} "
-            f"entries, which exceeds the budget {OVERLAP_BUDGET}")
+    _check_entries(base ** exponent * modes, f"code with {count} points of {modes} modes")
 
 
 def _partitioned(E: float, points: np.ndarray, classes: np.ndarray) -> QSCode:

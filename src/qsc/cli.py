@@ -1,11 +1,11 @@
 """Command-line entry point.
 
 Subcommands: catalog, build, design, kl, symmetries, ideal, css, perf, table.
-All subcommands accept --json for machine-readable output, printed on one
-line (``python -m json.tool`` indents it); computation results go to stdout,
-progress and errors to stderr.  Exit codes: 0 success, 1 computation error,
-2 usage error (an unparsable command line, or an argument value the library
-rejects with ValueError, such as a negative degree).
+Each accepts --json: output on one line (``python -m json.tool`` indents it),
+but build and css write the indented code document either way.  Results go
+to stdout, progress and errors to stderr.  Exit codes: 0 success, 1
+computation error, 2 usage error (an unparsable command line, or an argument
+value the library rejects with ValueError, such as a negative degree).
 
 Importing this module loads only :mod:`qsc.constellation`: each subcommand
 imports the layers it runs when it runs, so a ``qsc perf`` process never
@@ -22,8 +22,8 @@ import sys
 
 import numpy as np
 
-from .constellation import (CodeFormatError, QSCode, QscError, code_from_json, code_to_json,
-                            min_separation)
+from .constellation import (CodeFormatError, QSCode, QscError, _check_entries, code_from_json,
+                            code_to_json, min_separation)
 
 
 def _fmt(x: float) -> str:
@@ -244,26 +244,23 @@ def cmd_perf(args: argparse.Namespace) -> int:
         raise ValueError("cutoff must be at least 2")
     code = _load_code(args.infile)
     start, stop, count = _parse_range(args.gammas if args.channel == "loss" else args.sigmas)
+    _check_entries(count, "the levels")
     levels = np.linspace(start, stop, count)
     if args.channel == "dephasing":
         cfg = (FockConfig.for_code(code) if args.cutoff is None
                else FockConfig(cutoff=args.cutoff, modes=code.modes))
     rows = []
     for level in levels:
-        if args.channel == "loss":
-            f = loss_channel_fidelity(code, float(level))
-        else:
-            f = dephasing_channel_fidelity(code, float(level), cfg)
+        f = (loss_channel_fidelity(code, float(level)) if args.channel == "loss"
+             else dephasing_channel_fidelity(code, float(level), cfg))
         rows.append([_fmt(level), _fmt(f)])
         at = "" if args.channel == "loss" else f" at cutoff {cfg.cutoff}"
         print(f"{args.channel} {level:g}{at}: F = {f:.12g}", file=sys.stderr)
     header = ["gamma" if args.channel == "loss" else "sigma", "fidelity"]
-    text = _csv(header, rows)
     if args.json:
-        print(json.dumps([{header[0]: float(a), "fidelity": float(b)}
-                          for a, b in rows]))
-        return 0
-    _write_output(text, args.csv)
+        print(json.dumps([{header[0]: float(a), "fidelity": float(b)} for a, b in rows]))
+    else:
+        _write_output(_csv(header, rows), args.csv)
     return 0
 
 
@@ -395,7 +392,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", default="2.0",
                    help="cat amplitude per mode (complex accepted)")
     p.add_argument("--out", default="-")
-    p.add_argument("--json", action="store_true")
+    p.add_argument("--json", action="store_true",
+                   help="(output is already JSON; accepted for uniformity)")
 
     p = sub.add_parser(
         "perf", help="channel fidelity with transpose recovery",
@@ -403,8 +401,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "recovery.  Loss is exact in the code's coherent frame, for any "
                     "number of modes; dephasing uses the exact Kraus operators of the "
                     "Gaussian phase multiplier on a Fock space truncated at --cutoff "
-                    "per mode, on any number of modes; an input whose arrays would "
-                    "not fit the simulation's budget of entries is refused.")
+                    "per mode, on any number of modes; an input whose arrays or levels "
+                    "would not fit the package's one budget of entries is refused.")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--channel", choices=["loss", "dephasing"], default="loss")
     p.add_argument("--gammas", default="0.001:0.05:10",

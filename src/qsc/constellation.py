@@ -55,11 +55,12 @@ TOL_POINT = 1e-9
 # Points (or classical words) a code may have: the CSS enumerations and the
 # catalog builders check their count against it before they make any.
 CODE_SIZE_BUDGET = 1_000_000
-# Most entries of a complex array a code holds, checked before it is
-# allocated: the N x N overlap matrix (4,096 points, the q = 2, length-12 CSS
-# code, 256 MB), a catalog build's N x n point array, and the vanishing
-# ideal's N x columns monomial values and its arrays of generator multiples.
-OVERLAP_BUDGET = 4096 ** 2
+# The package's one entry budget, checked by _check_entries before an array is
+# built: the N x N overlap, a catalog build's N x n points, the ideal's monomial
+# values and generator multiples, the phase-symmetry images, a channel's
+# multiplier, embedding, pair tensors and Gram matrices, and qsc perf's levels.
+# 4096^2 entries is the overlap of the q = 2, length-12 CSS code: 256 MB of complex.
+ENTRY_BUDGET = 4096 ** 2
 # Point pairs per block of the chunked distance pass: each of its temporaries
 # stays within 128 kB however many points a code has.
 DISTANCE_BLOCK_PAIRS = 1 << 13
@@ -86,7 +87,14 @@ class DegenerateConstellationError(QscError):
 
 
 class BudgetExceededError(QscError):
-    """An enumeration would exceed its configured budget."""
+    """An enumeration or an array would exceed its budget."""
+
+
+def _check_entries(entries: int, what: str) -> None:
+    """Refuse an array of ``entries`` entries above ENTRY_BUDGET before it is built."""
+    if entries > ENTRY_BUDGET:
+        raise BudgetExceededError(f"{what} would hold {entries} entries, above the budget "
+                                  f"{ENTRY_BUDGET}")
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -170,11 +178,9 @@ class QSCode:
     def scaled_overlap(self, t: float) -> np.ndarray:
         """Overlaps <sqrt(t) z|sqrt(t) w> of the points scaled by sqrt(t): the
         exponent of ``overlap`` times t, (N, N).  Not cached.  Refused above
-        OVERLAP_BUDGET entries."""
+        ENTRY_BUDGET entries."""
         Z = self.point_array
-        if len(Z) ** 2 > OVERLAP_BUDGET:
-            raise BudgetExceededError(f"the overlap matrix of {len(Z)} points has {len(Z) ** 2} "
-                                      f"entries, which exceeds the budget {OVERLAP_BUDGET}")
+        _check_entries(len(Z) ** 2, f"the overlap matrix of {len(Z)} points")
         half = 0.5 * np.sum(np.abs(Z) ** 2, axis=1)
         G = np.conj(Z) @ Z.T   # in place from here: no further N x N temporaries
         G += -half[:, None] - half[None, :]

@@ -20,7 +20,7 @@ orthonormal codewords E_j |e_mu>, which one function turns into the fidelity.
   with the code one mode at a time and compressed after each, since their
   joint index would otherwise grow as a power of the mode count.  No quadrature.
 
-Each array a channel builds is checked against one budget of ``ENTRY_BUDGET``
+Each array a channel builds is checked against the package's one budget of
 entries before it is built, so no cutoff or mode count is capped as such.
 ``embed_codewords`` writes every codeword as a number-basis vector on any
 number of modes; the test suite's Fock oracles start from it.
@@ -33,12 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constellation import BudgetExceededError, QSCode, QscError
+from .constellation import QSCode, QscError, _check_entries
 
-# Most entries of any array a channel builds: a 3000 x 3000 Gram matrix, held
-# twice while decomposed (2 x 16 x 3000^2 bytes = 288 MB), as a pair tensor is
-# while its axes are reordered.
-ENTRY_BUDGET = 3000 ** 2
 TAIL_TOL = 1e-12
 COMPLETENESS_TOL = 1e-8
 # Eigenvalues below this share of the largest are dropped.  The matrices
@@ -57,12 +53,6 @@ class TruncationError(QscError):
 
 class KrausCompletenessError(QscError):
     """The truncated Kraus set is not close enough to trace preserving."""
-
-
-def _check_entries(entries: int, what: str) -> None:
-    if entries > ENTRY_BUDGET:
-        raise BudgetExceededError(f"{what} would hold {entries} entries, above the budget "
-                                  f"{ENTRY_BUDGET}")
 
 
 @dataclass(frozen=True)
@@ -100,11 +90,15 @@ class FockConfig:
 
 def embed_codewords(code: QSCode, cfg: FockConfig) -> np.ndarray:
     """Normalized number-basis vectors of the codewords, (K, cutoff^modes);
-    ``TruncationError`` names the largest tail mass above TAIL_TOL."""
+    ``TruncationError`` names the largest tail mass above TAIL_TOL, and a point
+    whose e^(-|z_k|^2/2) underflows is refused: its tail mass would be wrong."""
     if code.modes != cfg.modes:
         raise QscError(f"code has {code.modes} modes, config expects {cfg.modes}")
     Z = code.point_array
     _check_entries(len(Z) * cfg.dim, f"the embedding of {len(Z)} points at cutoff {cfg.cutoff}")
+    top = float(np.max(np.abs(Z) ** 2))
+    if top > -2.0 * math.log(np.finfo(float).tiny):   # 1416.8: e^(-top/2) is subnormal
+        raise QscError(f"|z_k|^2 = {top:.6g} underflows the Fock embedding's e^(-|z_k|^2/2)")
     steps = Z[:, :, None] / np.sqrt(np.arange(1, cfg.cutoff))
     # e^{-|z|^2/2} z^k / sqrt(k!) of every point and mode, (N, n, cutoff)
     amps = np.cumprod(np.dstack((np.exp(-0.5 * np.abs(Z) ** 2), steps)), axis=2)

@@ -111,16 +111,23 @@ def count_multi_indices(dim: int, max_degree: int) -> int:
     return math.comb(max_degree + dim, dim)
 
 
+def _exponents(rows) -> np.ndarray:
+    """``rows`` as an integer array; a negative or fractional entry is refused."""
+    with np.errstate(invalid="ignore"):   # NaN or inf casts to an integer unequal to it
+        e = np.asarray(rows).astype(np.intp, copy=False)
+    if np.any(e < 0) or not np.array_equal(e, rows):
+        raise ValueError("exponents must be nonnegative integers")
+    return e
+
+
 def monomial_values(Z: np.ndarray, exponents) -> np.ndarray:
     """Values prod_i Z[k, i]^e[j, i] of the monomials e = exponents at the
     points Z, (N, M) for (N, n) points and (M, n) exponent rows.  Powers come
     from a table built by repeated multiplication and multiply in mode by mode.
     """
-    e = np.asarray(exponents, dtype=np.intp)
+    e = _exponents(exponents)
     if e.ndim != 2 or e.shape[1] != Z.shape[1]:
         raise DimensionMismatchError(f"exponent rows {e.shape} do not fit {Z.shape[1]} modes")
-    if np.any(e < 0):
-        raise ValueError("exponents must be nonnegative")
     table = np.ones((Z.shape[1], int(e.max(initial=0)) + 1, Z.shape[0]), dtype=np.complex128)
     for k in range(1, table.shape[1]):
         table[:, k] = table[:, k - 1] * Z.T
@@ -147,11 +154,9 @@ def sphere_average(p, q, n: int) -> np.ndarray:
     the average (at most 1) is the nearest float.  Checked against Monte Carlo
     sampling and a loop oracle in the test suite.
     """
-    p, q = np.asarray(p, dtype=np.intp), np.asarray(q, dtype=np.intp)
+    p, q = _exponents(p), _exponents(q)
     if n < 1 or p.ndim != 2 or p.shape != q.shape or p.shape[1] != n:
         raise DimensionMismatchError(f"exponent rows {p.shape} and {q.shape} do not fit {n} modes")
-    if np.any(p < 0) or np.any(q < 0):
-        raise ValueError("exponents must be nonnegative")
     rows = np.flatnonzero(np.all(p == q, axis=1))
     diagonal = p[rows].tolist()
     top = n - 1 + max(map(sum, diagonal), default=0)

@@ -49,12 +49,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constellation import (
-    OVERLAP_BUDGET,
     BudgetExceededError,
     DimensionMismatchError,
     QSCode,
     QscError,
     TOL_POINT,
+    _check_entries,
     _pairs_within,
     _read_only,
 )
@@ -71,13 +71,8 @@ TOL_IDEAL = 1e-8
 # rounding: a column of unit-sphere monomial values, or a generator's entry.
 TOL_ROUNDING = 1e-14
 # Monomial columns of vanishing_ideal's evaluation matrix V, which holds N of
-# them as complex: 1.6 MB per point at the budget.  V's entries, and those of
-# each array of generator multiples, are held to OVERLAP_BUDGET.
+# them as complex: 1.6 MB per point at the budget.
 IDEAL_COLUMN_BUDGET = 100_000
-# Point images (candidates x points x modes) enumerate_phase_symmetries may
-# classify, counted from each pivot's targets before any candidate is formed:
-# 64 MB of complex at the budget.
-PHASE_IMAGE_BUDGET = 1 << 22
 Z_TYPE = "Z-type"
 X_TYPE = "X-type"
 
@@ -150,8 +145,8 @@ def enumerate_phase_symmetries(code: QSCode, max_order: int) -> PhaseSymmetries:
     action; the candidates are read off the points (see the module docstring).
 
     The per-pivot target counts bound the candidates: their product times
-    the N x n images of each is checked against PHASE_IMAGE_BUDGET before
-    any candidate is formed.
+    the N x n images of each is checked against the package's one budget of
+    entries before any candidate is formed.
     """
     if max_order < 1:
         raise ValueError("max_order must be at least 1")
@@ -178,10 +173,8 @@ def enumerate_phase_symmetries(code: QSCode, max_order: int) -> PhaseSymmetries:
     for mode in range(n):
         orders[owner[mode]] = _lcm_within(orders[owner[mode]], dens[:, mode], limit)
     targets = [np.flatnonzero(row) for row in hits & (orders > 0)]
-    images = math.prod(len(t) for t in targets) * len(Z) * n
-    if images > PHASE_IMAGE_BUDGET:
-        raise BudgetExceededError(
-            f"{images} candidate images exceed the budget {PHASE_IMAGE_BUDGET}")
+    candidates = math.prod(len(t) for t in targets)
+    _check_entries(candidates * len(Z) * n, f"the images of {candidates} candidates")
     # every choice of one target per pivot, and the point each mode's pivot goes to
     chosen = np.stack(np.meshgrid(*targets, indexing="ij"), axis=-1).reshape(-1, len(pivots))
     ends = chosen[:, owner]
@@ -354,13 +347,6 @@ def vanishing_ideal(code: QSCode, max_degree: int,
     coeffs /= np.linalg.norm(coeffs, axis=1, keepdims=True)
     return VanishingIdeal(_read_only(table), _read_only(coeffs),
                           _read_only(np.array(degrees, dtype=np.intp)))
-
-
-def _check_entries(entries: int, what: str) -> None:
-    """Refuse an array of ``entries`` entries above OVERLAP_BUDGET before it is built."""
-    if entries > OVERLAP_BUDGET:
-        raise BudgetExceededError(
-            f"{what} have {entries} entries, which exceeds the budget {OVERLAP_BUDGET}")
 
 
 def _echelon(rows: np.ndarray, tol: float) -> np.ndarray:

@@ -75,7 +75,7 @@ def test_oversized_inputs_are_refused_before_any_work(argv, tmp_path, monkeypatc
     assert run(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: ") and "exceed" in captured.err
+    assert captured.err.startswith("error: ") and "the budget" in captured.err
 
 
 def _no_work(*args, **kwargs):
@@ -239,7 +239,7 @@ def test_perf_dephasing_past_the_budget_is_one_error_line(tmp_path, capsys):
     assert run(argv + ["0.2"]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: the pair tensor of 225 Kraus operators")
-    assert "above the budget 9000000" in err and err.count("\n") == 1
+    assert "above the budget 16777216" in err and err.count("\n") == 1
 
 
 def test_perf_complete_dephasing_at_any_finite_sigma(tmp_path, capsys):
@@ -380,8 +380,8 @@ def _circle_code(points: int, codewords: int) -> qsc.QSCode:
 
 @pytest.mark.parametrize("argv, points, codewords, message", [
     (["kl", "--max-degree", "1"], 4097, 2, "overlap matrix of 4097 points"),
-    (["perf", "--channel", "loss", "--gammas", "0.01"], 3001, 3001,
-     "Gram matrix of 3001 codewords would hold 9006001 entries"),
+    (["perf", "--channel", "loss", "--gammas", "0.01"], 4097, 4097,
+     "Gram matrix of 4097 codewords would hold 16785409 entries"),
 ], ids=["kl", "perf loss"])
 def test_oversized_code_is_refused_with_one_line(argv, points, codewords, message,
                                                  tmp_path, capsys):
@@ -391,6 +391,31 @@ def test_oversized_code_is_refused_with_one_line(argv, points, codewords, messag
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ") and message in err
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+class _NoArrays:
+    def __getattr__(self, name):
+        raise AssertionError(f"np.{name} called before the budget check")
+
+
+def test_perf_levels_past_the_budget_are_refused_before_they_are_made(tmp_path, monkeypatch,
+                                                                     capsys):
+    # a billion levels would take 7.45 GiB before the first fidelity
+    path = tmp_path / "two_legged.json"
+    path.write_text(qsc.code_to_json(qsc.build("cat", 4.0, S=1, K=2)))
+    argv = ["perf", "--in", str(path), "--json", "--gammas"]
+    with monkeypatch.context() as patched:
+        patched.setattr(qsc.cli, "np", _NoArrays())
+        assert run(argv + ["0:0.1:1000000000"]) == 1
+        assert capsys.readouterr() == ("", "error: the levels would hold 1000000000 entries, "
+                                           "above the budget 16777216\n")
+        # at the budget the levels are made (16 also bounds the loss arrays of
+        # two points); one above, they are not
+        monkeypatch.setattr(qsc.constellation, "ENTRY_BUDGET", 16)
+        assert run(argv + ["0:0.1:17"]) == 1
+        assert capsys.readouterr().err == ("error: the levels would hold 17 entries, above the "
+                                           "budget 16\n")
+    assert len(_json_out(argv + ["0:0.1:16"], capsys)) == 16
 
 
 def test_design_far_beyond_the_float_factorials(tmp_path, capsys):

@@ -111,15 +111,15 @@ def test_frame_overlap_matches_pairwise_overlaps(repetition_css):
 
 def test_overlap_is_refused_above_its_budget(monkeypatch):
     # the budget admits the q = 2, length-12 CSS code: 4,096 points, 256 MB
-    assert constellation_mod.OVERLAP_BUDGET == 4096 ** 2
-    monkeypatch.setattr(constellation_mod, "OVERLAP_BUDGET", 16)
+    assert constellation_mod.ENTRY_BUDGET == 4096 ** 2
+    monkeypatch.setattr(constellation_mod, "ENTRY_BUDGET", 16)
     four, five = (QSCode(1, 4.0, 2.0 * np.exp(2j * np.pi * np.arange(n) / n)[:, None], [n], ["0"])
                   for n in (4, 5))
     assert four.scaled_overlap(0.5).shape == four.overlap.shape == (4, 4)
-    with pytest.raises(qsc.BudgetExceededError, match="overlap matrix of 5 points has 25 "
-                                                  "entries, which exceeds the budget 16"):
+    with pytest.raises(qsc.BudgetExceededError, match="overlap matrix of 5 points would hold 25 "
+                                                  "entries, above the budget 16"):
         five.scaled_overlap(0.5)
-    with pytest.raises(qsc.BudgetExceededError, match="exceeds the budget"):
+    with pytest.raises(qsc.BudgetExceededError, match="above the budget"):
         qsc.detection_report(five, 1, 1e-6)
 
 

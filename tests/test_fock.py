@@ -44,11 +44,11 @@ def test_config_validation(monkeypatch):
     assert FockConfig(cutoff=17, modes=3).dim == 4913
     assert FockConfig(cutoff=100, modes=4).dim == 10 ** 8
     hessian = qsc.build("hessian", 1.0)
-    with pytest.raises(BudgetExceededError, match="embedding of 27 points at cutoff 70 would "
-                                                  "hold 9261000 entries, above the budget 9000000"):
-        embed_codewords(hessian, FockConfig(cutoff=70, modes=3))
+    with pytest.raises(BudgetExceededError, match="embedding of 27 points at cutoff 86 would "
+                                                  "hold 17173512 entries, above the budget 16777216"):
+        embed_codewords(hessian, FockConfig(cutoff=86, modes=3))
     # at the budget the check passes
-    monkeypatch.setattr(qsc.fock, "ENTRY_BUDGET", 27 * 16 ** 3)
+    monkeypatch.setattr(qsc.constellation, "ENTRY_BUDGET", 27 * 16 ** 3)
     assert embed_codewords(hessian, FockConfig(cutoff=16, modes=3)).shape == (3, 4096)
     with pytest.raises(BudgetExceededError,
                        match="27 points at cutoff 17 would hold 132651 entries"):
@@ -314,16 +314,16 @@ def test_channels_reject_a_single_codeword():
 
 def test_channels_refuse_more_codewords_than_the_budget_before_any_work(monkeypatch):
     # one Kraus operator per codeword is the least a Gram matrix can have:
-    # K = 3001 codewords make 3001^2 entries, above 3000^2
-    code = QSCode(1, 4.0, 2.0 * np.exp(2j * np.pi * np.arange(3001) / 3001)[:, None],
-                  [1] * 3001, [str(mu) for mu in range(3001)])
+    # K = 4097 codewords make 4097^2 entries, above 4096^2
+    code = QSCode(1, 4.0, 2.0 * np.exp(2j * np.pi * np.arange(4097) / 4097)[:, None],
+                  [1] * 4097, [str(mu) for mu in range(4097)])
     for channel, level in ((loss_channel_fidelity, 0.01), (dephasing_channel_fidelity, 0.1)):
-        with pytest.raises(BudgetExceededError, match="Gram matrix of 3001 codewords would hold "
-                                                      "9006001 entries, above the budget 9000000"):
+        with pytest.raises(BudgetExceededError, match="Gram matrix of 4097 codewords would hold "
+                                                      "16785409 entries, above the budget 16777216"):
             channel(code, level)
     assert not {"overlap", "codeword_norms_sq"} & set(vars(code))
     # at the budget the check passes: without loss the environment keeps one state
-    monkeypatch.setattr(qsc.fock, "ENTRY_BUDGET", 4 ** 2)
+    monkeypatch.setattr(qsc.constellation, "ENTRY_BUDGET", 4 ** 2)
     four, five = (qsc.build("cat", 4.0, S=1, K=K) for K in (4, 5))
     assert loss_channel_fidelity(four, 0.0) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(BudgetExceededError,
@@ -384,7 +384,14 @@ def test_dephasing_refuses_a_pair_tensor_past_the_budget_before_building_it(monk
                        match="pair tensor of 225 Kraus operators x 4 codewords at mode 1 "
                              "would hold 24300000 entries"):
         dephasing_channel_fidelity(code, 0.2)
-    assert max(sizes) <= qsc.fock.ENTRY_BUDGET
+    assert max(sizes) <= qsc.constellation.ENTRY_BUDGET
+    # the hessian at E = 4, sigma = 0.3: mode 1's tensor (10.5M entries) fits
+    # the budget, mode 2's does not
+    sizes.clear()
+    with pytest.raises(BudgetExceededError, match="pair tensor of 1440 Kraus operators x 3 "
+                                                  "codewords at mode 2 would hold 18662400 entries"):
+        dephasing_channel_fidelity(qsc.build("hessian", 4.0), 0.3)
+    assert max(sizes) == 10479375
 
 
 def test_dephasing_beyond_old_budget(repetition_css):
@@ -500,11 +507,11 @@ def _no_work(*args, **kwargs):
 
 def test_a_multiplier_past_the_budget_is_refused_before_any_series(monkeypatch):
     # the cutoff exceeds |z|^2 = a: at E = 1e10 its Poisson series would take
-    # 2e10 terms (149 GiB) and its multiplier 1e20 entries, and at E = 3000
-    # the least cutoff, 3001, already leaves the 3000 x 3000 budget
-    for energy, least in ((1e10, 10000000001), (3000.0, 3001)):
+    # 2e10 terms (149 GiB) and its multiplier 1e20 entries, and at E = 4096
+    # the least cutoff, 4097, already leaves the 4096 x 4096 budget
+    for energy, least in ((1e10, 10000000001), (4096.0, 4097)):
         code = qsc.build("cat", energy, S=1, K=2)
-        message = f"multiplier at cutoff {least} .* above the budget 9000000"
+        message = f"multiplier at cutoff {least} .* above the budget 16777216"
         with monkeypatch.context() as patched:
             patched.setattr(qsc.fock.np, "arange", _no_work)
             patched.setattr(qsc.fock, "_dephasing_kraus", _no_work)
@@ -512,11 +519,11 @@ def test_a_multiplier_past_the_budget_is_refused_before_any_series(monkeypatch):
                 FockConfig.for_code(code)
             with pytest.raises(BudgetExceededError, match=message):
                 dephasing_channel_fidelity(code, 0.1)
-    # just inside, the series is summed (2 x 2999 + 63 terms) and the derived
+    # just inside, the series is summed (2 x 4095 + 63 terms) and the derived
     # cutoff's multiplier is refused before the embedding or the multiplier
-    code = qsc.build("cat", 2999.0, S=1, K=2)
+    code = qsc.build("cat", 4095.0, S=1, K=2)
     cutoff = FockConfig.for_code(code).cutoff
-    assert 3000 < cutoff < 2999 + 9 * math.sqrt(2999)
+    assert 4096 < cutoff < 4095 + 9 * math.sqrt(4095)
     monkeypatch.setattr(qsc.fock, "embed_codewords", _no_work)
     monkeypatch.setattr(qsc.fock, "_dephasing_kraus", _no_work)
     with pytest.raises(BudgetExceededError, match=f"multiplier at cutoff {cutoff} would hold"):
@@ -529,6 +536,26 @@ def test_truncated_embedding_builds_no_multiplier(monkeypatch):
     monkeypatch.setattr(qsc.fock, "_dephasing_kraus", _no_work)
     with pytest.raises(TruncationError, match="beyond cutoff 16"):
         dephasing_channel_fidelity(qsc.build("cat", 100.0, S=1, K=2), 0.1, FockConfig(16, 1))
+
+
+def test_an_underflowing_vacuum_amplitude_is_refused_before_the_multiplier(monkeypatch):
+    # e^(-|z|^2/2) is a normal float up to |z|^2 = -2 ln(tiny) = 1416.8.  Past
+    # it the amplitudes lose digits and then vanish: at E = 1440 a spurious tail
+    # 5.6e-12, at E = 1480 a mass 5.2e-3 off that passes as F = 1, at E = 1600 a
+    # false tail of 1.  E = 3000 fits the budget of its multiplier (cutoff 3457).
+    # At E = 1400 the states |+-alpha> are embedded as their amplitudes, taken
+    # here in logarithms: e^(-E/2) alpha^k / sqrt(k!)
+    code = qsc.build("cat", 1400.0, S=1, K=2)
+    vecs = embed_codewords(code, FockConfig.for_code(code))
+    k = np.arange(vecs.shape[1])
+    plus = np.exp(-700.0 + k * math.log(math.sqrt(1400.0))
+                  - np.array([math.lgamma(j + 1.0) for j in k]) / 2.0)
+    assert np.max(np.abs(vecs - [plus, (-1.0) ** k * plus])) < 1e-12
+    monkeypatch.setattr(qsc.fock, "_dephasing_kraus", _no_work)
+    for energy in (1440.0, 1480.0, 1600.0, 3000.0):
+        with pytest.raises(qsc.QscError, match=rf"\|z_k\|\^2 = {energy:g} underflows") as caught:
+            dephasing_channel_fidelity(qsc.build("cat", energy, S=1, K=2), 0.1)
+        assert caught.type is qsc.QscError
 
 
 def _convergence_codes():
@@ -556,7 +583,7 @@ def test_derived_cutoff_converges(sigma):
 @pytest.mark.parametrize("sigma, fidelity", [(0.1, 0.994350682313), (0.2, 0.975304957384)])
 def test_derived_cutoff_converges_on_three_modes(sigma, fidelity):
     # the hessian at E = 4: cutoff 23 against 27 (3.3e-14 and 6.4e-14 apart);
-    # at sigma = 0.3 its pair tensor would leave the budget
+    # at sigma = 0.3 its mode-2 pair tensor would leave the budget
     code = qsc.build("hessian", 4.0)
     f = dephasing_channel_fidelity(code, sigma)
     assert abs(f - dephasing_channel_fidelity(code, sigma, FockConfig(27, 3))) <= 1e-12

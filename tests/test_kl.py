@@ -172,6 +172,13 @@ def test_dimension_mismatch():
         kl_matrix(code, (-1,), (0,))
 
 
+def test_fractional_exponents_are_refused(two_legged):
+    # a cast to integers would give the matrix of (0,), (1,)
+    with pytest.raises(ValueError, match="nonnegative integers"):
+        kl_matrix(two_legged, (0.5,), (1.7,))
+    assert np.array_equal(kl_matrix(two_legged, (2.0,), (1.0,)), kl_matrix(two_legged, (2,), (1,)))
+
+
 # ---------------------------------------------------------------------------
 # Stirling numbers and dephasing rows
 # ---------------------------------------------------------------------------

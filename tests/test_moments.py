@@ -62,6 +62,22 @@ def test_monomial_values_rejects_bad_exponents():
         monomial_values(z, [[1, 2, 3]])
 
 
+@pytest.mark.parametrize("exponent", [0.5, 1.7, 2.000001, math.nan, math.inf, 1e30])
+def test_fractional_exponents_are_refused_not_truncated(exponent):
+    # a cast to integers would read 1.5 as 1, and sphere_average([[1.5]], [[1.2]], 1)
+    # as the average 1 of |z|^2
+    z = np.full((3, 1), 0.5 + 0.5j)
+    with pytest.raises(ValueError, match="nonnegative integers"):
+        monomial_values(z, [[exponent]])
+    with pytest.raises(ValueError, match="nonnegative integers"):
+        sphere_average([[exponent]], [[1]], 1)
+    with pytest.raises(ValueError, match="nonnegative integers"):
+        sphere_average([[1.5]], [[1.2]], 1)
+    # integer-valued floats are integers
+    assert np.array_equal(monomial_values(z, [[2.0]]), monomial_values(z, [[2]]))
+    assert sphere_average([[2.0]], [[2.0]], 1).tolist() == [1.0]
+
+
 # ---------------------------------------------------------------------------
 # single moments
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ first use, and a subcommand loads only the layers it runs."""
 
 from __future__ import annotations
 
+import ast
 import importlib
 import json
 import os
@@ -46,7 +47,7 @@ def test_a_name_loads_only_its_layer():
     # catalog and css raise BudgetExceededError without importing moments
     assert _qsc_modules_after("import qsc; qsc.build; qsc.ClassicalCodeSpec") == {
         "qsc", "qsc.catalog", "qsc.constellation", "qsc.css"}
-    assert _qsc_modules_after("import qsc; qsc.fock.ENTRY_BUDGET") == {
+    assert _qsc_modules_after("import qsc; qsc.fock.FockConfig") == {
         "qsc", "qsc.constellation", "qsc.fock"}
 
 
@@ -95,3 +96,61 @@ def test_a_public_name_reads_the_current_module_attribute(monkeypatch):
     assert qsc.detection_report is replaced
     monkeypatch.undo()
     assert qsc.detection_report is qsc.kl.detection_report
+
+
+class _NoArrays:
+    def __getattr__(self, name):
+        raise AssertionError(f"np.{name} called before the budget check")
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("work done before the budget check")
+
+
+def _refused(call, *args):
+    with pytest.raises(qsc.BudgetExceededError, match="16 entries, above the budget 15$"):
+        call(*args)
+
+
+def test_one_entry_budget_reaches_every_check(tmp_path, monkeypatch, capsys):
+    # each input below needs 16 entries: four points or codewords of one mode
+    # (16 overlaps, 16 images of 4 candidates, 4 x 4 values to degree 3,
+    # 4 x 4 embedding amplitudes, a 4 x 4 Gram matrix), 16 built points, 16 levels
+    code = qsc.build("cat", 4.0, S=1, K=4)
+    path = tmp_path / "cat4.json"
+    path.write_text(qsc.code_to_json(code))
+    monkeypatch.setattr(qsc.constellation, "ENTRY_BUDGET", 15)
+    with monkeypatch.context() as patched:
+        patched.setattr(qsc.catalog, "np", _NoArrays())
+        patched.setattr(qsc.catalog, "cmath", _NoArrays())
+        _refused(lambda: qsc.build("cat", 4.0, S=1, K=16))
+    with monkeypatch.context() as patched:
+        patched.setattr(qsc.symmetries, "monomial_values", _no_work)
+        _refused(qsc.vanishing_ideal, code, 3)
+        patched.setattr(qsc.symmetries.np, "meshgrid", _no_work)
+        patched.setattr(qsc.symmetries, "_match_images", _no_work)
+        _refused(qsc.enumerate_phase_symmetries, code, 4)
+    with monkeypatch.context() as patched:
+        patched.setattr(qsc.fock, "np", _NoArrays())
+        _refused(qsc.embed_codewords, code, qsc.FockConfig(cutoff=4, modes=1))
+        _refused(qsc.loss_channel_fidelity, code, 0.01)
+        _refused(qsc.dephasing_channel_fidelity, code, 0.1)
+        patched.setattr(qsc.cli, "np", _NoArrays())
+        assert run(["perf", "--in", str(path), "--gammas", "0:0.1:16"]) == 1
+        assert capsys.readouterr().err.endswith("16 entries, above the budget 15\n")
+    _refused(lambda: code.overlap)
+    assert not {"overlap", "codeword_norms_sq"} & set(vars(code))
+
+
+def test_no_module_but_constellation_defines_an_entry_budget():
+    # the count budgets bound enumeration work; entries have one budget and one check
+    defined = {}
+    for path in Path(qsc.__file__).parent.glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            names = ([t.id for t in node.targets if isinstance(t, ast.Name)]
+                     if isinstance(node, ast.Assign) else [getattr(node, "name", None)])
+            defined.update({name: defined.get(name, []) + [path.stem] for name in names
+                            if name and (name.endswith("_BUDGET") or name == "_check_entries")})
+    assert defined == {"CODE_SIZE_BUDGET": ["constellation"], "ENTRY_BUDGET": ["constellation"],
+                       "_check_entries": ["constellation"], "INDEX_BUDGET": ["moments"],
+                       "ERROR_BUDGET": ["kl"], "IDEAL_COLUMN_BUDGET": ["symmetries"]}

@@ -171,13 +171,22 @@ def _no_work(*args, **kwargs):
 def test_enumerate_budget(monkeypatch):
     # one pivot with 4 targets, each sending the 4 points of n = 1 mode: 16 images
     code = qsc.build("cat", 4.0, S=2, K=2)
-    monkeypatch.setattr(qsc.symmetries, "PHASE_IMAGE_BUDGET", 16)
+    monkeypatch.setattr(qsc.constellation, "ENTRY_BUDGET", 16)
     assert len(enumerate_phase_symmetries(code, 4)) == 4
-    monkeypatch.setattr(qsc.symmetries, "PHASE_IMAGE_BUDGET", 15)
+    monkeypatch.setattr(qsc.constellation, "ENTRY_BUDGET", 15)
     monkeypatch.setattr(np, "meshgrid", _no_work)
     monkeypatch.setattr(qsc.symmetries, "_match_images", _no_work)
-    with pytest.raises(BudgetExceededError, match="16 candidate images exceed the budget 15"):
+    with pytest.raises(BudgetExceededError, match="the images of 4 candidates would hold 16 "
+                                                  "entries, above the budget 15"):
         enumerate_phase_symmetries(code, 4)
+
+
+class _Formed(Exception):
+    pass
+
+
+def _form(*args, **kwargs):
+    raise _Formed
 
 
 def test_orthoplex_group_of_4_to_the_12_rotations_is_refused_before_any_candidate(monkeypatch):
@@ -185,8 +194,22 @@ def test_orthoplex_group_of_4_to_the_12_rotations_is_refused_before_any_candidat
     code = qsc.build("orthoplex", 4.0, n=12)
     monkeypatch.setattr(np, "meshgrid", _no_work)
     monkeypatch.setattr(qsc.symmetries, "_match_images", _no_work)
-    with pytest.raises(BudgetExceededError,
-                       match=f"{4 ** 12 * 48 * 12} candidate images exceed the budget"):
+    with pytest.raises(BudgetExceededError, match=f"the images of {4 ** 12} candidates would "
+                                                  f"hold {4 ** 12 * 48 * 12} entries"):
+        enumerate_phase_symmetries(code, 8)
+
+
+def test_the_orthoplex_on_8_modes_is_at_the_budget(monkeypatch):
+    # 4^8 candidates of 32 points on 8 modes: 4096^2 images, exactly the
+    # budget, so its candidates are formed (CI runs the search in full: 512
+    # actions); one entry less refuses it before
+    code = qsc.build("orthoplex", 4.0, n=8)
+    monkeypatch.setattr(np, "meshgrid", _form)
+    with pytest.raises(_Formed):
+        enumerate_phase_symmetries(code, 8)
+    monkeypatch.setattr(qsc.constellation, "ENTRY_BUDGET", 4096 ** 2 - 1)
+    with pytest.raises(BudgetExceededError, match="the images of 65536 candidates would hold "
+                                                  "16777216 entries, above the budget 16777215"):
         enumerate_phase_symmetries(code, 8)
 
 
@@ -337,25 +360,25 @@ def test_ideal_budget(monkeypatch):
         vanishing_ideal(code, 4)
 
 
-def test_ideal_counts_entries_against_the_overlap_budget(repetition_css, monkeypatch):
+def test_ideal_counts_entries_against_the_entry_budget(repetition_css, monkeypatch):
     # 4 points and the 28 monomials of degree <= 6 on 2 modes: V holds 112
     # entries; the 2 generators of degree 2 times the 3 monomials of degree
     # <= 1 (the search stops at degree 3) give multiples of 2 x 3 x 28 entries
-    monkeypatch.setattr(qsc.symmetries, "OVERLAP_BUDGET", 168)
+    monkeypatch.setattr(qsc.constellation, "ENTRY_BUDGET", 168)
     assert vanishing_ideal(repetition_css, 6).degrees.tolist() == [2, 2]
-    monkeypatch.setattr(qsc.symmetries, "OVERLAP_BUDGET", 167)
+    monkeypatch.setattr(qsc.constellation, "ENTRY_BUDGET", 167)
     with monkeypatch.context() as patched:
         patched.setattr(qsc.symmetries, "_multiples", _no_work)
         with pytest.raises(BudgetExceededError, match="the multiples of 2 generators of degree 2 "
-                                                      "have 168 entries, which exceeds the budget"):
+                                                      "would hold 168 entries, above the budget"):
             vanishing_ideal(repetition_css, 6)
-    monkeypatch.setattr(qsc.symmetries, "OVERLAP_BUDGET", 112)
+    monkeypatch.setattr(qsc.constellation, "ENTRY_BUDGET", 112)
     with pytest.raises(BudgetExceededError, match="168 entries"):
         vanishing_ideal(repetition_css, 6)
-    monkeypatch.setattr(qsc.symmetries, "OVERLAP_BUDGET", 111)
+    monkeypatch.setattr(qsc.constellation, "ENTRY_BUDGET", 111)
     monkeypatch.setattr(qsc.symmetries, "monomial_values", _no_work)
-    with pytest.raises(BudgetExceededError, match="the values of 28 monomials at 4 points have "
-                                                  "112 entries, which exceeds the budget 111"):
+    with pytest.raises(BudgetExceededError, match="the values of 28 monomials at 4 points would "
+                                                  "hold 112 entries, above the budget 111"):
         vanishing_ideal(repetition_css, 6)
 
 
