@@ -33,8 +33,14 @@ classification of :mod:`qsc.symmetries` calls too, sorts the points'
 projections onto a fixed direction and measures only the pairs whose
 projections come that close.
 :func:`min_separation`, a true minimum, measures every pair of points of
-distinct codewords in row blocks (:func:`distance_blocks`), each block from
-the first point of the codeword after its own.
+distinct codewords in row blocks, each from the first point of the codeword
+after its first row's own.  Both passes measure a pair by one rule,
+``_distances``, so that it has the same bits in either.
+
+Arrays have two sizes.  ENTRY_BUDGET bounds each array an analysis holds
+(``_check_entries``, before it is built); BLOCK_ENTRIES bounds temporaries:
+a blocked loop takes ``_block_rows(width)`` = max(1, BLOCK_ENTRIES // width)
+rows of ``width`` entries at a time.
 """
 
 from __future__ import annotations
@@ -61,11 +67,11 @@ CODE_SIZE_BUDGET = 1_000_000
 # multiplier, embedding, pair tensors and Gram matrices, and qsc perf's levels.
 # 4096^2 entries is the overlap of the q = 2, length-12 CSS code: 256 MB of complex.
 ENTRY_BUDGET = 4096 ** 2
-# Point pairs per block of the chunked distance pass: each of its temporaries
-# stays within 128 kB however many points a code has.
-DISTANCE_BLOCK_PAIRS = 1 << 13
+# The package's one bound on temporaries, in entries (512 kB of complex): see
+# the module docstring.
+BLOCK_ENTRIES = 1 << 15
 # Point pairs up to which _pairs_within measures every pair, in one block (so
-# at most DISTANCE_BLOCK_PAIRS): below about a thousand pairs, sorting the
+# at most BLOCK_ENTRIES): below about a thousand pairs, sorting the
 # projections costs more than the distances it saves.
 SMALL_PAIRS = 1 << 9
 
@@ -95,6 +101,12 @@ def _check_entries(entries: int, what: str) -> None:
     if entries > ENTRY_BUDGET:
         raise BudgetExceededError(f"{what} would hold {entries} entries, above the budget "
                                   f"{ENTRY_BUDGET}")
+
+
+def _block_rows(width: int) -> int:
+    """Rows of ``width`` entries per block of a blocked loop: BLOCK_ENTRIES
+    entries, and at least one row."""
+    return max(1, BLOCK_ENTRIES // max(1, width))
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -263,32 +275,15 @@ class Violation:
                 f"(distance {self.residual:.3e})")
 
 
-def distance_blocks(A: np.ndarray, B: np.ndarray,
-                    first_columns: Optional[np.ndarray] = None
-                    ) -> Iterator[tuple[int, int, np.ndarray]]:
-    """Distances |a - b| from the rows of A to the rows of B, in row blocks.
-
-    Yields (first row, first column, block) with
-    block[i, j] = |A[first row + i] - B[first column + j]|.  A block starts at
-    the column ``first_columns`` gives its first row (nondecreasing, so that
-    a pass over the pairs j > i reads no earlier column), at 0 when it is
-    None; a block with no column left is skipped.  The distances come from
-    the point differences, summed mode by mode, so each temporary holds at
-    most DISTANCE_BLOCK_PAIRS entries and no (rows, len(B), n) tensor is
-    ever formed.  :func:`min_separation` reads its pairs this way; the
-    passes that only look for pairs within a tolerance measure fewer.
-    """
-    rows = max(1, DISTANCE_BLOCK_PAIRS // max(1, B.shape[0]))
-    for first in range(0, A.shape[0], rows):
-        col = 0 if first_columns is None else int(first_columns[first])
-        if col >= B.shape[0]:
-            continue
-        block, cols = A[first:first + rows], B[col:]
-        sq = np.zeros((block.shape[0], cols.shape[0]))
-        for k in range(A.shape[1]):
-            diff = block[:, k, None] - cols[None, :, k]
-            sq += diff.real ** 2 + diff.imag ** 2
-        yield first, col, np.sqrt(sq)
+def _distances(A: np.ndarray, B: np.ndarray, i, j) -> np.ndarray:
+    """Distances |A[i] - B[j]| for index arrays i and j of rows, broadcast
+    against each other.  The point differences are summed mode by mode, so
+    each temporary has the broadcast shape and no (..., n) tensor is formed."""
+    sq = np.zeros(np.broadcast(i, j).shape)
+    for m in range(A.shape[1]):
+        diff = A[i, m] - B[j, m]
+        sq += diff.real ** 2 + diff.imag ** 2
+    return np.sqrt(sq)
 
 
 def _pairs_within(A: np.ndarray, B: Optional[np.ndarray], tol: float
@@ -304,9 +299,9 @@ def _pairs_within(A: np.ndarray, B: Optional[np.ndarray], tol: float
     |u.(a - b)| <= |a - b|, and no projection exceeds the largest coordinate.
     Only the pairs whose projections lie within tol plus a bound on their
     rounding are measured, found by ``searchsorted`` in the sorted
-    projections of B, with the per-pair arithmetic of
-    :func:`distance_blocks` (so each distance has the same bits) and in
-    blocks of at most DISTANCE_BLOCK_PAIRS pairs.  The weights
+    projections of B, by ``_distances`` (so each distance has the bits
+    :func:`min_separation` gives it) and in blocks of at most BLOCK_ENTRIES
+    pairs.  The weights
     u_k ~ 1/(k + pi) give distinct points with algebraic coordinates
     distinct projections (pi is transcendental), so a code's points rarely
     share one.  Up to SMALL_PAIRS pairs are all measured, unsorted.
@@ -323,11 +318,7 @@ def _pairs_within(A: np.ndarray, B: Optional[np.ndarray], tol: float
         blocks = _candidate_blocks(A, B, same, tol)
     found = []
     for i, j in blocks:
-        sq = np.zeros(len(i))
-        for m in range(A.shape[1]):
-            diff = A[i, m] - B[j, m]
-            sq += diff.real ** 2 + diff.imag ** 2
-        d = np.sqrt(sq)
+        d = _distances(A, B, i, j)
         keep = d <= tol
         found.append((i[keep], j[keep], d[keep]))
     return found[0] if len(found) == 1 else tuple(np.concatenate(x) for x in zip(*found))
@@ -336,7 +327,7 @@ def _pairs_within(A: np.ndarray, B: Optional[np.ndarray], tol: float
 def _candidate_blocks(A: np.ndarray, B: np.ndarray, same: bool, tol: float
                       ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The row pairs (i, j) of A and B whose projections lie within reach of
-    each other, in blocks of at most DISTANCE_BLOCK_PAIRS, at least one (see
+    each other, in blocks of at most BLOCK_ENTRIES, at least one (see
     :func:`_pairs_within`); with ``same``, each unordered pair once, i < j."""
     u = 1.0 / (np.arange(2 * A.shape[1]) + np.pi)
     u /= np.sum(u)
@@ -357,8 +348,8 @@ def _candidate_blocks(A: np.ndarray, B: np.ndarray, same: bool, tol: float
         lo = np.searchsorted(pb, pa - reach, side="left")
         hi = np.searchsorted(pb, pa + reach, side="right")
     ends = np.cumsum(hi - lo)   # candidate pairs of rows <= k, flattened
-    for first in range(0, max(1, int(ends[-1])), DISTANCE_BLOCK_PAIRS):
-        flat = np.arange(first, min(first + DISTANCE_BLOCK_PAIRS, int(ends[-1])))
+    for first in range(0, max(1, int(ends[-1])), BLOCK_ENTRIES):   # an entry per pair
+        flat = np.arange(first, min(first + BLOCK_ENTRIES, int(ends[-1])))
         k = np.searchsorted(ends, flat, side="right")
         j = order[hi[k] - ends[k] + flat]
         yield (np.minimum(order[k], j), np.maximum(order[k], j)) if same else (k, j)
@@ -379,7 +370,7 @@ def validate_code(code: QSCode, tol_sphere: float = TOL_SPHERE,
     index), then the disjointness violations in (mu, nu, i, j) order.  Only
     the point pairs g < h of the stacked frame whose projections onto a
     fixed direction lie within tol_point sqrt(E) are measured (by
-    :func:`_pairs_within`), with the arithmetic of :func:`distance_blocks`.
+    :func:`_pairs_within`).
     """
     Z, energy = code.point_array, code.radius_sq
     res = np.abs(np.sum(np.abs(Z) ** 2, axis=1) - energy)
@@ -415,22 +406,27 @@ def min_separation(code: QSCode) -> tuple[float, tuple[int, int, int, int]]:
 
     Returns the distance together with the witness (mu, nu, i, j); ties break
     to the lexicographically smallest witness so the output is deterministic.
-    One pass over the point pairs of distinct codewords mu < nu finds both:
-    each row block starts at the first point of the codeword after its own.
+    One pass over the point pairs of distinct codewords mu < nu finds both,
+    in blocks of ``_block_rows(N)`` rows: each block's columns start at the
+    first point of the codeword after its first row's own.
     """
     if code.K < 2:
         raise ValueError("min_separation needs at least two codewords")
     Z, index, local = code.point_array, code.codeword_index, code.index_in_codeword
-    next_start = np.append(code.codeword_starts[1:], len(Z))[index]
+    N, step = len(Z), _block_rows(len(Z))
+    next_start = np.append(code.codeword_starts[1:], N)[index]
     best, witness = math.inf, None
-    for first, col, d in distance_blocks(Z, Z, next_start):
-        rows = np.arange(first, first + d.shape[0])
-        d = np.where(index[rows, None] < index[None, col:], d, math.inf)
+    for first in range(0, N, step):
+        if next_start[first] == N:
+            break   # the last codeword's rows: no later point
+        rows, cols = np.arange(first, min(first + step, N)), np.arange(next_start[first], N)
+        d = np.where(index[rows, None] < index[cols], _distances(Z, Z, rows[:, None], cols),
+                     math.inf)
         m = float(d.min())
         if m == math.inf or m > best:
             continue
         g, h = np.nonzero(d == m)
-        g, h = rows[g], h + col
+        g, h = rows[g], cols[h]
         w = min(zip(index[g].tolist(), index[h].tolist(), local[g].tolist(), local[h].tolist()))
         if m < best or w < witness:
             best, witness = m, w

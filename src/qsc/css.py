@@ -26,7 +26,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .constellation import CODE_SIZE_BUDGET, BudgetExceededError, QSCode, QscError, _read_only
+from .constellation import (CODE_SIZE_BUDGET, BudgetExceededError, QSCode, QscError,
+                            _check_entries, _read_only)
 
 
 class CssError(QscError):
@@ -211,11 +212,13 @@ def css_properties(spec: ClassicalCodeSpec, alpha: complex = 2.0) -> CssProperti
     compiled points is measured; ``min_separation(code)`` is the tests'
     oracle.  KL error detection is ``kl.detection_report``'s to measure."""
     # C_X lies in C_Z^perp and C_Z in C_X^perp, so the two duals are the
-    # largest word sets enumerated here: both are checked before any is
+    # largest word sets enumerated here, and their words hold as many letters
+    # as the code has amplitudes: both are checked before any is enumerated
     (basis_x, basis_z), q = spec._bases, spec.q
-    rank = min(len(basis_x), len(basis_z))
-    if q ** (spec.length - rank) > CODE_SIZE_BUDGET:
-        raise BudgetExceededError(f"dual code: {q}^{spec.length - rank} words exceed the budget")
+    dim = spec.length - min(len(basis_x), len(basis_z))
+    if q ** dim > CODE_SIZE_BUDGET:
+        raise BudgetExceededError(f"dual code: {q}^{dim} words exceed the budget")
+    _check_entries(q ** dim * spec.length, f"the {q}^{dim} dual words of length {spec.length}")
     code = compile_css(spec, alpha)   # refuses alpha before any word is enumerated
     dual_z, dual_x = spec.c_z_dual(), spec.c_x_dual()
     outside_x = dual_z[spec._dual_z[1].any(axis=1)]

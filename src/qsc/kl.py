@@ -46,22 +46,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constellation import BudgetExceededError, DimensionMismatchError, QSCode
-from .moments import (
-    _check_tolerance,
-    _index_position,
-    _index_table,
-    count_multi_indices,
-    monomial_values,
-)
+from .constellation import (BudgetExceededError, DimensionMismatchError, QSCode, QscError,
+                            _block_rows, _check_entries)
+from .moments import (_check_tolerance, _index_position, _index_table, count_multi_indices,
+                      monomial_values)
 
 MAX_STIRLING = 20
 ERROR_BUDGET = 100_000
-# Entries of detection_report's largest temporaries, 256 kB of complex: a
-# tile of conj(Z^r) . O (N points times a block of columns) and a tile of
-# A_r Z^s (K codewords times N points times a block of annihilation columns
-# s), for each creation monomial r of the computed half (s at or after r).
-KL_BLOCK_ENTRIES = 1 << 14
 
 
 def _monomial_label(r, s) -> str:
@@ -170,6 +161,8 @@ def _monomial_summaries(code: QSCode, monomials: np.ndarray,
     that pair with r, |s| <= max_degree - |r|, are a prefix of the graded
     order.  Every pair s < r follows from (s, r) through
     <c_mu|E^dag|c_nu> = conj <c_nu|E|c_mu>: lambda conjugated, the same delta.
+    Each tile, of conj(Z^r) . O (N rows) or of A_r Z^s (K N rows), is one
+    block of ``_block_rows`` columns.
     """
     Z = monomial_values(code.point_array, monomials)
     O = code.overlap
@@ -177,8 +170,7 @@ def _monomial_summaries(code: QSCode, monomials: np.ndarray,
     norms = np.sqrt(np.outer(code.codeword_norms_sq, code.codeword_norms_sq))[:, :, None]
     degrees = np.sum(monomials, axis=1)
     prefix = np.searchsorted(degrees, max_degree - degrees, side="right")
-    columns = max(1, KL_BLOCK_ENTRIES // N)
-    width = max(1, KL_BLOCK_ENTRIES // (N * K))
+    columns, width = _block_rows(N), _block_rows(N * K)
     lam = np.zeros((M, M), dtype=np.complex128)
     delta = np.zeros((M, M))
     A = np.empty((K, N), dtype=np.complex128)
@@ -204,7 +196,10 @@ def detection_report(code: QSCode, max_degree: int, tol: float,
 
     ``detection_degree`` is the largest D with delta_E <= tol for every
     monomial of degree <= D; it is -1 when already the identity fails (the
-    codewords are not orthogonal at tolerance ``tol``).
+    codewords are not orthogonal at tolerance ``tol``).  Refused before any
+    monomial is evaluated: arrays above their budgets, and a degree D (the
+    larger of max_degree and twice the top dephasing power) with
+    D ln max|z_k| + 2 ln N >= ln(float max), where sums of N^2 values overflow.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
@@ -216,7 +211,15 @@ def detection_report(code: QSCode, max_degree: int, tol: float,
     if n_errors > ERROR_BUDGET:
         raise BudgetExceededError(
             f"error enumeration needs {n_errors} monomials, budget is {ERROR_BUDGET}")
-    lam, delta = _monomial_summaries(code, _index_table(n, max_degree), max_degree)
+    _check_entries(n_errors * 2 * n, f"the exponent rows of {n_errors} errors")
+    monomials = _index_table(n, max_degree)   # M x n: fewer entries than the exponent rows
+    _check_entries(len(monomials) ** 2, "the lambda and delta grids")
+    top, N = float(np.max(np.abs(code.point_array))), len(code.point_array)
+    degree = max(max_degree, 2 * include_dephasing_to)
+    if degree * np.log(max(top, 1.0)) + 2 * np.log(N) >= np.log(np.finfo(float).max):
+        raise QscError(f"max |z_k| = {top:g} is out of range for KL errors of degree {degree}: "
+                       f"sums of {N}^2 values up to {top:g}^{degree} leave the float range")
+    lam, delta = _monomial_summaries(code, monomials, max_degree)
     exponents = _index_table(2 * n, max_degree)
     r, s = _index_position(exponents[:, :n]), _index_position(exponents[:, n:])
     dephasing = np.array([(i, k) for i in range(n) for k in range(1, include_dephasing_to + 1)],

@@ -20,17 +20,11 @@ from typing import Iterator
 
 import numpy as np
 
-from .constellation import BudgetExceededError, DimensionMismatchError, QSCode, QscError
+from .constellation import (BudgetExceededError, DimensionMismatchError, QSCode, QscError,
+                            _block_rows)
 
 DESIGN_TOL = 1e-9
 INDEX_BUDGET = 10_000_000
-# Entries of design_strength's largest temporary per block of moment indices
-# (N points or K codewords times the block's columns): 1 MB of complex.
-MOMENT_BLOCK_ENTRIES = 1 << 16
-# Graded tables of at most this many rows (1 MB at dim 16) are kept, for up
-# to 256 (dim, degree) pairs; a larger one, which only a run near
-# INDEX_BUDGET or ERROR_BUDGET needs, is built on each call and never held.
-CACHED_TABLE_ROWS = 1 << 13
 
 
 def _check_tolerance(tol: float) -> None:
@@ -43,13 +37,14 @@ def _check_tolerance(tol: float) -> None:
 def _degree_table(dim: int, degree: int) -> np.ndarray:
     """The tuples of ``dim`` entries summing to ``degree``, as the rows of a
     read-only integer array in lexicographic order, built once per process
-    for a table of at most CACHED_TABLE_ROWS rows.
+    for up to 256 tables of at most BLOCK_ENTRIES entries; a larger one is
+    built on each call and never held.
 
     By stars and bars, each tuple is a choice of dim - 1 bar positions among
     degree + dim - 1 slots, its entries the gaps between the bars; the
     choices come in lexicographic order, and so do the tuples.
     """
-    if math.comb(degree + dim - 1, dim - 1) <= CACHED_TABLE_ROWS:
+    if math.comb(degree + dim - 1, dim - 1) <= _block_rows(dim):
         return _cached_degree_table(dim, degree)
     return _cached_degree_table.__wrapped__(dim, degree)
 
@@ -208,7 +203,7 @@ def design_strength(code: QSCode, t_max: int, tol: float = DESIGN_TOL) -> Design
                        "the moments of unit-normalized points are undefined")
     z = code.point_array / norms
     sizes = code.codeword_sizes
-    block = max(1, MOMENT_BLOCK_ENTRIES // max(len(z), code.K))
+    block = _block_rows(max(len(z), code.K))
     sphere_res, match_res = np.zeros((2, t_max + 1))
     # values[mu, j]: the average of block column j over codeword mu's points
     for combined in _index_blocks(2 * n, t_max, block):

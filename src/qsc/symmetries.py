@@ -18,8 +18,9 @@ point gets phase 0.  Each such angle is snapped to the fraction k/m of least
 denominator inside it, a candidate takes one target per pivot, its order is
 the lcm of its denominators, and it is kept when that is at most max_order
 and each pivot's image lies near its target (so that the candidates agree on
-the modes several pivots share).  The survivors are classified together by
-:func:`_match_images`, in (order, numerators) order.
+the modes several pivots share).  The survivors are classified by
+:func:`_match_images` in (order, numerators) order, a block of candidates
+at a time, each block's images at most BLOCK_ENTRIES entries.
 
 That is the result of the exhaustive search, which tries every rotation at
 its least common denominator m <= max_order in that order and keeps the first
@@ -48,23 +49,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constellation import (
-    BudgetExceededError,
-    DimensionMismatchError,
-    QSCode,
-    QscError,
-    TOL_POINT,
-    _check_entries,
-    _pairs_within,
-    _read_only,
-)
-from .moments import (
-    _check_tolerance,
-    _index_position,
-    _index_table,
-    count_multi_indices,
-    monomial_values,
-)
+from .constellation import (TOL_POINT, BudgetExceededError, DimensionMismatchError, QSCode,
+                            QscError, _block_rows, _check_entries, _pairs_within, _read_only)
+from .moments import (_check_tolerance, _index_position, _index_table, count_multi_indices,
+                      monomial_values)
 
 TOL_IDEAL = 1e-8
 # Share of a unit-scale quantity below which vanishing_ideal counts it as
@@ -188,11 +176,14 @@ def enumerate_phase_symmetries(code: QSCode, max_order: int) -> PhaseSymmetries:
     images = np.exp(1j * (2.0 * np.pi * nums / orders[:, None]))[:, None, :] * Z[pivots]
     agree = np.all(np.linalg.norm(images - Z[chosen], axis=2) <= 2.0 * tol, axis=1)
     rows = np.unique(np.column_stack([orders[agree], nums[agree]]), axis=0)
-    orders, nums = rows[:, 0], rows[:, 1:]
-    maps, target, pi = _match_images(code, 2.0 * np.pi * nums / orders[:, None], tol)
-    return PhaseSymmetries(
-        *(_read_only(a[maps]) for a in (nums, orders, target, pi)),
-        _read_only(np.all(pi[maps] == np.arange(code.K), axis=1)))
+    found = []
+    for block in np.split(rows, range(0, len(rows), _block_rows(len(Z) * n))[1:]):
+        orders, nums = block[:, 0], block[:, 1:]
+        maps, target, pi = _match_images(code, 2.0 * np.pi * nums / orders[:, None], tol)
+        found.append([a[maps] for a in (nums, orders, target, pi)])
+    nums, orders, target, pi = (_read_only(np.concatenate(a)) for a in zip(*found))
+    return PhaseSymmetries(nums, orders, target, pi,
+                           _read_only(np.all(pi == np.arange(code.K), axis=1)))
 
 
 def _least_denominators(lo: np.ndarray, hi: np.ndarray, limit: int

@@ -15,7 +15,6 @@ from qsc.constellation import (
     QSCode,
     code_from_json,
     code_to_json,
-    distance_blocks,
     min_separation,
     validate_code,
 )
@@ -231,14 +230,14 @@ def _as_tuples(violations):
              v.other_point_index, v.residual) for v in violations]
 
 
-# Blocks of 5 point pairs split the 12 x 12 pass into many row blocks.
-@pytest.mark.parametrize("block_pairs", [constellation_mod.DISTANCE_BLOCK_PAIRS, 5])
+# Blocks of 5 entries split the 12 x 12 pass into many row blocks.
+@pytest.mark.parametrize("block_entries", [constellation_mod.BLOCK_ENTRIES, 5])
 @pytest.mark.parametrize("build", [_planted_code, _tiny_planted_code,
                                    lambda: qsc.build("cell24", 4.0),
                                    lambda: qsc.build("cell600", 1.0, partition="five")],
                          ids=["planted", "planted-tiny", "cell24", "cell600-five"])
-def test_validate_matches_brute_force(build, block_pairs, monkeypatch):
-    monkeypatch.setattr(constellation_mod, "DISTANCE_BLOCK_PAIRS", block_pairs)
+def test_validate_matches_brute_force(build, block_entries, monkeypatch):
+    monkeypatch.setattr(constellation_mod, "BLOCK_ENTRIES", block_entries)
     code = build()
     mine = _as_tuples(validate_code(code))
     brute = brute_violations(code.radius_sq, list(code.labels), constellations_as_lists(code))
@@ -270,9 +269,10 @@ def test_a_negative_point_tolerance_matches_nothing_at_e_zero():
 # ---------------------------------------------------------------------------
 
 def distances(rows) -> np.ndarray:
-    """Every distance |a - b| between the rows, by distance_blocks."""
+    """Every distance |a - b| between the rows, by the package's one rule."""
     rows = np.array(rows, dtype=np.complex128)
-    return np.vstack([block for _, _, block in distance_blocks(rows, rows)])
+    index = np.arange(len(rows))
+    return constellation_mod._distances(rows, rows, index[:, None], index)
 
 
 def test_distance_examples():
@@ -339,11 +339,11 @@ def test_min_separation_cell24_matches_brute_force():
     assert d == dist
 
 
-@pytest.mark.parametrize("block_pairs", [constellation_mod.DISTANCE_BLOCK_PAIRS, 1])
-def test_min_separation_tie_breaks_by_codeword_pair_first(block_pairs, monkeypatch):
+@pytest.mark.parametrize("block_entries", [constellation_mod.BLOCK_ENTRIES, 1])
+def test_min_separation_tie_breaks_by_codeword_pair_first(block_entries, monkeypatch):
     # d(a1, b0) = d(a0, c0) = 1: the witness orders (mu, nu) before (i, j),
     # so the pair in codewords (0, 1) wins even though a0 comes before a1
-    monkeypatch.setattr(constellation_mod, "DISTANCE_BLOCK_PAIRS", block_pairs)
+    monkeypatch.setattr(constellation_mod, "BLOCK_ENTRIES", block_entries)
     code = code_of(1, 0.0, {"a": [[0.0], [10.0]], "b": [[11.0]], "c": [[1.0]]})
     assert min_separation(code) == (1.0, (0, 1, 1, 0))
 
@@ -639,20 +639,20 @@ def test_json_rejects_invalid_code_on_load():
         code_from_json(text)
 
 
-@pytest.mark.parametrize("block_pairs", [constellation_mod.DISTANCE_BLOCK_PAIRS, 7])
-def test_distance_blocks_start_at_their_first_column(block_pairs, monkeypatch):
-    monkeypatch.setattr(constellation_mod, "DISTANCE_BLOCK_PAIRS", block_pairs)
-    rng = np.random.default_rng(3)
-    A = rng.standard_normal((9, 2)) + 1j * rng.standard_normal((9, 2))
-    full = np.sqrt(np.sum(np.abs(A[:, None, :] - A[None, :, :]) ** 2, axis=2))
-    first_columns = np.array([1, 1, 3, 3, 3, 9, 9, 9, 9])
-    covered = np.zeros((9, 9), dtype=bool)
-    for first, col, d in constellation_mod.distance_blocks(A, A, first_columns):
-        assert col == first_columns[first] < 9
-        assert np.allclose(d, full[first:first + len(d), col:], rtol=1e-15, atol=0)
-        covered[first:first + len(d), col:] = True
-    # every pair a row needs is measured
-    assert all(covered[i, first_columns[i]:].all() for i in range(9))
+# Blocks of one row, and of 7 entries, which start inside a codeword and
+# span several: the witness and the bits of the minimum do not move.
+@pytest.mark.parametrize("block_entries", [1, 7])
+@pytest.mark.parametrize("code", [
+    qsc.build("cell24", 4.0, partition="two"),
+    qsc.build("cat", 4.0, S=3, K=3),
+    code_of(2, 0.0, [np.random.default_rng(3).standard_normal((m, 2)) for m in (4, 1, 3, 1)]),
+], ids=["cell24-two", "cat33", "random-unequal"])
+def test_min_separation_matches_brute_force_in_blocks(code, block_entries, monkeypatch):
+    default = min_separation(code)
+    monkeypatch.setattr(constellation_mod, "BLOCK_ENTRIES", block_entries)
+    assert min_separation(code) == default
+    assert math.isclose(default[0], brute_min_separation(constellations_as_lists(code)),
+                        rel_tol=1e-12)
 
 
 def _matched(A, B, tol):
@@ -730,13 +730,13 @@ MATCHER_INPUTS = _matcher_inputs()
 
 # Blocks of 7 candidate pairs split each pass into many blocks; SMALL_PAIRS 0
 # sends every input through the sorted projections, 10**9 none.
-@pytest.mark.parametrize("block_pairs", [constellation_mod.DISTANCE_BLOCK_PAIRS, 7])
+@pytest.mark.parametrize("block_entries", [constellation_mod.BLOCK_ENTRIES, 7])
 @pytest.mark.parametrize("small_pairs", [0, constellation_mod.SMALL_PAIRS, 10 ** 9])
 @pytest.mark.parametrize("name, A, B, tol", MATCHER_INPUTS,
                          ids=[case[0] for case in MATCHER_INPUTS])
-def test_pairs_within_match_all_pairs_loop(name, A, B, tol, block_pairs, small_pairs,
+def test_pairs_within_match_all_pairs_loop(name, A, B, tol, block_entries, small_pairs,
                                            monkeypatch):
-    monkeypatch.setattr(constellation_mod, "DISTANCE_BLOCK_PAIRS", block_pairs)
+    monkeypatch.setattr(constellation_mod, "BLOCK_ENTRIES", block_entries)
     monkeypatch.setattr(constellation_mod, "SMALL_PAIRS", small_pairs)
     with np.errstate(over="ignore"):
         mine = _matched(A, B, tol)

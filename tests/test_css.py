@@ -241,7 +241,7 @@ def test_separation_is_not_the_hamming_weight_guess():
 def test_css_properties_measures_no_pair_of_points(monkeypatch):
     def no_pairs(*args, **kwargs):
         raise AssertionError("a pairwise distance was computed")
-    monkeypatch.setattr(qsc.constellation, "distance_blocks", no_pairs)
+    monkeypatch.setattr(qsc.constellation, "_distances", no_pairs)
     props = css_properties(ClassicalCodeSpec(3, 4, [(1, 1, 1, 0)], [(1, 2, 0, 0)]), alpha=2.0)
     assert props.K == 9 and props.min_separation > 0
 
@@ -281,6 +281,20 @@ def test_css_properties_budget_checked_before_enumeration(monkeypatch):
     monkeypatch.setattr(qsc.css, "_span", no_work)
     with pytest.raises(BudgetExceededError, match="2\\^20 words"):
         css_properties(spec)
+
+
+def test_css_dual_letters_are_checked_against_the_entry_budget(monkeypatch):
+    # q = 2, length 38, gen_X = gen_Z = [I_19 | I_19]: 2^19 dual words, within
+    # the word budget, of 38 letters each, above the entry budget
+    rows = np.hstack([np.eye(19, dtype=int)] * 2).tolist()
+    spec = ClassicalCodeSpec(2, 38, rows, rows)
+
+    def no_work(*args):
+        raise AssertionError("words enumerated before the budget guard")
+    monkeypatch.setattr(qsc.css, "_span", no_work)
+    with pytest.raises(BudgetExceededError, match="the 2\\^19 dual words of length 38 "
+                                                  "would hold 19922944 entries"):
+        css_properties(spec, 2.0)
 
 
 def test_css_properties_enumerates_the_dual_once(monkeypatch):

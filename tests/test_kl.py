@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from qsc.kl import (
     kl_matrix,
     stirling2,
 )
+from qsc.constellation import QscError
 from qsc.moments import BudgetExceededError
 
 from brute_force import brute_kl_matrix, brute_multi_indices, brute_overlap
@@ -291,6 +293,41 @@ def test_detection_budget(monkeypatch):
         detection_report(code, 4, tol=1e-6)
 
 
+def _no_monomials(*args):
+    raise AssertionError("monomials evaluated before the guard")
+
+
+def test_detection_arrays_are_checked_against_the_entry_budget(monkeypatch):
+    monkeypatch.setattr(qsc.kl, "monomial_values", _no_monomials)
+    # two points on 8,000 modes at degree 1: 16,001 errors of 16,000 exponents
+    wide = np.zeros((2, 8000))
+    wide[:, 0] = [2.0, -2.0]
+    with pytest.raises(BudgetExceededError, match="the exponent rows of 16001 errors would "
+                                                  "hold 256016000 entries"):
+        detection_report(code_of(8000, 4.0, [wide[:1], wide[1:]]), 1, tol=1e-6)
+    # degree 10 on 2 modes: 1,001 errors of 4 exponents, but 66^2 entries in
+    # each of the lambda and delta grids
+    monkeypatch.setattr(qsc.constellation, "ENTRY_BUDGET", 66 ** 2 - 1)
+    with pytest.raises(BudgetExceededError, match="delta grids would hold 4356 entries"):
+        detection_report(qsc.build("orthoplex", 4.0, n=2), 10, tol=1e-6)
+
+
+def test_detection_degree_beyond_the_float_range_is_refused(monkeypatch):
+    # points +-8: 2^2 sums of 8^D leave the float range from D = 341 on
+    cat = qsc.build("cat", 64.0, S=1, K=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = detection_report(cat, 340, tol=1e-6)
+    assert np.all(np.isfinite(report.lam)) and np.all(np.isfinite(report.delta))
+    monkeypatch.setattr(qsc.kl, "monomial_values", _no_monomials)
+    with pytest.raises(QscError, match="out of range for KL errors of degree 341"):
+        detection_report(cat, 341, tol=1e-6)
+    # the dephasing powers count twice: n^20 holds monomials of degree 40
+    far = qsc.build("cat", 1e16, S=1, K=2)
+    with pytest.raises(QscError, match="out of range for KL errors of degree 40"):
+        detection_report(far, 1, tol=1e-6, include_dephasing_to=20)
+
+
 def test_detection_rows_conjugate_pairs(four_legged):
     report = detection_report(four_legged, 2, tol=1e-6)
     by_error = {(r, s): kl_matrix(four_legged, r, s) for _, r, s, _, _, _ in monomial_rows(report)}
@@ -351,7 +388,7 @@ def _assert_same_report(a, b):
 def test_detection_report_independent_of_block_size(code, monkeypatch):
     degree = 2 if code.modes <= 3 else 1
     default = detection_report(code, degree, tol=1e-6)
-    monkeypatch.setattr(qsc.kl, "KL_BLOCK_ENTRIES", 1)
+    monkeypatch.setattr(qsc.constellation, "BLOCK_ENTRIES", 1)
     _assert_same_report(detection_report(code, degree, tol=1e-6), default)
 
 
@@ -375,7 +412,7 @@ def _assert_rows_match_kl_matrix(code):
         scale = 1e-12 * max(1.0, abs(lam))
         assert abs(row_lam - lam) <= scale and abs(row_delta - delta) <= scale
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(qsc.kl, "KL_BLOCK_ENTRIES", 1)
+        mp.setattr(qsc.constellation, "BLOCK_ENTRIES", 1)
         _assert_same_report(detection_report(code, 2, tol=1e-6), report)
 
 

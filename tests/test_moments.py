@@ -273,7 +273,7 @@ def test_design_report_independent_of_block_size(monkeypatch, name, params):
     code = qsc.build(name, 4.0, **params)
     default = design_strength(code, 6)
     n_points = len(code.point_array)
-    monkeypatch.setattr("qsc.moments.MOMENT_BLOCK_ENTRIES", 3 * max(n_points, code.K))
+    monkeypatch.setattr("qsc.constellation.BLOCK_ENTRIES", 3 * max(n_points, code.K))
     assert design_strength(code, 6) == default
 
 
@@ -336,8 +336,8 @@ def test_degree_tables_are_built_once_and_read_only(monkeypatch):
     assert table is _degree_table(4, 3)
     with pytest.raises(ValueError, match="read-only"):
         table[0, 0] = 7
-    # a table above the row limit is built on each call, as read-only
-    monkeypatch.setattr(qsc.moments, "CACHED_TABLE_ROWS", len(table) - 1)
+    # a table above one block of entries is built on each call, as read-only
+    monkeypatch.setattr(qsc.constellation, "BLOCK_ENTRIES", table.size - 1)
     large = _degree_table(4, 3)
     assert large is not _degree_table(4, 3) and np.array_equal(large, table)
     with pytest.raises(ValueError, match="read-only"):

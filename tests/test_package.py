@@ -143,14 +143,19 @@ def test_one_entry_budget_reaches_every_check(tmp_path, monkeypatch, capsys):
 
 
 def test_no_module_but_constellation_defines_an_entry_budget():
-    # the count budgets bound enumeration work; entries have one budget and one check
+    # the count budgets bound enumeration work; entries have one budget and one
+    # check, and temporaries one block size and one rule
     defined = {}
     for path in Path(qsc.__file__).parent.glob("*.py"):
         for node in ast.parse(path.read_text()).body:
             names = ([t.id for t in node.targets if isinstance(t, ast.Name)]
                      if isinstance(node, ast.Assign) else [getattr(node, "name", None)])
             defined.update({name: defined.get(name, []) + [path.stem] for name in names
-                            if name and (name.endswith("_BUDGET") or name == "_check_entries")})
+                            if name and (name.endswith(("_BUDGET", "_BLOCK", "_ENTRIES", "_ROWS",
+                                                        "_PAIRS"))
+                                         or name in ("_check_entries", "_block_rows"))})
     assert defined == {"CODE_SIZE_BUDGET": ["constellation"], "ENTRY_BUDGET": ["constellation"],
                        "_check_entries": ["constellation"], "INDEX_BUDGET": ["moments"],
-                       "ERROR_BUDGET": ["kl"], "IDEAL_COLUMN_BUDGET": ["symmetries"]}
+                       "ERROR_BUDGET": ["kl"], "IDEAL_COLUMN_BUDGET": ["symmetries"],
+                       "BLOCK_ENTRIES": ["constellation"], "_block_rows": ["constellation"],
+                       "SMALL_PAIRS": ["constellation"]}

@@ -488,6 +488,20 @@ def test_phase_symmetries_of_the_256_point_css_code_are_its_word_translations():
     assert _actions(actions) == _actions(brute_binary_css_translations(code, gen_x))
 
 
+def test_phase_symmetries_independent_of_block_size(monkeypatch):
+    # one candidate's images per block, and one point pair per matched block
+    gen_x = [[1, 0, 0, 0, 0, 0, 0, 1], [0, 1, 0, 0, 0, 0, 0, 1]]
+    codes = [entry.build(4.0) for entry in qsc.list_catalog()]
+    codes.append(qsc.compile_css(qsc.ClassicalCodeSpec(2, 8, gen_x, []), 1.8))
+    default = [enumerate_phase_symmetries(code, 8) for code in codes]
+    monkeypatch.setattr(qsc.constellation, "BLOCK_ENTRIES", 1)
+    for code, want in zip(codes, default):
+        got = enumerate_phase_symmetries(code, 8)
+        for name in ("numerators", "orders", "targets", "codeword_permutations", "z_type"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
 # ---------------------------------------------------------------------------
 # vanishing ideal against the per-degree full-SVD oracle
 # ---------------------------------------------------------------------------
